@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .claims import CapabilityVerdict, capable
 from .core import Group, from_cayley_table, from_permutation_generators
 from .errors import BadParameters, InconsistentInvariants
@@ -178,8 +176,7 @@ def read_group_file(path: str | Path,
     if not isinstance(raw, dict):
         raise BadParameters(f"{path}: expected a JSON object")
     if "table" in raw:
-        table = np.asarray(raw["table"], dtype=np.int64)
-        return from_cayley_table(table, label=raw.get("label") or "",
+        return from_cayley_table(raw["table"], label=raw.get("label") or "",
                                  order_cap=order_cap)
     if "generators" in raw:
         gens = [tuple(p) for p in raw["generators"]]

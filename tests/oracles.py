@@ -27,6 +27,23 @@ def inverse(table: list[list[int]], x: int) -> int:
     return table[x].index(0)
 
 
+def closure(table: list[list[int]], seeds) -> set[int]:
+    """Smallest set containing 0 and the seeds that is closed under the
+    table's product."""
+    members = {0, *seeds}
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in members.copy():
+                for c in (table[a][b], table[b][a]):
+                    if c not in members:
+                        members.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return members
+
+
 def derived_subgroup(table: list[list[int]]) -> set[int]:
     n = len(table)
     gens = set()
@@ -34,18 +51,8 @@ def derived_subgroup(table: list[list[int]]) -> set[int]:
         for y in range(n):
             xi, yi = inverse(table, x), inverse(table, y)
             gens.add(table[table[xi][yi]][table[x][y]])
-    closure = {0} | gens
-    frontier = list(closure)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in closure.copy():
-                for c in (table[a][b], table[b][a]):
-                    if c not in closure:
-                        closure.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return closure
+    return closure(table, gens)
+
 
 def element_order(table: list[list[int]], x: int) -> int:
     k, cur = 1, x

@@ -89,6 +89,28 @@ class TestAnalyze:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("table", [
+        [[0, 1], [1, 0.9]],
+        [[0, 1], [1, 2 ** 32]],
+        [[0, 1], [1, 10 ** 20]],
+        [[False, True], [True, False]],
+    ], ids=["float", "wraps-int32", "overflows-int64", "bool"])
+    def test_non_integer_or_wide_entry_is_input_error(self, tmp_path, capsys,
+                                                      table):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps({"order": 2, "label": "C2", "table": table}))
+        code, out, err = run(["analyze", "--in", str(src)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_float_in_permutation_is_rejected(self, tmp_path, capsys):
+        src = tmp_path / "perm.json"
+        src.write_text(json.dumps({"degree": 2, "generators": [[1.0, 0]]}))
+        code, out, err = run(["analyze", "--in", str(src)], capsys)
+        assert code == 2
+        assert "not a permutation" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(["analyze", "--in", str(tmp_path / "nope.json")], capsys)
         assert code == 3

@@ -1,10 +1,23 @@
 """Group construction, validation, and algebraic operations."""
 
+import re
+from functools import cache
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from cent_atlas.catalog import (
+    abelian,
+    catalog_up_to,
+    cyclic,
+    dicyclic,
+    dihedral,
+    elementary,
+    witness_h,
+)
 from cent_atlas.core import (
     DEFAULT_ORDER_CAP,
     ActionSpec,
@@ -14,6 +27,7 @@ from cent_atlas.core import (
     direct_product,
     from_cayley_table,
     from_permutation_generators,
+    _generating_indices,
     quotient,
     quotient_with_cosets,
     resolve_order_cap,
@@ -24,6 +38,7 @@ from cent_atlas.core import (
 from cent_atlas.errors import (
     IndexOutOfRange,
     NoIdentityAtZero,
+    NoInverse,
     NotAssociative,
     NotAutomorphism,
     NotLatinSquare,
@@ -32,7 +47,7 @@ from cent_atlas.errors import (
     OrderCapExceeded,
 )
 
-from oracles import is_associative
+from oracles import closure, is_associative
 
 
 def cyclic_table(n: int) -> np.ndarray:
@@ -87,10 +102,117 @@ class TestFromCayleyTable:
         assert resolve_order_cap(64) == 64
 
     def test_large_group_light_validation(self):
-        # beyond the full-scan limit, generator-based checks still validate
         g = from_cayley_table(cyclic_table(300))
         assert g.order == 300
         assert g.power(1, 300) == 0
+
+    def test_switched_cyclic_names_failing_triple(self):
+        # Switching the intercalate on rows and columns 1 and 101 of C200
+        # leaves a loop with inverses that is not a group.
+        bad = cyclic_table(200)
+        for x, y in ((1, 1), (1, 101), (101, 1), (101, 101)):
+            bad[x, y] = 102 if bad[x, y] == 2 else 2
+        with pytest.raises(NotAssociative) as exc:
+            from_cayley_table(bad)
+        x, s, y = triple_in(exc.value)
+        assert bad[bad[x, s], y] != bad[x, bad[s, y]]
+
+    @pytest.mark.parametrize("build, gens", [
+        (lambda: cyclic(1024), [1]),
+        (lambda: dihedral(2048), [1, 1024]),
+        (lambda: witness_h(5, 31, 2, order_cap=3875), [1, 5, 155]),
+        (lambda: elementary(2, 6), [1, 2, 4, 8, 16, 32]),
+    ], ids=["C1024", "D2048", "H(5,31,2)", "C2^6"])
+    def test_validation_generators(self, build, gens):
+        assert _generating_indices(build().table) == gens
+
+
+def triple_in(exc: NotAssociative) -> tuple[int, int, int]:
+    found = re.search(r"triple \((\d+), (\d+), (\d+)\)", str(exc))
+    return tuple(int(v) for v in found.groups())
+
+
+def loop_isotope(square: list[list[int]], r: int, c: int) -> list[list[int]]:
+    """Principal loop isotope of a Latin square, identity moved to 0.
+
+    x o y = L[R(x)][C(y)], where R(x) is the row holding x in column c and
+    C(y) the column holding y in row r; its identity is e = L[r][c], and
+    swapping the labels e and 0 puts it at 0.
+    """
+    n = len(square)
+    row_of = {square[i][c]: i for i in range(n)}
+    col_of = {square[r][j]: j for j in range(n)}
+    e = square[r][c]
+
+    def swap(v: int) -> int:
+        return e if v == 0 else 0 if v == e else v
+
+    return [[swap(square[row_of[swap(x)]][col_of[swap(y)]]) for y in range(n)]
+            for x in range(n)]
+
+
+@cache
+def base_tables() -> list[list[list[int]]]:
+    groups = [cyclic(n) for n in range(1, 9)]
+    groups += [abelian((2, 2)), abelian((2, 4)), abelian((2, 2, 2)),
+               dihedral(6), dihedral(8), dicyclic(8)]
+    return [g.table.tolist() for g in groups]
+
+
+@st.composite
+def loop_squares(draw) -> list[list[int]]:
+    """Identity-normalised Latin squares of order at most 8: isotopes of
+    small group tables, some with intercalates switched, which makes
+    about a quarter of them non-associative."""
+    base = draw(st.sampled_from(base_tables()))
+    n = len(base)
+    rows, cols, syms = (draw(st.permutations(range(n))) for _ in range(3))
+    square = [[syms[base[rows[i]][cols[j]]] for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        intercalates = [
+            (i1, i2, j1, j2)
+            for i1, i2 in combinations(range(n), 2)
+            for j1, j2 in combinations(range(n), 2)
+            if square[i1][j1] == square[i2][j2]
+            and square[i1][j2] == square[i2][j1]]
+        if intercalates:
+            i1, i2, j1, j2 = draw(st.sampled_from(intercalates))
+            a, b = square[i1][j1], square[i1][j2]
+            square[i1][j1] = square[i2][j2] = b
+            square[i1][j2] = square[i2][j1] = a
+    return loop_isotope(square, draw(st.integers(0, n - 1)),
+                        draw(st.integers(0, n - 1)))
+
+
+def raises_not_associative(table: list[list[int]]) -> bool:
+    try:
+        from_cayley_table(table)
+    except NotAssociative:
+        return True
+    except NoInverse:
+        pass
+    return False
+
+
+def test_loop_squares_include_both_verdicts():
+    assert is_associative(find(loop_squares(), is_associative))
+    assert not is_associative(find(loop_squares(), raises_not_associative))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_squares())
+def test_light_test_matches_triple_oracle(table):
+    associative = is_associative(table)
+    try:
+        from_cayley_table(table)
+    except NotAssociative as exc:
+        assert not associative
+        x, s, y = triple_in(exc)
+        assert table[table[x][s]][y] != table[x][table[s][y]]
+    except NoInverse:
+        assert not associative
+    else:
+        assert associative
 
 
 class TestPermutationGenerators:
@@ -185,6 +307,29 @@ class TestSubgroupsAndQuotients:
             g.check_index(6)
         with pytest.raises(IndexOutOfRange):
             g.check_index(-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loop_squares())
+def test_validation_generators_are_greedy_over_magma_closure(table):
+    gens = _generating_indices(np.array(table))
+    for k, s in enumerate(gens):
+        assert s == min(set(range(len(table))) - closure(table, gens[:k]))
+    assert len(closure(table, gens)) == len(table)
+
+
+@cache
+def small_catalog():
+    return catalog_up_to(60)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subgroup_generated_matches_closure_oracle(data):
+    g = data.draw(st.deferred(lambda: st.sampled_from(small_catalog())))
+    seeds = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    got = subgroup_generated(g, seeds)
+    assert set(got.elements()) == closure(g.table.tolist(), seeds)
 
 
 class TestSubsetMask:
