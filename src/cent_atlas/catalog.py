@@ -10,8 +10,9 @@ exhaustive enumerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
+from math import gcd, prod
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +25,11 @@ from .core import (
     semidirect_product,
 )
 from .errors import BadParameters, NoInstanceAvailable
-from .invariants import center, is_prime
+from .invariants import center
+from .numbers import crt, is_prime, order_shape, unit_of_order
 
 __all__ = [
+    "FAMILIES",
     "FamilySpec",
     "abelian",
     "alternating",
@@ -52,6 +55,7 @@ __all__ = [
     "sl23",
     "symmetric",
     "unit_of_order",
+    "witness_exponents",
     "witness_h",
 ]
 
@@ -59,23 +63,6 @@ __all__ = [
 def _require_prime(value: int, name: str) -> None:
     if not is_prime(value):
         raise BadParameters(f"{name} = {value} must be prime")
-
-
-def _order_mod(a: int, n: int) -> int:
-    """Multiplicative order of a modulo n (a coprime to n)."""
-    k, cur = 1, a % n
-    while cur != 1:
-        cur = cur * a % n
-        k += 1
-    return k
-
-
-def unit_of_order(d: int, n: int) -> int:
-    """Smallest unit of multiplicative order exactly d modulo n."""
-    for a in range(2, n):
-        if gcd(a, n) == 1 and pow(a, d, n) == 1 and _order_mod(a, n) == d:
-            return a
-    raise BadParameters(f"no unit of order {d} modulo {n}")
 
 
 def cyclic(n: int, order_cap: int | None = None) -> Group:
@@ -272,14 +259,27 @@ def heisenberg_cover(p: int, order_cap: int | None = None) -> Group:
     return g.relabeled(f"W({p})")
 
 
+# family name -> (builder, the FamilySpec fields it takes, in call order);
+# drives both build() and the CLI's construct --family choices.
+FAMILIES: dict[str, tuple[Callable[..., Group], tuple[str, ...]]] = {
+    "cyclic": (cyclic, ("n",)),
+    "dihedral": (dihedral, ("n",)),
+    "dicyclic": (dicyclic, ("n",)),
+    "symmetric": (symmetric, ("n",)),
+    "alternating": (alternating, ("n",)),
+    "metacyclic": (metacyclic, ("m", "n", "k")),
+    "heisenberg": (heisenberg, ("p",)),
+    "modular-p3": (modular_p3, ("p",)),
+    "elementary": (elementary, ("p", "k")),
+    "witness-h": (witness_h, ("p", "q", "i")),
+    "sl23": (sl23, ()),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Recipe for a named group; see :func:`build`.
-
-    Leaf families use the integer parameters; "direct" combines the two
-    specs in ``parts``; "semidirect" combines ``parts`` (normal factor
-    first) under ``action``.
-    """
+    """Recipe for a named group: a :data:`FAMILIES` name and its integer
+    parameters; see :func:`build`."""
 
     family: str
     n: int | None = None
@@ -287,65 +287,18 @@ class FamilySpec:
     k: int | None = None
     p: int | None = None
     q: int | None = None
-    r: int | None = None
     i: int | None = None
-    parts: tuple["FamilySpec", ...] = field(default=())
-    action: ActionSpec | None = None
-
-
-def _need(spec: FamilySpec, *names: str) -> list[int]:
-    vals = []
-    for name in names:
-        v = getattr(spec, name)
-        if v is None:
-            raise BadParameters(f"family {spec.family!r} needs --{name}")
-        vals.append(v)
-    return vals
 
 
 def build(spec: FamilySpec, order_cap: int | None = None) -> Group:
-    fam = spec.family
-    if fam == "cyclic":
-        return cyclic(*_need(spec, "n"), order_cap=order_cap)
-    if fam == "dihedral":
-        return dihedral(*_need(spec, "n"), order_cap=order_cap)
-    if fam == "dicyclic":
-        return dicyclic(*_need(spec, "n"), order_cap=order_cap)
-    if fam == "symmetric":
-        return symmetric(*_need(spec, "n"), order_cap=order_cap)
-    if fam == "alternating":
-        return alternating(*_need(spec, "n"), order_cap=order_cap)
-    if fam == "metacyclic":
-        m, n, k = _need(spec, "m", "n", "k")
-        return metacyclic(m, n, k, order_cap=order_cap)
-    if fam == "heisenberg":
-        return heisenberg(*_need(spec, "p"), order_cap=order_cap)
-    if fam == "modular-p3":
-        return modular_p3(*_need(spec, "p"), order_cap=order_cap)
-    if fam == "elementary":
-        p, k = _need(spec, "p", "k")
-        return elementary(p, k, order_cap=order_cap)
-    if fam == "witness-h":
-        p, q, i = _need(spec, "p", "q", "i")
-        return witness_h(p, q, i, order_cap=order_cap)
-    if fam == "sl23":
-        return sl23(order_cap=order_cap)
-    if fam == "direct":
-        if len(spec.parts) != 2:
-            raise BadParameters("direct needs exactly two part specs")
-        a, b = (build(s, order_cap=order_cap) for s in spec.parts)
-        return direct_product(a, b, order_cap=order_cap)
-    if fam == "semidirect":
-        if len(spec.parts) != 2 or spec.action is None:
-            raise BadParameters("semidirect needs two part specs and an action")
-        a, b = (build(s, order_cap=order_cap) for s in spec.parts)
-        return semidirect_product(a, b, spec.action, order_cap=order_cap)
-    raise BadParameters(f"unknown family {fam!r}")
-
-
-def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
-    u = pow(m1, -1, m2)
-    return (a1 + (a2 - a1) * u % m2 * m1) % (m1 * m2)
+    if spec.family not in FAMILIES:
+        raise BadParameters(f"unknown family {spec.family!r}")
+    builder, names = FAMILIES[spec.family]
+    args = [getattr(spec, name) for name in names]
+    if None in args:
+        raise BadParameters(
+            f"family {spec.family!r} needs --{names[args.index(None)]}")
+    return builder(*args, order_cap=order_cap)
 
 
 def groups_of_order_pqr(p: int, q: int, r: int,
@@ -370,7 +323,7 @@ def groups_of_order_pqr(p: int, q: int, r: int,
         # one class per power pairing (u, v^j); normalizing the q-component
         # to u leaves no further identification
         for j in range(1, p):
-            c = _crt(u, q, pow(v, j, r), r)
+            c = crt(u, q, pow(v, j, r), r)
             out.append(metacyclic(q * r, p, c, order_cap=order_cap))
     return out
 
@@ -465,20 +418,8 @@ def groups_of_order_p3(p: int, order_cap: int | None = None) -> list[Group]:
     return out
 
 
-_SHAPE_ARITY = {"pqr": 3, "p2q": 2, "pq2": 2, "p3": 1}
-
-
-def _shape_order(kind: str, primes: tuple[int, ...]) -> int:
-    if kind == "pqr":
-        p, q, r = primes
-        return p * q * r
-    if kind == "p2q":
-        p, q = primes
-        return p * p * q
-    if kind == "pq2":
-        p, q = primes
-        return p * q * q
-    return primes[0] ** 3
+# shape kind -> the exponent of each given prime in the order of G/Z(G)
+_SHAPE_EXPONENTS = {"pqr": (1, 1, 1), "p2q": (2, 1), "pq2": (1, 2), "p3": (3,)}
 
 
 def central_quotient_examples(kind: str, primes: tuple[int, ...],
@@ -490,26 +431,22 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
     center.  Every instance is checked against the shape before it is
     returned.
     """
-    if kind not in _SHAPE_ARITY:
+    if kind not in _SHAPE_EXPONENTS:
         raise BadParameters(f"unknown shape kind {kind!r}")
-    if len(primes) != _SHAPE_ARITY[kind]:
+    exps = _SHAPE_EXPONENTS[kind]
+    if len(primes) != len(exps):
         raise BadParameters(
-            f"shape {kind!r} needs {_SHAPE_ARITY[kind]} primes, got {len(primes)}")
+            f"shape {kind!r} needs {len(exps)} primes, got {len(primes)}")
     for v in primes:
         _require_prime(v, "prime")
-    if kind in ("pqr", "p2q") and sorted(set(primes)) != sorted(primes):
+    if len(set(primes)) != len(primes):
         raise BadParameters(f"shape {kind!r} needs distinct primes, got {primes}")
+    target = prod(p ** e for p, e in zip(primes, exps))
 
     out: list[Group] = []
-    if kind == "pqr":
-        members = groups_of_order_pqr(*sorted(primes), order_cap=order_cap)
-    elif kind == "p2q":
-        members = groups_of_order_p2q(primes[0], primes[1], order_cap=order_cap)
-    elif kind == "pq2":
-        members = groups_of_order_p2q(primes[1], primes[0], order_cap=order_cap)
-    else:
-        members = []
-
+    # every group of order p^3 has nontrivial center: none is its own instance
+    members = [] if kind == "p3" else groups_of_covered_order(
+        target, order_cap=order_cap)
     for g in members:
         if len(center(g)) == 1:
             out.append(g)
@@ -518,7 +455,7 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
     if kind == "p2q":
         p, q = primes
         if q % p == 1:
-            for i in _witness_exponents(p, q):
+            for i in witness_exponents(p, q):
                 out.append(witness_h(p, q, i, order_cap=order_cap))
         if p == 2:
             out.append(dihedral(8 * q, order_cap=order_cap))
@@ -541,7 +478,6 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
     if not out:
         raise NoInstanceAvailable(
             f"no curated group has central quotient of shape {kind} {primes}")
-    target = _shape_order(kind, primes)
     for g in out:
         got = g.order // len(center(g))
         if got != target:
@@ -551,55 +487,33 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
     return out
 
 
-def _witness_exponents(p: int, q: int) -> list[int]:
+def witness_exponents(p: int, q: int) -> list[int]:
+    """Every i in 2..q-1 with i^p = 1 (mod q): the valid witness_h exponents."""
     return [i for i in range(2, q) if pow(i, p, q) == 1]
 
 
+def covered_orders(max_order: int) -> dict[int, tuple[str, tuple[int, ...]]]:
+    """Orders up to max_order that the classification lists cover, each
+    with its :func:`~cent_atlas.numbers.order_shape`, in ascending order."""
+    shapes = ((n, order_shape(n)) for n in range(2, max_order + 1))
+    return {n: shape for n, shape in shapes if shape is not None}
+
+
 def prime_triples(max_order: int) -> list[tuple[int, int, int]]:
-    primes = [v for v in range(2, max_order // 6 + 1) if is_prime(v)]
-    out = []
-    for a in range(len(primes)):
-        for b in range(a + 1, len(primes)):
-            for c in range(b + 1, len(primes)):
-                n = primes[a] * primes[b] * primes[c]
-                if n <= max_order:
-                    out.append((primes[a], primes[b], primes[c]))
-    return sorted(out, key=lambda t: t[0] * t[1] * t[2])
+    """Triples p < q < r of primes with pqr <= max_order, by product."""
+    return [t for kind, t in covered_orders(max_order).values() if kind == "pqr"]
 
 
 def prime_square_pairs(max_order: int) -> list[tuple[int, int]]:
-    """Pairs (p, q), p squared, with p^2 q <= max_order."""
-    out = []
-    p = 2
-    while p * p * 2 <= max_order:
-        if is_prime(p):
-            for q in range(2, max_order // (p * p) + 1):
-                if q != p and is_prime(q):
-                    out.append((p, q))
-        p += 1
-    return sorted(out, key=lambda t: t[0] * t[0] * t[1])
-
-
-def covered_orders(max_order: int) -> dict[int, tuple[str, tuple[int, ...]]]:
-    """Orders up to max_order that the classification lists cover."""
-    out: dict[int, tuple[str, tuple[int, ...]]] = {}
-    for p, q, r in prime_triples(max_order):
-        out[p * q * r] = ("pqr", (p, q, r))
-    for p, q in prime_square_pairs(max_order):
-        out[p * p * q] = ("p2q", (p, q))
-    p = 2
-    while p ** 3 <= max_order:
-        if is_prime(p):
-            out[p ** 3] = ("p3", (p,))
-        p += 1
-    return dict(sorted(out.items()))
+    """Pairs (p, q), p squared, with p^2 q <= max_order, by product."""
+    return [t for kind, t in covered_orders(max_order).values() if kind == "p2q"]
 
 
 def groups_of_covered_order(n: int, order_cap: int | None = None) -> list[Group]:
-    shapes = covered_orders(n)
-    if n not in shapes:
+    shape = order_shape(n)
+    if shape is None:
         raise BadParameters(f"order {n} is not of shape pqr, p^2 q, or p^3")
-    kind, primes = shapes[n]
+    kind, primes = shape
     if kind == "pqr":
         return groups_of_order_pqr(*primes, order_cap=order_cap)
     if kind == "p2q":

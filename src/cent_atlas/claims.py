@@ -37,7 +37,7 @@ from .catalog import (
     metacyclic,
     prime_square_pairs,
     prime_triples,
-    unit_of_order,
+    witness_exponents,
     witness_h,
 )
 from .core import (
@@ -54,10 +54,10 @@ from .invariants import (
     center,
     derived_subgroup,
     find_isomorphism,
-    is_prime,
     omega,
     sylow,
 )
+from .numbers import order_shape, primes_up_to, unit_of_order
 
 __all__ = [
     "CapabilityVerdict",
@@ -118,19 +118,6 @@ def report_to_jsonable(report: ClaimReport) -> dict[str, Any]:
     }
 
 
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d, m = 2, n
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def _special_p2q(p: int, q: int, order_cap: int | None = None) -> Group | None:
     """C_p x (C_q : C_p), the capable class with nontrivial center; exists
     only when q = 1 (mod p)."""
@@ -147,31 +134,26 @@ def capable(g: Group) -> CapabilityVerdict:
     distinct primes (rule C9, both orientations), and p^3 (rule C11 for
     nonabelian, rule baer-p3 for abelian).
     """
-    fac = _factor(g.order)
-    exps = sorted(fac.values())
+    kind, primes = order_shape(g.order) or ("", ())
     z = len(center(g))
-    if exps == [1, 1, 1]:
+    if kind == "pqr":
         if z == 1:
             return CapabilityVerdict("capable", "C4", "center is trivial")
         return CapabilityVerdict("not_capable", "C4", f"center has order {z}")
-    if exps == [1, 2]:
-        sq = next(p for p, e in fac.items() if e == 2)
-        other = next(p for p, e in fac.items() if e == 1)
-        if sq < other:
-            if z == 1:
-                return CapabilityVerdict("capable", "C9", "center is trivial")
-            special = _special_p2q(sq, other)
-            if special is not None and find_isomorphism(g, special) is not None:
-                return CapabilityVerdict(
-                    "capable", "C9", f"isomorphic to {special.label}")
-            return CapabilityVerdict(
-                "not_capable", "C9",
-                f"center has order {z} and the group is not C{sq}x(C{other}:C{sq})")
+    if kind == "p2q":
+        sq, other = primes
         if z == 1:
             return CapabilityVerdict("capable", "C9", "center is trivial")
-        return CapabilityVerdict("not_capable", "C9", f"center has order {z}")
-    if exps == [3]:
-        p = next(iter(fac))
+        special = _special_p2q(sq, other)  # None unless other = 1 (mod sq)
+        if special is not None and find_isomorphism(g, special) is not None:
+            return CapabilityVerdict(
+                "capable", "C9", f"isomorphic to {special.label}")
+        detail = f"center has order {z}"
+        if sq < other:
+            detail += f" and the group is not C{sq}x(C{other}:C{sq})"
+        return CapabilityVerdict("not_capable", "C9", detail)
+    if kind == "p3":
+        (p,) = primes
         if g.is_abelian():
             prof = abelian_profile(g)
             if prof.kind == "elementary_abelian":
@@ -221,6 +203,45 @@ def _row(g: Group, ok: bool, note: str, **extra: Any) -> _Row:
                  "note": note}
     row.update(extra)
     return row
+
+
+def _count_rows(groups: list[Group], allowed: set[int], prefix: str = "",
+                skip_abelian: bool = False) -> list[_Row]:
+    """One row per group: its centralizer count lies in ``allowed``."""
+    rows = []
+    for g in groups:
+        if skip_abelian and g.is_abelian():
+            continue
+        count = _cent_count(g)
+        rows.append(_row(g, count in allowed,
+                         f"{prefix}cent={count}, allowed={sorted(allowed)}",
+                         cent_count=count))
+    return rows
+
+
+def _capable_row(g: Group, rule: str, special: Group | None = None,
+                 cover: Callable[[], Group] | None = None) -> _Row:
+    """Row checking that ``capable(g)`` applies ``rule`` and finds g capable
+    exactly when its center is trivial or g is isomorphic to ``special``.
+
+    Where g is capable, witness_check certifies a cover of it: g itself
+    when the center is trivial, else ``cover()``.  Without ``cover`` the
+    note reports a self-witness.
+    """
+    z = len(center(g))
+    truth = z == 1 or (
+        special is not None and find_isomorphism(g, special) is not None)
+    verdict = capable(g)
+    ok = verdict.rule == rule and verdict.status == (
+        "capable" if truth else "not_capable")
+    note = f"z={z}, verdict={verdict.status}"
+    if ok and truth:
+        h = g if z == 1 else cover()
+        wr = witness_check(h, g)
+        ok = wr.ok
+        note += (f", self_witness={wr.ok}" if cover is None
+                 else f", witness={h.label}, witness_ok={wr.ok}")
+    return _row(g, ok, note)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -274,16 +295,8 @@ def _units_triples(params: dict[str, Any]) -> list[tuple]:
 
 def _rows_c2(unit: tuple) -> list[_Row]:
     p, q, r = unit
-    rows = []
-    for g in groups_of_order_pqr(p, q, r):
-        if g.is_abelian():
-            continue
-        count = _cent_count(g)
-        allowed = {q + 2, r + 2, q * r + 2}
-        ok = count in allowed
-        rows.append(_row(g, ok, f"cent={count}, allowed={sorted(allowed)}",
-                         cent_count=count))
-    return rows
+    return _count_rows(groups_of_order_pqr(p, q, r),
+                       {q + 2, r + 2, q * r + 2}, skip_abelian=True)
 
 
 def _rows_c3(unit: tuple) -> list[_Row]:
@@ -300,20 +313,7 @@ def _rows_c3(unit: tuple) -> list[_Row]:
 
 
 def _rows_c4(unit: tuple) -> list[_Row]:
-    p, q, r = unit
-    rows = []
-    for g in groups_of_order_pqr(p, q, r):
-        z = len(center(g))
-        verdict = capable(g)
-        want = "capable" if z == 1 else "not_capable"
-        ok = verdict.status == want and verdict.rule == "C4"
-        note = f"z={z}, verdict={verdict.status}"
-        if ok and z == 1:
-            wr = witness_check(g, g)
-            ok = wr.ok
-            note += f", self_witness={wr.ok}"
-        rows.append(_row(g, ok, note))
-    return rows
+    return [_capable_row(g, "C4") for g in groups_of_order_pqr(*unit)]
 
 
 def _units_quotient_triples(params: dict[str, Any]) -> list[tuple]:
@@ -322,14 +322,8 @@ def _units_quotient_triples(params: dict[str, Any]) -> list[tuple]:
 
 def _rows_c5(unit: tuple) -> list[_Row]:
     p, q, r = unit
-    rows = []
-    for g in central_quotient_examples("pqr", (p, q, r)):
-        count = _cent_count(g)
-        allowed = {r + 2, q * r + 2}
-        rows.append(_row(g, count in allowed,
-                         f"cent={count}, allowed={sorted(allowed)}",
-                         cent_count=count))
-    return rows
+    return _count_rows(central_quotient_examples("pqr", (p, q, r)),
+                       {r + 2, q * r + 2})
 
 
 def _rows_c6(unit: tuple) -> list[_Row]:
@@ -371,14 +365,8 @@ def _rows_c7(unit: tuple) -> list[_Row]:
                 note = f"cent={count}, expected {q + 2}"
             rows.append(_row(g, ok, note, cent_count=count))
     else:
-        for g in groups_of_order_p2q(q, p):
-            if g.is_abelian():
-                continue
-            count = _cent_count(g)
-            allowed = {q + 2, q * q + 2}
-            rows.append(_row(g, count in allowed,
-                             f"cent={count}, allowed={sorted(allowed)}",
-                             cent_count=count))
+        rows = _count_rows(groups_of_order_p2q(q, p), {q + 2, q * q + 2},
+                           skip_abelian=True)
     return rows
 
 
@@ -403,56 +391,24 @@ def _rows_c8(unit: tuple) -> list[_Row]:
 
 def _rows_c9(unit: tuple) -> list[_Row]:
     kind, p, q = unit
-    rows = []
-    if kind == "p2q":
-        special = _special_p2q(p, q)
-        for g in groups_of_order_p2q(p, q):
-            z = len(center(g))
-            truth = z == 1 or (
-                special is not None and find_isomorphism(g, special) is not None)
-            verdict = capable(g)
-            ok = verdict.rule == "C9" and verdict.status == (
-                "capable" if truth else "not_capable")
-            note = f"z={z}, verdict={verdict.status}"
-            if ok and truth:
-                h = g if z == 1 else witness_h(p, q, unit_of_order(p, q))
-                wr = witness_check(h, g)
-                ok = wr.ok
-                note += f", witness={h.label}, witness_ok={wr.ok}"
-            rows.append(_row(g, ok, note))
-    else:
-        for g in groups_of_order_p2q(q, p):
-            z = len(center(g))
-            truth = z == 1
-            verdict = capable(g)
-            ok = verdict.rule == "C9" and verdict.status == (
-                "capable" if truth else "not_capable")
-            note = f"z={z}, verdict={verdict.status}"
-            if ok and truth:
-                wr = witness_check(g, g)
-                ok = wr.ok
-                note += f", self_witness={wr.ok}"
-            rows.append(_row(g, ok, note))
-    return rows
+    if kind == "pq2":
+        return [_capable_row(g, "C9") for g in groups_of_order_p2q(q, p)]
+    special = _special_p2q(p, q)
+    return [_capable_row(g, "C9", special,
+                         lambda: witness_h(p, q, unit_of_order(p, q)))
+            for g in groups_of_order_p2q(p, q)]
 
 
 def _units_c9w(params: dict[str, Any]) -> list[tuple]:
-    cap = params["order_cap"]
-    units = []
-    for p in params["p_list"]:
-        for q in range(2, params["q_max"] + 1):
-            if is_prime(q) and q % p == 1:
-                units.append((p, q, cap))
-    return units
+    return [(p, q, params["order_cap"]) for p in params["p_list"]
+            for q in primes_up_to(params["q_max"]) if q % p == 1]
 
 
 def _rows_c9w(unit: tuple) -> list[_Row]:
     p, q, cap = unit
-    target = direct_product(cyclic(p), metacyclic(q, p, unit_of_order(p, q)))
+    target = _special_p2q(p, q)
     rows = []
-    for i in range(2, q):
-        if pow(i, p, q) != 1:
-            continue
+    for i in witness_exponents(p, q):
         h = witness_h(p, q, i, order_cap=cap)
         wr = witness_check(h, target)
         ok = wr.ok and h.order == p ** 3 * q
@@ -468,14 +424,8 @@ def _rows_c10(unit: tuple) -> list[_Row]:
         allowed = {6, 8} if (p, q) == (2, 3) else {p * q + 2, q + 2}
     else:
         allowed = {q * q + 2, q * q + q + 2}
-    rows = []
-    for g in central_quotient_examples(kind, primes):
-        count = _cent_count(g)
-        rows.append(_row(g, count in allowed,
-                         f"shape={kind}{primes}, cent={count}, "
-                         f"allowed={sorted(allowed)}",
-                         cent_count=count))
-    return rows
+    return _count_rows(central_quotient_examples(kind, primes), allowed,
+                       prefix=f"shape={kind}{primes}, ")
 
 
 def _units_plist(params: dict[str, Any]) -> list[tuple]:

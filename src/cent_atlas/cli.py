@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import catalog as _catalog
@@ -26,7 +27,7 @@ from .errors import (
     OrderCapExceeded,
     UnknownClaim,
 )
-from .invariants import is_prime
+from .numbers import primes_up_to
 from .report import (
     analyze,
     catalog_filename,
@@ -39,9 +40,7 @@ from .report import (
 
 __all__ = ["main"]
 
-_FAMILIES = ("cyclic", "dihedral", "dicyclic", "symmetric", "alternating",
-             "metacyclic", "heisenberg", "modular-p3", "elementary",
-             "witness-h", "sl23")
+_FAMILY_PARAMS = tuple(f.name for f in fields(_catalog.FamilySpec))[1:]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,8 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_con = sub.add_parser("construct", help="build a named group")
-    p_con.add_argument("--family", required=True, choices=_FAMILIES)
-    for flag in ("n", "m", "k", "p", "q", "r", "i"):
+    p_con.add_argument("--family", required=True,
+                       choices=tuple(_catalog.FAMILIES))
+    for flag in _FAMILY_PARAMS:
         p_con.add_argument(f"--{flag}", type=int)
     p_con.add_argument("--order-cap", type=int)
     p_con.add_argument("--out", help="output group file (default: stdout)")
@@ -98,8 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     spec = _catalog.FamilySpec(
-        family=args.family, n=args.n, m=args.m, k=args.k,
-        p=args.p, q=args.q, r=args.r, i=args.i)
+        args.family, **{name: getattr(args, name) for name in _FAMILY_PARAMS})
     g = _catalog.build(spec, order_cap=args.order_cap)
     if args.out:
         write_group_file(g, args.out)
@@ -136,10 +135,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _primes_up_to(n: int) -> tuple[int, ...]:
-    return tuple(p for p in range(2, n + 1) if is_prime(p))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.list:
         for entry in claim_index():
@@ -152,7 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_order is not None:
         params["max_order"] = args.max_order
     if args.p_max is not None:
-        params["p_list"] = _primes_up_to(args.p_max)
+        params["p_list"] = tuple(primes_up_to(args.p_max))
     if args.q_max is not None:
         params["q_max"] = args.q_max
     if args.order_cap is not None:

@@ -226,9 +226,11 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
         fresh = np.flatnonzero(hit)
 
 
-def _generating_indices(table: np.ndarray) -> list[int]:
+def _generating_indices(table: np.ndarray,
+                        orders: np.ndarray | None = None) -> list[int]:
     """Greedy generating set of a loop table: the smallest element outside
-    the closure so far, until the closure is everything.
+    the closure so far (given element ``orders``, the smallest of largest
+    order), until the closure is everything.
 
     Each new generator at least doubles the closure, since a proper subloop
     of a finite loop has at most half its order, so there are at most
@@ -238,7 +240,9 @@ def _generating_indices(table: np.ndarray) -> list[int]:
     member[0] = True
     gens: list[int] = []
     while not member.all():
-        gens.append(int(np.argmin(member)))
+        outside = np.flatnonzero(~member)
+        pick = 0 if orders is None else int(np.argmax(orders[outside]))
+        gens.append(int(outside[pick]))
         member[gens[-1]] = True
         _close(table, member, np.array(gens[-1:]))
     return gens

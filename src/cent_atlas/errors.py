@@ -27,6 +27,14 @@ class OrderCapExceeded(CentAtlasError):
     """A construction or search exceeded its configured size budget."""
 
 
+class SearchBudgetExceeded(OrderCapExceeded):
+    """An isomorphism search expanded more nodes than its budget allows."""
+
+
+class BadGroupFile(CentAtlasError):
+    """A group file field has the wrong type or disagrees with the table."""
+
+
 class NotSubgroup(CentAtlasError):
     """A subset given as a subgroup is not closed or misses the identity."""
 

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Group, SubsetMask, quotient, subgroup_generated
-from .errors import BadParameters, NotPrime, OrderCapExceeded
+from .core import (Group, SubsetMask, _generating_indices, quotient,
+                   subgroup_generated)
+from .errors import BadParameters, NotPrime, SearchBudgetExceeded
+from .numbers import factor, is_prime
 
 __all__ = [
     "AbelianProfile",
@@ -33,17 +35,6 @@ __all__ = [
     "omega",
     "sylow",
 ]
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _commuting_matrix(g: Group) -> np.ndarray:
@@ -161,15 +152,12 @@ def sylow(g: Group, l: int) -> SylowData:
     """
     if not is_prime(l):
         raise NotPrime(f"{l} is not prime")
-    pk = 1
-    n = g.order
-    while n % l == 0:
-        pk *= l
-        n //= l
-    if pk == 1:
+    e = factor(g.order).get(l, 0)
+    if e == 0:
         raise BadParameters(f"{l} does not divide the group order {g.order}")
+    pk = l ** e
     orders = g.element_orders
-    lpow = orders[np.isin(orders, [l ** i for i in range(1, 32) if l ** i <= g.order])]
+    lpow = orders[np.isin(orders, [l ** i for i in range(1, e + 1)])]
     best = int(lpow.max())
     x = int(np.flatnonzero(orders == best)[0])
     s = subgroup_generated(g, [x])
@@ -399,19 +387,6 @@ def _iso_prefilter(g: Group, h: Group) -> bool:
     return True
 
 
-def _generating_tuple(g: Group) -> list[int]:
-    gens: list[int] = []
-    closed = subgroup_generated(g, gens)
-    while len(closed) < g.order:
-        flags = closed.as_bool()
-        outside = np.flatnonzero(~flags)
-        orders = g.element_orders[outside]
-        pick = int(outside[int(np.argmax(orders))])
-        gens.append(pick)
-        closed = subgroup_generated(g, gens)
-    return gens
-
-
 def _power_index(g: Group, base: int, target: int) -> int | None:
     """Return e with base^e == target, if target lies in <base>."""
     cur = 0
@@ -438,7 +413,7 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
     n = g.order
     if n == 1:
         return [0]
-    gens = _generating_tuple(g)
+    gens = _generating_indices(g.table, g.element_orders)
     k = len(gens)
     mg, mh = _commuting_matrix(g), _commuting_matrix(h)
     g_cent = mg.sum(axis=1)
@@ -539,7 +514,7 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
                 continue
             nodes += 1
             if nodes > max_nodes:
-                raise OrderCapExceeded(
+                raise SearchBudgetExceeded(
                     f"isomorphism search exceeded budget of {max_nodes} nodes"
                 )
             if not consistent(pos, cand):

@@ -14,18 +14,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .claims import CapabilityVerdict, capable
 from .core import Group, from_cayley_table, from_permutation_generators
-from .errors import BadParameters, InconsistentInvariants
+from .errors import BadGroupFile, BadParameters, InconsistentInvariants
 from .invariants import (
     abelian_profile,
     cent_structure,
     derived_subgroup,
     frobenius_structure,
-    is_prime,
     omega,
     sylow,
 )
+from .numbers import factor
 
 __all__ = [
     "AnalysisReport",
@@ -96,9 +98,7 @@ def analyze(g: Group) -> AnalysisReport:
             f"{g.label or 'group'} of order {g.order}: CA with "
             f"cent_count={cs.count} but omega={w}")
     prof = abelian_profile(g)
-    primes = sorted(p for p in range(2, g.order + 1)
-                    if is_prime(p) and g.order % p == 0)
-    syl = tuple((p, sylow(g, p).count) for p in primes)
+    syl = tuple((p, sylow(g, p).count) for p in sorted(factor(g.order)))
     fro = frobenius_structure(g)
     fro_summary = None
     if fro is not None:
@@ -171,20 +171,43 @@ def write_group_file(g: Group, path: str | Path) -> None:
 
 def read_group_file(path: str | Path,
                     order_cap: int | None = None) -> Group:
-    """Load and revalidate a group or permutation-generator file."""
-    raw = json.loads(Path(path).read_text())
+    """Load and revalidate a group or permutation-generator file.
+
+    A group file's "label" must be a string or null, its "order" (when
+    present) the table's size, and its table free of JSON booleans, which
+    numpy would read as 0 and 1 next to integers.
+    """
+    text = Path(path).read_text()
+    raw = json.loads(text)
+    # the exact boolean scan below costs about a tenth of a load, so it
+    # runs only where a JSON boolean can be
+    maybe_bool = "true" in text or "false" in text
+    del text  # as large as the table: free it before the table is built
     if not isinstance(raw, dict):
         raise BadParameters(f"{path}: expected a JSON object")
+    label = raw.get("label")
+    if label is not None and not isinstance(label, str):
+        raise BadGroupFile(
+            f"{path}: field 'label' must be a string or null, got {label!r}")
     if "table" in raw:
-        return from_cayley_table(raw["table"], label=raw.get("label") or "",
-                                 order_cap=order_cap)
+        if maybe_bool and any(
+                type(v) is bool
+                for v in np.asarray(raw["table"], dtype=object).flat):
+            raise BadGroupFile(f"{path}: field 'table' has a boolean entry")
+        g = from_cayley_table(raw["table"], label=label or "",
+                              order_cap=order_cap)
+        order = raw.get("order")
+        if order is not None and (type(order) is not int or order != g.order):
+            raise BadGroupFile(f"{path}: field 'order' is {order!r} but the "
+                               f"table has {g.order} rows")
+        return g
     if "generators" in raw:
         gens = [tuple(p) for p in raw["generators"]]
         degree = raw.get("degree")
         if degree is not None and any(len(p) != degree for p in gens):
             raise BadParameters(
                 f"{path}: generator length disagrees with degree {degree}")
-        return from_permutation_generators(gens, label=raw.get("label") or "",
+        return from_permutation_generators(gens, label=label or "",
                                            order_cap=order_cap)
     raise BadParameters(f"{path}: neither a group nor a permutation file")
 

@@ -117,3 +117,23 @@ def squarefree_class_count(n: int) -> int:
             term *= (p ** c - 1) // (p - 1)
         total += term
     return total
+
+
+def order_shapes(limit: int) -> dict[int, tuple[str, tuple[int, ...]]]:
+    """Every n <= limit of shape pqr (p < q < r), p^2 q (p != q, p squared)
+    or p^3, found by multiplying primes together rather than factoring n."""
+    primes = [p for p in range(2, limit + 1)
+              if all(p % d for d in range(2, p))]
+    out: dict[int, tuple[str, tuple[int, ...]]] = {}
+    for p in primes:
+        if p ** 3 <= limit:
+            out[p ** 3] = ("p3", (p,))
+        for q in primes:
+            if p * p * q <= limit and q != p:
+                out[p * p * q] = ("p2q", (p, q))
+            for r in primes:
+                if p * q * r > limit:
+                    break
+                if p < q < r:
+                    out[p * q * r] = ("pqr", (p, q, r))
+    return out

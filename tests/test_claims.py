@@ -1,5 +1,6 @@
 """Claim registry: sweeps, determinism, capability verdicts, witnesses."""
 
+import hashlib
 import json
 
 import pytest
@@ -187,3 +188,28 @@ def test_all_claims_pass_reduced():
     for cid in claim_ids():
         rep = verify_claim(cid, **reduced[cid])
         assert rep.passed, f"{cid}: {rep.counterexample}"
+        text = json.dumps(report_to_jsonable(rep), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == REDUCED_DIGESTS[cid], cid
+
+
+# SHA-256 of json.dumps(report_to_jsonable(report), indent=2) for each
+# reduced sweep above, frozen from the reports before the claim rows were
+# rebuilt from shared helpers: any change to a note, a field or the row
+# order shows here.
+REDUCED_DIGESTS = {
+    "C0": "64c7f404fcde13dfda5997846bbdfdbdd80cea48b61e5c4e721d8c84ff7a7832",
+    "C1": "6462b292e8aa4192a3c142bcfef33e37f22c3bb2e0ab6ca065c48e94ed7f3fb2",
+    "C2": "b8ac84da22af157d45efb76d3a91ee89d4613f03ab188a532a0784272f6663cf",
+    "C3": "a0d35db328af71a8ea5eae589d3fabd0cf0d8d00a71f25ab7b73de71f63b4c71",
+    "C4": "e5d34c57cd6c9e8ddc3f9b594dabe859abb8afc97ed58c35a3b38370d1e42c52",
+    "C5": "7a471ab10cdf0943cc094671285c48accb8aea0324db0fd327a3f0746a26bbb8",
+    "C6": "5dc64a9a1386005d764630d0901344a54ba48ef492931cf4520280b516c57317",
+    "C7": "c196a36438ee58a089ab99e8d46bd9ca779eba4b0710f4f0963df22882a7b28d",
+    "C8": "db6f43807c7a4f64ba4045d66f33b2a995afd23cc3c7050a67abef760cd39808",
+    "C9": "b53b5d930ad8ae9c08ed97bf80a94175611901a7fc07581a8436883a6ac1f4b9",
+    "C9w": "09a850607b20305b460fb571700fb1948057ec48fb832d1d256d50c45b6cdb68",
+    "C10": "cfd113933e6a7cdc536ac73f10d503e841a86835d3be97fb24750883b4bda518",
+    "C11": "a0376e8e5cb78952b3a0ae37fef7d8d91e3d3aab72739f47ced942aff03cc199",
+    "C12": "2c127df27f5008f4c69d1aecccc711d1e9c0fedc9454681a9e71ddcee088d31f",
+    "C13": "2ec045f27f515aee9c39a3494224ca224cb7582b71e7a106543684c21c8c725e",
+}

@@ -1,13 +1,14 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cent_atlas.catalog import dihedral, witness_h
-from cent_atlas.cli import main
+from cent_atlas.catalog import FAMILIES, dihedral, witness_h
+from cent_atlas.cli import _build_parser, main
 from cent_atlas.report import analyze, write_group_file
 
 
@@ -48,6 +49,43 @@ class TestConstruct:
         code, _, err = run(["construct", "--family", "cyclic", "--n", "50",
                             "--order-cap", "10"], capsys)
         assert code == 2
+
+    def test_family_choices_are_the_registry(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        family = next(a for a in sub.choices["construct"]._actions
+                      if a.dest == "family")
+        assert list(family.choices) == list(FAMILIES)
+        assert set(FAMILY_EXAMPLES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_every_family_builds(self, family, capsys):
+        flags, order = FAMILY_EXAMPLES[family]
+        code, out, _ = run(["construct", "--family", family, *flags], capsys)
+        assert code == 0
+        assert json.loads(out)["order"] == order
+
+    def test_r_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--family", "cyclic", "--n", "6", "--r", "3"])
+        assert exc.value.code == 2
+        assert "--r" in capsys.readouterr().err
+
+
+# one documented flag set per family, with the order it builds
+FAMILY_EXAMPLES = {
+    "cyclic": (["--n", "6"], 6),
+    "dihedral": (["--n", "8"], 8),
+    "dicyclic": (["--n", "12"], 12),
+    "symmetric": (["--n", "4"], 24),
+    "alternating": (["--n", "4"], 12),
+    "metacyclic": (["--m", "7", "--n", "6", "--k", "3"], 42),
+    "heisenberg": (["--p", "3"], 27),
+    "modular-p3": (["--p", "3"], 27),
+    "elementary": (["--p", "2", "--k", "3"], 8),
+    "witness-h": (["--p", "2", "--q", "5", "--i", "4"], 40),
+    "sl23": ([], 24),
+}
 
 
 class TestAnalyze:
@@ -103,6 +141,19 @@ class TestAnalyze:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"table": [[0, 1], [1, False]]}, "table"),
+        ({"order": 5, "table": [[0, 1], [1, 0]]}, "order"),
+        ({"label": 7, "table": [[0, 1], [1, 0]]}, "label"),
+    ], ids=["bool-among-ints", "wrong-order", "int-label"])
+    def test_bad_field_is_input_error(self, tmp_path, capsys, payload, field):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(payload))
+        code, out, err = run(["analyze", "--in", str(src)], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"field '{field}'" in err
 
     def test_float_in_permutation_is_rejected(self, tmp_path, capsys):
         src = tmp_path / "perm.json"

@@ -15,8 +15,8 @@ from cent_atlas.catalog import (
     sl23,
     symmetric,
 )
-from cent_atlas.core import direct_product, subgroup_as_group
-from cent_atlas.errors import NotPrime
+from cent_atlas.core import _generating_indices, direct_product, subgroup_as_group
+from cent_atlas.errors import NotPrime, OrderCapExceeded, SearchBudgetExceeded
 from cent_atlas.invariants import (
     abelian_profile,
     cent_structure,
@@ -235,6 +235,25 @@ class TestIsomorphism:
 
     def test_order_mismatch(self):
         assert find_isomorphism(cyclic(4), cyclic(6)) is None
+
+    def test_budget_overrun_has_its_own_error(self):
+        # D16 needs two generators, so the search expands at least 2 nodes
+        with pytest.raises(SearchBudgetExceeded, match="budget of 1 nodes"):
+            find_isomorphism(dihedral(16), dihedral(16), max_nodes=1)
+        assert issubclass(SearchBudgetExceeded, OrderCapExceeded)
+
+    def test_generators_greedy_by_order(self):
+        # find_isomorphism's generators: the first element of largest
+        # order outside the closure so far
+        for g in catalog_up_to(100):
+            table = g.table.tolist()
+            members, want = {0}, []
+            while len(members) < g.order:
+                pick = max((x for x in range(g.order) if x not in members),
+                           key=lambda x: (oracles.element_order(table, x), -x))
+                want.append(pick)
+                members = oracles.closure(table, want)
+            assert _generating_indices(g.table, g.element_orders) == want, g.label
 
 
 def test_is_prime_small():
