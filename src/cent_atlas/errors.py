@@ -28,7 +28,9 @@ class OrderCapExceeded(CentAtlasError):
 
 
 class SearchBudgetExceeded(OrderCapExceeded):
-    """An isomorphism search expanded more nodes than its budget allows."""
+    """An isomorphism or clique search expanded more nodes than its budget
+    allows (``find_isomorphism``'s ``max_nodes``, or ``omega``'s fixed cap
+    of one million nodes)."""
 
 
 class BadGroupFile(CentAtlasError):

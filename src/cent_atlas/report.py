@@ -175,7 +175,9 @@ def read_group_file(path: str | Path,
 
     A group file's "label" must be a string or null, its "order" (when
     present) the table's size, and its table free of JSON booleans, which
-    numpy would read as 0 and 1 next to integers.
+    numpy would read as 0 and 1 next to integers.  A permutation file's
+    "generators" must be a list of lists and its "degree" (when present)
+    an integer.
     """
     text = Path(path).read_text()
     raw = json.loads(text)
@@ -202,8 +204,16 @@ def read_group_file(path: str | Path,
                                f"table has {g.order} rows")
         return g
     if "generators" in raw:
-        gens = [tuple(p) for p in raw["generators"]]
+        gens = raw["generators"]
+        if not isinstance(gens, list) or not all(
+                isinstance(p, list) for p in gens):
+            raise BadGroupFile(
+                f"{path}: field 'generators' must be a list of lists")
+        gens = [tuple(p) for p in gens]
         degree = raw.get("degree")
+        if degree is not None and type(degree) is not int:
+            raise BadGroupFile(
+                f"{path}: field 'degree' must be an integer, got {degree!r}")
         if degree is not None and any(len(p) != degree for p in gens):
             raise BadParameters(
                 f"{path}: generator length disagrees with degree {degree}")

@@ -82,6 +82,52 @@ def omega(table: list[list[int]]) -> int:
     return best
 
 
+def max_clique(adj: list[list[bool]]) -> int:
+    """Clique number of a graph given by an adjacency matrix, by growing
+    every clique in increasing vertex order with no bound."""
+    best = 0
+
+    def grow(chosen: list[int], start: int) -> None:
+        nonlocal best
+        best = max(best, len(chosen))
+        for v in range(start, len(adj)):
+            if all(adj[v][u] for u in chosen):
+                grow(chosen + [v], v + 1)
+
+    grow([], 0)
+    return best
+
+
+def sylow_count(table: list[list[int]], p: int) -> int:
+    """Number of distinct conjugates of one Sylow p-subgroup.
+
+    The subgroup is grown greedily: an element joins when the closure
+    stays a p-group, which cannot stall below full p-part size, since a
+    p-subgroup that is not Sylow has a p-element of its normalizer
+    outside it.
+    """
+    n = len(table)
+    full = 1
+    while n % (full * p) == 0:
+        full *= p
+    sub = {0}
+    while len(sub) < full:
+        for x in range(n):
+            if x in sub:
+                continue
+            grown = closure(table, sub | {x})
+            size = len(grown)
+            while size % p == 0:
+                size //= p
+            if size == 1:
+                sub = grown
+                break
+        else:
+            raise AssertionError("p-subgroup growth stalled")
+    return len({frozenset(table[table[x][s]][inverse(table, x)] for s in sub)
+                for x in range(n)})
+
+
 def is_associative(table: list[list[int]]) -> bool:
     n = len(table)
     return all(table[table[x][y]][z] == table[x][table[y][z]]

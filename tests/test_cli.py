@@ -146,7 +146,11 @@ class TestAnalyze:
         ({"table": [[0, 1], [1, False]]}, "table"),
         ({"order": 5, "table": [[0, 1], [1, 0]]}, "order"),
         ({"label": 7, "table": [[0, 1], [1, 0]]}, "label"),
-    ], ids=["bool-among-ints", "wrong-order", "int-label"])
+        ({"generators": 5}, "generators"),
+        ({"generators": [5]}, "generators"),
+        ({"degree": "2", "generators": [[1, 0]]}, "degree"),
+    ], ids=["bool-among-ints", "wrong-order", "int-label",
+            "non-list-generators", "non-list-generator", "non-int-degree"])
     def test_bad_field_is_input_error(self, tmp_path, capsys, payload, field):
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(payload))

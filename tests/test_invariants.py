@@ -1,6 +1,11 @@
 """Centralizer structure, abelian profiles, Sylow data, and isomorphism."""
 
+import time
+
+import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from cent_atlas.catalog import (
     alternating,
@@ -18,6 +23,7 @@ from cent_atlas.catalog import (
 from cent_atlas.core import _generating_indices, direct_product, subgroup_as_group
 from cent_atlas.errors import NotPrime, OrderCapExceeded, SearchBudgetExceeded
 from cent_atlas.invariants import (
+    _max_clique,
     abelian_profile,
     cent_structure,
     center,
@@ -32,6 +38,8 @@ from cent_atlas.invariants import (
     omega,
     sylow,
 )
+from cent_atlas.numbers import factor
+from cent_atlas.report import analyze
 
 import oracles
 
@@ -130,12 +138,63 @@ class TestOmega:
             assert cs.is_ca
             assert cs.count == omega(g) + 1
 
+    def test_frozen_a5_s5(self):
+        assert omega(alternating(5)) == 21
+        assert omega(symmetric(5)) == 31
+
+    def test_s5_analyze_is_fast(self):
+        g = symmetric(5)
+        start = time.perf_counter()
+        analyze(g)
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_overrun_raises(self):
+        # two disjoint 5-cycles: clique number 2, but each cycle needs a
+        # third colour, so two vertices must be branched on to refute 3
+        adj = np.zeros((10, 10), dtype=bool)
+        for v in range(10):
+            w = v // 5 * 5 + (v + 1) % 5
+            adj[v, w] = adj[w, v] = True
+        assert _max_clique(adj, max_nodes=2) == 2
+        with pytest.raises(SearchBudgetExceeded, match="budget of 1 nodes"):
+            _max_clique(adj, max_nodes=1)
+
     def test_abelian_not_flagged_ca(self):
         # the CA flag requires a proper centralizer to exist, so that
         # count == omega + 1 holds exactly when the flag does
         cs = cent_structure(cyclic(6))
         assert not cs.is_ca
         assert cs.count == 1 and omega(cyclic(6)) == 1
+
+
+@st.composite
+def graphs(draw) -> np.ndarray:
+    """Symmetric boolean adjacency matrices on up to 14 vertices."""
+    k = draw(st.integers(0, 14))
+    density = draw(st.integers(1, 9))
+    draws = draw(st.lists(st.integers(0, 9), min_size=k * k, max_size=k * k))
+    adj = np.triu(np.array(draws, dtype=int).reshape(k, k) < density, 1)
+    return adj | adj.T
+
+
+def needs_branching(adj: np.ndarray) -> bool:
+    try:
+        _max_clique(adj, max_nodes=0)
+    except SearchBudgetExceeded:
+        return True
+    return False
+
+
+def test_random_graphs_include_branching_ones():
+    adj = find(graphs(), needs_branching,
+               settings=settings(phases=[Phase.generate], database=None))
+    assert _max_clique(adj) == oracles.max_clique(adj.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_max_clique_matches_brute_force(adj):
+    assert _max_clique(adj) == oracles.max_clique(adj.tolist())
 
 
 class TestSylow:
@@ -168,6 +227,13 @@ class TestSylow:
     def test_rejects_composite(self):
         with pytest.raises(NotPrime):
             sylow(symmetric(3), 4)
+
+    def test_counts_vs_oracle(self):
+        for g in catalog_up_to(100):
+            table = g.table.tolist()
+            for p in sorted(factor(g.order)):
+                assert sylow(g, p).count == oracles.sylow_count(table, p), (
+                    g.label, p)
 
 
 class TestAbelianProfile:
