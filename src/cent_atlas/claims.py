@@ -118,13 +118,12 @@ def report_to_jsonable(report: ClaimReport) -> dict[str, Any]:
     }
 
 
-def _special_p2q(p: int, q: int, order_cap: int | None = None) -> Group | None:
+def _special_p2q(p: int, q: int) -> Group | None:
     """C_p x (C_q : C_p), the capable class with nontrivial center; exists
     only when q = 1 (mod p)."""
     if q % p != 1:
         return None
-    return direct_product(cyclic(p), metacyclic(q, p, unit_of_order(p, q)),
-                          order_cap=order_cap)
+    return direct_product(cyclic(p), metacyclic(q, p, unit_of_order(p, q)))
 
 
 def capable(g: Group) -> CapabilityVerdict:

@@ -580,23 +580,16 @@ def quotient_with_cosets(g: Group, normal: SubsetMask | Iterable[int],
     mask = check_subgroup(g, normal)
     members = np.array(mask.elements(), dtype=np.int32)
     flags = mask.as_bool()
-    for x in range(g.order):
-        conj = g.table[g.table[x, members], g.inverse[x]]
-        if not flags[conj].all():
-            bad = int(members[int(np.flatnonzero(~flags[conj])[0])])
-            raise NotNormal(
-                f"conjugation by {x} moves {bad} outside the subgroup"
-            )
-    coset_min = np.full(g.order, -1, dtype=np.int32)
-    for x in range(g.order):
-        if coset_min[x] < 0:
-            coset = g.table[x, members]
-            coset_min[coset] = int(coset.min())
-    reps = np.unique(coset_min)
-    rep_pos = {int(r): i for i, r in enumerate(reps)}
-    coset_id = np.array([rep_pos[int(coset_min[x])] for x in range(g.order)],
-                        dtype=np.int32)
-    q_table = coset_id[g.table[np.ix_(reps, reps)]]
-    cosets = [sorted(int(x) for x in np.flatnonzero(coset_min == r)) for r in reps]
+    conj = g.table[g.table[:, members], g.inverse[:, None]]
+    moved = ~flags[conj]
+    if moved.any():
+        x, j = np.argwhere(moved)[0]
+        raise NotNormal(
+            f"conjugation by {int(x)} moves {int(members[j])} outside the subgroup"
+        )
+    reps, coset_id = np.unique(g.table[:, members].min(axis=1),
+                               return_inverse=True)
+    q_table = coset_id.astype(np.int32)[g.table[np.ix_(reps, reps)]]
+    cosets = np.argsort(coset_id, kind="stable").reshape(len(reps), -1).tolist()
     grp = from_cayley_table(q_table, label=label)
     return grp, cosets

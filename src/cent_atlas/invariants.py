@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Group, SubsetMask, _generating_indices, quotient,
+from .core import (Group, SubsetMask, _close, _generating_indices, quotient,
                    subgroup_generated)
-from .errors import BadParameters, NotPrime, SearchBudgetExceeded
+from .errors import (BadParameters, InconsistentInvariants, NotPrime,
+                     SearchBudgetExceeded)
 from .numbers import factor, is_prime
 
 __all__ = [
@@ -120,10 +121,14 @@ def derived_subgroup(g: Group) -> SubsetMask:
     return subgroup_generated(g, np.unique(comms).tolist())
 
 
+def _class_reps(g: Group) -> np.ndarray:
+    """Smallest member of each element's conjugacy class."""
+    return g.table[g.table, g.inverse[:, None]].min(axis=0)
+
+
 def conjugacy_classes(g: Group) -> list[list[int]]:
     """Conjugacy classes, each sorted, ordered by smallest member."""
-    conj = g.table[g.table, g.inverse[:, None]]
-    reps = conj.min(axis=0)
+    reps = _class_reps(g)
     out: dict[int, list[int]] = {}
     for x in range(g.order):
         out.setdefault(int(reps[x]), []).append(x)
@@ -215,85 +220,63 @@ class FrobeniusStructure:
     complement_is_cyclic: bool
 
 
-def _saturated_kernel_candidates(g: Group, m: np.ndarray) -> list[SubsetMask]:
-    """Minimal normal, centralizer-closed subgroups containing each class."""
-    out: dict[int, SubsetMask] = {}
-    for cls in conjugacy_classes(g):
-        if cls == [0]:
-            continue
-        seed = list(cls)
-        while True:
-            mask = subgroup_generated(g, seed)
-            if len(mask) == g.order:
-                mask = None
-                break
-            members = [x for x in mask.elements() if x != 0]
-            need = np.zeros(g.order, dtype=bool)
-            for x in members:
-                need |= m[x]
-            need[mask.elements()] = True
-            if int(need.sum()) == len(mask):
-                break
-            seed = np.flatnonzero(need).tolist()
-        if mask is not None and mask.bits not in out:
-            out[mask.bits] = mask
-    return sorted(out.values(), key=lambda s: (len(s), s.bits))
-
-
-def _complement_search(g: Group, kernel: SubsetMask, m_target: int) -> SubsetMask | None:
-    kflags = kernel.as_bool()
-    orders = g.element_orders
-
-    def trivial_meet(mask: SubsetMask) -> bool:
-        inter = mask.as_bool() & kflags
-        return int(inter.sum()) == 1
-
-    cyclic_subs: dict[int, SubsetMask] = {}
-    for y in range(1, g.order):
-        if kflags[y] or m_target % int(orders[y]) != 0:
-            continue
-        sub = subgroup_generated(g, [y])
-        if trivial_meet(sub):
-            cyclic_subs.setdefault(sub.bits, sub)
-    for sub in sorted(cyclic_subs.values(), key=lambda s: (-len(s), s.bits)):
-        if len(sub) == m_target:
-            return sub
-    pool = sorted(cyclic_subs.values(), key=lambda s: (-len(s), s.bits))
-    for i, s1 in enumerate(pool):
-        for s2 in pool[i + 1:]:
-            joined = subgroup_generated(g, [*s1.elements(), *s2.elements()])
-            if len(joined) == m_target and trivial_meet(joined):
-                return joined
-    return None
+def _centralizer_closure(g: Group, m: np.ndarray,
+                         seeds: list[int]) -> SubsetMask | None:
+    """Smallest subgroup containing the seeds and C_G(x) for each of its
+    non-identity members x, or None when that is all of G.  It is normal
+    when the seeds are a union of conjugacy classes."""
+    member = np.zeros(g.order, dtype=bool)
+    member[0] = True
+    fresh = np.asarray(seeds)
+    member[fresh] = True
+    while fresh.size:
+        _close(g.table, member, fresh)
+        if member.all():
+            return None
+        grown = m[np.flatnonzero(member)[1:]].any(axis=0) & ~member
+        member |= grown
+        fresh = np.flatnonzero(grown)
+    return SubsetMask.from_bool(member)
 
 
 def frobenius_structure(g: Group) -> FrobeniusStructure | None:
-    """Detect a Frobenius decomposition.
+    """The Frobenius kernel K and a complement H, or None.
 
-    Looks for the smallest proper normal subgroup K that swallows the
-    centralizer of each of its non-identity elements, then for a complement
-    of matching order meeting K trivially.  Groups with nontrivial center
-    never qualify.
+    A normal subgroup N with 1 < N < G and C_G(n) <= N for every n != 1 in N
+    is exactly a Frobenius kernel (Isaacs, *Finite Group Theory*, ch. 6):
+    for p dividing |N|, a Sylow p-subgroup P of G meets N in a nontrivial
+    normal subgroup of P, which holds some z != 1 of Z(P), so
+    P <= C_G(z) <= N; hence N is a normal Hall subgroup, Schur-Zassenhaus
+    gives a complement H, and C_H(n) <= H & N = 1 makes the action
+    fixed-point-free.  The kernel is unique, so the first conjugacy class
+    whose centralizer closure is proper closes to K.
+
+    Outside K, each element x lies in exactly one conjugate of H, which
+    holds C_G(y) for each of its members y != 1 and has a nontrivial
+    center, so the centralizer closure of {x} is that conjugate.  Abelian
+    groups and groups with nontrivial center never qualify.  Raises
+    InconsistentInvariants if |K| |H| != |G|.
     """
-    if g.order == 1 or g.is_abelian():
-        return None
     m = _commuting_matrix(g)
-    if int(m.all(axis=1).sum()) > 1:
+    if int(m.all(axis=1).sum()) > 1:  # includes every abelian G != 1
         return None
-    for cand in _saturated_kernel_candidates(g, m):
-        members = [x for x in cand.elements() if x != 0]
-        flags = cand.as_bool()
-        ok = all(not (m[x] & ~flags).any() for x in members)
-        if not ok:
-            continue
-        comp = _complement_search(g, cand, g.order // len(cand))
-        if comp is not None:
-            sub = np.array(comp.elements(), dtype=np.int32)
-            orders_in = g.element_orders[sub]
-            cyclic = bool((orders_in == len(comp)).any())
-            return FrobeniusStructure(kernel=cand, complement=comp,
-                                      complement_is_cyclic=cyclic)
-    return None
+    for cls in conjugacy_classes(g)[1:]:
+        kernel = _centralizer_closure(g, m, cls)
+        if kernel is not None:
+            break
+    else:
+        return None
+    outside = np.flatnonzero(~kernel.as_bool())
+    x = int(outside[np.argmax(g.element_orders[outside])])
+    comp = _centralizer_closure(g, m, [x])
+    if comp is None or len(kernel) * len(comp) != g.order:
+        raise InconsistentInvariants(
+            f"{g.label or 'group'} of order {g.order}: Frobenius kernel of "
+            f"order {len(kernel)} but no complement through element {x}")
+    orders_in = g.element_orders[comp.elements()]
+    return FrobeniusStructure(
+        kernel=kernel, complement=comp,
+        complement_is_cyclic=bool((orders_in == len(comp)).any()))
 
 
 # A safety cap, not a tuning knob: one node costs about 20 us on random
@@ -431,10 +414,8 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
     mg, mh = _commuting_matrix(g), _commuting_matrix(h)
     g_cent = mg.sum(axis=1)
     h_cent = mh.sum(axis=1)
-    conj_h = h.table[h.table, h.inverse[:, None]]
-    h_class_rep = conj_h.min(axis=0)
-    conj_g = g.table[g.table, g.inverse[:, None]]
-    g_class_rep = conj_g.min(axis=0)
+    h_class_rep = _class_reps(h)
+    g_class_rep = _class_reps(g)
     g_class_size = np.bincount(g_class_rep, minlength=n)[g_class_rep]
     h_class_size = np.bincount(h_class_rep, minlength=n)[h_class_rep]
 
@@ -471,12 +452,6 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
     nodes = 0
     images: list[int] = []
 
-    def h_power(base: int, e: int) -> int:
-        cur = 0
-        for _ in range(e):
-            cur = int(h.table[cur, base])
-        return cur
-
     def consistent(pos: int, cand: int) -> bool:
         for j in range(pos):
             cj = images[j]
@@ -490,7 +465,7 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
             hi = cand if i == pos else images[i]
             hj = cand if j == pos else images[j]
             lhs = int(h.table[h.table[h.inverse[hj], hi], hj])
-            if lhs != h_power(hi, e):
+            if lhs != h.power(hi, e):
                 return False
         return True
 

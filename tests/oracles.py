@@ -6,6 +6,8 @@ numpy and no shortcuts shared with the library code.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 
 def center(table: list[list[int]]) -> list[int]:
     n = len(table)
@@ -183,3 +185,50 @@ def order_shapes(limit: int) -> dict[int, tuple[str, tuple[int, ...]]]:
                 if p < q < r:
                     out[p * q * r] = ("pqr", (p, q, r))
     return out
+
+
+def quotient_cosets(table: list[list[int]],
+                    normal: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Cosets xN as sorted lists, numbered by smallest member, and the
+    product table of the cosets, got by multiplying smallest members."""
+    n = len(table)
+    cosets = [list(c) for c in sorted(
+        {tuple(sorted(table[x][k] for k in normal)) for x in range(n)})]
+    where = {x: i for i, c in enumerate(cosets) for x in c}
+    return cosets, [[where[table[a[0]][b[0]]] for b in cosets] for a in cosets]
+
+
+def is_frobenius_complement(table: list[list[int]], sub: set[int]) -> bool:
+    """Whether sub is a subgroup with 1 < |sub| < |G| and sub & sub^g = 1
+    for every g outside sub."""
+    n = len(table)
+    if not 1 < len(sub) < n or closure(table, sub) != sub:
+        return False
+    for g in range(n):
+        if g in sub:
+            continue
+        gi = inverse(table, g)
+        if any(table[table[g][h]][gi] in sub for h in sub if h != 0):
+            return False
+    return True
+
+
+def frobenius_kernel(table: list[list[int]], complement: set[int]) -> set[int]:
+    """The identity together with every element in no conjugate of the
+    complement."""
+    n = len(table)
+    covered = set()
+    for g in range(n):
+        gi = inverse(table, g)
+        covered |= {table[table[g][h]][gi] for h in complement}
+    return {0} | (set(range(n)) - covered)
+
+
+def has_small_frobenius_complement(table: list[list[int]]) -> bool:
+    """Whether some cyclic subgroup, or the join of two, is a Frobenius
+    complement."""
+    n = len(table)
+    cyclics = {frozenset(closure(table, [x])) for x in range(1, n)}
+    subs = cyclics | {frozenset(closure(table, a | b))
+                      for a, b in combinations(cyclics, 2)}
+    return any(is_frobenius_complement(table, set(s)) for s in subs)

@@ -47,6 +47,7 @@ from cent_atlas.errors import (
     OrderCapExceeded,
 )
 
+import oracles
 from oracles import closure, is_associative
 
 
@@ -287,6 +288,11 @@ class TestSubgroupsAndQuotients:
         with pytest.raises(NotNormal):
             quotient(g, subgroup_generated(g, [x]))
 
+    def test_not_normal_names_first_conjugation(self):
+        g = s3()
+        with pytest.raises(NotNormal, match=r"^conjugation by 2 moves 1 outside the subgroup$"):
+            quotient(g, subgroup_generated(g, [1]))
+
     def test_quotient_by_derived(self):
         g = s3()
         orders = [int(o) for o in g.element_orders]
@@ -330,6 +336,15 @@ def test_subgroup_generated_matches_closure_oracle(data):
     seeds = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
     got = subgroup_generated(g, seeds)
     assert set(got.elements()) == closure(g.table.tolist(), seeds)
+
+
+def test_quotient_matches_coset_oracle():
+    for g in small_catalog():
+        table = g.table.tolist()
+        for normal in (oracles.center(table), oracles.derived_subgroup(table)):
+            q, cosets = quotient_with_cosets(g, normal)
+            assert (cosets, q.table.tolist()) == oracles.quotient_cosets(
+                table, sorted(normal)), g
 
 
 class TestSubsetMask:

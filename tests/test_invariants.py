@@ -20,7 +20,8 @@ from cent_atlas.catalog import (
     sl23,
     symmetric,
 )
-from cent_atlas.core import _generating_indices, direct_product, subgroup_as_group
+from cent_atlas.core import (ActionSpec, _generating_indices, direct_product,
+                             semidirect_product, subgroup_as_group)
 from cent_atlas.errors import NotPrime, OrderCapExceeded, SearchBudgetExceeded
 from cent_atlas.invariants import (
     _max_clique,
@@ -278,6 +279,35 @@ class TestFrobenius:
     def test_none_for_nontrivial_center(self):
         assert frobenius_structure(dihedral(12)) is None
         assert frobenius_structure(cyclic(6)) is None
+
+    def test_noncyclic_complement(self):
+        def on_f3_squared(a, b, c, d):
+            return [(a * x + b * y) % 3 + 3 * ((c * x + d * y) % 3)
+                    for y in range(3) for x in range(3)]
+
+        action = ActionSpec.from_pairs([(1, on_f3_squared(0, -1, 1, 0)),
+                                        (4, on_f3_squared(1, 1, 1, -1))])
+        g = semidirect_product(elementary(3, 2), dicyclic(8), action)
+        f = frobenius_structure(g)
+        assert f is not None
+        assert (len(f.kernel), len(f.complement),
+                f.complement_is_cyclic) == (9, 8, False)
+
+    def test_matches_definition_oracle(self):
+        verdicts = set()
+        for g in catalog_up_to(60):
+            table = g.table.tolist()
+            f = frobenius_structure(g)
+            verdicts.add(f is None)
+            if f is None:
+                assert not oracles.has_small_frobenius_complement(table), g
+                continue
+            comp = set(f.complement.elements())
+            assert oracles.is_frobenius_complement(table, comp), g
+            assert oracles.frobenius_kernel(table, comp) == set(f.kernel), g
+            assert f.complement_is_cyclic == any(
+                oracles.element_order(table, h) == len(comp) for h in comp)
+        assert verdicts == {True, False}
 
 
 class TestIsomorphism:
