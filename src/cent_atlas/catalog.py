@@ -1,8 +1,12 @@
 """Constructors for named group families and complete isomorphism-class
 lists for orders pqr (distinct primes), p^2 q, and p^3.
 
-Builders return validated :class:`~cent_atlas.core.Group` values with
-systematic labels.  Classification lists are built from the standard
+Builders return :class:`~cent_atlas.core.Group` values with systematic
+labels.  The closed-form families (cyclic, elementary, dihedral, dicyclic,
+metacyclic, Heisenberg and SL(2,3)) check their parameters and the order
+cap, then wrap their tables as groups by construction without the
+Cayley-table gate; a tier-1 test rebuilds each through the gate and
+compares.  Classification lists are built from the standard
 cyclic/metacyclic/semidirect parameterizations; tests confirm the lists are
 pairwise non-isomorphic and, at small orders, match an independent
 exhaustive enumerator.
@@ -19,8 +23,9 @@ import numpy as np
 from .core import (
     ActionSpec,
     Group,
+    _check_order_cap,
+    _trusted,
     direct_product,
-    from_cayley_table,
     from_permutation_generators,
     semidirect_product,
 )
@@ -68,8 +73,9 @@ def _require_prime(value: int, name: str) -> None:
 def cyclic(n: int, order_cap: int | None = None) -> Group:
     if n < 1:
         raise BadParameters(f"cyclic order must be positive, got {n}")
+    _check_order_cap(n, order_cap)
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return from_cayley_table(table, label=f"C{n}", order_cap=order_cap)
+    return _trusted(table, f"C{n}")
 
 
 def abelian(factors: tuple[int, ...], order_cap: int | None = None) -> Group:
@@ -87,18 +93,20 @@ def elementary(p: int, k: int, order_cap: int | None = None) -> Group:
     if k < 1:
         raise BadParameters(f"rank must be positive, got {k}")
     n = p ** k
+    _check_order_cap(n, order_cap)
     idx = np.arange(n)
     digits = [(idx // p ** j) % p for j in range(k)]
     table = np.zeros((n, n), dtype=np.int64)
     for j in range(k):
         table += ((digits[j][:, None] + digits[j][None, :]) % p) * p ** j
-    return from_cayley_table(table, label=f"C{p}^{k}", order_cap=order_cap)
+    return _trusted(table, f"C{p}^{k}")
 
 
 def dihedral(order: int, order_cap: int | None = None) -> Group:
     """Dihedral group of the given (even) order: rotations and reflections."""
     if order < 2 or order % 2:
         raise BadParameters(f"dihedral order must be even and >= 2, got {order}")
+    _check_order_cap(order, order_cap)
     m = order // 2
     k = np.arange(m)
     e = np.arange(2)
@@ -108,7 +116,7 @@ def dihedral(order: int, order_cap: int | None = None) -> Group:
     ]]
     sign = np.where(e1 == 0, 1, -1)
     table = ((k1 + sign * k2) % m + m * (e1 ^ e2)).reshape(order, order)
-    return from_cayley_table(table, label=f"D{order}", order_cap=order_cap)
+    return _trusted(table, f"D{order}")
 
 
 def dicyclic(order: int, order_cap: int | None = None) -> Group:
@@ -116,6 +124,7 @@ def dicyclic(order: int, order_cap: int | None = None) -> Group:
     quaternion group when the order is a power of 2."""
     if order < 8 or order % 4:
         raise BadParameters(f"dicyclic order must be a multiple of 4 and >= 8, got {order}")
+    _check_order_cap(order, order_cap)
     m = order // 2
     k = np.arange(m)
     e = np.arange(2)
@@ -127,7 +136,7 @@ def dicyclic(order: int, order_cap: int | None = None) -> Group:
     rot = (k1 + sign * k2 + (m // 2) * (e1 & e2)) % m
     table = (rot + m * (e1 ^ e2)).reshape(order, order)
     label = f"Q{order}" if order & (order - 1) == 0 else f"Dic{order}"
-    return from_cayley_table(table, label=label, order_cap=order_cap)
+    return _trusted(table, label)
 
 
 def symmetric(n: int, order_cap: int | None = None) -> Group:
@@ -162,6 +171,7 @@ def metacyclic(m: int, n: int, k: int, order_cap: int | None = None,
         raise BadParameters(f"k = {k} must be coprime to m = {m}")
     if pow(k, n, m) != 1 % m:
         raise BadParameters(f"k^n = 1 (mod m) fails: {k}^{n} != 1 (mod {m})")
+    _check_order_cap(m * n, order_cap)
     # b a b^-1 = a^t with t = k^-1, so a^x b^y * a^u b^v = a^(x + u t^y) b^(y+v)
     t = pow(k, -1, m)
     tp = np.ones(n, dtype=np.int64)
@@ -173,20 +183,20 @@ def metacyclic(m: int, n: int, k: int, order_cap: int | None = None,
         (y, (n, 1, 1, 1)), (x, (1, m, 1, 1)), (y, (1, 1, n, 1)), (x, (1, 1, 1, m)),
     ]]
     table = ((x1 + x2 * tp[y1]) % m + m * ((y1 + y2) % n)).reshape(m * n, m * n)
-    return from_cayley_table(table, label=label or f"C{m}:C{n}({k})",
-                             order_cap=order_cap)
+    return _trusted(table, label or f"C{m}:C{n}({k})")
 
 
 def heisenberg(p: int, order_cap: int | None = None) -> Group:
     """Unitriangular 3x3 group over the p-element field; exponent p for odd p."""
     _require_prime(p, "p")
     n = p ** 3
+    _check_order_cap(n, order_cap)
     idx = np.arange(n)
     a, b, c = idx // p ** 2, (idx // p) % p, idx % p
     a1, b1, c1 = [v[:, None] for v in (a, b, c)]
     a2, b2, c2 = [v[None, :] for v in (a, b, c)]
     table = ((a1 + a2 + b1 * c2) % p) * p ** 2 + ((b1 + b2) % p) * p + (c1 + c2) % p
-    return from_cayley_table(table, label=f"Heis({p})", order_cap=order_cap)
+    return _trusted(table, f"Heis({p})")
 
 
 def modular_p3(p: int, order_cap: int | None = None) -> Group:
@@ -199,6 +209,7 @@ def modular_p3(p: int, order_cap: int | None = None) -> Group:
 
 def sl23(order_cap: int | None = None) -> Group:
     """SL(2,3): the 2x2 matrices over the 3-element field of determinant 1."""
+    _check_order_cap(24, order_cap)
     mats = [(1, 0, 0, 1)]
     for a in range(3):
         for b in range(3):
@@ -214,7 +225,7 @@ def sl23(order_cap: int | None = None) -> Group:
             prod = ((a * e + b * g) % 3, (a * f + b * h) % 3,
                     (c * e + d * g) % 3, (c * f + d * h) % 3)
             table[i, j] = index[prod]
-    return from_cayley_table(table, label="SL(2,3)", order_cap=order_cap)
+    return _trusted(table, "SL(2,3)")
 
 
 def witness_h(p: int, q: int, i: int, order_cap: int | None = None) -> Group:
@@ -231,13 +242,14 @@ def witness_h(p: int, q: int, i: int, order_cap: int | None = None) -> Group:
         raise BadParameters(f"i^p = 1 (mod q) fails: {i}^{p} != 1 (mod {q})")
     if i % q == 1:
         raise BadParameters(f"i = {i} must not be 1 (mod q)")
-    base = direct_product(direct_product(cyclic(p), cyclic(p)), cyclic(q),
-                          order_cap=order_cap)
+    c_p = cyclic(p, order_cap=order_cap)
+    base = direct_product(direct_product(c_p, c_p, order_cap=order_cap),
+                          cyclic(q, order_cap=order_cap), order_cap=order_cap)
     idx = np.arange(base.order)
     x, y, z = idx // (p * q), (idx // q) % p, idx % q
     img = ((x + y) % p) * p * q + y * q + (i * z) % q
     act = ActionSpec.from_pairs([(1, img.tolist())])
-    g = semidirect_product(base, cyclic(p), act, order_cap=order_cap)
+    g = semidirect_product(base, c_p, act, order_cap=order_cap)
     return g.relabeled(f"H({p},{q},{i})")
 
 
@@ -255,7 +267,8 @@ def heisenberg_cover(p: int, order_cap: int | None = None) -> Group:
     x, y, z = idx % p, (idx // p) % p, idx // p ** 2
     img = (x + y) % p + ((y + z) % p) * p + z * p ** 2
     act = ActionSpec.from_pairs([(1, img.tolist())])
-    g = semidirect_product(base, cyclic(p), act, order_cap=order_cap)
+    g = semidirect_product(base, cyclic(p, order_cap=order_cap), act,
+                           order_cap=order_cap)
     return g.relabeled(f"W({p})")
 
 

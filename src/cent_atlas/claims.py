@@ -118,12 +118,15 @@ def report_to_jsonable(report: ClaimReport) -> dict[str, Any]:
     }
 
 
-def _special_p2q(p: int, q: int) -> Group | None:
+def _special_p2q(p: int, q: int, order_cap: int | None = None) -> Group | None:
     """C_p x (C_q : C_p), the capable class with nontrivial center; exists
     only when q = 1 (mod p)."""
     if q % p != 1:
         return None
-    return direct_product(cyclic(p), metacyclic(q, p, unit_of_order(p, q)))
+    return direct_product(
+        cyclic(p, order_cap=order_cap),
+        metacyclic(q, p, unit_of_order(p, q), order_cap=order_cap),
+        order_cap=order_cap)
 
 
 def capable(g: Group) -> CapabilityVerdict:
@@ -405,7 +408,7 @@ def _units_c9w(params: dict[str, Any]) -> list[tuple]:
 
 def _rows_c9w(unit: tuple) -> list[_Row]:
     p, q, cap = unit
-    target = _special_p2q(p, q)
+    target = _special_p2q(p, q, order_cap=cap)
     rows = []
     for i in witness_exponents(p, q):
         h = witness_h(p, q, i, order_cap=cap)

@@ -1,12 +1,27 @@
-"""Finite groups as validated Cayley tables.
+"""Finite groups as Cayley tables.
 
 Elements of a group of order n are the integers 0..n-1 and 0 is always the
-identity.  Every constructor funnels through :func:`from_cayley_table`, so a
-``Group`` in hand is always a genuine group, whatever recipe produced it.
-That gate checks the shape and order cap, integer entries in 0..n-1, the
-identity at 0, the Latin property, two-sided inverses and associativity, in
-O(|S| n^2) time for a generating set S of at most log2(n) elements; its
-docstring gives the cost of each check.
+identity.  A ``Group`` in hand is always a genuine group, whatever recipe
+produced it, by one of two paths:
+
+- Tables from outside the library go through :func:`from_cayley_table`:
+  the public constructor itself, group files (``report.read_group_file``),
+  permutation generators and enumeration candidates.  That gate checks the
+  shape and order cap, integer entries in 0..n-1, the identity at 0, the
+  Latin property, two-sided inverses and associativity, in O(|S| n^2) time
+  for a generating set S of at most log2(n) elements; its docstring gives
+  the cost of each check.
+- Tables the library builds from groups it already holds, or from checked
+  parameters, are groups by construction and skip the gate through the
+  private ``_trusted``: direct products of two groups; semidirect products,
+  once ``_extend_action`` has checked that the action is a homomorphism
+  into Aut(N); subgroups, once ``check_subgroup`` has checked closure; and
+  quotients, once the subgroup has been checked to be normal.  The
+  closed-form families in ``catalog`` use it too, and a tier-1 test
+  rebuilds each of them, and every product, subgroup and quotient it
+  covers, through the gate and asserts the two Groups are equal.
+
+Any ``Group`` can be re-checked in full with ``from_cayley_table(g.table)``.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from .errors import (
     NotSubgroup,
     OrderCapExceeded,
 )
+from .numbers import factor
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -70,6 +86,12 @@ def resolve_order_cap(explicit: int | None = None) -> int:
             raise BadParameters(f"{ORDER_CAP_ENV} must be positive, got {cap}")
         return cap
     return DEFAULT_ORDER_CAP
+
+
+def _check_order_cap(n: int, order_cap: int | None) -> None:
+    cap = resolve_order_cap(order_cap)
+    if n > cap:
+        raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
 
 
 def _bits_from_bool(flags: np.ndarray) -> int:
@@ -133,7 +155,8 @@ class Group:
     """Immutable finite group given by its Cayley table.
 
     Do not call directly; use :func:`from_cayley_table` or one of the other
-    constructors, which validate the axioms.
+    constructors, which either validate the axioms or build a group by
+    construction (see the module docstring).
     """
 
     __slots__ = ("order", "table", "inverse", "element_orders", "label")
@@ -227,24 +250,28 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
 
 
 def _generating_indices(table: np.ndarray,
-                        orders: np.ndarray | None = None) -> list[int]:
-    """Greedy generating set of a loop table: the smallest element outside
-    the closure so far (given element ``orders``, the smallest of largest
-    order), until the closure is everything.
+                        orders: np.ndarray | None = None,
+                        within: np.ndarray | None = None) -> list[int]:
+    """Greedy generating set of a loop table, or of the subgroup flagged by
+    ``within``: the smallest element outside the closure so far (given
+    element ``orders``, the smallest of largest order), until the closure
+    is everything.
 
     Each new generator at least doubles the closure, since a proper subloop
     of a finite loop has at most half its order, so there are at most
-    log2(n) of them.
+    log2(n) of them.  Raises NotSubgroup if ``within`` is not closed.
     """
     member = np.zeros(table.shape[0], dtype=bool)
     member[0] = True
+    target = np.ones_like(member) if within is None else within
     gens: list[int] = []
-    while not member.all():
-        outside = np.flatnonzero(~member)
+    while (outside := np.flatnonzero(target & ~member)).size:
         pick = 0 if orders is None else int(np.argmax(orders[outside]))
         gens.append(int(outside[pick]))
         member[gens[-1]] = True
         _close(table, member, np.array(gens[-1:]))
+    if (member & ~target).any():
+        raise NotSubgroup("mask is not closed under the product")
     return gens
 
 
@@ -265,21 +292,58 @@ def _check_associative(table: np.ndarray) -> None:
             )
 
 
+def _powers(table: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
+    """x[i] to the power e for every i at once, by square-and-multiply:
+    O(len(x)) gathers per bit of e."""
+    acc = np.zeros_like(x)
+    while e:
+        if e & 1:
+            acc = table[acc, x]
+        e >>= 1
+        if e:
+            x = table[x, x]
+    return acc
+
+
 def _element_orders(table: np.ndarray) -> np.ndarray:
+    """Order of every element of a group table, one prime at a time.
+
+    By Lagrange every order divides n.  For p^a exactly dividing n,
+    y = x^(n / p^a) has order the p-part of |x|, so the number of p-th
+    powers that take y to the identity, at most a, is its exponent.
+    O(n log n) gathers per prime.  The table must be a group.
+    """
     n = table.shape[0]
-    orders = np.zeros(n, dtype=np.int32)
-    orders[0] = 1
-    idx = np.arange(n)
-    cur = idx.copy()
-    k = 1
-    while (orders == 0).any():
-        k += 1
-        if k > n + 1:
-            raise NotAssociative("element order exceeds group order; table is corrupt")
-        cur = table[cur, idx]
-        hit = (cur == 0) & (orders == 0)
-        orders[hit] = k
+    orders = np.ones(n, dtype=np.int32)
+    idx = np.arange(n, dtype=np.int32)
+    for p, a in factor(n).items():
+        live, y = idx, _powers(table, idx, n // p ** a)
+        for _ in range(a):
+            keep = y != 0
+            live, y = live[keep], y[keep]
+            orders[live] *= p
+            y = _powers(table, y, p)
     return orders
+
+
+def _trusted(table: np.ndarray, label: str | None,
+             inverse: np.ndarray | None = None,
+             orders: np.ndarray | None = None) -> Group:
+    """Wrap a table that is a group by construction, without the gate.
+
+    The module docstring lists the callers and why each table is a group.
+    The caller checks the order cap before it builds the table, and may
+    pass inverses and element orders it already knows.  The result equals
+    what :func:`from_cayley_table` returns for the same table.
+    """
+    arr = np.ascontiguousarray(table, dtype=np.int32)
+    arr.setflags(write=False)
+    if orders is None:
+        orders = _element_orders(arr)
+    if inverse is None:
+        inverse = np.argmax(arr == 0, axis=1)
+    return Group(arr, inverse.astype(np.int32, copy=False),
+                 orders.astype(np.int32, copy=False), label)
 
 
 def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
@@ -299,16 +363,15 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
       table, whose closure costs O(n^2) and whose test costs O(|S| n^2),
       with |S| <= log2(n).
 
-    Element orders are then computed in O(n * exponent).  The whole gate
-    costs O(|S| n^2); no check is skipped for any table.
+    Element orders then come from their p-parts in O(n log n) gathers
+    per prime dividing n.  The whole gate costs O(|S| n^2); no check is
+    skipped for any table.
     """
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise BadParameters(f"table must be a nonempty square matrix, got shape {arr.shape}")
     n = arr.shape[0]
-    cap = resolve_order_cap(order_cap)
-    if n > cap:
-        raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
+    _check_order_cap(n, order_cap)
     if arr.dtype.kind not in "iu":
         raise NotLatinSquare(f"table entries must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= n:
@@ -398,12 +461,15 @@ def direct_product(g: Group, h: Group, label: str | None = None,
                    order_cap: int | None = None) -> Group:
     """Direct product on pairs (a, b), encoded as a*|H| + b."""
     nh = h.order
+    _check_order_cap(g.order * nh, order_cap)
     block = g.table[:, :, None, None] * nh + h.table[None, None, :, :]
     # axes (a1, a2, b1, b2) -> rows a1*|H|+b1, cols a2*|H|+b2
     table = block.transpose(0, 2, 1, 3).reshape(g.order * nh, g.order * nh)
     if label is None and g.label and h.label:
         label = f"{g.label}x{h.label}"
-    return from_cayley_table(table, label=label, order_cap=order_cap)
+    inverse = g.inverse[:, None] * nh + h.inverse[None, :]
+    orders = np.lcm(g.element_orders[:, None], h.element_orders[None, :])
+    return _trusted(table, label, inverse.ravel(), orders.ravel())
 
 
 @dataclass(frozen=True)
@@ -504,6 +570,7 @@ def semidirect_product(n_grp: Group, h_grp: Group, action: ActionSpec,
     """
     theta = _extend_action(n_grp, h_grp, action)
     nn, nh = n_grp.order, h_grp.order
+    _check_order_cap(nn * nh, order_cap)
     table = np.empty((nn * nh, nn * nh), dtype=np.int32)
     h_tab = h_grp.table.astype(np.int32)
     for h1 in range(nh):
@@ -511,7 +578,10 @@ def semidirect_product(n_grp: Group, h_grp: Group, action: ActionSpec,
         a_block = n_grp.table[:, theta[h1]]
         rows = a_block[:, :, None] * nh + h_tab[h1][None, None, :]
         table[h1::nh] = rows.reshape(nn, nn * nh)
-    return from_cayley_table(table, label=label, order_cap=order_cap)
+    # (a, h)^-1 = (theta(h^-1)(a^-1), h^-1)
+    h_inv = h_grp.inverse[None, :]
+    inverse = theta[h_inv, n_grp.inverse[:, None]] * nh + h_inv
+    return _trusted(table, label, inverse.ravel())
 
 
 def subgroup_generated(g: Group, seeds: Iterable[int]) -> SubsetMask:
@@ -561,7 +631,8 @@ def subgroup_as_group(g: Group, subgroup: SubsetMask | Iterable[int],
     idx = np.array(mask.elements(), dtype=np.int32)
     pos = np.full(g.order, -1, dtype=np.int32)
     pos[idx] = np.arange(len(idx), dtype=np.int32)
-    return from_cayley_table(pos[g.table[np.ix_(idx, idx)]], label=label)
+    return _trusted(pos[g.table[np.ix_(idx, idx)]], label,
+                    pos[g.inverse[idx]], g.element_orders[idx])
 
 
 def quotient(g: Group, normal: SubsetMask | Iterable[int],
@@ -589,7 +660,7 @@ def quotient_with_cosets(g: Group, normal: SubsetMask | Iterable[int],
         )
     reps, coset_id = np.unique(g.table[:, members].min(axis=1),
                                return_inverse=True)
-    q_table = coset_id.astype(np.int32)[g.table[np.ix_(reps, reps)]]
+    coset_id = coset_id.astype(np.int32)
+    q_table = coset_id[g.table[np.ix_(reps, reps)]]
     cosets = np.argsort(coset_id, kind="stable").reshape(len(reps), -1).tolist()
-    grp = from_cayley_table(q_table, label=label)
-    return grp, cosets
+    return _trusted(q_table, label, coset_id[g.inverse[reps]]), cosets

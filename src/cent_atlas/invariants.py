@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Group, SubsetMask, _close, _generating_indices, quotient,
+from .core import (Group, SubsetMask, _close, _generating_indices, _powers,
                    subgroup_generated)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
@@ -135,11 +135,23 @@ def conjugacy_classes(g: Group) -> list[list[int]]:
     return [out[r] for r in sorted(out)]
 
 
+def _normalizing(g: Group, flags: np.ndarray, gens: list[int]) -> np.ndarray:
+    """Flags of the x with x s x^-1 in S for every s in ``gens``: N_G(S)
+    when ``gens`` generate the subgroup S flagged by ``flags``.  One
+    n x |gens| gather."""
+    conj = g.table[g.table[:, gens], g.inverse[:, None]]
+    return flags[conj].all(axis=1)
+
+
 def normalizer(g: Group, mask: SubsetMask) -> SubsetMask:
-    """Mask of elements x with x * S * x^-1 = S."""
-    members = np.array(mask.elements(), dtype=np.int32)
-    conj = g.table[g.table[:, members], g.inverse[:, None]]
-    return SubsetMask.from_bool(mask.as_bool()[conj].all(axis=1))
+    """Mask of elements x with x * S * x^-1 = S, for a subgroup S.
+
+    Conjugates a greedy generating set of S, at most log2|S| elements;
+    raises NotSubgroup when the mask is not closed under the product.
+    """
+    flags = mask.as_bool()
+    gens = _generating_indices(g.table, within=flags)
+    return SubsetMask.from_bool(_normalizing(g, flags, gens))
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,9 @@ def sylow(g: Group, l: int) -> SylowData:
 
     The representative starts from a cyclic subgroup on an element of
     maximal l-power order and grows through normalizers until it reaches
-    full l-part size.  The conjugates of P number [G : N_G(P)].
+    full l-part size, adding each time the smallest y of N_G(P) outside P
+    with y^l in P, and carrying the elements added as generators of P.
+    The conjugates of P number [G : N_G(P)].
     """
     if not is_prime(l):
         raise NotPrime(f"{l} is not prime")
@@ -165,20 +179,21 @@ def sylow(g: Group, l: int) -> SylowData:
     orders = g.element_orders
     lpow = orders[np.isin(orders, [l ** i for i in range(1, e + 1)])]
     best = int(lpow.max())
-    x = int(np.flatnonzero(orders == best)[0])
-    s = subgroup_generated(g, [x])
-    while len(s) < pk:
-        norm = normalizer(g, s)
-        grown = False
-        for y in norm.elements():
-            if y not in s and g.power(y, l) in s:
-                s = subgroup_generated(g, [*s.elements(), y])
-                grown = True
-                break
-        if not grown:
+    gens = [int(np.flatnonzero(orders == best)[0])]
+    member = np.zeros(g.order, dtype=bool)
+    member[[0, gens[0]]] = True
+    _close(g.table, member, np.array(gens))
+    while member.sum() < pk:
+        cand = np.flatnonzero(_normalizing(g, member, gens) & ~member)
+        grows = member[_powers(g.table, cand, l)]
+        if not grows.any():
             raise BadParameters("normalizer growth stalled; table is corrupt")
-    return SylowData(prime=l, count=g.order // len(normalizer(g, s)),
-                     subgroup=s)
+        gens.append(int(cand[np.argmax(grows)]))
+        member[gens[-1]] = True
+        _close(g.table, member, np.array(gens[-1:]))
+    count = g.order // int(_normalizing(g, member, gens).sum())
+    return SylowData(prime=l, count=count,
+                     subgroup=SubsetMask.from_bool(member))
 
 
 @dataclass(frozen=True)
@@ -197,15 +212,27 @@ class AbelianProfile:
 
 
 def abelian_profile(g: Group) -> AbelianProfile:
+    """The abelian kind and invariant factors, read off the element orders.
+
+    If the Sylow p-subgroup of an abelian G is the product of cyclic groups
+    of orders p^e_1 >= p^e_2 >= ..., the elements of order dividing p^k
+    number p^(sum_i min(e_i, k)), so each k in turn shows how many e_i are
+    at least k.  The j-th invariant factor is the product over p of
+    p^(e_j).
+    """
     if not g.is_abelian():
         return AbelianProfile("nonabelian", None, ())
+    orders = g.element_orders
     factors: list[int] = []
-    cur = g
-    while cur.order > 1:
-        e = int(cur.element_orders.max())
-        x = int(np.flatnonzero(cur.element_orders == e)[0])
-        factors.append(e)
-        cur = quotient(cur, subgroup_generated(cur, [x]))
+    for p, a in factor(g.order).items():
+        rank = 0  # log_p of the number of elements of order dividing p^(k-1)
+        for k in range(1, a + 1):
+            count = int(np.isin(orders, [p ** i for i in range(k + 1)]).sum())
+            at_least_k = factor(count)[p] - rank
+            rank += at_least_k
+            factors += [1] * (at_least_k - len(factors))
+            for j in range(at_least_k):
+                factors[j] *= p
     if len(factors) <= 1:
         return AbelianProfile("cyclic", None, tuple(factors))
     if len(set(factors)) == 1 and is_prime(factors[0]):

@@ -130,6 +130,24 @@ def sylow_count(table: list[list[int]], p: int) -> int:
                 for x in range(n)})
 
 
+def normalizer(table: list[list[int]], sub) -> set[int]:
+    """Elements x with x S x^-1 = S, conjugating every member of S."""
+    sub = set(sub)
+    return {x for x in range(len(table))
+            if {table[table[x][s]][inverse(table, x)] for s in sub} == sub}
+
+
+def solutions_of_power(table: list[list[int]], k: int) -> int:
+    """Number of x with x^k equal to the identity."""
+    count = 0
+    for x in range(len(table)):
+        cur = 0
+        for _ in range(k):
+            cur = table[cur][x]
+        count += cur == 0
+    return count
+
+
 def is_associative(table: list[list[int]]) -> bool:
     n = len(table)
     return all(table[table[x][y]][z] == table[x][table[y][z]]

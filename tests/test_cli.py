@@ -211,6 +211,15 @@ class TestVerify:
         code, _, err = run(["verify", "--claim", "C0", "--max-order", "7"], capsys)
         assert code == 2
 
+    def test_explicit_cap_reaches_every_c9w_group(self, monkeypatch, capsys):
+        # the targets and quotients (order up to 28) exceed the
+        # environment's cap; only the explicit one may apply
+        monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "20")
+        code, out, err = run(["verify", "--claim", "C9w", "--order-cap",
+                              "4096", "--p-max", "2", "--q-max", "7"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("C9w: PASS (")
+
     def test_out_deterministic_across_jobs(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["verify", "--claim", "C7", "--max-order", "100",

@@ -1,13 +1,16 @@
 """Centralizer structure, abelian profiles, Sylow data, and isomorphism."""
 
 import time
+from math import gcd, prod
 
 import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from cent_atlas import invariants
 from cent_atlas.catalog import (
+    abelian,
     alternating,
     catalog_up_to,
     cyclic,
@@ -20,9 +23,11 @@ from cent_atlas.catalog import (
     sl23,
     symmetric,
 )
-from cent_atlas.core import (ActionSpec, _generating_indices, direct_product,
-                             semidirect_product, subgroup_as_group)
-from cent_atlas.errors import NotPrime, OrderCapExceeded, SearchBudgetExceeded
+from cent_atlas.core import (ActionSpec, SubsetMask, _generating_indices,
+                             direct_product, semidirect_product,
+                             subgroup_as_group)
+from cent_atlas.errors import (NotPrime, NotSubgroup, OrderCapExceeded,
+                               SearchBudgetExceeded)
 from cent_atlas.invariants import (
     _max_clique,
     abelian_profile,
@@ -237,7 +242,55 @@ class TestSylow:
                     g.label, p)
 
 
+def test_normalizer_matches_oracle_on_every_subgroup_sylow_visits(
+        monkeypatch):
+    seen = []
+    real = invariants._normalizing
+
+    def spy(g, flags, gens):
+        got = real(g, flags, gens)
+        seen.append((g, flags.copy(), got))
+        return got
+
+    monkeypatch.setattr(invariants, "_normalizing", spy)
+    for g in catalog_up_to(60):
+        for p in factor(g.order):
+            sylow(g, p)
+    monkeypatch.undo()
+    # 172 normalizers, some of them proper
+    assert len(seen) > 150 and not all(got.all() for _, _, got in seen)
+    for g, flags, got in seen:
+        want = oracles.normalizer(g.table.tolist(), np.flatnonzero(flags))
+        mask = SubsetMask.from_bool(flags)
+        assert set(np.flatnonzero(got)) == want, g
+        assert set(normalizer(g, mask).elements()) == want, g
+
+
+def test_normalizer_rejects_a_non_subgroup():
+    g = symmetric(3)
+    x = int(np.flatnonzero(g.element_orders == 3)[0])
+    with pytest.raises(NotSubgroup):
+        normalizer(g, SubsetMask.from_elements([0, x], 6))
+
+
 class TestAbelianProfile:
+    def test_matches_power_counts(self):
+        """In an abelian group the number of solutions of x^k = 1 is the
+        product of gcd(k, d) over the invariant factors d, and these counts
+        for k dividing |G| fix the group."""
+        groups = [g for g in catalog_up_to(300) if g.is_abelian()]
+        groups += [abelian(f) for f in ((2, 2, 2, 2), (4, 2, 2), (8, 4, 2),
+                                       (9, 3), (27, 3, 3), (6, 6, 2))]
+        for g in groups:
+            factors = abelian_profile(g).invariant_factors
+            assert prod(factors) == g.order
+            assert all(a % b == 0 for a, b in zip(factors, factors[1:]))
+            table = g.table.tolist()
+            for k in range(1, g.order + 1):
+                if g.order % k == 0:
+                    assert oracles.solutions_of_power(table, k) == prod(
+                        gcd(k, d) for d in factors), (g, k)
+
     def test_cyclic(self):
         p = abelian_profile(cyclic(12))
         assert p.kind == "cyclic"

@@ -1,0 +1,193 @@
+"""Groups built by construction against the full Cayley-table gate.
+
+Products, subgroups, quotients and the closed-form families skip
+``from_cayley_table``; every such Group must equal the one the gate
+returns for the same table, and no path that takes a table from outside
+the library may reach the trusted constructor.
+"""
+
+import json
+import sys
+from functools import cache
+from math import gcd
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cent_atlas import catalog, core
+from cent_atlas.catalog import (
+    FAMILIES,
+    FamilySpec,
+    build,
+    catalog_up_to,
+    cyclic,
+    heisenberg_cover,
+    witness_exponents,
+    witness_h,
+)
+from cent_atlas.cli import main
+from cent_atlas.core import (
+    from_cayley_table,
+    from_permutation_generators,
+    quotient,
+    subgroup_as_group,
+)
+from cent_atlas.enumeration import enumerate_groups
+from cent_atlas.errors import OrderCapExceeded
+from cent_atlas.invariants import center, derived_subgroup, normalizer, sylow
+from cent_atlas.numbers import factor, primes_up_to
+from cent_atlas.report import read_group_file
+
+import oracles
+
+
+def assert_matches_gate(g):
+    checked = from_cayley_table(g.table, label=g.label, order_cap=g.order)
+    for name in ("table", "inverse", "element_orders"):
+        got, want = getattr(g, name), getattr(checked, name)
+        assert got.dtype == want.dtype == np.int32, (g, name)
+        assert np.array_equal(got, want), (g, name)
+    assert not g.table.flags.writeable and g.table.flags.c_contiguous
+    assert (g.order, g.label) == (checked.order, checked.label)
+
+
+def _metacyclic_grid():
+    return [(m, n, k) for m in range(1, 13) for n in range(1, 7)
+            for k in range(m) if gcd(k, m) == 1 and pow(k, n, m) == 1 % m]
+
+
+FAMILY_GRID = {
+    "cyclic": [{"n": n} for n in range(1, 61)],
+    "dihedral": [{"n": n} for n in range(2, 61, 2)],
+    "dicyclic": [{"n": n} for n in range(8, 65, 4)],
+    "symmetric": [{"n": n} for n in range(1, 6)],
+    "alternating": [{"n": n} for n in range(3, 6)],
+    "metacyclic": [{"m": m, "n": n, "k": k} for m, n, k in _metacyclic_grid()],
+    "heisenberg": [{"p": p} for p in (2, 3, 5)],
+    "modular-p3": [{"p": p} for p in (3, 5)],
+    "elementary": [{"p": p, "k": k} for p, top in ((2, 6), (3, 3), (5, 2), (7, 2))
+                   for k in range(1, top + 1)],
+    "witness-h": [{"p": p, "q": q, "i": i} for p in (2, 3)
+                  for q in primes_up_to(19) if q % p == 1
+                  for i in witness_exponents(p, q)],
+    "sl23": [{}],
+}
+
+
+def test_grid_covers_every_family():
+    assert set(FAMILY_GRID) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_GRID))
+def test_family_matches_gate(family):
+    for params in FAMILY_GRID[family]:
+        assert_matches_gate(build(FamilySpec(family, **params)))
+
+
+def test_catalog_matches_gate():
+    for g in catalog_up_to(300):
+        assert_matches_gate(g)
+
+
+def test_covers_match_gate():
+    for p, q in ((2, 3), (2, 5), (2, 7), (3, 7), (3, 13), (5, 11)):
+        for i in witness_exponents(p, q):
+            assert_matches_gate(witness_h(p, q, i))
+    for p in (3, 5):
+        assert_matches_gate(heisenberg_cover(p))
+
+
+@cache
+def small_catalog():
+    return catalog_up_to(60)
+
+
+def test_subgroups_and_quotients_match_gate():
+    for g in small_catalog():
+        full = g.full_mask()
+        subs = [center(g), derived_subgroup(g)]
+        subs += [sylow(g, p).subgroup for p in factor(g.order)]
+        for s in subs:
+            assert_matches_gate(subgroup_as_group(g, s))
+            if normalizer(g, s) == full:
+                assert_matches_gate(quotient(g, s))
+
+
+def test_trusted_builders_check_the_cap_before_building():
+    with pytest.raises(OrderCapExceeded, match="order 4096 exceeds cap 2048"):
+        cyclic(4096)
+    with pytest.raises(OrderCapExceeded, match="order 60 exceeds cap 59"):
+        core.direct_product(cyclic(6), cyclic(10), order_cap=59)
+
+
+def relabelled(table, perm):
+    """The table with element x renamed perm[x]; perm fixes 0."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_element_orders_match_oracle_on_relabelled_tables(data):
+    g = data.draw(st.sampled_from(small_catalog()))
+    rest = data.draw(st.permutations(range(1, g.order)))
+    table = relabelled(g.table.tolist(), [0, *rest])
+    got = from_cayley_table(table).element_orders.tolist()
+    assert got == [oracles.element_order(table, x) for x in range(g.order)]
+
+
+class TestUserTablesNeverTrusted:
+    """With the trusted constructor made to raise, every path that takes
+    a table or generators from outside the library still works.
+
+    ``analyze`` builds reference groups for the capability of p^2 q and
+    order-8 inputs, so the inputs here have other orders.
+    """
+
+    @pytest.fixture(autouse=True)
+    def refuse_trusted(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trusted constructor reached")
+
+        real = core._trusted
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("cent_atlas") and getattr(
+                    mod, "_trusted", None) is real:
+                monkeypatch.setattr(mod, "_trusted", refuse)
+        with pytest.raises(AssertionError, match="trusted"):
+            catalog.cyclic(3)
+
+    def test_from_cayley_table(self):
+        assert from_cayley_table(
+            (np.arange(12)[:, None] + np.arange(12)) % 12).order == 12
+
+    def test_permutations(self):
+        gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+        assert from_permutation_generators(gens).order == 24
+
+    def test_enumeration(self):
+        assert [len(enumerate_groups(n)) for n in range(1, 9)] == [
+            1, 1, 1, 2, 1, 2, 1, 5]
+
+    @pytest.mark.parametrize("payload", [
+        {"label": "S4", "degree": 4,
+         "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]},
+        {"label": "S4", "table": from_permutation_generators(
+            [(1, 0, 2, 3), (1, 2, 3, 0)]).table.tolist()},
+        {"label": "C2xC2", "table": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                     [2, 3, 0, 1], [3, 2, 1, 0]]},
+        {"label": "C6", "table": ((np.arange(6)[:, None] + np.arange(6))
+                                  % 6).tolist()},
+    ], ids=["perm-S4", "table-S4", "table-V4", "table-C6"])
+    def test_read_and_analyze(self, tmp_path, capsys, payload):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        assert read_group_file(path).label == payload["label"]
+        assert main(["analyze", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == payload["label"]
