@@ -84,7 +84,7 @@ def abelian(factors: tuple[int, ...], order_cap: int | None = None) -> Group:
         return cyclic(1, order_cap=order_cap)
     g = cyclic(factors[0], order_cap=order_cap)
     for n in factors[1:]:
-        g = direct_product(g, cyclic(n), order_cap=order_cap)
+        g = direct_product(g, cyclic(n, order_cap=order_cap), order_cap=order_cap)
     return g
 
 
@@ -351,15 +351,17 @@ def groups_of_order_p2q(p: int, q: int,
     _require_prime(q, "q")
     if p == q:
         raise BadParameters(f"p and q must be distinct, got {p} twice")
+    c_p = cyclic(p, order_cap=order_cap)
     out = [
         cyclic(p * p * q, order_cap=order_cap),
-        direct_product(cyclic(p), cyclic(p * q), order_cap=order_cap),
+        direct_product(c_p, cyclic(p * q, order_cap=order_cap),
+                       order_cap=order_cap),
     ]
     if q % p == 1:
         kp = unit_of_order(p, q)
         out.append(metacyclic(q, p * p, kp, order_cap=order_cap))
-        out.append(direct_product(cyclic(p), metacyclic(q, p, kp),
-                                  order_cap=order_cap))
+        out.append(direct_product(
+            c_p, metacyclic(q, p, kp, order_cap=order_cap), order_cap=order_cap))
     if q % (p * p) == 1:
         out.append(metacyclic(q, p * p, unit_of_order(p * p, q),
                               order_cap=order_cap))
@@ -385,7 +387,8 @@ def _diagonal_p2q(p: int, q: int, lam: int, b: int,
     mult = pow(lam, b, p)
     img = (lam * x) % p + ((mult * y) % p) * p
     act = ActionSpec.from_pairs([(1, img.tolist())])
-    g = semidirect_product(base, cyclic(q), act, order_cap=order_cap)
+    g = semidirect_product(base, cyclic(q, order_cap=order_cap), act,
+                           order_cap=order_cap)
     return g.relabeled(f"(C{p}xC{p}):C{q}[{b}]")
 
 
@@ -410,7 +413,8 @@ def _irreducible_p2q(p: int, q: int, order_cap: int | None = None) -> Group:
     x, y = idx % p, idx // p
     img = (-y) % p + ((x + t * y) % p) * p
     act = ActionSpec.from_pairs([(1, img.tolist())])
-    grp = semidirect_product(base, cyclic(q), act, order_cap=order_cap)
+    grp = semidirect_product(base, cyclic(q, order_cap=order_cap), act,
+                             order_cap=order_cap)
     return grp.relabeled(f"(C{p}xC{p}):C{q}")
 
 
@@ -419,7 +423,8 @@ def groups_of_order_p3(p: int, order_cap: int | None = None) -> list[Group]:
     _require_prime(p, "p")
     out = [
         cyclic(p ** 3, order_cap=order_cap),
-        direct_product(cyclic(p * p), cyclic(p), order_cap=order_cap),
+        direct_product(cyclic(p * p, order_cap=order_cap),
+                       cyclic(p, order_cap=order_cap), order_cap=order_cap),
         elementary(p, 3, order_cap=order_cap),
     ]
     if p == 2:
@@ -463,7 +468,8 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
     for g in members:
         if len(center(g)) == 1:
             out.append(g)
-            out.append(direct_product(cyclic(2), g, order_cap=order_cap))
+            out.append(direct_product(cyclic(2, order_cap=order_cap), g,
+                                      order_cap=order_cap))
 
     if kind == "p2q":
         p, q = primes
@@ -535,6 +541,7 @@ def groups_of_covered_order(n: int, order_cap: int | None = None) -> list[Group]
 
 
 def _named_extras(order_cap: int | None = None) -> list[Group]:
+    c2 = cyclic(2, order_cap=order_cap)
     return [
         dihedral(16, order_cap=order_cap),
         metacyclic(8, 2, 3, order_cap=order_cap, label="SD16"),
@@ -543,14 +550,17 @@ def _named_extras(order_cap: int | None = None) -> list[Group]:
         sl23(order_cap=order_cap),
         dihedral(24, order_cap=order_cap),
         dicyclic(24, order_cap=order_cap),
-        direct_product(cyclic(2), alternating(4), order_cap=order_cap),
+        direct_product(c2, alternating(4, order_cap=order_cap),
+                       order_cap=order_cap),
         witness_h(2, 3, 2, order_cap=order_cap),
         witness_h(2, 5, 4, order_cap=order_cap),
         witness_h(2, 7, 6, order_cap=order_cap),
         witness_h(2, 11, 10, order_cap=order_cap),
-        direct_product(cyclic(2), metacyclic(5, 4, 2), order_cap=order_cap),
+        direct_product(c2, metacyclic(5, 4, 2, order_cap=order_cap),
+                       order_cap=order_cap),
         heisenberg_cover(3, order_cap=order_cap),
-        direct_product(cyclic(2), metacyclic(7, 6, 3), order_cap=order_cap),
+        direct_product(c2, metacyclic(7, 6, 3, order_cap=order_cap),
+                       order_cap=order_cap),
     ]
 
 

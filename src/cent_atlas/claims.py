@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .catalog import (
     alternating,
@@ -118,7 +118,25 @@ def report_to_jsonable(report: ClaimReport) -> dict[str, Any]:
     }
 
 
-def _special_p2q(p: int, q: int, order_cap: int | None = None) -> Group | None:
+@lru_cache(maxsize=None)
+def _named(name: str) -> Group:
+    """A named group the checks compare against, built once per process on
+    first use and then shared."""
+    return {"V4": lambda: elementary(2, 2), "S3": lambda: dihedral(6),
+            "C3xC3": lambda: elementary(3, 2), "A4": lambda: alternating(4),
+            "D8": lambda: dihedral(8)}[name]()
+
+
+def _isomorphic(g: Group, name: str) -> bool:
+    h = _named(name)
+    return g.order == h.order and find_isomorphism(g, h) is not None
+
+
+# One entry: a sweep unit, or a run of capable() calls on one order, asks
+# for the same (p, q, order_cap) over and over, and nothing larger than
+# the last target is kept alive.
+@lru_cache(maxsize=1)
+def _special_p2q(p: int, q: int, order_cap: int | None) -> Group | None:
     """C_p x (C_q : C_p), the capable class with nontrivial center; exists
     only when q = 1 (mod p)."""
     if q % p != 1:
@@ -138,22 +156,20 @@ def capable(g: Group) -> CapabilityVerdict:
     """
     kind, primes = order_shape(g.order) or ("", ())
     z = len(center(g))
-    if kind == "pqr":
+    if kind in ("pqr", "p2q"):
+        rule = "C4" if kind == "pqr" else "C9"
         if z == 1:
-            return CapabilityVerdict("capable", "C4", "center is trivial")
-        return CapabilityVerdict("not_capable", "C4", f"center has order {z}")
-    if kind == "p2q":
-        sq, other = primes
-        if z == 1:
-            return CapabilityVerdict("capable", "C9", "center is trivial")
-        special = _special_p2q(sq, other)  # None unless other = 1 (mod sq)
-        if special is not None and find_isomorphism(g, special) is not None:
-            return CapabilityVerdict(
-                "capable", "C9", f"isomorphic to {special.label}")
+            return CapabilityVerdict("capable", rule, "center is trivial")
         detail = f"center has order {z}"
-        if sq < other:
-            detail += f" and the group is not C{sq}x(C{other}:C{sq})"
-        return CapabilityVerdict("not_capable", "C9", detail)
+        if kind == "p2q":
+            sq, other = primes
+            special = _special_p2q(sq, other, None)  # None unless other = 1 (mod sq)
+            if special is not None and find_isomorphism(g, special) is not None:
+                return CapabilityVerdict(
+                    "capable", "C9", f"isomorphic to {special.label}")
+            if sq < other:
+                detail += f" and the group is not C{sq}x(C{other}:C{sq})"
+        return CapabilityVerdict("not_capable", rule, detail)
     if kind == "p3":
         (p,) = primes
         if g.is_abelian():
@@ -166,7 +182,7 @@ def capable(g: Group) -> CapabilityVerdict:
                 "not_capable", "baer-p3",
                 f"{factors} has unequal leading invariant factors")
         if p == 2:
-            if find_isomorphism(g, dihedral(8)) is not None:
+            if _isomorphic(g, "D8"):
                 return CapabilityVerdict("capable", "C11", "isomorphic to D8")
             return CapabilityVerdict("not_capable", "C11", "not D8")
         if g.exponent() == p:
@@ -180,19 +196,12 @@ def capable(g: Group) -> CapabilityVerdict:
 
 def witness_check(h: Group, target: Group) -> WitnessResult:
     """Check that h is a cover of target: h/Z(h) isomorphic to target."""
-    z = center(h)
-    quot, cosets = quotient_with_cosets(h, z)
-    coset_tuples = tuple(tuple(c) for c in cosets)
-    if quot.order != target.order:
-        return WitnessResult(False, quot, coset_tuples, None)
-    iso = find_isomorphism(quot, target)
-    if iso is None:
-        return WitnessResult(False, quot, coset_tuples, None)
-    return WitnessResult(True, quot, coset_tuples, tuple(int(v) for v in iso))
-
-
-def _cent_count(g: Group) -> int:
-    return cent_structure(g).count
+    quot, cosets = quotient_with_cosets(h, center(h))
+    iso = (find_isomorphism(quot, target) if quot.order == target.order
+           else None)
+    return WitnessResult(iso is not None, quot,
+                         tuple(tuple(c) for c in cosets),
+                         None if iso is None else tuple(int(v) for v in iso))
 
 
 @lru_cache(maxsize=8)
@@ -207,35 +216,40 @@ def _row(g: Group, ok: bool, note: str, **extra: Any) -> _Row:
     return row
 
 
-def _count_rows(groups: list[Group], allowed: set[int], prefix: str = "",
-                skip_abelian: bool = False) -> list[_Row]:
-    """One row per group: its centralizer count lies in ``allowed``."""
-    rows = []
-    for g in groups:
-        if skip_abelian and g.is_abelian():
-            continue
-        count = _cent_count(g)
-        rows.append(_row(g, count in allowed,
-                         f"{prefix}cent={count}, allowed={sorted(allowed)}",
-                         cent_count=count))
-    return rows
+# ---------------------------------------------------------------- checks
+
+_Check = tuple[bool, str, dict[str, Any]]
 
 
-def _capable_row(g: Group, rule: str, special: Group | None = None,
-                 cover: Callable[[], Group] | None = None) -> _Row:
-    """Row checking that ``capable(g)`` applies ``rule`` and finds g capable
-    exactly when its center is trivial or g is isomorphic to ``special``.
+def _count_in(g: Group, allowed: set[int], detail: str | None = None,
+              prefix: str = "") -> _Check:
+    """The centralizer count lies in ``allowed``; the note gives ``detail``,
+    by default the allowed set."""
+    count = cent_structure(g).count
+    detail = detail or f"allowed={sorted(allowed)}"
+    return (count in allowed, f"{prefix}cent={count}, {detail}",
+            {"cent_count": count})
+
+
+def _agrees(verdict: CapabilityVerdict, rule: str, truth: bool) -> bool:
+    return verdict.rule == rule and verdict.status == (
+        "capable" if truth else "not_capable")
+
+
+def _capable_check(g: Group, rule: str, special: Group | None = None,
+                   cover: Callable[[], Group] | None = None) -> _Check:
+    """``capable(g)`` applies ``rule`` and finds g capable exactly when its
+    center is trivial or g is isomorphic to ``special``.
 
     Where g is capable, witness_check certifies a cover of it: g itself
     when the center is trivial, else ``cover()``.  Without ``cover`` the
     note reports a self-witness.
     """
+    verdict = capable(g)
     z = len(center(g))
     truth = z == 1 or (
         special is not None and find_isomorphism(g, special) is not None)
-    verdict = capable(g)
-    ok = verdict.rule == rule and verdict.status == (
-        "capable" if truth else "not_capable")
+    ok = _agrees(verdict, rule, truth)
     note = f"z={z}, verdict={verdict.status}"
     if ok and truth:
         h = g if z == 1 else cover()
@@ -243,290 +257,178 @@ def _capable_row(g: Group, rule: str, special: Group | None = None,
         ok = wr.ok
         note += (f", self_witness={wr.ok}" if cover is None
                  else f", witness={h.label}, witness_ok={wr.ok}")
-    return _row(g, ok, note)
+    return ok, note, {}
 
 
-# ---------------------------------------------------------------- sweeps
-
-def _units_catalog(params: dict[str, Any]) -> list[tuple]:
-    max_order = params["max_order"]
-    return [(max_order, n) for n in _catalog(max_order)]
-
-
-def _rows_c0(unit: tuple) -> list[_Row]:
-    max_order, n = unit
-    rows = []
-    v4 = elementary(2, 2)
-    s3 = dihedral(6)
-    c3c3 = elementary(3, 2)
-    for g in _catalog(max_order)[n]:
-        count = _cent_count(g)
-        qz = quotient(g, center(g))
-        is4 = qz.order == 4 and find_isomorphism(qz, v4) is not None
-        is5 = (qz.order == 6 and find_isomorphism(qz, s3) is not None) or (
-            qz.order == 9 and find_isomorphism(qz, c3c3) is not None)
-        ok = count not in (2, 3) and (count == 4) == is4 and (count == 5) == is5
-        rows.append(_row(g, ok, f"cent={count}, |G/Z|={qz.order}",
-                         cent_count=count))
-    return rows
+def _check_c0(g: Group, unit: tuple) -> _Check:
+    count = cent_structure(g).count
+    qz = quotient(g, center(g))
+    is4 = _isomorphic(qz, "V4")
+    is5 = _isomorphic(qz, "S3") or _isomorphic(qz, "C3xC3")
+    ok = count not in (2, 3) and (count == 4) == is4 and (count == 5) == is5
+    return ok, f"cent={count}, |G/Z|={qz.order}", {"cent_count": count}
 
 
-def _units_shapes(params: dict[str, Any]) -> list[tuple]:
-    return [(kind, tuple(primes)) for kind, primes in params["shapes"]]
-
-
-def _rows_c1(unit: tuple) -> list[_Row]:
+def _check_c1(g: Group, unit: tuple) -> _Check:
     kind, primes = unit
-    rows = []
-    for g in central_quotient_examples(kind, primes):
-        cs = cent_structure(g)
-        zbits = cs.center.bits
-        proper = [m.bits for m in cs.proper()]
-        meets = all((a & b) == zbits
-                    for i, a in enumerate(proper) for b in proper[i + 1:])
-        ok = cs.is_ca and meets
-        rows.append(_row(g, ok,
-                         f"shape={kind}{primes}, cent={cs.count}, "
-                         f"ca={cs.is_ca}, intersections_central={meets}"))
-    return rows
+    cs = cent_structure(g)
+    proper = [m.bits for m in cs.proper()]
+    meets = all((a & b) == cs.center.bits
+                for i, a in enumerate(proper) for b in proper[i + 1:])
+    return (cs.is_ca and meets,
+            f"shape={kind}{primes}, cent={cs.count}, ca={cs.is_ca}, "
+            f"intersections_central={meets}", {})
 
 
-def _units_triples(params: dict[str, Any]) -> list[tuple]:
-    return prime_triples(params["max_order"])
+def _check_c3(g: Group, unit: tuple) -> _Check:
+    dorder = len(derived_subgroup(g))
+    return _count_in(g, {dorder + 2}, f"|G'|={dorder}")
 
 
-def _rows_c2(unit: tuple) -> list[_Row]:
-    p, q, r = unit
-    return _count_rows(groups_of_order_pqr(p, q, r),
-                       {q + 2, r + 2, q * r + 2}, skip_abelian=True)
+def _check_c6(g: Group, unit: tuple) -> _Check:
+    count = cent_structure(g).count
+    qcount = cent_structure(quotient(g, center(g))).count
+    return count == qcount, f"cent={count}, quotient_cent={qcount}", {}
 
 
-def _rows_c3(unit: tuple) -> list[_Row]:
-    p, q, r = unit
-    rows = []
-    for g in groups_of_order_pqr(p, q, r):
-        if g.is_abelian():
-            continue
-        count = _cent_count(g)
-        dorder = len(derived_subgroup(g))
-        rows.append(_row(g, count == dorder + 2,
-                         f"cent={count}, |G'|={dorder}", cent_count=count))
-    return rows
-
-
-def _rows_c4(unit: tuple) -> list[_Row]:
-    return [_capable_row(g, "C4") for g in groups_of_order_pqr(*unit)]
-
-
-def _units_quotient_triples(params: dict[str, Any]) -> list[tuple]:
-    return [tuple(t) for t in params["triples"]]
-
-
-def _rows_c5(unit: tuple) -> list[_Row]:
-    p, q, r = unit
-    return _count_rows(central_quotient_examples("pqr", (p, q, r)),
-                       {r + 2, q * r + 2})
-
-
-def _rows_c6(unit: tuple) -> list[_Row]:
-    p, q, r = unit
-    rows = []
-    for g in central_quotient_examples("pqr", (p, q, r)):
-        count = _cent_count(g)
-        qcount = _cent_count(quotient(g, center(g)))
-        rows.append(_row(g, count == qcount,
-                         f"cent={count}, quotient_cent={qcount}"))
-    return rows
-
-
-def _units_square_pairs(params: dict[str, Any]) -> list[tuple]:
-    units = []
-    for sq, other in prime_square_pairs(params["max_order"]):
-        if sq < other:
-            units.append(("p2q", sq, other))
-        else:
-            units.append(("pq2", other, sq))
-    return units
-
-
-def _rows_c7(unit: tuple) -> list[_Row]:
-    kind, p, q = unit
-    rows = []
-    if kind == "p2q":
-        classes = groups_of_order_p2q(p, q)
-        a4 = alternating(4) if (p, q) == (2, 3) else None
-        for g in classes:
-            if g.is_abelian():
-                continue
-            count = _cent_count(g)
-            if a4 is not None and find_isomorphism(g, a4) is not None:
-                ok = count == 6
-                note = f"cent={count}, expected 6 for A4"
-            else:
-                ok = count == q + 2
-                note = f"cent={count}, expected {q + 2}"
-            rows.append(_row(g, ok, note, cent_count=count))
-    else:
-        rows = _count_rows(groups_of_order_p2q(q, p), {q + 2, q * q + 2},
-                           skip_abelian=True)
-    return rows
-
-
-def _rows_c8(unit: tuple) -> list[_Row]:
-    max_order, n = unit
-    rows = []
-    for g in _catalog(max_order)[n]:
-        if g.is_abelian():
-            continue
-        cs = cent_structure(g)
-        if not cs.is_ca:
-            continue
-        qz = quotient(g, cs.center)
-        if not qz.is_abelian():
-            rows.append(_row(g, True, "central quotient nonabelian; vacuous"))
-            continue
-        kind = abelian_profile(qz).kind
-        rows.append(_row(g, kind == "elementary_abelian",
-                         f"central quotient abelian of kind {kind}"))
-    return rows
-
-
-def _rows_c9(unit: tuple) -> list[_Row]:
+def _check_c7(g: Group, unit: tuple) -> _Check:
     kind, p, q = unit
     if kind == "pq2":
-        return [_capable_row(g, "C9") for g in groups_of_order_p2q(q, p)]
-    special = _special_p2q(p, q)
-    return [_capable_row(g, "C9", special,
-                         lambda: witness_h(p, q, unit_of_order(p, q)))
-            for g in groups_of_order_p2q(p, q)]
+        return _count_in(g, {p + 2, p * p + 2})
+    if (p, q) == (2, 3) and _isomorphic(g, "A4"):
+        return _count_in(g, {6}, "expected 6 for A4")
+    return _count_in(g, {q + 2}, f"expected {q + 2}")
 
 
-def _units_c9w(params: dict[str, Any]) -> list[tuple]:
-    return [(p, q, params["order_cap"]) for p in params["p_list"]
-            for q in primes_up_to(params["q_max"]) if q % p == 1]
+def _check_c8(g: Group, unit: tuple) -> _Check:
+    kind = abelian_profile(quotient(g, center(g))).kind
+    if kind == "nonabelian":
+        return True, "central quotient nonabelian; vacuous", {}
+    return (kind == "elementary_abelian",
+            f"central quotient abelian of kind {kind}", {})
 
 
-def _rows_c9w(unit: tuple) -> list[_Row]:
+def _check_c9(g: Group, unit: tuple) -> _Check:
+    kind, p, q = unit
+    if kind == "pq2":
+        return _capable_check(g, "C9")
+    return _capable_check(g, "C9", _special_p2q(p, q, None),
+                          lambda: witness_h(p, q, unit_of_order(p, q)))
+
+
+def _check_c9w(h: Group, unit: tuple) -> _Check:
     p, q, cap = unit
-    target = _special_p2q(p, q, order_cap=cap)
-    rows = []
-    for i in witness_exponents(p, q):
-        h = witness_h(p, q, i, order_cap=cap)
-        wr = witness_check(h, target)
-        ok = wr.ok and h.order == p ** 3 * q
-        rows.append(_row(h, ok,
-                         f"|H|={h.order}, quotient_matches={wr.ok}"))
-    return rows
+    wr = witness_check(h, _special_p2q(p, q, cap))
+    return (wr.ok and h.order == p ** 3 * q,
+            f"|H|={h.order}, quotient_matches={wr.ok}", {})
 
 
-def _rows_c10(unit: tuple) -> list[_Row]:
+def _check_c10(g: Group, unit: tuple) -> _Check:
     kind, primes = unit
     p, q = primes
     if kind == "p2q":
         allowed = {6, 8} if (p, q) == (2, 3) else {p * q + 2, q + 2}
     else:
         allowed = {q * q + 2, q * q + q + 2}
-    return _count_rows(central_quotient_examples(kind, primes), allowed,
-                       prefix=f"shape={kind}{primes}, ")
+    return _count_in(g, allowed, prefix=f"shape={kind}{primes}, ")
 
 
-def _units_plist(params: dict[str, Any]) -> list[tuple]:
-    return [(p,) for p in params["p_list"]]
-
-
-def _rows_c11(unit: tuple) -> list[_Row]:
+def _check_c11(g: Group, unit: tuple) -> _Check:
     (p,) = unit
-    rows = []
-    for g in groups_of_order_p3(p):
-        if g.is_abelian():
-            truth = abelian_profile(g).kind == "elementary_abelian"
-            want_rule = "baer-p3"
-        else:
-            if p == 2:
-                truth = find_isomorphism(g, dihedral(8)) is not None
-            else:
-                truth = g.exponent() == p
-            want_rule = "C11"
-        verdict = capable(g)
-        ok = verdict.rule == want_rule and verdict.status == (
-            "capable" if truth else "not_capable")
-        rows.append(_row(g, ok, f"verdict={verdict.status} ({verdict.detail})"))
+    if g.is_abelian():
+        rule = "baer-p3"
+        truth = abelian_profile(g).kind == "elementary_abelian"
+    else:
+        rule = "C11"
+        truth = _isomorphic(g, "D8") if p == 2 else g.exponent() == p
+    verdict = capable(g)
+    return (_agrees(verdict, rule, truth),
+            f"verdict={verdict.status} ({verdict.detail})", {})
+
+
+def _tail_c11(unit: tuple) -> list[_Row]:
+    (p,) = unit
     cover = dihedral(16) if p == 2 else heisenberg_cover(p)
-    target = dihedral(8) if p == 2 else heisenberg(p)
+    target = _named("D8") if p == 2 else heisenberg(p)
     wr = witness_check(cover, target)
-    rows.append(_row(cover, wr.ok,
-                     f"cover of {target.label}, witness_ok={wr.ok}"))
-    return rows
+    return [_row(cover, wr.ok, f"cover of {target.label}, witness_ok={wr.ok}")]
 
 
-def _rows_c12(unit: tuple) -> list[_Row]:
+def _check_c12(g: Group, unit: tuple) -> _Check:
     (p,) = unit
-    rows = []
-    for g in central_quotient_examples("p3", (p,)):
-        count = _cent_count(g)
-        w = omega(g)
-        allowed = {p * p + 2, p * p + p + 2}
-        ok = count in allowed and count == w + 1
-        rows.append(_row(g, ok,
-                         f"cent={count}, omega={w}, allowed={sorted(allowed)}",
-                         cent_count=count))
-    for g in groups_of_order_p3(p):
-        if g.is_abelian():
-            continue
-        count = _cent_count(g)
-        rows.append(_row(g, count == p + 2,
-                         f"cent={count}, expected {p + 2}", cent_count=count))
-    return rows
+    if g.order == p ** 3:
+        return _count_in(g, {p + 2}, f"expected {p + 2}")
+    w = omega(g)
+    allowed = {p * p + 2, p * p + p + 2}
+    return _count_in(g, allowed & {w + 1},
+                     f"omega={w}, allowed={sorted(allowed)}")
 
 
-def _units_c13(params: dict[str, Any]) -> list[tuple]:
-    return [(sq, other) for sq, other in prime_square_pairs(params["max_order"])
-            if sq < other]
-
-
-def _rows_c13(unit: tuple) -> list[_Row]:
+def _tail_c13(unit: tuple) -> list[_Row]:
     p, q = unit
-    expected: list[Group] = []
-    special = _special_p2q(p, q)
-    if special is not None:
-        expected.append(special)
-    if (p, q) == (2, 3):
-        expected.append(alternating(4))
-    found: list[Group] = []
-    for g in groups_of_order_p2q(p, q):
-        if g.is_abelian():
-            continue
-        syl = sylow(g, p)
-        sub = subgroup_as_group(g, syl.subgroup)
-        if abelian_profile(sub).kind == "elementary_abelian":
-            found.append(g)
-    remaining = list(range(len(expected)))
-    matched = True
+    expected = [e for e in (_special_p2q(p, q, None),
+                            _named("A4") if (p, q) == (2, 3) else None)
+                if e is not None]
+    found = [g for g in groups_of_order_p2q(p, q) if not g.is_abelian()
+             and abelian_profile(subgroup_as_group(
+                 g, sylow(g, p).subgroup)).kind == "elementary_abelian"]
+    unmatched = list(expected)
     for g in found:
-        hit = next((j for j in remaining
-                    if find_isomorphism(g, expected[j]) is not None), None)
+        hit = next((e for e in unmatched
+                    if find_isomorphism(g, e) is not None), None)
         if hit is None:
-            matched = False
             break
-        remaining.remove(hit)
-    ok = matched and not remaining and len(found) == len(expected)
-    label = f"p={p},q={q}"
+        unmatched.remove(hit)
+    ok = not unmatched and len(found) == len(expected)
     return [{
-        "order": p * p * q, "label": label, "ok": bool(ok),
+        "order": p * p * q, "label": f"p={p},q={q}", "ok": bool(ok),
         "note": (f"classes with elementary Sylow-{p}: "
                  f"{[g.label for g in found]}, "
                  f"expected {[g.label for g in expected]}"),
     }]
 
 
+# ---------------------------------------------------------------- registry
+
 @dataclass(frozen=True)
 class _Claim:
+    """A claim as data, made into rows by the one loop in :func:`_run_unit`:
+    ``units(params)`` lists the sweep units, ``groups(unit)`` the groups of
+    a unit, ``check(g, unit)`` gives each one's (ok, note, extra),
+    ``nonabelian`` skips abelian groups, ``tail(unit)`` adds other rows."""
+
     claim_id: str
     statement: str
     sweep_default: str
     defaults: dict[str, Any]
     units: Callable[[dict[str, Any]], list[tuple]]
-    rows: Callable[[tuple], list[_Row]]
+    groups: Callable[[tuple], Iterable[Group]] = lambda unit: ()
+    check: Callable[[Group, tuple], _Check] | None = None
+    nonabelian: bool = False
+    tail: Callable[[tuple], list[_Row]] | None = None
+
+
+# Sweeps that several claims share: (units from the parameters, the
+# groups of one unit).
+_SWEEPS: dict[str, tuple[Callable[[dict[str, Any]], list[tuple]],
+                         Callable[[tuple], Iterable[Group]]]] = {
+    "catalog": (lambda ps: [(ps["max_order"], n)
+                            for n in _catalog(ps["max_order"])],
+                lambda unit: _catalog(unit[0])[unit[1]]),
+    "shapes": (lambda ps: [(kind, tuple(primes))
+                           for kind, primes in ps["shapes"]],
+               lambda unit: central_quotient_examples(*unit)),
+    "pqr": (lambda ps: prime_triples(ps["max_order"]),
+            lambda unit: groups_of_order_pqr(*unit)),
+    "pqr_quotients": (lambda ps: [tuple(t) for t in ps["triples"]],
+                      lambda unit: central_quotient_examples("pqr", unit)),
+    # (kind, p, q) with p the squared prime; kind "pq2" when p > q
+    "square_pairs": (lambda ps: [("p2q" if p < q else "pq2", p, q)
+                                 for p, q in prime_square_pairs(ps["max_order"])],
+                     lambda unit: groups_of_order_p2q(*unit[1:])),
+    "p3": (lambda ps: [(p,) for p in ps["p_list"]],
+           lambda unit: groups_of_order_p3(*unit)),
+}
 
 
 _C1_SHAPES = (("pqr", (2, 3, 5)), ("p2q", (2, 3)), ("p2q", (3, 2)),
@@ -549,58 +451,67 @@ _register(_Claim(
     "exactly 4 precisely when its central quotient is the Klein four-group, "
     "and exactly 5 precisely when its central quotient is S3 or C3 x C3.",
     "every catalog group of order at most 100",
-    {"max_order": 100}, _units_catalog, _rows_c0))
+    {"max_order": 100}, *_SWEEPS["catalog"], _check_c0))
 _register(_Claim(
     "C1",
     "When the central quotient has order a product of three primes, not "
     "necessarily distinct, every proper centralizer is abelian and two "
     "distinct proper centralizers intersect exactly in the center.",
     "curated central-quotient instances for shapes pqr, p^2 q, p q^2, p^3",
-    {"shapes": _C1_SHAPES}, _units_shapes, _rows_c1))
+    {"shapes": _C1_SHAPES}, *_SWEEPS["shapes"], _check_c1))
 _register(_Claim(
     "C2",
     "A nonabelian group of order pqr with p < q < r has exactly q+2, r+2, "
     "or qr+2 distinct centralizers.",
     "all nonabelian groups of order pqr up to 500",
-    {"max_order": 500}, _units_triples, _rows_c2))
+    {"max_order": 500}, *_SWEEPS["pqr"],
+    lambda g, unit: _count_in(g, {unit[1] + 2, unit[2] + 2, unit[1] * unit[2] + 2}),
+    nonabelian=True))
 _register(_Claim(
     "C3",
     "A nonabelian group of order pqr has centralizer count equal to the "
     "order of its derived subgroup plus 2.",
     "all nonabelian groups of order pqr up to 500",
-    {"max_order": 500}, _units_triples, _rows_c3))
+    {"max_order": 500}, *_SWEEPS["pqr"], _check_c3,
+    nonabelian=True))
 _register(_Claim(
     "C4",
     "A group of order pqr with p < q < r is a central quotient exactly "
     "when its center is trivial.",
     "all groups of order pqr up to 500, with a self-witness where capable",
-    {"max_order": 500}, _units_triples, _rows_c4))
+    {"max_order": 500}, *_SWEEPS["pqr"],
+    lambda g, unit: _capable_check(g, "C4")))
 _register(_Claim(
     "C5",
     "When the central quotient has order pqr with p < q < r, the "
     "centralizer count is r+2 or qr+2.",
     "curated central-quotient instances over four prime triples",
-    {"triples": _C5_TRIPLES}, _units_quotient_triples, _rows_c5))
+    {"triples": _C5_TRIPLES}, *_SWEEPS["pqr_quotients"],
+    lambda g, unit: _count_in(g, {unit[2] + 2, unit[1] * unit[2] + 2})))
 _register(_Claim(
     "C6",
     "When the central quotient has order pqr, the group has the same "
     "centralizer count as its central quotient.",
     "curated central-quotient instances over four prime triples",
-    {"triples": _C5_TRIPLES}, _units_quotient_triples, _rows_c6))
+    {"triples": _C5_TRIPLES}, *_SWEEPS["pqr_quotients"], _check_c6))
 _register(_Claim(
     "C7",
     "A nonabelian group of order p^2 q with p < q has centralizer count "
     "q+2, except A4 which has 6; a nonabelian group of order p q^2 with "
     "p < q has centralizer count q+2 or q^2+2.",
     "all nonabelian groups of orders p^2 q and p q^2 up to 300",
-    {"max_order": 300}, _units_square_pairs, _rows_c7))
+    {"max_order": 300}, *_SWEEPS["square_pairs"], _check_c7,
+    nonabelian=True))
 _register(_Claim(
     "C8",
     "A nonabelian group whose proper centralizers are all abelian and "
     "whose central quotient is abelian has an elementary abelian central "
     "quotient.",
     "every catalog group of order at most 100",
-    {"max_order": 100}, _units_catalog, _rows_c8))
+    {"max_order": 100}, _SWEEPS["catalog"][0],
+    lambda unit: [g for g in _SWEEPS["catalog"][1](unit)
+                  if cent_structure(g).is_ca],
+    _check_c8))
 _register(_Claim(
     "C9",
     "A group of order p^2 q with p < q is a central quotient exactly when "
@@ -608,7 +519,7 @@ _register(_Claim(
     "p q^2 with p < q is a central quotient exactly when its center is "
     "trivial.",
     "all groups of orders p^2 q and p q^2 up to 300, with witnesses",
-    {"max_order": 300}, _units_square_pairs, _rows_c9))
+    {"max_order": 300}, *_SWEEPS["square_pairs"], _check_c9))
 _register(_Claim(
     "C9w",
     "For primes with q = 1 (mod p) and any unit i of order p modulo q, "
@@ -616,21 +527,26 @@ _register(_Claim(
     "central quotient C_p x (C_q : C_p).",
     "p in {2, 3, 5}, prime q at most 31 with q = 1 (mod p), every valid i",
     {"p_list": (2, 3, 5), "q_max": 31, "order_cap": 4096},
-    _units_c9w, _rows_c9w))
+    lambda ps: [(p, q, ps["order_cap"]) for p in ps["p_list"]
+                for q in primes_up_to(ps["q_max"]) if q % p == 1],
+    lambda unit: (witness_h(*unit[:2], i, order_cap=unit[2])
+                  for i in witness_exponents(*unit[:2])),
+    _check_c9w))
 _register(_Claim(
     "C10",
     "When the central quotient has order 12 the centralizer count is 6 or "
     "8; order p^2 q with p < q and not 12 gives pq+2 or q+2; order p q^2 "
     "with p < q gives q^2+2 or q^2+q+2.",
     "curated central-quotient instances over seven shape choices",
-    {"shapes": _C10_SHAPES}, _units_shapes, _rows_c10))
+    {"shapes": _C10_SHAPES}, *_SWEEPS["shapes"], _check_c10))
 _register(_Claim(
     "C11",
     "Among groups of order p^3 the central quotients are exactly the "
     "elementary abelian one, D8 when p = 2, and the exponent-p nonabelian "
     "one when p is odd.",
     "all five classes of order p^3 for p in {2, 3, 5}, with covers",
-    {"p_list": (2, 3, 5)}, _units_plist, _rows_c11))
+    {"p_list": (2, 3, 5)}, *_SWEEPS["p3"], _check_c11,
+    tail=_tail_c11))
 _register(_Claim(
     "C12",
     "Every nonabelian group of order p^3 has exactly p+2 centralizers; "
@@ -638,7 +554,10 @@ _register(_Claim(
     "p^2+2 or p^2+p+2 and exceeds the largest pairwise non-commuting set "
     "by exactly 1.",
     "curated covers with central quotient of order p^3, p in {2, 3}",
-    {"p_list": (2, 3)}, _units_plist, _rows_c12))
+    {"p_list": (2, 3)}, _SWEEPS["p3"][0],
+    lambda unit: (central_quotient_examples("p3", unit)
+                  + groups_of_order_p3(*unit)),
+    _check_c12, nonabelian=True))
 _register(_Claim(
     "C13",
     "For p < q, the nonabelian groups of order p^2 q whose Sylow "
@@ -646,7 +565,10 @@ _register(_Claim(
     "q = 1 (mod p) and none otherwise, except that A4 also qualifies for "
     "(p, q) = (2, 3).",
     "all prime pairs p < q with p^2 q up to 300",
-    {"max_order": 300}, _units_c13, _rows_c13))
+    {"max_order": 300},
+    lambda ps: [(sq, other) for sq, other in prime_square_pairs(ps["max_order"])
+                if sq < other],
+    tail=_tail_c13))
 
 
 def claim_ids() -> list[str]:
@@ -659,8 +581,19 @@ def claim_index() -> list[dict[str, str]]:
 
 
 def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
+    """The rows of one sweep unit, for every claim: one per source group,
+    abelian ones skipped for a claim about nonabelian groups, then the
+    tail."""
     claim_id, unit = arg
-    return _CLAIMS[claim_id].rows(unit)
+    spec = _CLAIMS[claim_id]
+    rows = []
+    for g in spec.groups(unit):
+        if not (spec.nonabelian and g.is_abelian()):
+            ok, note, extra = spec.check(g, unit)
+            rows.append(_row(g, ok, note, **extra))
+    if spec.tail is not None:
+        rows += spec.tail(unit)
+    return rows
 
 
 def verify_claim(claim_id: str, jobs: int | None = None,
@@ -675,12 +608,11 @@ def verify_claim(claim_id: str, jobs: int | None = None,
     if spec is None:
         raise UnknownClaim(
             f"unknown claim {claim_id!r}; known: {', '.join(_CLAIMS)}")
-    merged = dict(spec.defaults)
-    for key, value in params.items():
-        if key not in spec.defaults:
-            raise BadParameters(
-                f"claim {claim_id} takes {sorted(spec.defaults)}, not {key!r}")
-        merged[key] = value
+    unknown = next((key for key in params if key not in spec.defaults), None)
+    if unknown is not None:
+        raise BadParameters(
+            f"claim {claim_id} takes {sorted(spec.defaults)}, not {unknown!r}")
+    merged = {**spec.defaults, **params}
     units = spec.units(merged)
     if not units:
         raise EmptySweep(f"claim {claim_id}: no instances under {merged}")
@@ -697,15 +629,12 @@ def verify_claim(claim_id: str, jobs: int | None = None,
     rows.sort(key=lambda r: (r["order"], r["label"],
                              json.dumps(r, sort_keys=True)))
     failing = next((r for r in rows if not r["ok"]), None)
-    counterexample = None
-    if failing is not None:
-        counterexample = (f"{failing['label']} (order {failing['order']}): "
-                          f"{failing['note']}")
     return ClaimReport(
         claim_id=claim_id,
         instances_checked=len(rows),
         passed=failing is None,
-        counterexample=counterexample,
+        counterexample=None if failing is None else (
+            f"{failing['label']} (order {failing['order']}): {failing['note']}"),
         elapsed=time.perf_counter() - start,
         rows=tuple(rows),
     )

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import wraps
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -157,9 +158,15 @@ class Group:
     Do not call directly; use :func:`from_cayley_table` or one of the other
     constructors, which either validate the axioms or build a group by
     construction (see the module docstring).
+
+    The private ``_memo`` dict is the one mutable slot: functions wrapped
+    in :func:`_per_group` keep their result there, so each is computed at
+    most once per group and freed with it.  It holds only values of O(n)
+    size: masks, flags, read-only length-n arrays and ``CentStructure``;
+    never the n x n commuting matrix or another ``Group``.
     """
 
-    __slots__ = ("order", "table", "inverse", "element_orders", "label")
+    __slots__ = ("order", "table", "inverse", "element_orders", "label", "_memo")
 
     def __init__(self, table: np.ndarray, inverse: np.ndarray, element_orders: np.ndarray,
                  label: str | None):
@@ -168,6 +175,7 @@ class Group:
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "element_orders", element_orders)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Group is immutable")
@@ -202,7 +210,7 @@ class Group:
         return bool(self.table[i, j] == self.table[j, i])
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return bool((_centralizer_sizes(self) == self.order).all())
 
     def elements(self) -> range:
         return range(self.order)
@@ -223,6 +231,40 @@ class Group:
 
     def full_mask(self) -> SubsetMask:
         return SubsetMask((1 << self.order) - 1, self.order)
+
+
+def _per_group(fn: Callable) -> Callable:
+    """Compute ``fn(g, *hints)`` once per group and keep it in ``g._memo``.
+
+    The hints may only speed the computation up, never change the value,
+    so they are not part of the key.  An array result is made read-only.
+    Only for values of O(n) size (see :class:`Group`).
+    """
+    key = fn.__qualname__
+
+    @wraps(fn)
+    def once(g: Group, *hints):
+        memo = g._memo
+        if key not in memo:
+            value = fn(g, *hints)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            memo[key] = value
+        return memo[key]
+
+    return once
+
+
+def _commuting_matrix(g: Group) -> np.ndarray:
+    """n x n flags of x * y == y * x; never memoised, as it is O(n^2)."""
+    return np.equal(g.table, g.table.T)
+
+
+@_per_group
+def _centralizer_sizes(g: Group, m: np.ndarray | None = None) -> np.ndarray:
+    """|C_G(x)| for every x: the row sums of the commuting matrix ``m``,
+    built here unless the caller already holds it."""
+    return (_commuting_matrix(g) if m is None else m).sum(axis=1)
 
 
 def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:

@@ -2,7 +2,10 @@
 the non-commuting clique number, and isomorphism testing.
 
 Everything here works on validated :class:`~cent_atlas.core.Group` values and
-returns plain data; nothing mutates the group.
+returns plain data.  Nothing mutates the group except its private memo:
+``center``, ``cent_structure``, ``derived_subgroup``, ``_class_reps`` and
+the centralizer sizes are computed once per group (see
+:func:`~cent_atlas.core._per_group`).
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Group, SubsetMask, _close, _generating_indices, _powers,
+from .core import (Group, SubsetMask, _centralizer_sizes, _close,
+                   _commuting_matrix, _generating_indices, _per_group, _powers,
                    subgroup_generated)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
@@ -38,13 +42,10 @@ __all__ = [
 ]
 
 
-def _commuting_matrix(g: Group) -> np.ndarray:
-    return np.equal(g.table, g.table.T)
-
-
+@_per_group
 def center(g: Group) -> SubsetMask:
     """Mask of elements commuting with everything."""
-    return SubsetMask.from_bool(_commuting_matrix(g).all(axis=1))
+    return SubsetMask.from_bool(_centralizer_sizes(g) == g.order)
 
 
 def centralizer(g: Group, x: int) -> SubsetMask:
@@ -90,30 +91,32 @@ def _distinct_centralizers(m: np.ndarray) -> np.ndarray:
     return first
 
 
+@_per_group
 def cent_structure(g: Group) -> CentStructure:
     m = _commuting_matrix(g)
+    sizes = _centralizer_sizes(g, m)
     cents = []
     proper_idx = []
     ca = True
     for x in _distinct_centralizers(m):
         row = m[x]
         cents.append(SubsetMask.from_bool(row))
-        if row.all():
+        if sizes[x] == g.order:
             continue
+        proper_idx.append(g.order // int(sizes[x]))
         idx = np.flatnonzero(row)
-        proper_idx.append(g.order // len(idx))
         if ca and not m[np.ix_(idx, idx)].all():
             ca = False
-    zmask = SubsetMask.from_bool(m.all(axis=1))
     return CentStructure(
         order=g.order,
-        center=zmask,
+        center=center(g),
         centralizers=tuple(sorted(cents, key=lambda c: c.bits)),
         proper_indices=tuple(sorted(proper_idx)),
         is_ca=bool(proper_idx) and ca,
     )
 
 
+@_per_group
 def derived_subgroup(g: Group) -> SubsetMask:
     """Mask of the subgroup generated by all commutators x^-1 y^-1 x y."""
     p = g.table[np.ix_(g.inverse, g.inverse)]
@@ -121,6 +124,7 @@ def derived_subgroup(g: Group) -> SubsetMask:
     return subgroup_generated(g, np.unique(comms).tolist())
 
 
+@_per_group
 def _class_reps(g: Group) -> np.ndarray:
     """Smallest member of each element's conjugacy class."""
     return g.table[g.table, g.inverse[:, None]].min(axis=0)
@@ -284,9 +288,9 @@ def frobenius_structure(g: Group) -> FrobeniusStructure | None:
     groups and groups with nontrivial center never qualify.  Raises
     InconsistentInvariants if |K| |H| != |G|.
     """
-    m = _commuting_matrix(g)
-    if int(m.all(axis=1).sum()) > 1:  # includes every abelian G != 1
+    if len(center(g)) > 1:  # includes every abelian G != 1
         return None
+    m = _commuting_matrix(g)
     for cls in conjugacy_classes(g)[1:]:
         kernel = _centralizer_closure(g, m, cls)
         if kernel is not None:
@@ -402,8 +406,8 @@ def _iso_prefilter(g: Group, h: Group) -> bool:
         return False
     if ga:
         return abelian_profile(g).invariant_factors == abelian_profile(h).invariant_factors
-    mg, mh = _commuting_matrix(g), _commuting_matrix(h)
-    if sorted(mg.sum(axis=1).tolist()) != sorted(mh.sum(axis=1).tolist()):
+    if sorted(_centralizer_sizes(g).tolist()) != sorted(
+            _centralizer_sizes(h).tolist()):
         return False
     if len(derived_subgroup(g)) != len(derived_subgroup(h)):
         return False
@@ -438,9 +442,7 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
         return [0]
     gens = _generating_indices(g.table, g.element_orders)
     k = len(gens)
-    mg, mh = _commuting_matrix(g), _commuting_matrix(h)
-    g_cent = mg.sum(axis=1)
-    h_cent = mh.sum(axis=1)
+    g_cent, h_cent = _centralizer_sizes(g), _centralizer_sizes(h)
     h_class_rep = _class_reps(h)
     g_class_rep = _class_reps(g)
     g_class_size = np.bincount(g_class_rep, minlength=n)[g_class_rep]

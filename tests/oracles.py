@@ -56,6 +56,14 @@ def derived_subgroup(table: list[list[int]]) -> set[int]:
     return closure(table, gens)
 
 
+def class_reps(table: list[list[int]]) -> list[int]:
+    """Smallest member of each element's conjugacy class, element by element."""
+    n = len(table)
+    inv = [inverse(table, g) for g in range(n)]
+    return [min(table[table[g][x]][inv[g]] for g in range(n))
+            for x in range(n)]
+
+
 def element_order(table: list[list[int]], x: int) -> int:
     k, cur = 1, x
     while cur != 0:

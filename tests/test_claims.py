@@ -93,17 +93,14 @@ class TestVerify:
 
     def test_counterexample_reported(self):
         # temporarily register a claim that always fails on one group
-        def rows_fail(unit):
-            g = cyclic(6)
-            return [claims._row(g, False, "deliberately failing probe")]
-
         fake = claims._Claim(
             claim_id="Cfake",
             statement="always fails (test fixture)",
             sweep_default="one cyclic group",
             defaults={},
             units=lambda params: [("only",)],
-            rows=rows_fail,
+            groups=lambda unit: [cyclic(6)],
+            check=lambda g, unit: (False, "deliberately failing probe", {}),
         )
         claims._CLAIMS["Cfake"] = fake
         try:

@@ -191,6 +191,18 @@ class TestCatalog:
         payload = json.loads((out_dir / files[0]).read_text())
         assert set(payload) == {"order", "label", "table"}
 
+    def test_explicit_cap_reaches_every_inner_construction(
+            self, tmp_path, monkeypatch, capsys):
+        # factors such as C14 inside C2 x C14, and the named extras up to
+        # order 88, exceed the environment's cap; only the explicit one
+        # may apply
+        monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "10")
+        out_dir = tmp_path / "cat"
+        code, out, err = run(["catalog", "--max-order", "30", "--order-cap",
+                              "100", "--out-dir", str(out_dir)], capsys)
+        assert (code, err) == (0, "")
+        assert out == f"wrote 42 group files to {out_dir}\n"
+
 
 class TestVerify:
     def test_pass_line(self, capsys):

@@ -1,5 +1,6 @@
 """Centralizer structure, abelian profiles, Sylow data, and isomorphism."""
 
+import random
 import time
 from math import gcd, prod
 
@@ -23,8 +24,9 @@ from cent_atlas.catalog import (
     sl23,
     symmetric,
 )
-from cent_atlas.core import (ActionSpec, SubsetMask, _generating_indices,
-                             direct_product, semidirect_product,
+from cent_atlas.core import (ActionSpec, Group, SubsetMask,
+                             _generating_indices, direct_product,
+                             from_cayley_table, semidirect_product,
                              subgroup_as_group)
 from cent_atlas.errors import (NotPrime, NotSubgroup, OrderCapExceeded,
                                SearchBudgetExceeded)
@@ -416,3 +418,54 @@ def test_catalog_counts_vs_oracle_small():
         table = g.table.tolist()
         assert cent_structure(g).count == oracles.cent_count(table), g.label
         assert omega(g) == oracles.omega(table), g.label
+
+
+def relabelled_catalog(max_order=100, seed=7):
+    """Every catalog group up to max_order under a random renaming of its
+    elements that keeps 0 at 0, read back through the validating gate."""
+    rng = random.Random(seed)
+    for g in catalog_up_to(max_order):
+        perm = np.array([0, *rng.sample(range(1, g.order), g.order - 1)])
+        table = np.empty_like(g.table)
+        table[np.ix_(perm, perm)] = perm[g.table]
+        yield from_cayley_table(table, label=g.label)
+
+
+class TestPerGroupMemo:
+    def test_memoised_values_match_oracles(self):
+        for g in relabelled_catalog():
+            table = g.table.tolist()
+            want = (oracles.center(table), oracles.derived_subgroup(table),
+                    oracles.cent_count(table), oracles.class_reps(table))
+            first = (center(g), derived_subgroup(g), cent_structure(g),
+                     invariants._class_reps(g))
+            again = (center(g), derived_subgroup(g), cent_structure(g),
+                     invariants._class_reps(g))
+            assert all(a is b for a, b in zip(first, again)), g.label
+            for z, d, cs, reps in (first, again):
+                assert z.elements() == want[0], g.label
+                assert set(d) == want[1], g.label
+                assert cs.count == want[2], g.label
+                assert reps.tolist() == want[3], g.label
+
+    def test_memo_holds_only_linear_size_values(self):
+        # the n x n commuting matrix or a quotient kept per group would
+        # raise peak memory on the largest sweep groups
+        for g in relabelled_catalog():
+            analyze(g)
+            assert g._memo, g.label
+            for key, value in g._memo.items():
+                assert not isinstance(value, Group), (g.label, key)
+                if isinstance(value, np.ndarray):
+                    assert value.size <= g.order, (g.label, key)
+                    assert not value.flags.writeable, (g.label, key)
+                    with pytest.raises(ValueError):
+                        value[0] = value[0]
+
+    def test_public_attributes_stay_read_only(self):
+        g = dihedral(8)
+        cent_structure(g)
+        for name in ("order", "table", "inverse", "element_orders", "label",
+                     "_memo"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
