@@ -31,6 +31,7 @@ from .numbers import primes_up_to
 from .report import (
     analyze,
     catalog_filename,
+    group_to_jsonable,
     read_group_file,
     render_csv,
     render_json,
@@ -104,9 +105,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         write_group_file(g, args.out)
         print(f"{g.label}: order {g.order} written to {args.out}")
     else:
-        print(json.dumps(
-            {"order": g.order, "label": g.label or None,
-             "table": g.table.tolist()}, separators=(",", ":")))
+        print(json.dumps(group_to_jsonable(g), separators=(",", ":")))
     return 0
 
 

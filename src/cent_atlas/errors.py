@@ -29,8 +29,8 @@ class OrderCapExceeded(CentAtlasError):
 
 class SearchBudgetExceeded(OrderCapExceeded):
     """An isomorphism or clique search expanded more nodes than its budget
-    allows (``find_isomorphism``'s ``max_nodes``, or ``omega``'s fixed cap
-    of one million nodes)."""
+    allows (``find_isomorphism``'s ``max_nodes``, 500,000 by default, or
+    ``omega``'s fixed cap of one million nodes)."""
 
 
 class BadGroupFile(CentAtlasError):

@@ -258,3 +258,24 @@ def has_small_frobenius_complement(table: list[list[int]]) -> bool:
     subs = cyclics | {frozenset(closure(table, a | b))
                       for a, b in combinations(cyclics, 2)}
     return any(is_frobenius_complement(table, set(s)) for s in subs)
+
+
+def relabelled(table: list[list[int]], perm: list[int]) -> list[list[int]]:
+    """The table with element x renamed perm[x]; perm fixes 0."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return out
+
+
+def is_isomorphism(g_table: list[list[int]], h_table: list[list[int]],
+                   phi: list[int]) -> bool:
+    """phi is a bijection onto h with phi(xy) = phi(x) phi(y) for every
+    pair x, y."""
+    n = len(g_table)
+    if len(h_table) != n or sorted(phi) != list(range(n)):
+        return False
+    return all(phi[g_table[x][y]] == h_table[phi[x]][phi[y]]
+               for x in range(n) for y in range(n))

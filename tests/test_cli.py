@@ -1,15 +1,20 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
 import argparse
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from cent_atlas.catalog import FAMILIES, dihedral, witness_h
+from cent_atlas.catalog import FAMILIES, cyclic, dihedral, witness_h
 from cent_atlas.cli import _build_parser, main
+from cent_atlas.core import direct_product, from_cayley_table
 from cent_atlas.report import analyze, write_group_file
+
+import oracles
 
 
 def run(argv, capsys):
@@ -33,6 +38,13 @@ class TestConstruct:
                           "--out", str(dest)], capsys)
         assert code == 0
         assert json.loads(dest.read_text())["order"] == 6
+
+    def test_stdout_is_the_group_file(self, tmp_path, capsys):
+        dest = tmp_path / "g.json"
+        argv = ["construct", "--family", "dihedral", "--n", "8"]
+        _, out, _ = run(argv, capsys)
+        run([*argv, "--out", str(dest)], capsys)
+        assert out == dest.read_text()
 
     def test_bad_congruence_names_relation(self, capsys):
         code, _, err = run(["construct", "--family", "witness-h",
@@ -241,6 +253,11 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
 
+# SHA-256 of the witness stdout; its coset lines print the isomorphism
+PINNED_WITNESS = (
+    "3612bd6dea05b76aaa4cef40633141c46c1beeaaade0fddda30106fc9294dbae")
+
+
 class TestWitness:
     def test_true_witness(self, tmp_path, capsys):
         cover = tmp_path / "h.json"
@@ -251,6 +268,19 @@ class TestWitness:
         assert code == 0
         assert "true" in out
         assert "->" in out  # coset correspondence lines
+
+    def test_output_is_pinned(self, tmp_path, capsys):
+        cover = tmp_path / "h.json"
+        target = tmp_path / "t.json"
+        write_group_file(witness_h(2, 7, 6), cover)
+        g = direct_product(cyclic(2), dihedral(14))
+        perm = [0, *random.Random(5).sample(range(1, g.order), g.order - 1)]
+        write_group_file(from_cayley_table(
+            oracles.relabelled(g.table.tolist(), perm), label="C2xD14"), target)
+        code, out, _ = run(["witness", str(cover), str(target)], capsys)
+        assert code == 0
+        assert out.startswith("H(2,7,6)/Z(H(2,7,6)) ~ C2xD14: true\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_WITNESS
 
     def test_false_witness(self, tmp_path, capsys):
         cover = tmp_path / "c4.json"

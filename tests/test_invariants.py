@@ -1,5 +1,7 @@
 """Centralizer structure, abelian profiles, Sylow data, and isomorphism."""
 
+import hashlib
+import json
 import random
 import time
 from math import gcd, prod
@@ -23,6 +25,7 @@ from cent_atlas.catalog import (
     modular_p3,
     sl23,
     symmetric,
+    witness_h,
 )
 from cent_atlas.core import (ActionSpec, Group, SubsetMask,
                              _generating_indices, direct_product,
@@ -365,6 +368,20 @@ class TestFrobenius:
         assert verdicts == {True, False}
 
 
+def _digest(maps: list[list[int] | None]) -> str:
+    return hashlib.sha256(json.dumps(maps).encode()).hexdigest()
+
+
+# SHA-256 of the image lists find_isomorphism returns.  The first
+# isomorphism in search order is set by the generators and the candidate
+# order, not by the pruning, so a change of pruning must leave these as
+# they are.
+PINNED_SELF_MAPS = (
+    "0e406108866d67de84b8b04b6c90e2bd0bb534a9aa2194633a1d808dc1434478")
+PINNED_PAIR_MAPS = (
+    "1d14da4d13d5026a90ba4da7165a8402ce73d295ec4c98d5feb32fbebc562d68")
+
+
 class TestIsomorphism:
     def test_positive(self):
         assert is_isomorphic(symmetric(3), metacyclic(3, 2, 2))
@@ -393,6 +410,40 @@ class TestIsomorphism:
             find_isomorphism(dihedral(16), dihedral(16), max_nodes=1)
         assert issubclass(SearchBudgetExceeded, OrderCapExceeded)
 
+    def test_maps_onto_relabelled_copies_are_pinned(self):
+        maps = []
+        for g, copy in zip(catalog_up_to(100), relabelled_catalog()):
+            phi = find_isomorphism(g, copy)
+            assert phi is not None, g.label
+            assert oracles.is_isomorphism(g.table.tolist(),
+                                          copy.table.tolist(), phi), g.label
+            maps.append(phi)
+        assert len(maps) == 111
+        assert _digest(maps) == PINNED_SELF_MAPS
+
+    def test_maps_between_catalog_groups_are_pinned(self):
+        groups, copies = catalog_up_to(100), list(relabelled_catalog())
+        maps = []
+        for a, g in enumerate(groups):
+            for b, h in enumerate(copies):
+                if a == b or g.order != h.order:
+                    continue
+                phi = find_isomorphism(g, h)
+                assert phi is None or oracles.is_isomorphism(
+                    g.table.tolist(), h.table.tolist(), phi), (g.label, h.label)
+                maps.append(phi)
+        assert len(maps) == 380
+        assert _digest(maps) == PINNED_PAIR_MAPS
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scales_to_a_relabelled_order_837_cover(self, seed):
+        g = witness_h(3, 31, 5)
+        copy = relabel(g, random.Random(seed))
+        phi = find_isomorphism(g, copy, max_nodes=10_000)
+        assert phi is not None
+        assert oracles.is_isomorphism(g.table.tolist(), copy.table.tolist(),
+                                      phi)
+
     def test_generators_greedy_by_order(self):
         # find_isomorphism's generators: the first element of largest
         # order outside the closure so far
@@ -420,15 +471,19 @@ def test_catalog_counts_vs_oracle_small():
         assert omega(g) == oracles.omega(table), g.label
 
 
+def relabel(g: Group, rng: random.Random) -> Group:
+    """g under a random renaming of its elements that keeps 0 at 0, read
+    back through the validating gate."""
+    perm = [0, *rng.sample(range(1, g.order), g.order - 1)]
+    return from_cayley_table(oracles.relabelled(g.table.tolist(), perm),
+                             label=g.label)
+
+
 def relabelled_catalog(max_order=100, seed=7):
-    """Every catalog group up to max_order under a random renaming of its
-    elements that keeps 0 at 0, read back through the validating gate."""
+    """Every catalog group up to max_order, relabelled."""
     rng = random.Random(seed)
     for g in catalog_up_to(max_order):
-        perm = np.array([0, *rng.sample(range(1, g.order), g.order - 1)])
-        table = np.empty_like(g.table)
-        table[np.ix_(perm, perm)] = perm[g.table]
-        yield from_cayley_table(table, label=g.label)
+        yield relabel(g, rng)
 
 
 class TestPerGroupMemo:

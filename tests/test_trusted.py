@@ -122,22 +122,12 @@ def test_trusted_builders_check_the_cap_before_building():
         core.direct_product(cyclic(6), cyclic(10), order_cap=59)
 
 
-def relabelled(table, perm):
-    """The table with element x renamed perm[x]; perm fixes 0."""
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            out[perm[x]][perm[y]] = perm[table[x][y]]
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_element_orders_match_oracle_on_relabelled_tables(data):
     g = data.draw(st.sampled_from(small_catalog()))
     rest = data.draw(st.permutations(range(1, g.order)))
-    table = relabelled(g.table.tolist(), [0, *rest])
+    table = oracles.relabelled(g.table.tolist(), [0, *rest])
     got = from_cayley_table(table).element_orders.tolist()
     assert got == [oracles.element_order(table, x) for x in range(g.order)]
 
