@@ -162,8 +162,9 @@ class Group:
     The private ``_memo`` dict is the one mutable slot: functions wrapped
     in :func:`_per_group` keep their result there, so each is computed at
     most once per group and freed with it.  It holds only values of O(n)
-    size: masks, flags, read-only length-n arrays and ``CentStructure``;
-    never the n x n commuting matrix or another ``Group``.
+    size: masks, flags, the generating set, read-only length-n arrays and
+    ``CentStructure``; never the n x n commuting matrix or another
+    ``Group``.
     """
 
     __slots__ = ("order", "table", "inverse", "element_orders", "label", "_memo")
@@ -255,16 +256,57 @@ def _per_group(fn: Callable) -> Callable:
     return once
 
 
-def _commuting_matrix(g: Group) -> np.ndarray:
-    """n x n flags of x * y == y * x; never memoised, as it is O(n^2)."""
-    return np.equal(g.table, g.table.T)
+@_per_group
+def _generators(g: Group) -> tuple[int, ...]:
+    """g's greedy generating set by element order, at most log2(n) elements
+    (see :func:`_generating_indices`)."""
+    return tuple(_generating_indices(g.table, g.element_orders))
+
+
+def _conjugators(g: Group) -> np.ndarray:
+    """k x n array whose row i maps x to s x s^-1 for the i-th generator s;
+    each row is a permutation.  Not memoised: it is longer than n."""
+    s = np.array(_generators(g), dtype=np.intp)
+    return g.table[g.table[s], g.inverse[s, None]]
+
+
+@_per_group
+def _class_reps(g: Group) -> np.ndarray:
+    """Smallest member of each element's conjugacy class, as int32.
+
+    Min-label propagation along x -> s x s^-1 for each generator s, both
+    ways, then pointer jumping, until a round changes nothing: O(n k) per
+    round.  Every label stays a member of its element's class and starts
+    at most the element itself, and a fixed point is constant on each
+    orbit of the generators, hence on each class, so it is the class
+    minimum.
+    """
+    conj = _conjugators(g)
+    rep = np.arange(g.order, dtype=np.int32)
+    while True:
+        before = rep.copy()
+        for c in conj:
+            rep[c] = np.minimum(rep[c], rep)
+            np.minimum(rep, rep[c], out=rep)
+        rep = rep[rep]
+        if np.array_equal(rep, before):
+            return rep
 
 
 @_per_group
 def _centralizer_sizes(g: Group, m: np.ndarray | None = None) -> np.ndarray:
-    """|C_G(x)| for every x: the row sums of the commuting matrix ``m``,
-    built here unless the caller already holds it."""
-    return (_commuting_matrix(g) if m is None else m).sum(axis=1)
+    """|C_G(x)| for every x: n over the size of x's conjugacy class, or the
+    row sums of the commuting matrix ``m`` when the caller already holds
+    it."""
+    if m is not None:
+        return m.sum(axis=1)
+    reps = _class_reps(g)
+    return g.order // np.bincount(reps, minlength=g.order)[reps]
+
+
+# Rows of the table gathered at once by ``_close``: at most this many cells
+# (1 MB of int32), so its working memory stays O(n) at every order.
+_CLOSE_BLOCK = 1 << 18
 
 
 def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
@@ -273,19 +315,23 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
     ``table`` must be a Latin square, and ``member`` closed except for the
     elements ``fresh`` (which it contains).  Each round multiplies only the
     previous round's new elements by everything found so far, on both
-    sides, so no product is formed more than twice: O(n^2) in all.  A
-    closed set of a Latin square is a subquasigroup, and a proper one has
-    at most half the elements, so the closure of more than n/2 elements is
-    everything.  Associativity is not assumed.
+    sides, so no product is formed more than twice: O(n^2) in all, in
+    blocks of rows of at most ``_CLOSE_BLOCK`` cells.  A closed set of a
+    Latin square is a subquasigroup, and a proper one has at most half the
+    elements, so the closure of more than n/2 elements is everything.
+    Associativity is not assumed.
     """
+    step = max(1, _CLOSE_BLOCK // member.size)
     while fresh.size:
         found = np.flatnonzero(member)
         if 2 * found.size > member.size:
             member[:] = True
             return
         hit = np.zeros_like(member)
-        hit[np.take(table[fresh], found, axis=1)] = True
-        hit[table[found][:, fresh]] = True
+        for lo in range(0, fresh.size, step):
+            hit[np.take(table[fresh[lo:lo + step]], found, axis=1)] = True
+        for lo in range(0, found.size, step):
+            hit[np.take(table[found[lo:lo + step]], fresh, axis=1)] = True
         hit &= ~member
         member |= hit
         fresh = np.flatnonzero(hit)

@@ -3,9 +3,14 @@ the non-commuting clique number, and isomorphism testing.
 
 Everything here works on validated :class:`~cent_atlas.core.Group` values and
 returns plain data.  Nothing mutates the group except its private memo:
-``center``, ``cent_structure``, ``derived_subgroup``, ``_class_reps`` and
-the centralizer sizes are computed once per group (see
-:func:`~cent_atlas.core._per_group`).
+``center``, ``cent_structure``, ``derived_subgroup``, the greedy generating
+set, the class representatives and the centralizer sizes are computed once
+per group (see :func:`~cent_atlas.core._per_group`).
+
+Class data (hence centralizer sizes, ``center`` and ``is_abelian``) and
+``derived_subgroup`` come from the generating set S alone, in O(n |S|) per
+round with no n x n array; only ``cent_structure``, ``omega`` and
+``frobenius_structure`` build the commuting matrix.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Group, SubsetMask, _centralizer_sizes, _close,
-                   _commuting_matrix, _generating_indices, _per_group, _powers,
-                   subgroup_generated)
+from .core import (Group, SubsetMask, _as_mask, _centralizer_sizes,
+                   _class_reps, _close, _conjugators, _generating_indices,
+                   _generators, _per_group, _powers)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
 from .numbers import factor, is_prime
@@ -80,6 +85,11 @@ class CentStructure:
         return [m for m in self.centralizers if m.bits != full]
 
 
+def _commuting_matrix(g: Group) -> np.ndarray:
+    """n x n flags of x * y == y * x; never memoised, as it is O(n^2)."""
+    return np.equal(g.table, g.table.T)
+
+
 def _distinct_centralizers(m: np.ndarray) -> np.ndarray:
     """Smallest element of each distinct centralizer, ascending, from the
     commuting matrix: one ``np.unique`` over its bit-packed rows, each
@@ -118,16 +128,31 @@ def cent_structure(g: Group) -> CentStructure:
 
 @_per_group
 def derived_subgroup(g: Group) -> SubsetMask:
-    """Mask of the subgroup generated by all commutators x^-1 y^-1 x y."""
-    p = g.table[np.ix_(g.inverse, g.inverse)]
-    comms = g.table[p, g.table]
-    return subgroup_generated(g, np.unique(comms).tolist())
+    """Mask of the subgroup generated by all commutators x^-1 y^-1 x y.
 
-
-@_per_group
-def _class_reps(g: Group) -> np.ndarray:
-    """Smallest member of each element's conjugacy class."""
-    return g.table[g.table, g.inverse[:, None]].min(axis=0)
+    Built as the normal closure of the commutators [s, t] of the
+    generators s, t: closing under the product alternates with adding the
+    generators' conjugates of the members until neither adds anything.
+    That closure N is the smallest normal subgroup holding every [s, t];
+    G' is normal and holds them, and G/N is abelian because its generators
+    commute, so N = G'.  O(n k) per round besides the closure.
+    """
+    s = np.array(_generators(g), dtype=np.intp)
+    inv = g.inverse[s]
+    comms = g.table[g.table[np.ix_(inv, inv)], g.table[np.ix_(s, s)]]
+    conj = _conjugators(g)
+    member = np.zeros(g.order, dtype=bool)
+    member[0] = True
+    member[comms] = True
+    fresh = np.flatnonzero(member)
+    while fresh.size:
+        _close(g.table, member, fresh)
+        hit = np.zeros_like(member)
+        hit[conj[:, member]] = True
+        hit &= ~member
+        member |= hit
+        fresh = np.flatnonzero(hit)
+    return SubsetMask.from_bool(member)
 
 
 def conjugacy_classes(g: Group) -> list[list[int]]:
@@ -151,9 +176,10 @@ def normalizer(g: Group, mask: SubsetMask) -> SubsetMask:
     """Mask of elements x with x * S * x^-1 = S, for a subgroup S.
 
     Conjugates a greedy generating set of S, at most log2|S| elements;
-    raises NotSubgroup when the mask is not closed under the product.
+    raises NotSubgroup when the mask is not closed under the product and
+    BadParameters when it belongs to a group of another order.
     """
-    flags = mask.as_bool()
+    flags = _as_mask(g, mask).as_bool()
     gens = _generating_indices(g.table, within=flags)
     return SubsetMask.from_bool(_normalizing(g, flags, gens))
 
@@ -467,7 +493,7 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
     if not _iso_prefilter(g, h):
         return None
     n = g.order
-    gens = _generating_indices(g.table, g.element_orders)
+    gens = list(_generators(g))
     k = len(gens)
     g_cent, h_cent = _centralizer_sizes(g), _centralizer_sizes(h)
     h_class_rep = _class_reps(h)

@@ -1,12 +1,17 @@
 """Naive reference implementations used as independent test oracles.
 
 Everything here works directly on a Cayley table as nested lists, with no
-numpy and no shortcuts shared with the library code.
+numpy and no shortcuts shared with the library code, except the dense
+references at the end: whole-table numpy formulas, O(n^2) in time and
+memory, fast enough to check the generator-based library code on groups
+of order in the thousands.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
 
 
 def center(table: list[list[int]]) -> list[int]:
@@ -279,3 +284,35 @@ def is_isomorphism(g_table: list[list[int]], h_table: list[list[int]],
         return False
     return all(phi[g_table[x][y]] == h_table[phi[x]][phi[y]]
                for x in range(n) for y in range(n))
+
+
+# Dense references on a numpy table, each touching all n^2 cells.
+
+def dense_inverse(table: np.ndarray) -> np.ndarray:
+    return np.argmax(table == 0, axis=1)
+
+
+def dense_class_reps(table: np.ndarray) -> np.ndarray:
+    """Smallest member of each class, from the n x n table of conjugates
+    g x g^-1."""
+    return table[table, dense_inverse(table)[:, None]].min(axis=0)
+
+
+def dense_derived_subgroup(table: np.ndarray) -> np.ndarray:
+    """Flags of the subgroup generated by the whole commutator table,
+    closed by multiplying all members together until nothing is new."""
+    inv = dense_inverse(table)
+    member = np.zeros(len(table), dtype=bool)
+    member[table[table[np.ix_(inv, inv)], table]] = True
+    while True:
+        idx = np.flatnonzero(member)
+        grown = member.copy()
+        grown[table[np.ix_(idx, idx)]] = True
+        if (grown == member).all():
+            return member
+        member = grown
+
+
+def dense_centralizer_sizes(table: np.ndarray) -> np.ndarray:
+    """Row sums of the commuting matrix."""
+    return np.equal(table, table.T).sum(axis=1)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from math import gcd, prod
 
 import numpy as np
@@ -28,10 +29,11 @@ from cent_atlas.catalog import (
     witness_h,
 )
 from cent_atlas.core import (ActionSpec, Group, SubsetMask,
-                             _generating_indices, direct_product,
-                             from_cayley_table, semidirect_product,
-                             subgroup_as_group)
-from cent_atlas.errors import (NotPrime, NotSubgroup, OrderCapExceeded,
+                             _centralizer_sizes, _generating_indices,
+                             direct_product, from_cayley_table,
+                             semidirect_product, subgroup_as_group)
+from cent_atlas.errors import (BadParameters, NotPrime, NotSubgroup,
+                               OrderCapExceeded,
                                SearchBudgetExceeded)
 from cent_atlas.invariants import (
     _max_clique,
@@ -278,6 +280,12 @@ def test_normalizer_rejects_a_non_subgroup():
         normalizer(g, SubsetMask.from_elements([0, x], 6))
 
 
+@pytest.mark.parametrize("order", [6, 16])
+def test_normalizer_refuses_another_groups_mask(order):
+    with pytest.raises(BadParameters, match=f"mask of order {order}"):
+        normalizer(dihedral(8), SubsetMask.from_elements([0, 1], order))
+
+
 class TestAbelianProfile:
     def test_matches_power_counts(self):
         """In an abelian group the number of solutions of x^k = 1 is the
@@ -435,6 +443,17 @@ class TestIsomorphism:
         assert len(maps) == 380
         assert _digest(maps) == PINNED_PAIR_MAPS
 
+    @pytest.mark.parametrize("seed,nodes", [(1, 12_658), (2, 43_898)])
+    def test_scales_to_a_relabelled_order_3875_cover(self, seed, nodes):
+        g = witness_h(5, 31, 2, order_cap=3875)
+        copy = relabel(g, random.Random(seed))
+        phi = np.array(find_isomorphism(g, copy, max_nodes=nodes))
+        assert np.array_equal(np.sort(phi), np.arange(g.order))
+        assert np.array_equal(phi[g.table], copy.table[np.ix_(phi, phi)])
+        with pytest.raises(SearchBudgetExceeded):
+            find_isomorphism(g.relabeled(None), copy.relabeled(None),
+                             max_nodes=nodes - 1)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_scales_to_a_relabelled_order_837_cover(self, seed):
         g = witness_h(3, 31, 5)
@@ -474,9 +493,10 @@ def test_catalog_counts_vs_oracle_small():
 def relabel(g: Group, rng: random.Random) -> Group:
     """g under a random renaming of its elements that keeps 0 at 0, read
     back through the validating gate."""
-    perm = [0, *rng.sample(range(1, g.order), g.order - 1)]
-    return from_cayley_table(oracles.relabelled(g.table.tolist(), perm),
-                             label=g.label)
+    perm = np.array([0, *rng.sample(range(1, g.order), g.order - 1)])
+    table = np.empty_like(g.table)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    return from_cayley_table(table, label=g.label, order_cap=g.order)
 
 
 def relabelled_catalog(max_order=100, seed=7):
@@ -524,3 +544,59 @@ class TestPerGroupMemo:
                      "_memo"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
+
+
+# Groups beyond the catalog's reach up to 300, checked against the dense
+# references both as built and relabelled.
+LARGE_GROUPS = [
+    lambda: symmetric(5),
+    lambda: direct_product(symmetric(3), alternating(5)),
+    lambda: direct_product(symmetric(3), symmetric(4)),
+    lambda: dihedral(2048),
+    lambda: witness_h(5, 31, 2, order_cap=3875),
+    lambda: witness_h(3, 31, 5),
+]
+
+
+class TestAgainstDenseReferences:
+    """The generator-based class representatives, derived subgroup, center
+    and centralizer sizes equal the whole-table formulas."""
+
+    @staticmethod
+    def check(g):
+        reps = oracles.dense_class_reps(g.table)
+        sizes = oracles.dense_centralizer_sizes(g.table)
+        got = invariants._class_reps(g)
+        assert got.dtype == np.int32, g.label
+        assert np.array_equal(got, reps), g.label
+        assert np.array_equal(_centralizer_sizes(g), sizes), g.label
+        assert np.array_equal(center(g).as_bool(), sizes == g.order), g.label
+        assert np.array_equal(derived_subgroup(g).as_bool(),
+                              oracles.dense_derived_subgroup(g.table)), g.label
+
+    def test_relabelled_catalog_up_to_300(self):
+        for g in relabelled_catalog(max_order=300, seed=9):
+            self.check(g)
+
+    @pytest.mark.parametrize("build", LARGE_GROUPS,
+                             ids=["S5", "S3xA5", "S3xS4", "D2048",
+                                  "H(5,31,2)", "H(3,31,5)"])
+    def test_large_groups_as_built_and_relabelled(self, build):
+        g = build()
+        self.check(g)
+        self.check(relabel(g, random.Random(g.order)))
+
+
+def test_class_reps_and_derived_subgroup_build_no_n_squared_array():
+    # the whole-table formulas allocate 4 n^2 bytes (60 MB) at order 3875;
+    # the generator-based ones stay near O(n k), closures included
+    g = witness_h(5, 31, 2, order_cap=3875).relabeled(None)
+    assert not g._memo
+    tracemalloc.start()
+    try:
+        invariants._class_reps(g)
+        derived_subgroup(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.order ** 2 // 4
