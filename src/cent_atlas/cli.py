@@ -31,7 +31,7 @@ from .numbers import primes_up_to
 from .report import (
     analyze,
     catalog_filename,
-    group_to_jsonable,
+    group_file_chunks,
     read_group_file,
     render_csv,
     render_json,
@@ -105,7 +105,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         write_group_file(g, args.out)
         print(f"{g.label}: order {g.order} written to {args.out}")
     else:
-        print(json.dumps(group_to_jsonable(g), separators=(",", ":")))
+        for chunk in group_file_chunks(g):
+            sys.stdout.write(chunk.decode("ascii"))
     return 0
 
 

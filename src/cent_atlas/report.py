@@ -2,8 +2,10 @@
 
 The group file is JSON {"order": n, "label": str|null, "table": [[...]]}
 with the identity at index 0; the permutation-generator file is
-{"degree": d, "generators": [[...], ...]}.  ``read_group_file`` accepts
-either and always revalidates the group axioms.
+{"degree": d, "generators": [[...], ...]}.  ``write_group_file`` emits
+compact one-line JSON without building a Python list of the table;
+``read_group_file`` reads that layout by a fast path, accepts any other
+valid JSON for either kind, and always revalidates the group axioms.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "AnalysisReport",
     "analyze",
     "catalog_filename",
+    "group_file_chunks",
     "group_to_jsonable",
     "read_group_file",
     "render_csv",
@@ -164,14 +167,112 @@ def group_to_jsonable(g: Group) -> dict[str, Any]:
     }
 
 
+# cells formatted per block: about 2^20, so a block's gather stays near 8 MB
+_WRITE_BLOCK = 1 << 20
+
+
+def group_file_chunks(g: Group) -> Iterator[bytes]:
+    """The group file of g as ASCII blocks, byte for byte
+    ``json.dumps(group_to_jsonable(g), separators=(",", ":")) + "\n"``.
+
+    The header comes from ``json.dumps``, so the label is escaped as JSON
+    escapes it.  The table is formatted in row blocks of about 2^20 cells
+    through a lookup of ``"i,"`` and ``"i],["`` for i < n as zero-padded
+    byte rows: one gather per block, then the zero bytes dropped.  No
+    table becomes a Python list.
+    """
+    n = g.order
+    head = json.dumps({"order": n, "label": g.label or None, "table": [[]]},
+                      separators=(",", ":"))
+    yield head[:-3].encode("ascii")  # up to and including "table":[[
+    digits = [str(i) for i in range(n)]
+    width = len(digits[-1]) + 3
+    lut = np.array([d + "," for d in digits] + [d + "],[" for d in digits],
+                   dtype=f"S{width}").view(np.uint8).reshape(2 * n, width)
+    step = max(1, _WRITE_BLOCK // n)
+    for r in range(0, n, step):
+        idx = g.table[r:r + step].astype(np.intp)
+        idx[:, -1] += n  # each row's last cell closes the row with "],["
+        cells = lut[idx]
+        chunk = cells[cells != 0].tobytes()
+        # the last row ends "]]}" instead of "],["
+        yield chunk if r + step < n else chunk[:-2] + b"]}\n"
+
+
 def write_group_file(g: Group, path: str | Path) -> None:
-    payload = json.dumps(group_to_jsonable(g), separators=(",", ":"))
-    Path(path).write_text(payload + "\n")
+    """Write g as compact one-line JSON, streamed in blocks of about 2^20
+    cells (see ``group_file_chunks``)."""
+    with open(path, "wb") as fh:
+        fh.writelines(group_file_chunks(g))
+
+
+_CANONICAL_HEAD = re.compile(
+    rb'\{"order":(0|[1-9][0-9]{0,8}),"label":(null|".*")', re.DOTALL)
+_CANONICAL_TABLE = b',"table":[['
+
+
+def _read_canonical(data: bytes) -> dict[str, Any] | None:
+    """A file in exactly ``write_group_file``'s layout as the dict
+    ``json.loads`` makes of it, with the table as an int32 array; None for
+    any other text.
+
+    The layout is ``{"order":N,"label":L,"table":[[...],...,[...]]}`` and a
+    newline, with no whitespace: L must be null or load as one JSON string,
+    and the table must be n rows of n tokens, each ``0|[1-9][0-9]{0,8}``,
+    so none can wrap in int32.  Any text accepted here parses under JSON
+    to the same object.
+    """
+    start = data.find(_CANONICAL_TABLE)
+    match = _CANONICAL_HEAD.fullmatch(data[:max(start, 0)])
+    if not (match and data.endswith(b"]]}\n")):
+        return None
+    try:  # null, or one JSON string
+        label = json.loads(match[2].decode("utf-8"))
+    except ValueError:
+        return None
+    body = data[start + len(_CANONICAL_TABLE):-4]
+    rest = body.translate(None, b"0123456789,")
+    n = len(rest) // 2 + 1
+    # Only digits and commas around n - 1 row breaks "],[", each made a -1
+    # marker (the length check counts the replacements), and no empty
+    # token: then the parse below cannot stop early.
+    if not (body[:1].isdigit() and body[-1:].isdigit()
+            and rest == b"][" * (n - 1)):
+        return None
+    flat = body.replace(b"],[", b",-1,")
+    if len(flat) != len(body) + n - 1 or b",," in flat:
+        return None
+    del body  # flat holds the same tokens
+    width = len(flat)
+    cells = np.fromstring(flat, dtype=np.int32, sep=",")
+    del flat
+    if cells.size != n * (n + 1) - 1:
+        return None
+    # Drop the n - 1 places between rows; if any -1 marker was elsewhere,
+    # some row was not n tokens long and the table keeps a negative entry.
+    table = np.delete(cells, np.s_[n::n + 1]).reshape(n, n)
+    del cells
+    top = int(table.max())
+    if table.min() < 0 or top >= 10 ** 9:
+        return None
+    # Every token is at least as long as its value's decimal digits, and
+    # longer exactly when it has a leading zero or wrapped in int32 (ten or
+    # more digits): the tokens fill the text only if all are canonical.
+    digits = table.size + sum(int(np.count_nonzero(table >= 10 ** k))
+                              for k in range(1, len(str(top))))
+    if width != digits + (n - 1) * (n + 4):
+        return None
+    return {"order": int(match[1]), "label": label, "table": table}
 
 
 def read_group_file(path: str | Path,
                     order_cap: int | None = None) -> Group:
     """Load and revalidate a group or permutation-generator file.
+
+    The file is read as UTF-8.  A file in exactly ``write_group_file``'s
+    layout is parsed by a fast path straight to an int32 table; any other
+    text goes through ``json.loads``, and both meet the same checks below,
+    so which files load and every error message are the same either way.
 
     A group file's "label" must be a string or null, its "order" (when
     present) the table's size, and its table free of JSON booleans, which
@@ -179,12 +280,18 @@ def read_group_file(path: str | Path,
     "generators" must be a list of lists and its "degree" (when present)
     an integer.
     """
-    text = Path(path).read_text()
-    raw = json.loads(text)
+    data = Path(path).read_bytes()
+    raw = _read_canonical(data)
+    text = data.decode("utf-8") if raw is None else ""
+    del data  # as large as the table: free it before the table is built
+    if "\r" in text:  # universal newlines, as text-mode reading gives
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if raw is None:
+        raw = json.loads(text)
     # the exact boolean scan below costs about a tenth of a load, so it
     # runs only where a JSON boolean can be
     maybe_bool = "true" in text or "false" in text
-    del text  # as large as the table: free it before the table is built
+    del text
     if not isinstance(raw, dict):
         raise BadParameters(f"{path}: expected a JSON object")
     label = raw.get("label")

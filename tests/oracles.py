@@ -4,14 +4,19 @@ Everything here works directly on a Cayley table as nested lists, with no
 numpy and no shortcuts shared with the library code, except the dense
 references at the end: whole-table numpy formulas, O(n^2) in time and
 memory, fast enough to check the generator-based library code on groups
-of order in the thousands.
+of order in the thousands, and the json-only group-file loader.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+
+from cent_atlas.core import Group, from_cayley_table, from_permutation_generators
+from cent_atlas.errors import BadGroupFile, BadParameters
 
 
 def center(table: list[list[int]]) -> list[int]:
@@ -316,3 +321,48 @@ def dense_derived_subgroup(table: np.ndarray) -> np.ndarray:
 def dense_centralizer_sizes(table: np.ndarray) -> np.ndarray:
     """Row sums of the commuting matrix."""
     return np.equal(table, table.T).sum(axis=1)
+
+
+# The group-file loader through json.loads alone, with no canonical-layout
+# fast path: the library's loader must agree with it on every file.
+
+def read_group_file_json(path, order_cap: int | None = None) -> Group:
+    text = Path(path).read_text(encoding="utf-8")
+    raw = json.loads(text)
+    maybe_bool = "true" in text or "false" in text
+    del text
+    if not isinstance(raw, dict):
+        raise BadParameters(f"{path}: expected a JSON object")
+    label = raw.get("label")
+    if label is not None and not isinstance(label, str):
+        raise BadGroupFile(
+            f"{path}: field 'label' must be a string or null, got {label!r}")
+    if "table" in raw:
+        if maybe_bool and any(
+                type(v) is bool
+                for v in np.asarray(raw["table"], dtype=object).flat):
+            raise BadGroupFile(f"{path}: field 'table' has a boolean entry")
+        g = from_cayley_table(raw["table"], label=label or "",
+                              order_cap=order_cap)
+        order = raw.get("order")
+        if order is not None and (type(order) is not int or order != g.order):
+            raise BadGroupFile(f"{path}: field 'order' is {order!r} but the "
+                               f"table has {g.order} rows")
+        return g
+    if "generators" in raw:
+        gens = raw["generators"]
+        if not isinstance(gens, list) or not all(
+                isinstance(p, list) for p in gens):
+            raise BadGroupFile(
+                f"{path}: field 'generators' must be a list of lists")
+        gens = [tuple(p) for p in gens]
+        degree = raw.get("degree")
+        if degree is not None and type(degree) is not int:
+            raise BadGroupFile(
+                f"{path}: field 'degree' must be an integer, got {degree!r}")
+        if degree is not None and any(len(p) != degree for p in gens):
+            raise BadParameters(
+                f"{path}: generator length disagrees with degree {degree}")
+        return from_permutation_generators(gens, label=label or "",
+                                           order_cap=order_cap)
+    raise BadParameters(f"{path}: neither a group nor a permutation file")

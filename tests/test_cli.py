@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import subprocess
@@ -45,6 +47,16 @@ class TestConstruct:
         _, out, _ = run(argv, capsys)
         run([*argv, "--out", str(dest)], capsys)
         assert out == dest.read_text()
+
+    def test_stdout_as_string_io_is_the_group_file(self, tmp_path, capsys):
+        # several write blocks, printed to a text stream with no buffer
+        dest = tmp_path / "g.json"
+        argv = ["construct", "--family", "dihedral", "--n", "2048"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        run([*argv, "--out", str(dest)], capsys)
+        assert out.getvalue() == dest.read_text()
 
     def test_bad_congruence_names_relation(self, capsys):
         code, _, err = run(["construct", "--family", "witness-h",
@@ -170,6 +182,19 @@ class TestAnalyze:
         assert code == 3
         assert out == ""
         assert f"field '{field}'" in err
+
+    @pytest.mark.parametrize("data", [
+        b'{"order":1,"label":"\xff","table":[[0]]}\n',
+        b'{"order": 1, "label": "C1", "table": [[0]]}\xe9',
+    ], ids=["compact-layout", "other-layout"])
+    def test_invalid_utf8_is_input_error(self, tmp_path, capsys, data):
+        src = tmp_path / "bad.json"
+        src.write_bytes(data)
+        code, out, err = run(["analyze", "--in", str(src)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte")
+        assert "Traceback" not in err
 
     def test_float_in_permutation_is_rejected(self, tmp_path, capsys):
         src = tmp_path / "perm.json"

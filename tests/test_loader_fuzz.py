@@ -2,7 +2,11 @@
 
 Whatever the mutation, the command exits with a documented code (0, 2, 3
 or 4) and prints no traceback, and every file that loads describes a table
-that survives a write and a read unchanged.
+that survives a write and a read unchanged.  ``read_group_file`` agrees
+with the json-only reference loader in ``oracles`` on every file: the same
+group, or the same exception type and message.  Byte-level mutations of
+the writer's compact layout check that its fast path takes exactly that
+layout and leaves every other text to ``json.loads``.
 """
 
 import contextlib
@@ -13,11 +17,16 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cent_atlas import report
+from cent_atlas.catalog import cyclic, symmetric
 from cent_atlas.cli import main
 from cent_atlas.report import read_group_file, write_group_file
+
+import oracles
 
 S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
             [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
@@ -64,7 +73,10 @@ def mutated_files(draw):
                 rows[i][j] = draw(BIG)
             else:
                 rows[i] = list(rows[draw(st.integers(0, len(rows) - 1))])
-    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = json.dumps(doc)
+    else:  # the writer's compact layout, open to its fast path
+        text = json.dumps(doc, separators=(",", ":")) + "\n"
     if draw(st.integers(0, 7)) == 0:
         text = text[:draw(st.integers(0, len(text) - 1))]
     return text
@@ -90,3 +102,157 @@ def test_mutated_files_exit_cleanly(text):
         back = read_group_file(again)
         assert np.array_equal(back.table, g.table)
         assert (back.order, back.label) == (g.order, g.label)
+
+
+def outcome(load, path):
+    """What a loader makes of a file: the group's order, label and table,
+    or the exception's type and message."""
+    try:
+        g = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.order, g.label, g.table.tolist()
+
+
+def assert_same_as_json_loader(tmp, data: bytes):
+    path = Path(tmp) / "g.json"
+    path.write_bytes(data)
+    assert outcome(read_group_file, path) == outcome(
+        oracles.read_group_file_json, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_files())
+def test_mutated_files_load_as_the_json_loader_does(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_as_json_loader(tmp, text.encode())
+
+
+S3_ROWS = [[str(v) for v in row] for row in S3_TABLE]
+
+
+def layout(rows=S3_ROWS, order=b"6", label=b'"S3"', end=b"\n"):
+    """The writer's layout around the given tokens and header fields."""
+    table = "],[".join(",".join(row) for row in rows).encode()
+    return (b'{"order":' + order + b',"label":' + label + b',"table":[['
+            + table + b"]]}" + end)
+
+
+def with_cell(i, j, token):
+    rows = copy.deepcopy(S3_ROWS)
+    rows[i][j] = token
+    return layout(rows)
+
+
+def with_row(i, row):
+    rows = copy.deepcopy(S3_ROWS)
+    rows[i] = row
+    return layout(rows)
+
+
+CANONICAL = layout()
+# name -> (file bytes, whether the fast path takes it)
+CASES = {
+    "canonical": (CANONICAL, True),
+    "order-1": (layout([["0"]], order=b"1", label=b"null"), True),
+    "empty-label": (layout(label=b'""'), True),
+    "escaped-label": (layout(label=b'"S\\u0033"'), True),
+    "quote-and-backslash-label": (layout(label=b'"a\\"b\\\\c"'), True),
+    "raw-utf8-label": (layout(label='"\u00e9\u4e00"'.encode()), True),
+    "control-character-label": (layout(label=b'"a\tb"'), False),
+    "invalid-utf8-label": (layout(label=b'"\xff"'), False),
+    "integer-label": (layout(label=b"1"), False),
+    "label-with-table-key": (layout(label=b'"x,\\"table\\":[["'), True),
+    "order-mismatch": (layout(order=b"5"), True),
+    "order-leading-zero": (layout(order=b"06"), False),
+    "order-negative": (layout(order=b"-6"), False),
+    "order-ten-digits": (layout(order=b"1000000006"), False),
+    "leading-zero-00": (with_cell(0, 0, "00"), False),
+    "leading-zero-01": (with_cell(1, 0, "01"), False),
+    "nine-digits-out-of-range": (with_cell(2, 3, "999999999"), True),
+    "ten-digits": (with_cell(2, 3, "1000000000"), False),
+    "ten-digits-wrapping-to-5": (with_cell(2, 3, "4294967301"), False),
+    "ten-digits-wrapping-to-int32-max": (with_cell(2, 3, "6442450943"), False),
+    "eleven-digits": (with_cell(2, 3, "10000000000"), False),
+    "minus-zero": (with_cell(1, 1, "-0"), False),
+    "negative": (with_cell(1, 1, "-1"), False),
+    "plus-sign": (with_cell(1, 1, "+1"), False),
+    "float": (with_cell(1, 1, "1.0"), False),
+    "exponent": (with_cell(1, 1, "1e0"), False),
+    "true": (with_cell(1, 1, "true"), False),
+    "false": (with_cell(1, 0, "false"), False),
+    "null": (with_cell(1, 1, "null"), False),
+    "nested": (with_cell(1, 1, "[0]"), False),
+    "empty-token": (with_cell(1, 1, ""), False),
+    "empty-row": (with_row(2, []), False),
+    "short-row": (with_row(2, S3_ROWS[2][:-1]), False),
+    "long-row": (with_row(2, [*S3_ROWS[2], "0"]), False),
+    "extra-row": (layout([*S3_ROWS, S3_ROWS[0]]), False),
+    "missing-row": (layout(S3_ROWS[:-1]), False),
+    "rows-of-six-and-five-and-seven": (
+        layout([*S3_ROWS[:2], S3_ROWS[2][:-1],
+                [*S3_ROWS[3], "0"], *S3_ROWS[4:]]), False),
+    "space-after-comma": (CANONICAL.replace(b"1,", b"1, ", 1), False),
+    "space-after-colon": (CANONICAL.replace(b":[[", b": [[", 1), False),
+    "newline-between-rows": (CANONICAL.replace(b"],[", b"],\n[", 1), False),
+    "tab-before-brace": (CANONICAL.replace(b"]]}", b"]]\t}", 1), False),
+    "leading-space": (b" " + CANONICAL, False),
+    "missing-final-newline": (layout(end=b""), False),
+    "two-final-newlines": (layout(end=b"\n\n"), False),
+    "crlf": (layout(end=b"\r\n"), False),
+    "carriage-return-inside": (CANONICAL.replace(b",", b"\r,", 1), False),
+    "extra-key-first": (b'{"x":1,' + CANONICAL[1:], False),
+    "extra-key-last": (CANONICAL.replace(b"]]}", b']],"x":1}', 1), False),
+    "duplicate-label": (CANONICAL.replace(b'"S3"', b'"S3","label":"A"', 1),
+                        False),
+    "reordered-keys": (b'{"label":"S3","order":6,"table":'
+                       + CANONICAL.split(b'"table":', 1)[1], False),
+    "no-order": (b'{"label":"S3","table":'
+                 + CANONICAL.split(b'"table":', 1)[1], False),
+    "second-table": (CANONICAL.replace(b"]]}", b']],"table":[[0]]}', 1),
+                     False),
+    "not-a-group": (layout([["0", "1"], ["1", "1"]], order=b"2"), True),
+    "trailing-garbage": (CANONICAL + b"x", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_canonical_mutation_loads_as_the_json_loader_does(name, tmp_path):
+    data, fast = CASES[name]
+    assert (report._read_canonical(data) is not None) == fast
+    assert_same_as_json_loader(tmp_path, data)
+
+
+BYTES = st.sampled_from(list(b'0123456789,[]{}":- \n\r\t.e+lnrtu\\') + [0xff])
+
+
+@st.composite
+def mutated_canonical_files(draw):
+    """A file written by ``write_group_file`` with bytes inserted, deleted,
+    replaced or a slice repeated at random positions."""
+    g = draw(st.sampled_from([symmetric(3), cyclic(5).relabeled(None),
+                              cyclic(1), cyclic(12).relabeled('q"\\\u00e9')]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        write_group_file(g, path)
+        data = bytearray(path.read_bytes())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["insert", "delete", "replace", "repeat"]))
+        if op == "insert":
+            data[i:i] = bytes([draw(BYTES)])
+        elif op == "delete":
+            del data[i:i + draw(st.integers(1, 4))]
+        elif op == "replace" and i < len(data):
+            data[i] = draw(BYTES)
+        elif op == "repeat":
+            j = draw(st.integers(i, min(len(data), i + 12)))
+            data[i:i] = data[i:j]
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_canonical_files())
+def test_mutated_canonical_files_load_as_the_json_loader_does(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_as_json_loader(tmp, data)

@@ -1,10 +1,22 @@
 """Analysis reports, renderers, and group file round-trips."""
 
 import json
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from cent_atlas.catalog import alternating, cyclic, dihedral, symmetric
+from cent_atlas import report
+from cent_atlas.catalog import (
+    alternating,
+    catalog_up_to,
+    cyclic,
+    dihedral,
+    symmetric,
+    witness_h,
+)
+from cent_atlas.core import from_cayley_table
 from cent_atlas.errors import BadParameters, NoIdentityAtZero
 from cent_atlas.invariants import is_isomorphic
 from cent_atlas.report import (
@@ -115,6 +127,77 @@ class TestGroupFiles:
             {"order": 3, "label": "X", "table": [[1, 0, 2], [0, 2, 1], [2, 1, 0]]}))
         with pytest.raises(NoIdentityAtZero):
             read_group_file(path)
+
+    def test_raw_utf8_label_loads(self, tmp_path):
+        path = tmp_path / "c1.json"
+        for text in ('{"order":1,"label":"\u00e9\u4e00","table":[[0]]}\n',
+                     '{"order": 1, "label": "\u00e9\u4e00", "table": [[0]]}'):
+            path.write_bytes(text.encode("utf-8"))
+            assert read_group_file(path).label == "\u00e9\u4e00"
+
+
+def relabel(g, rng):
+    perm = np.array([0, *rng.sample(range(1, g.order), g.order - 1)])
+    table = np.empty_like(g.table)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    return from_cayley_table(table, label=g.label, order_cap=g.order)
+
+
+class TestCompactLayout:
+    """``write_group_file`` bytes against ``json.dumps``, and the reader's
+    fast path on every file the writer emits."""
+
+    @staticmethod
+    def check(g, path):
+        write_group_file(g, path)
+        data = path.read_bytes()
+        want = json.dumps(group_to_jsonable(g), separators=(",", ":")) + "\n"
+        assert data == want.encode("ascii"), (g.order, g.label)
+        del want
+        raw = report._read_canonical(data)
+        assert raw is not None, (g.order, g.label)
+        assert (raw["order"], raw["label"]) == (g.order, g.label or None)
+        assert raw["table"].dtype == np.int32
+        assert np.array_equal(raw["table"], g.table)
+
+    def test_catalog_up_to_300_as_built_and_relabelled(self, tmp_path):
+        rng = random.Random(10)
+        for g in catalog_up_to(300):
+            self.check(g, tmp_path / "g.json")
+            self.check(relabel(g, rng), tmp_path / "g.json")
+
+    @pytest.mark.parametrize("label", ['say "hi"', "back\\slash",
+                                       "\u00e9\u4e00\U0001d53e", "",
+                                       "\n\t\x00\x7f\u2028"])
+    def test_labels_json_escapes(self, label, tmp_path):
+        self.check(symmetric(3).relabeled(label), tmp_path / "g.json")
+        self.check(cyclic(1).relabeled(label), tmp_path / "g.json")
+
+    @pytest.mark.parametrize("build", [
+        lambda: dihedral(2048),
+        lambda: witness_h(5, 31, 2, order_cap=3875)], ids=["D2048", "H(5,31,2)"])
+    def test_large(self, build, tmp_path):
+        self.check(build(), tmp_path / "g.json")
+
+
+def test_group_file_io_builds_no_table_list(tmp_path):
+    # at order 3875, json.dumps and json.loads over table lists peak near
+    # 680 and 740 MB; the writer streams blocks of about 8 MB, and the
+    # reader holds the file bytes, one rewrite of them and int32 tables
+    g = witness_h(5, 31, 2, order_cap=3875).relabeled(None)
+    path = tmp_path / "h.json"
+    tracemalloc.start()
+    try:
+        write_group_file(g, path)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = read_group_file(path, order_cap=g.order)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.table, g.table)
+    assert write_peak < 64 * 2 ** 20, write_peak
+    assert read_peak < 512 * 2 ** 20, read_peak
 
 
 class TestCatalogFilename:
