@@ -176,7 +176,7 @@ def capable(g: Group) -> CapabilityVerdict:
             prof = abelian_profile(g)
             if prof.kind == "elementary_abelian":
                 return CapabilityVerdict(
-                    "capable", "baer-p3", f"elementary abelian of rank 3")
+                    "capable", "baer-p3", "elementary abelian of rank 3")
             factors = "x".join(f"C{d}" for d in prof.invariant_factors)
             return CapabilityVerdict(
                 "not_capable", "baer-p3",

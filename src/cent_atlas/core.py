@@ -163,7 +163,8 @@ class Group:
     in :func:`_per_group` keep their result there, so each is computed at
     most once per group and freed with it.  It holds only values of O(n)
     size: masks, flags, the generating set, read-only length-n arrays and
-    ``CentStructure``; never the n x n commuting matrix or another
+    ``CentStructure`` (one mask per distinct centralizer); never the n x n
+    commuting matrix, which ``cent_structure`` builds and drops, or another
     ``Group``.
     """
 
@@ -195,13 +196,7 @@ class Group:
         self.check_index(x)
         if k < 0:
             x, k = self.inv(x), -k
-        acc, base = 0, x
-        while k:
-            if k & 1:
-                acc = int(self.table[acc, base])
-            base = int(self.table[base, base])
-            k >>= 1
-        return acc
+        return int(_powers(self.table, np.array([x]), k)[0])
 
     def conjugate(self, g: int, x: int) -> int:
         """Return g * x * g^-1."""
@@ -235,19 +230,18 @@ class Group:
 
 
 def _per_group(fn: Callable) -> Callable:
-    """Compute ``fn(g, *hints)`` once per group and keep it in ``g._memo``.
+    """Compute ``fn(g)`` once per group and keep it in ``g._memo``.
 
-    The hints may only speed the computation up, never change the value,
-    so they are not part of the key.  An array result is made read-only.
-    Only for values of O(n) size (see :class:`Group`).
+    An array result is made read-only.  Only for values of O(n) size (see
+    :class:`Group`).
     """
     key = fn.__qualname__
 
     @wraps(fn)
-    def once(g: Group, *hints):
+    def once(g: Group):
         memo = g._memo
         if key not in memo:
-            value = fn(g, *hints)
+            value = fn(g)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             memo[key] = value
@@ -294,12 +288,8 @@ def _class_reps(g: Group) -> np.ndarray:
 
 
 @_per_group
-def _centralizer_sizes(g: Group, m: np.ndarray | None = None) -> np.ndarray:
-    """|C_G(x)| for every x: n over the size of x's conjugacy class, or the
-    row sums of the commuting matrix ``m`` when the caller already holds
-    it."""
-    if m is not None:
-        return m.sum(axis=1)
+def _centralizer_sizes(g: Group) -> np.ndarray:
+    """|C_G(x)| for every x: n over the size of x's conjugacy class."""
     reps = _class_reps(g)
     return g.order // np.bincount(reps, minlength=g.order)[reps]
 

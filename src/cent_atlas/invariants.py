@@ -9,8 +9,8 @@ per group (see :func:`~cent_atlas.core._per_group`).
 
 Class data (hence centralizer sizes, ``center`` and ``is_abelian``) and
 ``derived_subgroup`` come from the generating set S alone, in O(n |S|) per
-round with no n x n array; only ``cent_structure``, ``omega`` and
-``frobenius_structure`` build the commuting matrix.
+round with no n x n array; only ``cent_structure`` builds the commuting
+matrix, and ``omega`` and ``frobenius_structure`` build none.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Group, SubsetMask, _as_mask, _centralizer_sizes,
-                   _class_reps, _close, _conjugators, _generating_indices,
-                   _generators, _per_group, _powers)
+from .core import (_CLOSE_BLOCK, Group, SubsetMask, _as_mask,
+                   _centralizer_sizes, _class_reps, _close, _conjugators,
+                   _generating_indices, _generators, _per_group, _powers)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
 from .numbers import factor, is_prime
@@ -65,14 +65,19 @@ class CentStructure:
 
     ``centralizers`` lists every distinct Cent(x) once, sorted ascending by
     bitmask value; the whole group (centralizer of a central element) is
-    always present.  ``proper_indices`` is the sorted multiset of [G : C]
-    over the proper members.  ``is_ca`` says the group is nonabelian with
-    every proper centralizer abelian; only then does count = omega + 1.
+    always present.  ``representatives[i]`` is the smallest x with
+    Cent(x) = ``centralizers[i]``.  ``proper_indices`` is the sorted
+    multiset of [G : C] over the proper members.  ``is_ca`` says the group
+    is nonabelian with every proper centralizer abelian; only then does
+    count = omega + 1.  That is when |Cent(x)| - |Z(G)| counts the y with
+    Cent(y) = Cent(x) for every noncentral x: Cent(x) holds those y and
+    Z(G), and is abelian exactly when it holds nothing else.
     """
 
     order: int
     center: SubsetMask
     centralizers: tuple[SubsetMask, ...]
+    representatives: tuple[int, ...]
     proper_indices: tuple[int, ...]
     is_ca: bool
 
@@ -85,44 +90,29 @@ class CentStructure:
         return [m for m in self.centralizers if m.bits != full]
 
 
-def _commuting_matrix(g: Group) -> np.ndarray:
-    """n x n flags of x * y == y * x; never memoised, as it is O(n^2)."""
-    return np.equal(g.table, g.table.T)
-
-
-def _distinct_centralizers(m: np.ndarray) -> np.ndarray:
-    """Smallest element of each distinct centralizer, ascending, from the
-    commuting matrix: one ``np.unique`` over its bit-packed rows, each
-    viewed as a single opaque value (``axis=0`` would sort far slower)."""
-    packed = np.packbits(m, axis=1, bitorder="little")
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first = np.unique(rows, return_index=True)
-    first.sort()
-    return first
-
-
 @_per_group
 def cent_structure(g: Group) -> CentStructure:
-    m = _commuting_matrix(g)
-    sizes = _centralizer_sizes(g, m)
-    cents = []
-    proper_idx = []
-    ca = True
-    for x in _distinct_centralizers(m):
-        row = m[x]
-        cents.append(SubsetMask.from_bool(row))
-        if sizes[x] == g.order:
-            continue
-        proper_idx.append(g.order // int(sizes[x]))
-        idx = np.flatnonzero(row)
-        if ca and not m[np.ix_(idx, idx)].all():
-            ca = False
+    """One ``np.unique`` over the bit-packed commuting rows, each viewed as
+    one opaque value (``axis=0`` sorts far slower); ``ids`` maps x to C(x)."""
+    n = g.order
+    packed = np.packbits(np.equal(g.table, g.table.T), axis=1,
+                         bitorder="little")
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, ids = np.unique(rows, return_index=True, return_inverse=True)
+    by_bits = sorted((int.from_bytes(packed[x].tobytes(), "little"), int(x))
+                     for x in first)
+    sizes = _centralizer_sizes(g)
+    z = center(g)
+    noncentral = sizes < n
+    proper = sizes[first][noncentral[first]]
+    abelian_cent = sizes - len(z) == np.bincount(ids)[ids]
     return CentStructure(
-        order=g.order,
-        center=center(g),
-        centralizers=tuple(sorted(cents, key=lambda c: c.bits)),
-        proper_indices=tuple(sorted(proper_idx)),
-        is_ca=bool(proper_idx) and ca,
+        order=n,
+        center=z,
+        centralizers=tuple(SubsetMask(bits, n) for bits, _ in by_bits),
+        representatives=tuple(x for _, x in by_bits),
+        proper_indices=tuple(np.sort(n // proper).tolist()),
+        is_ca=bool(proper.size and abelian_cent[noncentral].all()),
     )
 
 
@@ -277,22 +267,26 @@ class FrobeniusStructure:
     complement_is_cyclic: bool
 
 
-def _centralizer_closure(g: Group, m: np.ndarray,
-                         seeds: list[int]) -> SubsetMask | None:
+def _centralizer_closure(g: Group, seeds: list[int]) -> SubsetMask | None:
     """Smallest subgroup containing the seeds and C_G(x) for each of its
     non-identity members x, or None when that is all of G.  It is normal
-    when the seeds are a union of conjugacy classes."""
+    when the seeds are a union of conjugacy classes.  Each member's
+    commuting row is read once, in blocks of at most ``_CLOSE_BLOCK``."""
     member = np.zeros(g.order, dtype=bool)
-    member[0] = True
+    done = member.copy()
+    member[0] = done[0] = True
     fresh = np.asarray(seeds)
     member[fresh] = True
+    step = max(1, _CLOSE_BLOCK // g.order)
     while fresh.size:
         _close(g.table, member, fresh)
         if member.all():
             return None
-        grown = m[np.flatnonzero(member)[1:]].any(axis=0) & ~member
-        member |= grown
-        fresh = np.flatnonzero(grown)
+        new = np.flatnonzero(member & ~done)
+        done |= member
+        for x in np.split(new, range(step, new.size, step)):
+            member |= (g.table[x] == g.table[:, x].T).any(axis=0)
+        fresh = np.flatnonzero(member & ~done)
     return SubsetMask.from_bool(member)
 
 
@@ -316,16 +310,15 @@ def frobenius_structure(g: Group) -> FrobeniusStructure | None:
     """
     if len(center(g)) > 1:  # includes every abelian G != 1
         return None
-    m = _commuting_matrix(g)
     for cls in conjugacy_classes(g)[1:]:
-        kernel = _centralizer_closure(g, m, cls)
+        kernel = _centralizer_closure(g, cls)
         if kernel is not None:
             break
     else:
         return None
     outside = np.flatnonzero(~kernel.as_bool())
     x = int(outside[np.argmax(g.element_orders[outside])])
-    comp = _centralizer_closure(g, m, [x])
+    comp = _centralizer_closure(g, [x])
     if comp is None or len(kernel) * len(comp) != g.order:
         raise InconsistentInvariants(
             f"{g.label or 'group'} of order {g.order}: Frobenius kernel of "
@@ -405,16 +398,17 @@ def omega(g: Group) -> int:
     """Largest set of pairwise non-commuting elements (1 for abelian groups).
 
     Elements sharing a centralizer commute, so it suffices to search one
-    representative per distinct proper centralizer; the answer is the max
-    clique of the non-commuting graph on those representatives, found by
-    ``_max_clique`` within its default node budget.
+    representative per distinct proper centralizer, taken ascending from
+    ``cent_structure``; the answer is the max clique of the non-commuting
+    graph on those k representatives, one k x k gather of the table, found
+    by ``_max_clique`` within its default node budget.
     """
     if g.is_abelian():
         return 1
-    m = _commuting_matrix(g)
-    reps = _distinct_centralizers(m)
-    reps = reps[~m[reps].all(axis=1)]
-    return _max_clique(~m[np.ix_(reps, reps)])
+    reps = np.sort(cent_structure(g).representatives)
+    reps = reps[_centralizer_sizes(g)[reps] < g.order]
+    t = g.table[np.ix_(reps, reps)]
+    return _max_clique(t != t.T)
 
 
 def _order_histogram(g: Group) -> tuple[tuple[int, int], ...]:
@@ -478,9 +472,9 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
     """Explicit isomorphism g -> h as an image list, or None.
 
     Backtracks over images of g's greedy generators g_0, g_1, ..., each
-    ranging over the elements of h with the same order, centralizer size
-    and class size; the first over conjugacy class representatives only,
-    since conjugate tuples extend identically.  Each image tried counts as
+    ranging over the elements of h with the same order and centralizer size
+    (hence class size); the first over conjugacy class representatives
+    only, since conjugate tuples extend identically.  Each image tried counts as
     one node; more than ``max_nodes`` raise SearchBudgetExceeded.
 
     A prefix g_0..g_i -> y_0..y_i survives exactly when it extends to an
@@ -496,14 +490,9 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
     gens = list(_generators(g))
     k = len(gens)
     g_cent, h_cent = _centralizer_sizes(g), _centralizer_sizes(h)
-    h_class_rep = _class_reps(h)
-    g_class_rep = _class_reps(g)
-    g_class_size = np.bincount(g_class_rep, minlength=n)[g_class_rep]
-    h_class_size = np.bincount(h_class_rep, minlength=n)[h_class_rep]
-    is_rep = h_class_rep == np.arange(n)
+    is_rep = _class_reps(h) == np.arange(n)
     cands = [np.flatnonzero((h.element_orders == g.element_orders[x])
                             & (h_cent == g_cent[x])
-                            & (h_class_size == g_class_size[x])
                             & (is_rep | (i > 0))).tolist()
              for i, x in enumerate(gens)]
     if not all(cands):

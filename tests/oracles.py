@@ -25,14 +25,27 @@ def center(table: list[list[int]]) -> list[int]:
             if all(table[x][y] == table[y][x] for y in range(n))]
 
 
-def centralizer_sets(table: list[list[int]]) -> set[frozenset[int]]:
+def centralizers(table: list[list[int]]) -> list[frozenset[int]]:
+    """C(x) for every x, in element order."""
     n = len(table)
-    return {frozenset(y for y in range(n) if table[x][y] == table[y][x])
-            for x in range(n)}
+    return [frozenset(y for y in range(n) if table[x][y] == table[y][x])
+            for x in range(n)]
+
+
+def centralizer_sets(table: list[list[int]]) -> set[frozenset[int]]:
+    return set(centralizers(table))
 
 
 def cent_count(table: list[list[int]]) -> int:
     return len(centralizer_sets(table))
+
+
+def is_ca(table: list[list[int]]) -> bool:
+    """Nonabelian, and every proper centralizer is pairwise commuting."""
+    n = len(table)
+    proper = [c for c in centralizer_sets(table) if len(c) < n]
+    return bool(proper) and all(table[x][y] == table[y][x]
+                                for c in proper for x in c for y in c)
 
 
 def inverse(table: list[list[int]], x: int) -> int:

@@ -365,6 +365,23 @@ def test_cyclic_axioms_roundtrip(n):
     assert is_associative(g.table.tolist())
 
 
+@pytest.mark.parametrize("g", [cyclic(1), cyclic(10), elementary(3, 2),
+                               dihedral(16), dicyclic(24)],
+                         ids=lambda g: g.label)
+def test_power_is_repeated_multiplication(g):
+    n = g.order
+    table = g.table.tolist()
+    for x in range(n):
+        x_inv = table[x].index(0)
+        up, down = [0], [0]  # x^k and x^-k by repeated products
+        for _ in range(2 * n):
+            up.append(table[up[-1]][x])
+            down.append(table[down[-1]][x_inv])
+        for k in range(2 * n + 1):
+            assert g.power(x, k) == up[k], (x, k)
+            assert g.power(x, -k) == down[k], (x, -k)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=2, max_value=8))
 def test_direct_product_axioms(a, b):

@@ -587,6 +587,36 @@ class TestAgainstDenseReferences:
         self.check(relabel(g, random.Random(g.order)))
 
 
+class TestCentStructureAgainstOracles:
+    """Every field of ``cent_structure`` against the brute-force
+    centralizers, the CA flag included."""
+
+    @staticmethod
+    def check(g):
+        table = g.table.tolist()
+        cents = oracles.centralizers(table)
+        cs = cent_structure(g)
+        assert [set(c) for c in cs.centralizers] == sorted(
+            set(cents), key=lambda c: sum(1 << x for x in c)), g.label
+        assert cs.representatives == tuple(
+            cents.index(set(c)) for c in cs.centralizers), g.label
+        assert cs.proper_indices == tuple(sorted(
+            g.order // len(c) for c in set(cents) if len(c) < g.order)), g.label
+        assert set(cs.center) == set(oracles.center(table)), g.label
+        assert cs.is_ca == oracles.is_ca(table), g.label
+        return cs.is_ca
+
+    def test_relabelled_catalog_up_to_300(self):
+        verdicts = {self.check(g)
+                    for g in relabelled_catalog(max_order=300, seed=5)}
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("build", LARGE_GROUPS[:3],
+                             ids=["S5", "S3xA5", "S3xS4"])
+    def test_large_groups(self, build):
+        self.check(build())
+
+
 def test_class_reps_and_derived_subgroup_build_no_n_squared_array():
     # the whole-table formulas allocate 4 n^2 bytes (60 MB) at order 3875;
     # the generator-based ones stay near O(n k), closures included
@@ -600,3 +630,29 @@ def test_class_reps_and_derived_subgroup_build_no_n_squared_array():
     finally:
         tracemalloc.stop()
     assert peak < g.order ** 2 // 4
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_omega_builds_no_commuting_matrix():
+    # past the memoised cent_structure, omega gathers one k x k block for
+    # the k distinct proper centralizers; the n x n commuting matrix it
+    # used to build peaked at 20.8 MB here (n^2 / 4 is 3.75 MB)
+    g = relabel(witness_h(5, 31, 2, order_cap=3875), random.Random(1))
+    cent_structure(g)
+    assert _peak_bytes(omega, g) < g.order ** 2 // 4
+
+
+def test_frobenius_structure_builds_no_commuting_matrix():
+    # commuting rows are read only for the members of the subgroups being
+    # closed; the n x n matrix peaked at 1.93 MB here (n^2 / 2 is 432 kB)
+    g = metacyclic(31, 30, 3)
+    cent_structure(g)
+    assert _peak_bytes(frobenius_structure, g) < g.order ** 2 // 2
