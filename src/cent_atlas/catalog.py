@@ -2,15 +2,15 @@
 lists for orders pqr (distinct primes), p^2 q, and p^3.
 
 Builders return :class:`~cent_atlas.core.Group` values with systematic
-labels.  The closed-form families (cyclic, elementary, dihedral, dicyclic,
-metacyclic, Heisenberg and SL(2,3)) check their parameters and the order
-cap, then wrap their tables as groups by construction without the
-Cayley-table gate; a tier-1 test rebuilds each through the gate and
-compares.  Classification lists are built from the standard
-cyclic/metacyclic/semidirect parameterizations; tests confirm the lists are
-pairwise non-isomorphic and, at small orders, match an independent
-exhaustive enumerator.
-"""
+labels.  Metacyclic, dihedral and dicyclic groups share one presentation
+law, <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^k> on a^x b^y at index x + m y.
+These and the other closed-form families (cyclic, elementary, Heisenberg,
+SL(2,3)) check their parameters and the order cap, then wrap their tables
+without the Cayley-table gate; a tier-1 test rebuilds each through the gate.
+The covers and the (C_p x C_p) : C_q classes are N : C_k products built by
+one helper from the image array of the acting generator.  Tests confirm the
+classification lists are pairwise non-isomorphic and, at small orders,
+match an independent exhaustive enumerator."""
 
 from __future__ import annotations
 
@@ -106,17 +106,7 @@ def dihedral(order: int, order_cap: int | None = None) -> Group:
     """Dihedral group of the given (even) order: rotations and reflections."""
     if order < 2 or order % 2:
         raise BadParameters(f"dihedral order must be even and >= 2, got {order}")
-    _check_order_cap(order, order_cap)
-    m = order // 2
-    k = np.arange(m)
-    e = np.arange(2)
-    # (k1,e1)(k2,e2) = (k1 + (-1)^e1 k2 mod m, e1 xor e2), index k + m*e
-    e1, k1, e2, k2 = [a.reshape(s) for a, s in [
-        (e, (2, 1, 1, 1)), (k, (1, m, 1, 1)), (e, (1, 1, 2, 1)), (k, (1, 1, 1, m)),
-    ]]
-    sign = np.where(e1 == 0, 1, -1)
-    table = ((k1 + sign * k2) % m + m * (e1 ^ e2)).reshape(order, order)
-    return _trusted(table, f"D{order}")
+    return _presented(order // 2, 2, -1, 0, f"D{order}", order_cap)
 
 
 def dicyclic(order: int, order_cap: int | None = None) -> Group:
@@ -124,19 +114,8 @@ def dicyclic(order: int, order_cap: int | None = None) -> Group:
     quaternion group when the order is a power of 2."""
     if order < 8 or order % 4:
         raise BadParameters(f"dicyclic order must be a multiple of 4 and >= 8, got {order}")
-    _check_order_cap(order, order_cap)
-    m = order // 2
-    k = np.arange(m)
-    e = np.arange(2)
-    # presentation <a, b | a^(2m')=1, b^2=a^m', b^-1 a b = a^-1> with m = 2m'
-    e1, k1, e2, k2 = [a.reshape(s) for a, s in [
-        (e, (2, 1, 1, 1)), (k, (1, m, 1, 1)), (e, (1, 1, 2, 1)), (k, (1, 1, 1, m)),
-    ]]
-    sign = np.where(e1 == 0, 1, -1)
-    rot = (k1 + sign * k2 + (m // 2) * (e1 & e2)) % m
-    table = (rot + m * (e1 ^ e2)).reshape(order, order)
     label = f"Q{order}" if order & (order - 1) == 0 else f"Dic{order}"
-    return _trusted(table, label)
+    return _presented(order // 2, 2, -1, order // 4, label, order_cap)
 
 
 def symmetric(n: int, order_cap: int | None = None) -> Group:
@@ -162,6 +141,26 @@ def alternating(n: int, order_cap: int | None = None) -> Group:
     return from_permutation_generators(gens, label=f"A{n}", order_cap=order_cap)
 
 
+def _presented(m: int, n: int, k: int, s: int, label: str,
+               order_cap: int | None) -> Group:
+    """Group <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^k> on a^x b^y at
+    index x + m y; the caller checks k^n = 1 and a^s central (mod m)."""
+    _check_order_cap(m * n, order_cap)
+    # b a b^-1 = a^t with t = k^-1, so a^x b^y * a^u b^v = a^(x + u t^y) b^(y+v)
+    t = pow(k, -1, m)
+    tp = np.array([pow(t, y, m) for y in range(n)], dtype=np.int64)
+    x = np.arange(m)
+    y = np.arange(n)
+    y1, x1, y2, x2 = [a.reshape(shape) for a, shape in [
+        (y, (n, 1, 1, 1)), (x, (1, m, 1, 1)), (y, (1, 1, n, 1)), (x, (1, 1, 1, m)),
+    ]]
+    a_exp = x1 + x2 * tp[y1]
+    if s:  # b^(y+v) = a^s b^(y+v-n) when y + v wraps
+        a_exp = a_exp + s * (y1 + y2 >= n)
+    table = (a_exp % m + m * ((y1 + y2) % n)).reshape(m * n, m * n)
+    return _trusted(table, label)
+
+
 def metacyclic(m: int, n: int, k: int, order_cap: int | None = None,
                label: str | None = None) -> Group:
     """Group <a, b | a^m = b^n = 1, b^-1 a b = a^k>; needs k^n = 1 (mod m)."""
@@ -171,19 +170,7 @@ def metacyclic(m: int, n: int, k: int, order_cap: int | None = None,
         raise BadParameters(f"k = {k} must be coprime to m = {m}")
     if pow(k, n, m) != 1 % m:
         raise BadParameters(f"k^n = 1 (mod m) fails: {k}^{n} != 1 (mod {m})")
-    _check_order_cap(m * n, order_cap)
-    # b a b^-1 = a^t with t = k^-1, so a^x b^y * a^u b^v = a^(x + u t^y) b^(y+v)
-    t = pow(k, -1, m)
-    tp = np.ones(n, dtype=np.int64)
-    for y in range(1, n):
-        tp[y] = tp[y - 1] * t % m
-    x = np.arange(m)
-    y = np.arange(n)
-    y1, x1, y2, x2 = [a.reshape(s) for a, s in [
-        (y, (n, 1, 1, 1)), (x, (1, m, 1, 1)), (y, (1, 1, n, 1)), (x, (1, 1, 1, m)),
-    ]]
-    table = ((x1 + x2 * tp[y1]) % m + m * ((y1 + y2) % n)).reshape(m * n, m * n)
-    return _trusted(table, label or f"C{m}:C{n}({k})")
+    return _presented(m, n, k, 0, label or f"C{m}:C{n}({k})", order_cap)
 
 
 def heisenberg(p: int, order_cap: int | None = None) -> Group:
@@ -228,6 +215,15 @@ def sl23(order_cap: int | None = None) -> Group:
     return _trusted(table, "SL(2,3)")
 
 
+def _by_cyclic(base: Group, k: int, img: np.ndarray, label: str,
+               order_cap: int | None) -> Group:
+    """base : C_k, the generator 1 of C_k acting on base by the
+    automorphism img (an image array over base's elements)."""
+    act = ActionSpec.from_pairs([(1, img.tolist())])
+    return semidirect_product(base, cyclic(k, order_cap=order_cap), act,
+                              label=label, order_cap=order_cap)
+
+
 def witness_h(p: int, q: int, i: int, order_cap: int | None = None) -> Group:
     """Group of order p^3 q whose central quotient is C_p x (C_q : C_p).
 
@@ -248,9 +244,7 @@ def witness_h(p: int, q: int, i: int, order_cap: int | None = None) -> Group:
     idx = np.arange(base.order)
     x, y, z = idx // (p * q), (idx // q) % p, idx % q
     img = ((x + y) % p) * p * q + y * q + (i * z) % q
-    act = ActionSpec.from_pairs([(1, img.tolist())])
-    g = semidirect_product(base, c_p, act, order_cap=order_cap)
-    return g.relabeled(f"H({p},{q},{i})")
+    return _by_cyclic(base, p, img, f"H({p},{q},{i})", order_cap)
 
 
 def heisenberg_cover(p: int, order_cap: int | None = None) -> Group:
@@ -266,10 +260,7 @@ def heisenberg_cover(p: int, order_cap: int | None = None) -> Group:
     # elementary() indexes digits little-endian: idx = x + y*p + z*p^2
     x, y, z = idx % p, (idx // p) % p, idx // p ** 2
     img = (x + y) % p + ((y + z) % p) * p + z * p ** 2
-    act = ActionSpec.from_pairs([(1, img.tolist())])
-    g = semidirect_product(base, cyclic(p, order_cap=order_cap), act,
-                           order_cap=order_cap)
-    return g.relabeled(f"W({p})")
+    return _by_cyclic(base, p, img, f"W({p})", order_cap)
 
 
 # family name -> (builder, the FamilySpec fields it takes, in call order);
@@ -384,38 +375,24 @@ def _diagonal_p2q(p: int, q: int, lam: int, b: int,
     base = elementary(p, 2, order_cap=order_cap)
     idx = np.arange(base.order)
     x, y = idx % p, idx // p
-    mult = pow(lam, b, p)
-    img = (lam * x) % p + ((mult * y) % p) * p
-    act = ActionSpec.from_pairs([(1, img.tolist())])
-    g = semidirect_product(base, cyclic(q, order_cap=order_cap), act,
-                           order_cap=order_cap)
-    return g.relabeled(f"(C{p}xC{p}):C{q}[{b}]")
+    img = (lam * x) % p + ((pow(lam, b, p) * y) % p) * p
+    return _by_cyclic(base, q, img, f"(C{p}xC{p}):C{q}[{b}]", order_cap)
 
 
 def _irreducible_p2q(p: int, q: int, order_cap: int | None = None) -> Group:
-    for t in range(p):
-        # companion matrix [[0,-1],[1,t]]: (x, y) -> (-y, x + t y)
-        a, b, c, d = 0, (-1) % p, 1, t
-        e, f, g, h = 1, 0, 0, 1
-        order = 0
-        for step in range(1, 4 * q + 1):
-            e, f, g, h = ((a * e + b * g) % p, (a * f + b * h) % p,
-                          (c * e + d * g) % p, (c * f + d * h) % p)
-            if (e, f, g, h) == (1, 0, 0, 1):
-                order = step
-                break
-        if order == q:
-            break
-    else:
-        raise BadParameters(f"no order-{q} companion matrix over F_{p}")
     base = elementary(p, 2, order_cap=order_cap)
     idx = np.arange(base.order)
     x, y = idx % p, idx // p
-    img = (-y) % p + ((x + t * y) % p) * p
-    act = ActionSpec.from_pairs([(1, img.tolist())])
-    grp = semidirect_product(base, cyclic(q, order_cap=order_cap), act,
-                             order_cap=order_cap)
-    return grp.relabeled(f"(C{p}xC{p}):C{q}")
+    for t in range(p):
+        # companion matrix [[0,-1],[1,t]]: (x, y) -> (-y, x + t y); q is
+        # prime and the map is not the identity, so img^q = 1 means order q
+        img = (-y) % p + ((x + t * y) % p) * p
+        power = idx
+        for _ in range(q):
+            power = img[power]
+        if np.array_equal(power, idx):
+            return _by_cyclic(base, q, img, f"(C{p}xC{p}):C{q}", order_cap)
+    raise BadParameters(f"no order-{q} companion matrix over F_{p}")
 
 
 def groups_of_order_p3(p: int, order_cap: int | None = None) -> list[Group]:

@@ -128,8 +128,7 @@ def _named(name: str) -> Group:
 
 
 def _isomorphic(g: Group, name: str) -> bool:
-    h = _named(name)
-    return g.order == h.order and find_isomorphism(g, h) is not None
+    return find_isomorphism(g, _named(name)) is not None
 
 
 # One entry: a sweep unit, or a run of capable() calls on one order, asks
@@ -197,8 +196,7 @@ def capable(g: Group) -> CapabilityVerdict:
 def witness_check(h: Group, target: Group) -> WitnessResult:
     """Check that h is a cover of target: h/Z(h) isomorphic to target."""
     quot, cosets = quotient_with_cosets(h, center(h))
-    iso = (find_isomorphism(quot, target) if quot.order == target.order
-           else None)
+    iso = find_isomorphism(quot, target)
     return WitnessResult(iso is not None, quot,
                          tuple(tuple(c) for c in cosets),
                          None if iso is None else tuple(int(v) for v in iso))

@@ -116,7 +116,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     rendered = {"json": render_json, "md": render_markdown,
                 "csv": render_csv}[args.format](report)
     if args.out:
-        Path(args.out).write_text(rendered)
+        Path(args.out).write_text(rendered, encoding="utf-8")
     else:
         print(rendered, end="" if rendered.endswith("\n") else "\n")
     return 0
@@ -155,7 +155,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_claim(args.claim, jobs=args.jobs, **params)
     if args.out:
         Path(args.out).write_text(
-            json.dumps(report_to_jsonable(report), indent=2) + "\n")
+            json.dumps(report_to_jsonable(report), indent=2) + "\n",
+            encoding="utf-8")
     status = "PASS" if report.passed else "FAIL"
     print(f"{report.claim_id}: {status} "
           f"({report.instances_checked} instances, {report.elapsed:.2f}s)")

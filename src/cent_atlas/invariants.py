@@ -40,7 +40,6 @@ __all__ = [
     "find_isomorphism",
     "frobenius_structure",
     "is_isomorphic",
-    "is_prime",
     "normalizer",
     "omega",
     "sylow",

@@ -1,5 +1,7 @@
 """Named families, order classifications, and the catalog sweep."""
 
+import hashlib
+
 import pytest
 
 from cent_atlas.catalog import (
@@ -28,11 +30,13 @@ from cent_atlas.catalog import (
     sl23,
     symmetric,
     unit_of_order,
+    witness_exponents,
     witness_h,
 )
 from cent_atlas.core import direct_product, quotient
 from cent_atlas.errors import BadParameters, NoInstanceAvailable, OrderCapExceeded
 from cent_atlas.invariants import center, is_isomorphic
+from cent_atlas.numbers import primes_up_to
 
 from oracles import squarefree_class_count
 
@@ -286,3 +290,51 @@ class TestCatalog:
     def test_catalog_respects_cap(self):
         small = catalog_up_to(30)
         assert {g.order for g in small} == {8, 12, 16, 18, 20, 24, 27, 28, 30}
+
+
+# The groups whose construction tables are pinned: the catalog to 500, the
+# central-quotient instances of every default C1, C5, C10 and C12 shape,
+# the C9w witnesses for p in {2, 3}, the irreducible action at order 1,183,
+# and the dihedral and dicyclic extremes.
+_PINNED_GROUPS = {
+    "catalog-500": lambda: [g for gs in catalog_by_order(500).values() for g in gs],
+    "shapes": lambda: [g for shape in (
+        ("pqr", (2, 3, 5)), ("pqr", (2, 3, 7)), ("pqr", (2, 5, 7)),
+        ("pqr", (3, 7, 13)), ("p2q", (2, 3)), ("p2q", (3, 2)),
+        ("p2q", (2, 5)), ("p2q", (2, 7)), ("p2q", (3, 7)), ("pq2", (2, 3)),
+        ("pq2", (2, 5)), ("pq2", (3, 5)), ("p3", (2,)), ("p3", (3,)),
+    ) for g in central_quotient_examples(*shape)],
+    "witness-h": lambda: [witness_h(p, q, i) for p in (2, 3)
+                          for q in primes_up_to(31) if q % p == 1
+                          for i in witness_exponents(p, q)],
+    "p2q-13-7": lambda: groups_of_order_p2q(13, 7),
+    "dihedral": lambda: [dihedral(n) for n in (2, 4, 8, 2048)],
+    "dicyclic": lambda: [dicyclic(n) for n in (8, 12, 2048)],
+}
+
+# SHA-256 over each group's label and its table, inverse and element
+# orders as little-endian int32, frozen from the builders before the
+# metacyclic families shared one presentation law: any change to a
+# table, an index layout or a label shows here.
+PINNED_DIGESTS = {
+    "catalog-500": "fb160ca4c88f11759585b87557e7e5207668d05c62b7b4e186d5ffcb7e8fd46b",
+    "dicyclic": "96f1accf31f0d1c8190eaa6f851fcaad61501be7c794505174baa47975eaa4d9",
+    "dihedral": "c1fcc1cdb591c1b83de8c74406783cff1535cbdee502def4a4006542be3c7f19",
+    "p2q-13-7": "7e1ff14751c743c7fb9ee4804c28d90f33f20e36c62ddb5944d3e03ef18d6329",
+    "shapes": "3005f7b4901a1da5ae0953be23a6f53ef844b05d7affc497a124cf5fa257bb6c",
+    "witness-h": "8df8c5a1d16ac7eba043bae2550b4175580cfebd9e205707d60d205098e1d661",
+}
+
+
+def _construction_digest(groups) -> str:
+    h = hashlib.sha256()
+    for g in groups:
+        h.update(g.label.encode() + b"\0")
+        for arr in (g.table, g.inverse, g.element_orders):
+            h.update(arr.astype("<i4").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_GROUPS))
+def test_construction_tables_pinned(name):
+    assert _construction_digest(_PINNED_GROUPS[name]()) == PINNED_DIGESTS[name]

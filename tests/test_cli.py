@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -142,6 +143,20 @@ class TestAnalyze:
                           "--out", str(dest)], capsys)
         assert code == 0
         assert dest.read_text().splitlines()[1].startswith("S3,6,")
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_out_is_utf8_under_ascii_locale(self, tmp_path, fmt):
+        src = tmp_path / "ze.json"
+        write_group_file(cyclic(2).relabeled("Z\u00e9"), src)
+        dest = tmp_path / "out"
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cent_atlas", "analyze", "--in", str(src),
+             "--format", fmt, "--out", str(dest)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "Z\u00e9" in dest.read_text(encoding="utf-8")
 
     def test_invalid_table_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
