@@ -2,12 +2,14 @@
 
 Subcommands: construct, analyze, catalog, verify, witness.  Exit codes:
 0 success or pass, 2 usage or parameter errors (including empty sweeps),
-3 invalid input files, 4 failed claims or witness checks.
+3 invalid input files, 4 failed claims or witness checks.  Standard
+output is UTF-8 whatever the locale, as the files ``--out`` writes are.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import fields
@@ -182,6 +184,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     try:
         return args.func(args)
     except (UnknownClaim, EmptySweep, BadParameters, OrderCapExceeded) as exc:

@@ -10,7 +10,10 @@ produced it, by one of two paths:
   shape and order cap, integer entries in 0..n-1, the identity at 0, the
   Latin property, two-sided inverses and associativity, in O(|S| n^2) time
   for a generating set S of at most log2(n) elements; its docstring gives
-  the cost of each check.
+  the cost of each check.  The gate keeps one int32 copy of the table,
+  which becomes the Group's, and checks it in row blocks, so its working
+  memory beyond that copy is O(n); a group file's freshly parsed table is
+  handed over without the copy.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
   private ``_trusted``: direct products of two groups; semidirect products,
@@ -294,8 +297,9 @@ def _centralizer_sizes(g: Group) -> np.ndarray:
     return g.order // np.bincount(reps, minlength=g.order)[reps]
 
 
-# Rows of the table gathered at once by ``_close``: at most this many cells
-# (1 MB of int32), so its working memory stays O(n) at every order.
+# Rows of the table gathered at once by ``_close`` and by the checks of
+# ``from_cayley_table``: at most this many cells (1 MB of int32), so their
+# working memory stays O(n) at every order.
 _CLOSE_BLOCK = 1 << 18
 
 
@@ -356,18 +360,23 @@ def _generating_indices(table: np.ndarray,
 def _check_associative(table: np.ndarray) -> None:
     """Light's associativity test (Clifford & Preston, *Algebraic Theory of
     Semigroups* I, section 1.2): if (x*s)*y = x*(s*y) for all x, y and every
-    s in a generating set S, the table is associative.  O(|S| n^2).
+    s in a generating set S, the table is associative.  O(|S| n^2), in row
+    blocks of at most ``_CLOSE_BLOCK`` cells.
     """
+    n = table.shape[0]
+    step = max(1, _CLOSE_BLOCK // n)
     for s in _generating_indices(table):
-        lhs = table[table[:, s], :]
-        rhs = np.take(table, table[s], axis=1)
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            raise NotAssociative(
-                f"associativity fails at triple ({int(x)}, {s}, {int(y)}): "
-                f"({int(x)}*{s})*{int(y)} = {int(lhs[x, y])} but "
-                f"{int(x)}*({s}*{int(y)}) = {int(rhs[x, y])}"
-            )
+        for lo in range(0, n, step):
+            lhs = table[table[lo:lo + step, s]]
+            rhs = np.take(table[lo:lo + step], table[s], axis=1)
+            if not np.array_equal(lhs, rhs):
+                dx, y = np.argwhere(lhs != rhs)[0]
+                x = lo + int(dx)
+                raise NotAssociative(
+                    f"associativity fails at triple ({x}, {s}, {int(y)}): "
+                    f"({x}*{s})*{int(y)} = {int(lhs[dx, y])} but "
+                    f"{x}*({s}*{int(y)}) = {int(rhs[dx, y])}"
+                )
 
 
 def _powers(table: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
@@ -443,9 +452,34 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
 
     Element orders then come from their p-parts in O(n log n) gathers
     per prime dividing n.  The whole gate costs O(|S| n^2); no check is
-    skipped for any table.
+    skipped for any table.  The Group holds a copy of the table, never
+    the caller's array.  Besides that int32 copy (and, for a wider input,
+    the copy it is narrowed from), the checks work in row blocks of at
+    most ``_CLOSE_BLOCK`` cells, so their working memory is O(n) at every
+    order; an order of at most 512 is a single block.
     """
-    arr = np.asarray(table)
+    return _validated(np.array(table), label, order_cap)
+
+
+def _first_non_permutation(rows: np.ndarray) -> int | None:
+    """Index of the first of the k x n ``rows``, entries in 0..n-1, that is
+    not a permutation of 0..n-1, or None: one scatter into k x n flags."""
+    k, n = rows.shape
+    seen = np.zeros(k * n, dtype=bool)
+    seen[rows + np.arange(0, k * n, n, dtype=np.int32)[:, None]] = True
+    bad = ~seen.reshape(k, n).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _validated(arr: np.ndarray, label: str | None,
+               order_cap: int | None) -> Group:
+    """The gate of :func:`from_cayley_table`, on an array it owns.
+
+    The array is narrowed to int32 in place of a copy where it already is
+    int32 and C-contiguous, and is frozen into the Group, so no caller may
+    keep it: ``from_cayley_table`` hands over a copy of its input, and
+    ``report.read_group_file`` the table it has just parsed.
+    """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise BadParameters(f"table must be a nonempty square matrix, got shape {arr.shape}")
     n = arr.shape[0]
@@ -458,7 +492,7 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
             f"entry at ({int(bad[0])}, {int(bad[1])}) is {int(arr[bad[0], bad[1]])}, "
             f"outside 0..{n - 1}"
         )
-    arr = arr.astype(np.int32, copy=False)
+    arr = np.ascontiguousarray(arr, dtype=np.int32)
     idx = np.arange(n, dtype=np.int32)
     if not np.array_equal(arr[0], idx):
         j = int(np.flatnonzero(arr[0] != idx)[0])
@@ -466,22 +500,21 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     if not np.array_equal(arr[:, 0], idx):
         i = int(np.flatnonzero(arr[:, 0] != idx)[0])
         raise NoIdentityAtZero(f"{i}*0 = {int(arr[i, 0])}, expected {i}")
-    seen = np.zeros((n, n), dtype=bool)
-    seen[idx[:, None], arr] = True
-    if not seen.all():
-        i = int(np.flatnonzero(~seen.all(axis=1))[0])
-        raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
-    seen[:] = False
-    seen[idx[:, None], arr.T] = True
-    if not seen.all():
-        j = int(np.flatnonzero(~seen.all(axis=1))[0])
-        raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
-    right_inv = np.argmax(arr == 0, axis=1).astype(np.int32)
+    step = max(1, _CLOSE_BLOCK // n)
+    for lo in range(0, n, step):
+        i = _first_non_permutation(arr[lo:lo + step])
+        if i is not None:
+            raise NotLatinSquare(f"row {lo + i} is not a permutation of 0..{n - 1}")
+    for lo in range(0, n, step):
+        j = _first_non_permutation(arr[:, lo:lo + step].T)
+        if j is not None:
+            raise NotLatinSquare(f"column {lo + j} is not a permutation of 0..{n - 1}")
+    right_inv = np.concatenate([np.argmax(arr[lo:lo + step] == 0, axis=1)
+                                for lo in range(0, n, step)]).astype(np.int32)
     if not np.array_equal(arr[right_inv, idx], np.zeros(n, dtype=np.int32)):
         i = int(np.flatnonzero(arr[right_inv, idx] != 0)[0])
         raise NoInverse(f"element {i} has no two-sided inverse")
     _check_associative(arr)
-    arr = arr.copy()
     arr.setflags(write=False)
     return Group(arr, right_inv, _element_orders(arr), label)
 

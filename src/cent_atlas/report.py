@@ -4,23 +4,37 @@ The group file is JSON {"order": n, "label": str|null, "table": [[...]]}
 with the identity at index 0; the permutation-generator file is
 {"degree": d, "generators": [[...], ...]}.  ``write_group_file`` emits
 compact one-line JSON without building a Python list of the table;
-``read_group_file`` reads that layout by a fast path, accepts any other
-valid JSON for either kind, and always revalidates the group axioms.
+``read_group_file`` reads that layout by a fast path, in blocks of about
+1 MB straight into one int32 table that the validation gate takes over
+without a copy, accepts any other valid JSON for either kind through
+``json.loads``, and always revalidates the group axioms.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 import numpy as np
 
 from .claims import CapabilityVerdict, capable
-from .core import Group, from_cayley_table, from_permutation_generators
-from .errors import BadGroupFile, BadParameters, InconsistentInvariants
+from .core import (
+    Group,
+    _check_order_cap,
+    _validated,
+    from_permutation_generators,
+)
+from .errors import (
+    BadGroupFile,
+    BadParameters,
+    InconsistentInvariants,
+    OrderCapExceeded,
+)
 from .invariants import (
     abelian_profile,
     cent_structure,
@@ -209,9 +223,68 @@ def write_group_file(g: Group, path: str | Path) -> None:
 _CANONICAL_HEAD = re.compile(
     rb'\{"order":(0|[1-9][0-9]{0,8}),"label":(null|".*")', re.DOTALL)
 _CANONICAL_TABLE = b',"table":[['
+_CANONICAL_END = b"]]}\n"
+# bytes read at a time by the fast path: about 1 MB, so that what it holds
+# besides the table stays small at every order
+_READ_BLOCK = 1 << 20
 
 
-def _read_canonical(data: bytes) -> dict[str, Any] | None:
+def _row_chunks(fh: BinaryIO, text: bytes) -> Iterator[bytes | None]:
+    """The table of a canonical file as chunks of whole rows joined by
+    ``],[``: ``text`` (the start of the table, after its ``[[``) and then
+    the rest of ``fh`` in blocks of ``_READ_BLOCK`` bytes, each chunk cut
+    at the last row break read so far.  The last chunk runs up to the
+    closing ``]]}`` and newline; it is None if the file ends otherwise."""
+    buf = bytearray(text)
+    while block := fh.read(_READ_BLOCK):
+        buf += block
+        cut = buf.rfind(b"],[", max(0, len(buf) - len(block) - 2))
+        if cut >= 0:
+            yield bytes(memoryview(buf)[:cut])
+            del buf[:cut + 3]
+    yield bytes(buf[:-len(_CANONICAL_END)]) \
+        if buf.endswith(_CANONICAL_END) else None
+
+
+def _parse_rows(chunk: bytes, n: int) -> np.ndarray | None:
+    """The rows of one chunk as a k x n int32 array, or None unless the
+    chunk is k rows of n canonical tokens joined by ``],[``.
+
+    Only digits and commas around k - 1 row breaks, each made a -1 marker
+    (the length check counts the replacements), and no empty token: then
+    the parse cannot stop early.  Dropping the places between rows leaves
+    a negative entry if any marker was elsewhere, that is, if some row was
+    not n tokens long.  Every token is at least as long as its value's
+    decimal digits, and longer exactly when it has a leading zero or
+    wrapped in int32 (ten or more digits): the tokens fill the chunk only
+    if all are canonical.
+    """
+    rest = chunk.translate(None, b"0123456789,")
+    k = len(rest) // 2 + 1
+    if not (chunk[:1].isdigit() and chunk[-1:].isdigit()
+            and rest == b"][" * (k - 1)):
+        return None
+    flat = chunk.replace(b"],[", b",-1,")
+    if len(flat) != len(chunk) + k - 1 or b",," in flat:
+        return None
+    cells = np.fromstring(flat, dtype=np.int32, sep=",")
+    del flat
+    if cells.size != k * (n + 1) - 1:
+        return None
+    rows = np.delete(cells, np.s_[n::n + 1]).reshape(k, n)
+    del cells
+    top = int(rows.max())
+    if rows.min() < 0 or top >= 10 ** 9:
+        return None
+    digits = rows.size + sum(int(np.count_nonzero(rows >= 10 ** j))
+                             for j in range(1, len(str(top))))
+    if len(chunk) != digits + k * (n - 1) + 3 * (k - 1):
+        return None
+    return rows
+
+
+def _read_canonical(fh: BinaryIO,
+                    order_cap: int | None) -> dict[str, Any] | None:
     """A file in exactly ``write_group_file``'s layout as the dict
     ``json.loads`` makes of it, with the table as an int32 array; None for
     any other text.
@@ -221,47 +294,56 @@ def _read_canonical(data: bytes) -> dict[str, Any] | None:
     and the table must be n rows of n tokens, each ``0|[1-9][0-9]{0,8}``,
     so none can wrap in int32.  Any text accepted here parses under JSON
     to the same object.
+
+    The file is read in blocks of ``_READ_BLOCK`` bytes.  The first row
+    gives n; the n x n table is allocated once, only if n is within the
+    order cap and the file is long enough to hold n such rows, and each
+    block is parsed straight into its rows.  Past the cap the rest is
+    still parsed, block by block into nothing, and a file in the layout
+    raises OrderCapExceeded as ``from_cayley_table`` would; one that
+    leaves the layout anywhere returns None, for ``json.loads`` to judge.
     """
-    start = data.find(_CANONICAL_TABLE)
-    match = _CANONICAL_HEAD.fullmatch(data[:max(start, 0)])
-    if not (match and data.endswith(b"]]}\n")):
+    head = bytearray()
+    while (start := head.find(_CANONICAL_TABLE)) < 0:
+        block = fh.read(_READ_BLOCK)
+        head += block
+        # an indented or spaced file leaves at once, not at its end
+        if not block or not head.startswith(b'{"order":'[:len(head)]):
+            return None
+    match = _CANONICAL_HEAD.fullmatch(head[:start])
+    if not match:
         return None
     try:  # null, or one JSON string
         label = json.loads(match[2].decode("utf-8"))
     except ValueError:
         return None
-    body = data[start + len(_CANONICAL_TABLE):-4]
-    rest = body.translate(None, b"0123456789,")
-    n = len(rest) // 2 + 1
-    # Only digits and commas around n - 1 row breaks "],[", each made a -1
-    # marker (the length check counts the replacements), and no empty
-    # token: then the parse below cannot stop early.
-    if not (body[:1].isdigit() and body[-1:].isdigit()
-            and rest == b"][" * (n - 1)):
+    start += len(_CANONICAL_TABLE)
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(len(head))
+    table, n, done = None, 0, 0
+    for chunk in _row_chunks(fh, head[start:]):
+        if chunk is None:
+            return None
+        if not n:
+            n = chunk.split(b"],[", 1)[0].count(b",") + 1
+            # n rows of n one-digit tokens, the shortest canonical table
+            if size - start < 2 * n * n + 2 * n - 3 + len(_CANONICAL_END):
+                return None
+            try:  # raised again below if the whole file is in the layout
+                _check_order_cap(n, order_cap)
+                table = np.empty((n, n), dtype=np.int32)
+            except (BadParameters, OrderCapExceeded):
+                pass
+        rows = _parse_rows(chunk, n)
+        if rows is None or done + len(rows) > n:
+            return None
+        if table is not None:
+            table[done:done + len(rows)] = rows
+        done += len(rows)
+    if done != n:
         return None
-    flat = body.replace(b"],[", b",-1,")
-    if len(flat) != len(body) + n - 1 or b",," in flat:
-        return None
-    del body  # flat holds the same tokens
-    width = len(flat)
-    cells = np.fromstring(flat, dtype=np.int32, sep=",")
-    del flat
-    if cells.size != n * (n + 1) - 1:
-        return None
-    # Drop the n - 1 places between rows; if any -1 marker was elsewhere,
-    # some row was not n tokens long and the table keeps a negative entry.
-    table = np.delete(cells, np.s_[n::n + 1]).reshape(n, n)
-    del cells
-    top = int(table.max())
-    if table.min() < 0 or top >= 10 ** 9:
-        return None
-    # Every token is at least as long as its value's decimal digits, and
-    # longer exactly when it has a leading zero or wrapped in int32 (ten or
-    # more digits): the tokens fill the text only if all are canonical.
-    digits = table.size + sum(int(np.count_nonzero(table >= 10 ** k))
-                              for k in range(1, len(str(top))))
-    if width != digits + (n - 1) * (n + 4):
-        return None
+    if table is None:
+        _check_order_cap(n, order_cap)
     return {"order": int(match[1]), "label": label, "table": table}
 
 
@@ -270,9 +352,12 @@ def read_group_file(path: str | Path,
     """Load and revalidate a group or permutation-generator file.
 
     The file is read as UTF-8.  A file in exactly ``write_group_file``'s
-    layout is parsed by a fast path straight to an int32 table; any other
-    text goes through ``json.loads``, and both meet the same checks below,
-    so which files load and every error message are the same either way.
+    layout is parsed by a fast path straight to an int32 table, which the
+    gate of ``from_cayley_table`` then checks in place of a copy: at order
+    n that path holds the 4 n^2 byte table and O(n) more besides blocks
+    of about 1 MB.  Any other text goes through ``json.loads``, and both
+    meet the same checks below, so which files load and every error
+    message are the same either way.
 
     A group file's "label" must be a string or null, its "order" (when
     present) the table's size, and its table free of JSON booleans, which
@@ -280,10 +365,14 @@ def read_group_file(path: str | Path,
     "generators" must be a list of lists and its "degree" (when present)
     an integer.
     """
-    data = Path(path).read_bytes()
-    raw = _read_canonical(data)
-    text = data.decode("utf-8") if raw is None else ""
-    del data  # as large as the table: free it before the table is built
+    with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe: hold its bytes to read them twice
+            fh = io.BytesIO(fh.read())
+        raw = _read_canonical(fh, order_cap)
+        text = ""
+        if raw is None:
+            fh.seek(0)
+            text = fh.read().decode("utf-8")
     if "\r" in text:  # universal newlines, as text-mode reading gives
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if raw is None:
@@ -303,8 +392,9 @@ def read_group_file(path: str | Path,
                 type(v) is bool
                 for v in np.asarray(raw["table"], dtype=object).flat):
             raise BadGroupFile(f"{path}: field 'table' has a boolean entry")
-        g = from_cayley_table(raw["table"], label=label or "",
-                              order_cap=order_cap)
+        # the gate owns the array: the fast path's fresh table, or a fresh
+        # array made of the JSON lists, is not copied again
+        g = _validated(np.asarray(raw.pop("table")), label or "", order_cap)
         order = raw.get("order")
         if order is not None and (type(order) is not int or order != g.order):
             raise BadGroupFile(f"{path}: field 'order' is {order!r} but the "

@@ -4,7 +4,8 @@ Everything here works directly on a Cayley table as nested lists, with no
 numpy and no shortcuts shared with the library code, except the dense
 references at the end: whole-table numpy formulas, O(n^2) in time and
 memory, fast enough to check the generator-based library code on groups
-of order in the thousands, and the json-only group-file loader.
+of order in the thousands, the whole-table validation gate and the
+json-only group-file loader.
 """
 
 from __future__ import annotations
@@ -15,8 +16,22 @@ from pathlib import Path
 
 import numpy as np
 
-from cent_atlas.core import Group, from_cayley_table, from_permutation_generators
-from cent_atlas.errors import BadGroupFile, BadParameters
+from cent_atlas.core import (
+    Group,
+    _check_order_cap,
+    _element_orders,
+    _generating_indices,
+    from_cayley_table,
+    from_permutation_generators,
+)
+from cent_atlas.errors import (
+    BadGroupFile,
+    BadParameters,
+    NoIdentityAtZero,
+    NoInverse,
+    NotAssociative,
+    NotLatinSquare,
+)
 
 
 def center(table: list[list[int]]) -> list[int]:
@@ -334,6 +349,62 @@ def dense_derived_subgroup(table: np.ndarray) -> np.ndarray:
 def dense_centralizer_sizes(table: np.ndarray) -> np.ndarray:
     """Row sums of the commuting matrix."""
     return np.equal(table, table.T).sum(axis=1)
+
+
+def dense_from_cayley_table(table, label: str | None = None,
+                            order_cap: int | None = None) -> Group:
+    """The validation gate as whole-table checks: n x n flag scatters for
+    the Latin property, an n x n comparison for inverses and two n x n
+    products per generator for Light's test.  The library's blocked gate
+    must return the same Group or raise the same error with the same
+    message."""
+    arr = np.asarray(table)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise BadParameters(
+            f"table must be a nonempty square matrix, got shape {arr.shape}")
+    n = arr.shape[0]
+    _check_order_cap(n, order_cap)
+    if arr.dtype.kind not in "iu":
+        raise NotLatinSquare(
+            f"table entries must be integers, got dtype {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= n:
+        bad = np.argwhere((arr < 0) | (arr >= n))[0]
+        raise NotLatinSquare(
+            f"entry at ({int(bad[0])}, {int(bad[1])}) is "
+            f"{int(arr[bad[0], bad[1]])}, outside 0..{n - 1}")
+    arr = arr.astype(np.int32)
+    idx = np.arange(n, dtype=np.int32)
+    if not np.array_equal(arr[0], idx):
+        j = int(np.flatnonzero(arr[0] != idx)[0])
+        raise NoIdentityAtZero(f"0*{j} = {int(arr[0, j])}, expected {j}")
+    if not np.array_equal(arr[:, 0], idx):
+        i = int(np.flatnonzero(arr[:, 0] != idx)[0])
+        raise NoIdentityAtZero(f"{i}*0 = {int(arr[i, 0])}, expected {i}")
+    seen = np.zeros((n, n), dtype=bool)
+    seen[idx[:, None], arr] = True
+    if not seen.all():
+        i = int(np.flatnonzero(~seen.all(axis=1))[0])
+        raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
+    seen[:] = False
+    seen[idx[:, None], arr.T] = True
+    if not seen.all():
+        j = int(np.flatnonzero(~seen.all(axis=1))[0])
+        raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
+    right_inv = np.argmax(arr == 0, axis=1).astype(np.int32)
+    if not np.array_equal(arr[right_inv, idx], np.zeros(n, dtype=np.int32)):
+        i = int(np.flatnonzero(arr[right_inv, idx] != 0)[0])
+        raise NoInverse(f"element {i} has no two-sided inverse")
+    for s in _generating_indices(arr):
+        lhs = arr[arr[:, s], :]
+        rhs = np.take(arr, arr[s], axis=1)
+        if not np.array_equal(lhs, rhs):
+            x, y = np.argwhere(lhs != rhs)[0]
+            raise NotAssociative(
+                f"associativity fails at triple ({int(x)}, {s}, {int(y)}): "
+                f"({int(x)}*{s})*{int(y)} = {int(lhs[x, y])} but "
+                f"{int(x)}*({s}*{int(y)}) = {int(rhs[x, y])}")
+    arr.setflags(write=False)
+    return Group(arr, right_inv, _element_orders(arr), label)
 
 
 # The group-file loader through json.loads alone, with no canonical-layout

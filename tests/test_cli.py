@@ -158,6 +158,38 @@ class TestAnalyze:
         assert proc.returncode == 0, proc.stderr
         assert "Z\u00e9" in dest.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--in", "Z.json", "--format", "md"],
+        ["analyze", "--in", "Z.json", "--format", "csv"],
+        ["witness", "H.json", "G.json"],
+    ], ids=["analyze-md", "analyze-csv", "witness"])
+    def test_stdout_is_utf8_under_ascii_locale(self, tmp_path, argv):
+        write_group_file(cyclic(2).relabeled("Z\u00e9"), tmp_path / "Z.json")
+        write_group_file(witness_h(2, 3, 2).relabeled("H\u00e9"),
+                         tmp_path / "H.json")
+        write_group_file(dihedral(12).relabeled("G\u00e9"),
+                         tmp_path / "G.json")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "cent_atlas", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.decode("utf-8")
+        assert ("H\u00e9/Z(H\u00e9) ~ G\u00e9: true" if argv[0] == "witness"
+                else "Z\u00e9") in out
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    def test_group_file_from_a_pipe(self, indent):
+        text = json.dumps({"order": 6, "label": "S3", "table": dihedral(
+            6).table.tolist()}, separators=(",", ":"), indent=indent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cent_atlas", "analyze", "--in",
+             "/dev/stdin"], input=text + "\n", capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cent_count"] == 5
+
     def test_invalid_table_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(

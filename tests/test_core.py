@@ -9,6 +9,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from cent_atlas import core
 from cent_atlas.catalog import (
     abelian,
     catalog_up_to,
@@ -36,6 +37,7 @@ from cent_atlas.core import (
     subgroup_generated,
 )
 from cent_atlas.errors import (
+    CentAtlasError,
     IndexOutOfRange,
     NoIdentityAtZero,
     NoInverse,
@@ -214,6 +216,124 @@ def test_light_test_matches_triple_oracle(table):
         assert not associative
     else:
         assert associative
+
+
+def gate_outcome(validate, table):
+    """What a gate makes of a table: the Group's arrays, or the exception's
+    type and message."""
+    try:
+        g = validate(table)
+    except CentAtlasError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.tobytes()) for a in (g.table, g.inverse,
+                                              g.element_orders)]
+
+
+def to_top(table: np.ndarray, elems: list[int]) -> np.ndarray:
+    """The same table with elems[i] relabelled n - 1 - i, 0 kept at 0."""
+    n = len(table)
+    perm = np.arange(n)
+    for i, x in enumerate(elems):
+        y = int(np.flatnonzero(perm == n - 1 - i)[0])
+        perm[x], perm[y] = perm[y], perm[x]
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def switched(g: Group, zero: bool) -> tuple[np.ndarray, list[int]]:
+    """g's table with one intercalate switched, and its rows and columns.
+
+    For an involution u the cells of rows a, au and columns b, ub hold two
+    values crosswise, and trading them leaves a Latin square.  With
+    b = a^-1 one value is 0, so some element loses its two-sided inverse;
+    otherwise inverses stay and the loop is not associative.
+    """
+    table = g.table.copy()
+    u = int(np.flatnonzero(g.element_orders == 2)[0])
+    for a in range(2, g.order):
+        b = int(g.inverse[a]) if zero else 1
+        lines = [a, int(table[a, u]), b, int(table[u, b])]
+        cells = [(x, y) for x in lines[:2] for y in lines[2:]]
+        values = {int(table[c]) for c in cells}
+        if len(set(lines)) == 4 and 0 not in lines and len(values) == 2 \
+                and (0 in values) == zero:
+            break
+    c, e = values
+    for cell in cells:
+        table[cell] = e if table[cell] == c else c
+    return table, lines
+
+
+def planted(g: Group, defect: str) -> np.ndarray:
+    """g's table with one defect, relabelled so that the rows, columns or
+    elements it names are the last four: all in the last row block."""
+    table = g.table.copy()
+    if defect == "row":
+        table[3, 5] = table[3, 7]
+        return to_top(table, [3, 5, 7])
+    if defect == "column":
+        table[3, [5, 7]] = table[3, [7, 5]]
+        return to_top(table, [7, 5, 3])
+    table, lines = switched(g, zero=defect == "inverse")
+    return to_top(table, lines)
+
+
+class TestBlockedGate:
+    """The gate's row-block checks against the whole-table reference
+    ``oracles.dense_from_cayley_table``: same Group, or same error."""
+
+    EXPECTED = {"row": NotLatinSquare, "column": NotLatinSquare,
+                "inverse": NoInverse, "associativity": NotAssociative}
+
+    @pytest.mark.parametrize("defect", sorted(EXPECTED))
+    @pytest.mark.parametrize("build", [lambda: cyclic(1024),
+                                       lambda: dihedral(1030)],
+                             ids=["C1024", "D1030"])
+    def test_defect_in_the_last_block(self, build, defect):
+        g = build()
+        assert g.order // max(1, core._CLOSE_BLOCK // g.order) >= 4
+        table = planted(g, defect)
+        want = gate_outcome(oracles.dense_from_cayley_table, table)
+        assert want[0] is self.EXPECTED[defect], want
+        assert gate_outcome(from_cayley_table, table) == want
+        if defect != "associativity":  # the named line is one of the last 4
+            assert int(re.findall(r"\d+", want[1])[0]) >= g.order - 4
+
+    @pytest.mark.parametrize("build", [lambda: cyclic(1024),
+                                       lambda: dihedral(1030)],
+                             ids=["C1024", "D1030"])
+    def test_valid_table_is_copied(self, build):
+        table = to_top(build().table, [5, 3])
+        assert gate_outcome(from_cayley_table, table) == gate_outcome(
+            oracles.dense_from_cayley_table, table)
+        assert not np.shares_memory(from_cayley_table(table).table, table)
+
+
+@st.composite
+def gate_inputs(draw) -> list[list[int]]:
+    """Loop squares, some with one cell overwritten or two cells of a row
+    or column swapped."""
+    table = draw(loop_squares())
+    n = len(table)
+    op = draw(st.sampled_from(["none", "cell", "row-swap", "column-swap"]))
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    if op == "cell":
+        table[i][j] = draw(st.integers(0, n - 1))
+    elif op == "row-swap":
+        table[i][j], table[i][k] = table[i][k], table[i][j]
+    elif op == "column-swap":
+        table[j][i], table[k][i] = table[k][i], table[j][i]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_inputs(), st.sampled_from([1, 5, 16, 1 << 18]))
+def test_blocked_gate_matches_whole_table_checks(table, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CLOSE_BLOCK", block)
+        assert gate_outcome(from_cayley_table, table) == gate_outcome(
+            oracles.dense_from_cayley_table, table)
 
 
 class TestPermutationGenerators:

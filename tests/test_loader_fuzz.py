@@ -6,7 +6,9 @@ that survives a write and a read unchanged.  ``read_group_file`` agrees
 with the json-only reference loader in ``oracles`` on every file: the same
 group, or the same exception type and message.  Byte-level mutations of
 the writer's compact layout check that its fast path takes exactly that
-layout and leaves every other text to ``json.loads``.
+layout and leaves every other text to ``json.loads``, also when the fast
+path reads the file a few bytes at a time, so that every row and the
+header span several blocks.
 """
 
 import contextlib
@@ -114,11 +116,11 @@ def outcome(load, path):
     return g.order, g.label, g.table.tolist()
 
 
-def assert_same_as_json_loader(tmp, data: bytes):
+def assert_same_as_json_loader(tmp, data: bytes, order_cap=None):
     path = Path(tmp) / "g.json"
     path.write_bytes(data)
-    assert outcome(read_group_file, path) == outcome(
-        oracles.read_group_file_json, path)
+    assert outcome(lambda p: read_group_file(p, order_cap), path) == outcome(
+        lambda p: oracles.read_group_file_json(p, order_cap), path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,6 +153,7 @@ def with_row(i, row):
 
 
 CANONICAL = layout()
+C100_ROWS = [[str((i + j) % 100) for j in range(100)] for i in range(100)]
 # name -> (file bytes, whether the fast path takes it)
 CASES = {
     "canonical": (CANONICAL, True),
@@ -189,6 +192,8 @@ CASES = {
     "long-row": (with_row(2, [*S3_ROWS[2], "0"]), False),
     "extra-row": (layout([*S3_ROWS, S3_ROWS[0]]), False),
     "missing-row": (layout(S3_ROWS[:-1]), False),
+    # long enough for n rows of one-digit tokens
+    "missing-row-of-100": (layout(C100_ROWS[:-1], order=b"100"), False),
     "rows-of-six-and-five-and-seven": (
         layout([*S3_ROWS[:2], S3_ROWS[2][:-1],
                 [*S3_ROWS[3], "0"], *S3_ROWS[4:]]), False),
@@ -219,8 +224,28 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_canonical_mutation_loads_as_the_json_loader_does(name, tmp_path):
     data, fast = CASES[name]
-    assert (report._read_canonical(data) is not None) == fast
+    assert (report._read_canonical(io.BytesIO(data), None) is not None) == fast
     assert_same_as_json_loader(tmp_path, data)
+
+
+@contextlib.contextmanager
+def read_blocks_of(size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "_READ_BLOCK", size)
+        yield
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_canonical_mutation_across_read_blocks(name, tmp_path):
+    data, fast = CASES[name]
+    for size in (1, 2, 3, 4, 5, 7, 11):
+        with read_blocks_of(size):
+            assert (report._read_canonical(io.BytesIO(data), None)
+                    is not None) == fast, size
+            assert_same_as_json_loader(tmp_path, data)
+            # past the cap a canonical file is refused only once all of it
+            # is known to be in the layout
+            assert_same_as_json_loader(tmp_path, data, order_cap=2)
 
 
 BYTES = st.sampled_from(list(b'0123456789,[]{}":- \n\r\t.e+lnrtu\\') + [0xff])
@@ -255,4 +280,12 @@ def mutated_canonical_files(draw):
 @given(mutated_canonical_files())
 def test_mutated_canonical_files_load_as_the_json_loader_does(data):
     with tempfile.TemporaryDirectory() as tmp:
+        assert_same_as_json_loader(tmp, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_canonical_files(),
+                 mutated_files().map(str.encode)), st.integers(1, 16))
+def test_mutated_files_across_read_blocks(data, size):
+    with tempfile.TemporaryDirectory() as tmp, read_blocks_of(size):
         assert_same_as_json_loader(tmp, data)

@@ -1,5 +1,6 @@
 """Analysis reports, renderers, and group file round-trips."""
 
+import io
 import json
 import random
 import tracemalloc
@@ -17,7 +18,8 @@ from cent_atlas.catalog import (
     witness_h,
 )
 from cent_atlas.core import from_cayley_table
-from cent_atlas.errors import BadParameters, NoIdentityAtZero
+from cent_atlas.cli import main
+from cent_atlas.errors import BadParameters, NoIdentityAtZero, OrderCapExceeded
 from cent_atlas.invariants import is_isomorphic
 from cent_atlas.report import (
     analyze,
@@ -154,7 +156,7 @@ class TestCompactLayout:
         want = json.dumps(group_to_jsonable(g), separators=(",", ":")) + "\n"
         assert data == want.encode("ascii"), (g.order, g.label)
         del want
-        raw = report._read_canonical(data)
+        raw = report._read_canonical(io.BytesIO(data), order_cap=g.order)
         assert raw is not None, (g.order, g.label)
         assert (raw["order"], raw["label"]) == (g.order, g.label or None)
         assert raw["table"].dtype == np.int32
@@ -183,7 +185,8 @@ class TestCompactLayout:
 def test_group_file_io_builds_no_table_list(tmp_path):
     # at order 3875, json.dumps and json.loads over table lists peak near
     # 680 and 740 MB; the writer streams blocks of about 8 MB, and the
-    # reader holds the file bytes, one rewrite of them and int32 tables
+    # reader holds the 57 MB int32 table, which the gate checks without a
+    # copy, and blocks of about 1 MB
     g = witness_h(5, 31, 2, order_cap=3875).relabeled(None)
     path = tmp_path / "h.json"
     tracemalloc.start()
@@ -197,7 +200,41 @@ def test_group_file_io_builds_no_table_list(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.table, g.table)
     assert write_peak < 64 * 2 ** 20, write_peak
-    assert read_peak < 512 * 2 ** 20, read_peak
+    assert read_peak < 128 * 2 ** 20, read_peak
+
+
+def test_over_cap_file_is_refused_without_its_table(tmp_path):
+    # the reader learns n from the first row and allocates no n x n table
+    # past the cap; it still reads the rest in blocks, so a file that
+    # leaves the layout fails as json.loads has it fail
+    path = tmp_path / "h.json"
+    write_group_file(witness_h(5, 31, 2, order_cap=3875), path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapExceeded,
+                           match=r"^order 3875 exceeds cap 2048$"):
+            read_group_file(path, order_cap=2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak  # the table alone is 57 MiB
+    assert main(["analyze", "--in", str(path), "--order-cap", "2048"]) == 2
+
+
+def test_short_file_allocates_no_table_for_its_first_row(tmp_path):
+    # a first row of 10,000 tokens makes n = 10,000, but the file is too
+    # short for 10,000 such rows, so no 400 MB table is allocated
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"order":10000,"label":null,"table":[['
+                     + b",".join([b"0"] * 10000) + b"]]}\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameters, match="square"):
+            read_group_file(path, order_cap=10000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 class TestCatalogFilename:
