@@ -315,7 +315,7 @@ def _check_c9(g: Group, unit: tuple) -> _Check:
 
 
 def _check_c9w(h: Group, unit: tuple) -> _Check:
-    p, q, cap = unit
+    p, q, cap, _ = unit
     wr = witness_check(h, _special_p2q(p, q, cap))
     return (wr.ok and h.order == p ** 3 * q,
             f"|H|={h.order}, quotient_matches={wr.ok}", {})
@@ -525,10 +525,10 @@ _register(_Claim(
     "central quotient C_p x (C_q : C_p).",
     "p in {2, 3, 5}, prime q at most 31 with q = 1 (mod p), every valid i",
     {"p_list": (2, 3, 5), "q_max": 31, "order_cap": 4096},
-    lambda ps: [(p, q, ps["order_cap"]) for p in ps["p_list"]
-                for q in primes_up_to(ps["q_max"]) if q % p == 1],
-    lambda unit: (witness_h(*unit[:2], i, order_cap=unit[2])
-                  for i in witness_exponents(*unit[:2])),
+    lambda ps: [(p, q, ps["order_cap"], i) for p in ps["p_list"]
+                for q in primes_up_to(ps["q_max"]) if q % p == 1
+                for i in witness_exponents(p, q)],
+    lambda unit: [witness_h(*unit[:2], unit[3], order_cap=unit[2])],
     _check_c9w))
 _register(_Claim(
     "C10",
@@ -581,7 +581,8 @@ def claim_index() -> list[dict[str, str]]:
 def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
     """The rows of one sweep unit, for every claim: one per source group,
     abelian ones skipped for a claim about nonabelian groups, then the
-    tail."""
+    tail.  A generator source holds one group at a time: each is dropped
+    before the next is built."""
     claim_id, unit = arg
     spec = _CLAIMS[claim_id]
     rows = []
@@ -589,6 +590,7 @@ def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
         if not (spec.nonabelian and g.is_abelian()):
             ok, note, extra = spec.check(g, unit)
             rows.append(_row(g, ok, note, **extra))
+        del g
     if spec.tail is not None:
         rows += spec.tail(unit)
     return rows

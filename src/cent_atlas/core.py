@@ -570,17 +570,42 @@ def from_permutation_generators(generators: Sequence[Sequence[int]],
 
 def direct_product(g: Group, h: Group, label: str | None = None,
                    order_cap: int | None = None) -> Group:
-    """Direct product on pairs (a, b), encoded as a*|H| + b."""
-    nh = h.order
-    _check_order_cap(g.order * nh, order_cap)
-    block = g.table[:, :, None, None] * nh + h.table[None, None, :, :]
-    # axes (a1, a2, b1, b2) -> rows a1*|H|+b1, cols a2*|H|+b2
-    table = block.transpose(0, 2, 1, 3).reshape(g.order * nh, g.order * nh)
+    """Direct product on pairs (a, b), encoded as a*|H| + b.
+
+    The trivial-action case of :func:`semidirect_product`'s writer, with
+    inverses and element orders taken pairwise from the factors.  Working
+    memory beyond the table is one |G| x |G| block and O(n).
+    """
     if label is None and g.label and h.label:
         label = f"{g.label}x{h.label}"
-    inverse = g.inverse[:, None] * nh + h.inverse[None, :]
-    orders = np.lcm(g.element_orders[:, None], h.element_orders[None, :])
-    return _trusted(table, label, inverse.ravel(), orders.ravel())
+    return _product(g, h, None, label, order_cap)
+
+
+def _product(n_grp: Group, h_grp: Group, theta: np.ndarray | None,
+             label: str | None, order_cap: int | None) -> Group:
+    """N x| H on pairs (a, h) at a*|H| + h, for the action ``theta``, an
+    (|H|, |N|) array of permutations, or None for the direct product.
+
+    Each coset block is written in place through the table's
+    (a, h1, b, h2) view, so the working memory is one |N| x |N| block.
+    """
+    nn, nh = n_grp.order, h_grp.order
+    _check_order_cap(nn * nh, order_cap)
+    table = np.empty((nn * nh, nn * nh), dtype=np.int32)
+    blocks = table.reshape(nn, nh, nn, nh)
+    h_inv = h_grp.inverse[None, :]
+    if theta is None:  # (a, h1)(b, h2) = (ab, h1h2) for every h1 at once
+        np.add((n_grp.table * nh)[:, None, :, None], h_grp.table[:, None, :], out=blocks)
+        inverse = n_grp.inverse[:, None] * nh + h_inv
+        return _trusted(table, label, inverse.ravel(), np.lcm(
+            n_grp.element_orders[:, None], h_grp.element_orders).ravel())
+    for h1 in range(nh):  # rows (a, h1): (a, h1)(b, h2) = (a theta(h1)(b), h1h2)
+        a_block = n_grp.table[:, theta[h1]]
+        a_block *= nh
+        np.add(a_block[:, :, None], h_grp.table[h1], out=blocks[:, h1])
+    # (a, h)^-1 = (theta(h^-1)(a^-1), h^-1)
+    inverse = theta[h_inv, n_grp.inverse[:, None]] * nh + h_inv
+    return _trusted(table, label, inverse.ravel())
 
 
 @dataclass(frozen=True)
@@ -618,11 +643,9 @@ def _check_automorphism(n_grp: Group, img: np.ndarray) -> None:
     if img[0] != 0:
         raise NotAutomorphism("automorphism must fix the identity")
     t = n_grp.table
-    if not np.array_equal(img[t], t[np.ix_(img, img)]):
-        a, b = np.argwhere(img[t] != t[np.ix_(img, img)])[0]
-        raise NotAutomorphism(
-            f"map breaks the product at ({int(a)}, {int(b)})"
-        )
+    bad = np.argwhere(img[t] != t[np.ix_(img, img)])
+    if len(bad):
+        raise NotAutomorphism(f"map breaks the product at ({bad[0, 0]}, {bad[0, 1]})")
 
 
 def _extend_action(n_grp: Group, h_grp: Group, action: ActionSpec) -> np.ndarray:
@@ -677,22 +700,11 @@ def semidirect_product(n_grp: Group, h_grp: Group, action: ActionSpec,
     """Semidirect product N x| H on pairs (a, h) encoded as a*|H| + h.
 
     Product rule: (a, h1)(b, h2) = (a * theta(h1)(b), h1*h2).  A trivial
-    action reproduces direct_product exactly, table and all.
+    action reproduces direct_product exactly, table and all.  The table is
+    written in place; working memory beyond it is one |N| x |N| block,
+    the (|H|, |N|) action and O(n).
     """
-    theta = _extend_action(n_grp, h_grp, action)
-    nn, nh = n_grp.order, h_grp.order
-    _check_order_cap(nn * nh, order_cap)
-    table = np.empty((nn * nh, nn * nh), dtype=np.int32)
-    h_tab = h_grp.table.astype(np.int32)
-    for h1 in range(nh):
-        # rows (a, h1) for every a at once; columns run over (b, h2)
-        a_block = n_grp.table[:, theta[h1]]
-        rows = a_block[:, :, None] * nh + h_tab[h1][None, None, :]
-        table[h1::nh] = rows.reshape(nn, nn * nh)
-    # (a, h)^-1 = (theta(h^-1)(a^-1), h^-1)
-    h_inv = h_grp.inverse[None, :]
-    inverse = theta[h_inv, n_grp.inverse[:, None]] * nh + h_inv
-    return _trusted(table, label, inverse.ravel())
+    return _product(n_grp, h_grp, _extend_action(n_grp, h_grp, action), label, order_cap)
 
 
 def subgroup_generated(g: Group, seeds: Iterable[int]) -> SubsetMask:

@@ -420,5 +420,9 @@ def read_group_file(path: str | Path,
 
 
 def catalog_filename(index: int, g: Group) -> str:
-    slug = re.sub(r"-+", "-", re.sub(r"[^A-Za-z0-9._]", "-", g.label)).strip("-")
+    """``<order>_<index>_<slug>.json``: the slug is the label with each run
+    of characters other than letters, digits, ``.`` and ``_`` made one
+    ``-`` and trimmed, or ``group`` when that leaves nothing or the label
+    is None."""
+    slug = re.sub(r"-+", "-", re.sub(r"[^A-Za-z0-9._]", "-", g.label or "")).strip("-")
     return f"{g.order}_{index}_{slug or 'group'}.json"

@@ -308,6 +308,23 @@ def relabelled(table: list[list[int]], perm: list[int]) -> list[list[int]]:
     return out
 
 
+def semidirect_table(n_table: list[list[int]], h_table: list[list[int]],
+                     theta: list[list[int]] | None = None) -> list[list[int]]:
+    """N x| H cell by cell: (a, h1)(b, h2) = (a theta_h1(b), h1 h2), with
+    the pair (a, h) at index a*|H| + h.  theta[h][b] is the image of b
+    under h; None is the trivial action, the direct product."""
+    nn, nh = len(n_table), len(h_table)
+    out = [[0] * (nn * nh) for _ in range(nn * nh)]
+    for a in range(nn):
+        for h1 in range(nh):
+            row = out[a * nh + h1]
+            for b in range(nn):
+                tb = b if theta is None else theta[h1][b]
+                for h2 in range(nh):
+                    row[b * nh + h2] = n_table[a][tb] * nh + h_table[h1][h2]
+    return out
+
+
 def is_isomorphism(g_table: list[list[int]], h_table: list[list[int]],
                    phi: list[int]) -> bool:
     """phi is a bijection onto h with phi(xy) = phi(x) phi(y) for every

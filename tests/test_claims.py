@@ -1,7 +1,9 @@
 """Claim registry: sweeps, determinism, capability verdicts, witnesses."""
 
+import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,7 @@ from cent_atlas.catalog import (
     heisenberg,
     metacyclic,
     modular_p3,
+    witness_exponents,
     witness_h,
 )
 from cent_atlas.claims import (
@@ -210,3 +213,31 @@ REDUCED_DIGESTS = {
     "C12": "2c127df27f5008f4c69d1aecccc711d1e9c0fedc9454681a9e71ddcee088d31f",
     "C13": "2ec045f27f515aee9c39a3494224ca224cb7582b71e7a106543684c21c8c725e",
 }
+
+
+def test_c9w_sweep_holds_one_order_3875_group_at_a_time(monkeypatch):
+    # each H(5,31,i) table is 57 MiB: the claim's (5, 31) units, one per
+    # exponent and run one after another as at jobs=1, and the same four
+    # groups from one generator source through the same loop, each peak
+    # under one and a half tables (148 MiB when a unit held all four and
+    # kept each group alive while the next was built)
+    spec = claims._CLAIMS["C9w"]
+    units = [u for u in spec.units(spec.defaults) if u[:2] == (5, 31)]
+    assert [u[3] for u in units] == list(witness_exponents(5, 31))
+    one_source = dataclasses.replace(spec, groups=lambda unit: (
+        witness_h(5, 31, i, order_cap=unit[2]) for i in witness_exponents(5, 31)))
+    tracemalloc.start()
+    try:
+        rows = [row for u in units for row in claims._run_unit(("C9w", u))]
+        _, units_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        monkeypatch.setitem(claims._CLAIMS, "C9w", one_source)
+        source_rows = claims._run_unit(("C9w", units[0]))
+        _, source_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4 and all(r["ok"] for r in rows)
+    assert source_rows == rows
+    table = 3875 ** 2 * 4
+    assert units_peak < 1.5 * table, units_peak
+    assert source_peak < 1.5 * table, source_peak

@@ -1,8 +1,10 @@
 """Group construction, validation, and algebraic operations."""
 
 import re
+import tracemalloc
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from cent_atlas import core
 from cent_atlas.catalog import (
     abelian,
+    alternating,
     catalog_up_to,
     cyclic,
     dicyclic,
@@ -382,6 +385,89 @@ class TestProducts:
         g = semidirect_product(c3, c2, ActionSpec.trivial(c2, c3))
         assert g.is_abelian()
         assert g.exponent() == 6
+
+
+def assert_matches_product_oracle(g, n_grp, h_grp, theta=None):
+    """g's table, inverses and element orders against the cell-by-cell
+    N x| H of ``oracles.semidirect_table``."""
+    table = oracles.semidirect_table(n_grp.table.tolist(), h_grp.table.tolist(), theta)
+    n = len(table)
+    assert g.table.tolist() == table
+    assert g.inverse.tolist() == [oracles.inverse(table, x) for x in range(n)]
+    assert g.element_orders.tolist() == [oracles.element_order(table, x)
+                                         for x in range(n)]
+
+
+def check_cyclic_action(data, n_grp, step):
+    """C_k acting on n_grp, its generator 1 by the automorphism ``step``,
+    for k a drawn multiple of the order of ``step`` (at least 2)."""
+    powers = [list(range(n_grp.order))]
+    while (nxt := [step(v) for v in powers[-1]]) != powers[0]:
+        powers.append(nxt)
+    k = max(2, len(powers) * data.draw(st.integers(1, 2), label="multiple"))
+    theta = [powers[h % len(powers)] for h in range(k)]
+    h_grp = cyclic(k)
+    g = semidirect_product(n_grp, h_grp, ActionSpec.from_pairs([(1, theta[1])]))
+    assert_matches_product_oracle(g, n_grp, h_grp, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_semidirect_product_matches_cell_oracle_on_cyclic_n(data):
+    # x -> x^u on C_m
+    m = data.draw(st.integers(2, 16), label="m")
+    u = data.draw(st.sampled_from([u for u in range(1, m) if gcd(u, m) == 1]), label="u")
+    check_cyclic_action(data, cyclic(m), lambda x: u * x % m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_semidirect_product_matches_cell_oracle_on_gl2(data):
+    # a matrix of GL(2, p) on C_p x C_p, whose element x + y*p is the
+    # vector (x, y), as in elementary()
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    a, b, c, d = data.draw(st.tuples(*[st.integers(0, p - 1)] * 4).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p), label="matrix")
+    check_cyclic_action(data, elementary(p, 2), lambda v: (
+        (a * (v % p) + b * (v // p)) % p + (c * (v % p) + d * (v // p)) % p * p))
+
+
+_SMALL_NONABELIAN = {"S3": lambda: dihedral(6), "D8": lambda: dihedral(8),
+                     "Q8": lambda: dicyclic(8), "A4": lambda: alternating(4)}
+
+
+@pytest.mark.parametrize("left,right", list(product(_SMALL_NONABELIAN, repeat=2)))
+def test_direct_product_matches_cell_oracle(left, right):
+    g, h = _SMALL_NONABELIAN[left](), _SMALL_NONABELIAN[right]()
+    prod = direct_product(g, h)
+    assert prod.label == f"{g.label}x{h.label}"
+    assert_matches_product_oracle(prod, g, h)
+    trivial = semidirect_product(g, h, ActionSpec.trivial(h, g))
+    assert np.array_equal(trivial.table, prod.table)
+    assert np.array_equal(trivial.inverse, prod.inverse)
+    assert np.array_equal(trivial.element_orders, prod.element_orders)
+
+
+def traced_peak(build):
+    """The tracemalloc peak of ``build()``, in bytes."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_products_are_written_in_place():
+    # the table plus one |N| x |N| block: 64.2 MiB for H(5,31,2), whose
+    # table is 57 MiB, and 80 MiB for D2048 x C2, whose table is 64 MiB
+    # (87 and 128 MiB with a temporary per coset and a reshape or
+    # transpose copy of the table)
+    table = 3875 ** 2 * 4
+    assert traced_peak(lambda: witness_h(5, 31, 2, order_cap=4096)) < table + 16 * 2 ** 20
+    d, c2 = dihedral(2048), cyclic(2)
+    table = 4096 ** 2 * 4
+    assert traced_peak(lambda: direct_product(d, c2, order_cap=4096)) < 1.3 * table
 
 
 class TestSubgroupsAndQuotients:

@@ -17,10 +17,10 @@ from cent_atlas.catalog import (
     symmetric,
     witness_h,
 )
-from cent_atlas.core import from_cayley_table
+from cent_atlas.core import from_cayley_table, quotient
 from cent_atlas.cli import main
 from cent_atlas.errors import BadParameters, NoIdentityAtZero, OrderCapExceeded
-from cent_atlas.invariants import is_isomorphic
+from cent_atlas.invariants import center, is_isomorphic
 from cent_atlas.report import (
     analyze,
     catalog_filename,
@@ -246,3 +246,16 @@ class TestCatalogFilename:
         name = catalog_filename(0, g)
         assert name.startswith("3_0_")
         assert "/" not in name and ":" not in name and "[" not in name
+
+    @pytest.mark.parametrize("build", [
+        lambda: cyclic(12).relabeled(None),
+        lambda: quotient(dihedral(8), center(dihedral(8))),
+        lambda: from_cayley_table(cyclic(5).table),
+    ], ids=["relabeled", "quotient", "from-table"])
+    def test_unlabelled_group_gets_the_group_slug(self, build):
+        g = build()
+        assert g.label is None
+        assert catalog_filename(3, g) == f"{g.order}_3_group.json"
+
+    def test_label_of_punctuation_only_gets_the_group_slug(self):
+        assert catalog_filename(1, cyclic(4).relabeled(":[]")) == "4_1_group.json"
