@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import (
+    _CLOSE_BLOCK,
     ActionSpec,
     Group,
     _check_order_cap,
@@ -40,6 +41,7 @@ __all__ = [
     "alternating",
     "build",
     "catalog_by_order",
+    "catalog_orders",
     "catalog_up_to",
     "central_quotient_examples",
     "covered_orders",
@@ -74,8 +76,11 @@ def cyclic(n: int, order_cap: int | None = None) -> Group:
     if n < 1:
         raise BadParameters(f"cyclic order must be positive, got {n}")
     _check_order_cap(n, order_cap)
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return _trusted(table, f"C{n}")
+    x = np.arange(n, dtype=np.int32)
+    table = x[:, None] + x
+    table %= n
+    # -x, the order n / gcd(x, n), and the generator 1 (none for n = 1)
+    return _trusted(table, f"C{n}", (-x) % n, n // np.gcd(x, n), x[1:2])
 
 
 def abelian(factors: tuple[int, ...], order_cap: int | None = None) -> Group:
@@ -94,12 +99,12 @@ def elementary(p: int, k: int, order_cap: int | None = None) -> Group:
         raise BadParameters(f"rank must be positive, got {k}")
     n = p ** k
     _check_order_cap(n, order_cap)
-    idx = np.arange(n)
-    digits = [(idx // p ** j) % p for j in range(k)]
-    table = np.zeros((n, n), dtype=np.int64)
-    for j in range(k):
-        table += ((digits[j][:, None] + digits[j][None, :]) % p) * p ** j
-    return _trusted(table, f"C{p}^{k}")
+    table = np.zeros((n, n), dtype=np.int32)
+    d = np.arange(p, dtype=np.int32)
+    for j in range(k):  # index x = high p^(j+1) + (digit j) p^j + low
+        digit = table.reshape(n // p ** (j + 1), p, p ** j, n // p ** (j + 1), p, p ** j)
+        digit += ((d[:, None] + d) % p * p ** j)[:, None, None, :, None]
+    return _trusted(table, f"C{p}^{k}", gens=[p ** j for j in range(k)])
 
 
 def dihedral(order: int, order_cap: int | None = None) -> Group:
@@ -144,21 +149,37 @@ def alternating(n: int, order_cap: int | None = None) -> Group:
 def _presented(m: int, n: int, k: int, s: int, label: str,
                order_cap: int | None) -> Group:
     """Group <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^k> on a^x b^y at
-    index x + m y; the caller checks k^n = 1 and a^s central (mod m)."""
+    index x + m y; the caller checks k^n = 1 and a^s central (mod m).
+
+    The int32 table is written in place, for a run of values of y at a
+    time, so the working memory beyond it is an m x m block or at most
+    ``_CLOSE_BLOCK`` cells, whichever is larger.
+    """
     _check_order_cap(m * n, order_cap)
     # b a b^-1 = a^t with t = k^-1, so a^x b^y * a^u b^v = a^(x + u t^y) b^(y+v)
     t = pow(k, -1, m)
-    tp = np.array([pow(t, y, m) for y in range(n)], dtype=np.int64)
-    x = np.arange(m)
-    y = np.arange(n)
-    y1, x1, y2, x2 = [a.reshape(shape) for a, shape in [
-        (y, (n, 1, 1, 1)), (x, (1, m, 1, 1)), (y, (1, 1, n, 1)), (x, (1, 1, 1, m)),
-    ]]
-    a_exp = x1 + x2 * tp[y1]
-    if s:  # b^(y+v) = a^s b^(y+v-n) when y + v wraps
-        a_exp = a_exp + s * (y1 + y2 >= n)
-    table = (a_exp % m + m * ((y1 + y2) % n)).reshape(m * n, m * n)
-    return _trusted(table, label)
+    table = np.empty((m * n, m * n), dtype=np.int32)
+    blocks = table.reshape(n, m, n, m)  # (y, x, v, u)
+    x = np.arange(m, dtype=np.int32)
+    y = np.arange(n, dtype=np.int32)
+    wraps = y[:, None] + y >= n  # b^(y+v) = a^s b^(y+v-n)
+    b_part = m * ((y[:, None] + y) % n)[:, None, :, None]
+    t_y = np.array([pow(t, e, m) for e in range(n)], dtype=np.int64)[:, None]
+    step = max(1, _CLOSE_BLOCK // (m * m))
+    for lo in range(0, n, step):  # the rows of `step` values of y at once
+        out, rows = blocks[lo:lo + step], slice(lo, lo + step)
+        ut = (x * t_y[rows] % m).astype(np.int32)  # u t^y, formed in int64
+        a_exp = x[:, None] + ut[:, None, :]
+        a_exp %= m
+        if s:
+            np.add(a_exp[:, :, None], s * wraps[rows, None, :, None], out=out)
+            np.remainder(out, m, out=out)
+            out += b_part[rows]
+        else:
+            np.add(a_exp[:, :, None], b_part[rows], out=out)
+    # a at 1 and b at m: the indices in {1, m} below the order generate,
+    # also when m = 1 or n = 1 makes a or b trivial
+    return _trusted(table, label, gens=[e for e in sorted({1, m}) if e < m * n])
 
 
 def metacyclic(m: int, n: int, k: int, order_cap: int | None = None,
@@ -178,12 +199,15 @@ def heisenberg(p: int, order_cap: int | None = None) -> Group:
     _require_prime(p, "p")
     n = p ** 3
     _check_order_cap(n, order_cap)
-    idx = np.arange(n)
-    a, b, c = idx // p ** 2, (idx // p) % p, idx % p
-    a1, b1, c1 = [v[:, None] for v in (a, b, c)]
-    a2, b2, c2 = [v[None, :] for v in (a, b, c)]
-    table = ((a1 + a2 + b1 * c2) % p) * p ** 2 + ((b1 + b2) % p) * p + (c1 + c2) % p
-    return _trusted(table, f"Heis({p})")
+    table = np.empty((n, n), dtype=np.int32)
+    d = np.arange(p, dtype=np.int32)
+    a1, b1, c1, a2, b2, c2 = [d.reshape([p if i == j else 1 for i in range(6)])
+                              for j in range(6)]
+    # (a, b, c) at a p^2 + b p + c; (0, 1, 0) = p and (0, 0, 1) = 1 generate
+    # modulo the center, and their commutator (1, 0, 0) generates the center
+    np.add((a1 + a2 + b1 * c2) % p * p ** 2 + (b1 + b2) % p * p, (c1 + c2) % p,
+           out=table.reshape((p,) * 6))
+    return _trusted(table, f"Heis({p})", gens=(1, p))
 
 
 def modular_p3(p: int, order_cap: int | None = None) -> Group:
@@ -206,7 +230,7 @@ def sl23(order_cap: int | None = None) -> Group:
                         mats.append((a, b, c, d))
     index = {m: i for i, m in enumerate(mats)}
     n = len(mats)
-    table = np.zeros((n, n), dtype=np.int64)
+    table = np.zeros((n, n), dtype=np.int32)
     for i, (a, b, c, d) in enumerate(mats):
         for j, (e, f, g, h) in enumerate(mats):
             prod = ((a * e + b * g) % 3, (a * f + b * h) % 3,
@@ -541,24 +565,33 @@ def _named_extras(order_cap: int | None = None) -> list[Group]:
     ]
 
 
-def catalog_by_order(max_order: int,
-                     order_cap: int | None = None) -> dict[int, list[Group]]:
-    """All classification-list groups plus named extras, keyed by order.
+def catalog_orders(max_order: int, order_cap: int | None = None
+                   ) -> Iterator[tuple[int, list[Group]]]:
+    """All classification-list groups plus named extras, one order at a
+    time in ascending order.
 
-    Extras live at orders outside the covered shapes, so no deduplication
-    is needed between the two sources.
+    Each order's list is built only when it is reached, so a caller that
+    does not keep the lists holds about one order's groups at a time,
+    besides the extras (none above order 88), where ``catalog_by_order``
+    holds them all.  Extras live at orders outside the covered shapes, so
+    no deduplication is needed between the two sources.
     """
-    out: dict[int, list[Group]] = {}
-    for n in covered_orders(max_order):
-        out[n] = groups_of_covered_order(n, order_cap=order_cap)
+    covered = covered_orders(max_order)
+    extras: dict[int, list[Group]] = {}
     for g in _named_extras(order_cap=order_cap):
         if g.order <= max_order:
-            out.setdefault(g.order, []).append(g)
-    return dict(sorted(out.items()))
+            extras.setdefault(g.order, []).append(g)
+    for n in sorted(covered.keys() | extras.keys()):
+        groups = groups_of_covered_order(n, order_cap=order_cap) if n in covered else []
+        yield n, groups + extras.pop(n, [])
+
+
+def catalog_by_order(max_order: int,
+                     order_cap: int | None = None) -> dict[int, list[Group]]:
+    """:func:`catalog_orders` as one dict keyed by order."""
+    return dict(catalog_orders(max_order, order_cap=order_cap))
 
 
 def catalog_up_to(max_order: int, order_cap: int | None = None) -> list[Group]:
-    out: list[Group] = []
-    for _, groups in catalog_by_order(max_order, order_cap=order_cap).items():
-        out.extend(groups)
-    return out
+    return [g for _, groups in catalog_orders(max_order, order_cap=order_cap)
+            for g in groups]

@@ -307,11 +307,11 @@ def _check_c8(g: Group, unit: tuple) -> _Check:
 
 
 def _check_c9(g: Group, unit: tuple) -> _Check:
-    kind, p, q = unit
+    kind, p, q, cap = unit
     if kind == "pq2":
         return _capable_check(g, "C9")
     return _capable_check(g, "C9", _special_p2q(p, q, None),
-                          lambda: witness_h(p, q, unit_of_order(p, q)))
+                          lambda: witness_h(p, q, unit_of_order(p, q), order_cap=cap))
 
 
 def _check_c9w(h: Group, unit: tuple) -> _Check:
@@ -517,7 +517,10 @@ _register(_Claim(
     "p q^2 with p < q is a central quotient exactly when its center is "
     "trivial.",
     "all groups of orders p^2 q and p q^2 up to 300, with witnesses",
-    {"max_order": 300}, *_SWEEPS["square_pairs"], _check_c9))
+    # the witness covers, of order p^3 q, are built under order_cap
+    {"max_order": 300, "order_cap": 4096},
+    lambda ps: [(*unit, ps["order_cap"]) for unit in _SWEEPS["square_pairs"][0](ps)],
+    lambda unit: _SWEEPS["square_pairs"][1](unit[:3]), _check_c9))
 _register(_Claim(
     "C9w",
     "For primes with q = 1 (mod p) and any unit i of order p modulo q, "

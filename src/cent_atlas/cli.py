@@ -128,8 +128,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     total = 0
-    for order, groups in _catalog.catalog_by_order(
-            args.max_order, order_cap=args.order_cap).items():
+    for order, groups in _catalog.catalog_orders(
+            args.max_order, order_cap=args.order_cap):
         for index, g in enumerate(groups, start=1):
             write_group_file(g, out_dir / catalog_filename(index, g))
             total += 1

@@ -24,6 +24,14 @@ produced it, by one of two paths:
   rebuilds each of them, and every product, subgroup and quotient it
   covers, through the gate and asserts the two Groups are equal.
 
+Class data and G' can be computed from any generating set, so a builder
+that knows one hands it to ``_trusted``: the families their presentation
+generators, products those of their factors, and quotients their
+parent's, where the parent already has one.  Subgroups, permutation
+groups and gate-built tables fall back to the greedy set, which only
+``find_isomorphism`` needs, as its search order follows it; tier-1 tests
+check every handed-over set against a gate-built copy.
+
 Any ``Group`` can be re-checked in full with ``from_cayley_table(g.table)``.
 """
 
@@ -256,14 +264,23 @@ def _per_group(fn: Callable) -> Callable:
 @_per_group
 def _generators(g: Group) -> tuple[int, ...]:
     """g's greedy generating set by element order, at most log2(n) elements
-    (see :func:`_generating_indices`)."""
+    (see :func:`_generating_indices`).  Only ``find_isomorphism`` needs
+    this order; class data and G' take any set from :func:`_spanning`."""
     return tuple(_generating_indices(g.table, g.element_orders))
 
 
+@_per_group
+def _spanning(g: Group) -> tuple[int, ...]:
+    """Some generating set of g: the one its builder handed to
+    :func:`_trusted`, which stores it here, else the greedy set."""
+    return _generators(g)
+
+
 def _conjugators(g: Group) -> np.ndarray:
-    """k x n array whose row i maps x to s x s^-1 for the i-th generator s;
-    each row is a permutation.  Not memoised: it is longer than n."""
-    s = np.array(_generators(g), dtype=np.intp)
+    """k x n array whose row i maps x to s x s^-1 for the i-th generator s
+    of :func:`_spanning`; each row is a permutation.  Not memoised: it is
+    longer than n."""
+    s = np.array(_spanning(g), dtype=np.intp)
     return g.table[g.table[s], g.inverse[s, None]]
 
 
@@ -297,9 +314,10 @@ def _centralizer_sizes(g: Group) -> np.ndarray:
     return g.order // np.bincount(reps, minlength=g.order)[reps]
 
 
-# Rows of the table gathered at once by ``_close`` and by the checks of
-# ``from_cayley_table``: at most this many cells (1 MB of int32), so their
-# working memory stays O(n) at every order.
+# Rows of the table gathered at once by ``_close``, by the checks of
+# ``from_cayley_table`` and by the presented families' writer: at most this
+# many cells (1 MB of int32), so their working memory stays O(n) at every
+# order.
 _CLOSE_BLOCK = 1 << 18
 
 
@@ -413,24 +431,43 @@ def _element_orders(table: np.ndarray) -> np.ndarray:
     return orders
 
 
+def _inverses(arr: np.ndarray) -> np.ndarray:
+    """Right inverse of every element of a Latin square with identity 0, as
+    int32: the column of each row's 0, found in row blocks of at most
+    ``_CLOSE_BLOCK`` cells."""
+    step = max(1, _CLOSE_BLOCK // arr.shape[0])
+    return np.concatenate([np.argmax(arr[lo:lo + step] == 0, axis=1)
+                           for lo in range(0, arr.shape[0], step)]).astype(np.int32)
+
+
 def _trusted(table: np.ndarray, label: str | None,
              inverse: np.ndarray | None = None,
-             orders: np.ndarray | None = None) -> Group:
+             orders: np.ndarray | None = None,
+             gens: Iterable[int] | None = None) -> Group:
     """Wrap a table that is a group by construction, without the gate.
 
     The module docstring lists the callers and why each table is a group.
     The caller checks the order cap before it builds the table, and may
-    pass inverses and element orders it already knows.  The result equals
-    what :func:`from_cayley_table` returns for the same table.
+    pass inverses, element orders and a generating set it already knows.
+    The set is stored as the group's :func:`_spanning` set, which class
+    data and G' read; any generating set serves them, so the group never
+    pays a closure for one.  The result equals what
+    :func:`from_cayley_table` returns for the same table.  A table that is
+    not int32 and C-contiguous costs a copy; without element orders they
+    cost O(n log n) gathers per prime, and without inverses one pass in
+    row blocks of at most ``_CLOSE_BLOCK`` cells.
     """
     arr = np.ascontiguousarray(table, dtype=np.int32)
     arr.setflags(write=False)
     if orders is None:
         orders = _element_orders(arr)
     if inverse is None:
-        inverse = np.argmax(arr == 0, axis=1)
-    return Group(arr, inverse.astype(np.int32, copy=False),
-                 orders.astype(np.int32, copy=False), label)
+        inverse = _inverses(arr)
+    g = Group(arr, inverse.astype(np.int32, copy=False),
+              orders.astype(np.int32, copy=False), label)
+    if gens is not None:
+        g._memo[_spanning.__qualname__] = tuple(int(s) for s in gens)
+    return g
 
 
 def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
@@ -509,8 +546,7 @@ def _validated(arr: np.ndarray, label: str | None,
         j = _first_non_permutation(arr[:, lo:lo + step].T)
         if j is not None:
             raise NotLatinSquare(f"column {lo + j} is not a permutation of 0..{n - 1}")
-    right_inv = np.concatenate([np.argmax(arr[lo:lo + step] == 0, axis=1)
-                                for lo in range(0, n, step)]).astype(np.int32)
+    right_inv = _inverses(arr)
     if not np.array_equal(arr[right_inv, idx], np.zeros(n, dtype=np.int32)):
         i = int(np.flatnonzero(arr[right_inv, idx] != 0)[0])
         raise NoInverse(f"element {i} has no two-sided inverse")
@@ -594,18 +630,20 @@ def _product(n_grp: Group, h_grp: Group, theta: np.ndarray | None,
     table = np.empty((nn * nh, nn * nh), dtype=np.int32)
     blocks = table.reshape(nn, nh, nn, nh)
     h_inv = h_grp.inverse[None, :]
+    # (a, 0) for a in N's set and (0, h) for h in H's generate N x| H
+    gens = [a * nh for a in _spanning(n_grp)] + list(_spanning(h_grp))
     if theta is None:  # (a, h1)(b, h2) = (ab, h1h2) for every h1 at once
         np.add((n_grp.table * nh)[:, None, :, None], h_grp.table[:, None, :], out=blocks)
         inverse = n_grp.inverse[:, None] * nh + h_inv
         return _trusted(table, label, inverse.ravel(), np.lcm(
-            n_grp.element_orders[:, None], h_grp.element_orders).ravel())
+            n_grp.element_orders[:, None], h_grp.element_orders).ravel(), gens)
     for h1 in range(nh):  # rows (a, h1): (a, h1)(b, h2) = (a theta(h1)(b), h1h2)
         a_block = n_grp.table[:, theta[h1]]
         a_block *= nh
         np.add(a_block[:, :, None], h_grp.table[h1], out=blocks[:, h1])
     # (a, h)^-1 = (theta(h^-1)(a^-1), h^-1)
     inverse = theta[h_inv, n_grp.inverse[:, None]] * nh + h_inv
-    return _trusted(table, label, inverse.ravel())
+    return _trusted(table, label, inverse.ravel(), gens=gens)
 
 
 @dataclass(frozen=True)
@@ -786,4 +824,8 @@ def quotient_with_cosets(g: Group, normal: SubsetMask | Iterable[int],
     coset_id = coset_id.astype(np.int32)
     q_table = coset_id[g.table[np.ix_(reps, reps)]]
     cosets = np.argsort(coset_id, kind="stable").reshape(len(reps), -1).tolist()
-    return _trusted(q_table, label, coset_id[g.inverse[reps]]), cosets
+    # g's set maps onto one of G/N, but is not worth a closure on g
+    gens = g._memo.get(_spanning.__qualname__)
+    if gens is not None:
+        gens = coset_id[list(gens)]
+    return _trusted(q_table, label, coset_id[g.inverse[reps]], gens=gens), cosets

@@ -3,14 +3,16 @@ the non-commuting clique number, and isomorphism testing.
 
 Everything here works on validated :class:`~cent_atlas.core.Group` values and
 returns plain data.  Nothing mutates the group except its private memo:
-``center``, ``cent_structure``, ``derived_subgroup``, the greedy generating
-set, the class representatives and the centralizer sizes are computed once
-per group (see :func:`~cent_atlas.core._per_group`).
+``center``, ``cent_structure``, ``derived_subgroup``, the generating sets,
+the class representatives and the centralizer sizes are computed once per
+group (see :func:`~cent_atlas.core._per_group`).
 
 Class data (hence centralizer sizes, ``center`` and ``is_abelian``) and
-``derived_subgroup`` come from the generating set S alone, in O(n |S|) per
-round with no n x n array; only ``cent_structure`` builds the commuting
-matrix, and ``omega`` and ``frobenius_structure`` build none.
+``derived_subgroup`` come from a generating set S alone, in O(n |S|) per
+round with no n x n array.  Any S serves, so they take the one the
+group's builder handed over; only ``find_isomorphism`` needs the greedy
+set, whose order its search follows.  Only ``cent_structure`` builds the
+commuting matrix, and ``omega`` and ``frobenius_structure`` build none.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .core import (_CLOSE_BLOCK, Group, SubsetMask, _as_mask,
                    _centralizer_sizes, _class_reps, _close, _conjugators,
-                   _generating_indices, _generators, _per_group, _powers)
+                   _generating_indices, _generators, _per_group, _powers,
+                   _spanning)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
 from .numbers import factor, is_prime
@@ -119,14 +122,15 @@ def cent_structure(g: Group) -> CentStructure:
 def derived_subgroup(g: Group) -> SubsetMask:
     """Mask of the subgroup generated by all commutators x^-1 y^-1 x y.
 
-    Built as the normal closure of the commutators [s, t] of the
-    generators s, t: closing under the product alternates with adding the
-    generators' conjugates of the members until neither adds anything.
+    Built as the normal closure of the commutators [s, t] of the members
+    s, t of any generating set (:func:`~cent_atlas.core._spanning`):
+    closing under the product alternates with adding the generators'
+    conjugates of the members until neither adds anything.
     That closure N is the smallest normal subgroup holding every [s, t];
     G' is normal and holds them, and G/N is abelian because its generators
     commute, so N = G'.  O(n k) per round besides the closure.
     """
-    s = np.array(_generators(g), dtype=np.intp)
+    s = np.array(_spanning(g), dtype=np.intp)
     inv = g.inverse[s]
     comms = g.table[g.table[np.ix_(inv, inv)], g.table[np.ix_(s, s)]]
     conj = _conjugators(g)

@@ -470,6 +470,16 @@ def test_products_are_written_in_place():
     assert traced_peak(lambda: direct_product(d, c2, order_cap=4096)) < 1.3 * table
 
 
+def test_closed_form_families_write_int32_tables_in_place():
+    # the 16 MiB table plus at most two m x m int32 blocks: 16.1, 24.1,
+    # 24.1 and 16.3 MiB (64, 68, 96 and 96 MiB with int64 temporaries and
+    # an n x n search for the inverses)
+    table = 2048 ** 2 * 4
+    for build in (lambda: cyclic(2048), lambda: dihedral(2048),
+                  lambda: dicyclic(2048), lambda: elementary(2, 11)):
+        assert traced_peak(build) < 1.6 * table
+
+
 class TestSubgroupsAndQuotients:
     def test_subgroup_generated(self):
         g = from_cayley_table(cyclic_table(12))

@@ -3,7 +3,10 @@
 Products, subgroups, quotients and the closed-form families skip
 ``from_cayley_table``; every such Group must equal the one the gate
 returns for the same table, and no path that takes a table from outside
-the library may reach the trusted constructor.
+the library may reach the trusted constructor.  The generating set a
+builder hands over must generate its group, and the class data and G'
+taken from it must equal those the gate-built copy takes from the greedy
+set.
 """
 
 import json
@@ -29,18 +32,29 @@ from cent_atlas.catalog import (
 )
 from cent_atlas.cli import main
 from cent_atlas.core import (
+    direct_product,
     from_cayley_table,
     from_permutation_generators,
     quotient,
     subgroup_as_group,
+    subgroup_generated,
 )
 from cent_atlas.enumeration import enumerate_groups
 from cent_atlas.errors import OrderCapExceeded
-from cent_atlas.invariants import center, derived_subgroup, normalizer, sylow
+from cent_atlas.invariants import (
+    center,
+    conjugacy_classes,
+    derived_subgroup,
+    normalizer,
+    sylow,
+)
 from cent_atlas.numbers import factor, primes_up_to
 from cent_atlas.report import read_group_file
 
 import oracles
+from test_catalog import _PINNED_GROUPS
+
+SPANNING = core._spanning.__qualname__
 
 
 def assert_matches_gate(g):
@@ -51,6 +65,19 @@ def assert_matches_gate(g):
         assert np.array_equal(got, want), (g, name)
     assert not g.table.flags.writeable and g.table.flags.c_contiguous
     assert (g.order, g.label) == (checked.order, checked.label)
+    assert_spanning_matches(g, checked)
+
+
+def assert_spanning_matches(g, checked):
+    """g's generating set closes to g, and its class data and G' equal
+    those of ``checked``, a gate-built copy that uses the greedy set."""
+    gens = core._spanning(g)
+    assert len(subgroup_generated(g, gens)) == g.order, (g, gens)
+    assert SPANNING not in checked._memo
+    assert core._spanning(checked) == core._generators(checked)
+    assert np.array_equal(core._class_reps(g), core._class_reps(checked)), g
+    assert conjugacy_classes(g) == conjugacy_classes(checked), g
+    assert derived_subgroup(g) == derived_subgroup(checked), g
 
 
 def _metacyclic_grid():
@@ -80,10 +107,17 @@ def test_grid_covers_every_family():
     assert set(FAMILY_GRID) == set(FAMILIES)
 
 
+# families whose builders hand a generating set to the trusted constructor
+HANDING_OVER = {"cyclic", "dihedral", "dicyclic", "metacyclic", "heisenberg",
+                "modular-p3", "elementary", "witness-h"}
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_GRID))
 def test_family_matches_gate(family):
     for params in FAMILY_GRID[family]:
-        assert_matches_gate(build(FamilySpec(family, **params)))
+        g = build(FamilySpec(family, **params))
+        assert (SPANNING in g._memo) == (family in HANDING_OVER), g
+        assert_matches_gate(g)
 
 
 def test_catalog_matches_gate():
@@ -113,6 +147,41 @@ def test_subgroups_and_quotients_match_gate():
             assert_matches_gate(subgroup_as_group(g, s))
             if normalizer(g, s) == full:
                 assert_matches_gate(quotient(g, s))
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_GROUPS))
+def test_pinned_constructions_hand_over_a_generating_set(name):
+    for g in _PINNED_GROUPS[name]():
+        assert_spanning_matches(g, from_cayley_table(g.table, order_cap=g.order))
+
+
+def test_cyclic_closed_forms_match_oracles():
+    for n in [*range(1, 61), 64, 97, 210]:
+        g = cyclic(n)
+        table = g.table.tolist()
+        assert g.inverse.tolist() == [oracles.inverse(table, x) for x in range(n)]
+        assert g.element_orders.tolist() == [
+            oracles.element_order(table, x) for x in range(n)]
+    assert core._spanning(cyclic(1)) == () == core._generators(cyclic(1))
+    assert conjugacy_classes(cyclic(1)) == [[0]]
+    assert derived_subgroup(cyclic(1)).elements() == [0]
+
+
+def test_products_combine_the_factors_sets():
+    s3 = from_permutation_generators([(1, 0, 2), (1, 2, 0)])
+    g = direct_product(s3, cyclic(4))
+    assert core._spanning(g) == tuple(4 * s for s in core._generators(s3)) + (1,)
+    assert_matches_gate(g)
+
+
+def test_quotient_hands_over_only_a_set_its_parent_already_has():
+    g = from_cayley_table((np.arange(12)[:, None] + np.arange(12)) % 12)
+    q = quotient(g, [0, 6])
+    assert SPANNING not in g._memo and SPANNING not in q._memo
+    center(g)  # class data memoises g's greedy set (1,)
+    q = quotient(g, [0, 6])
+    assert q._memo[SPANNING] == (1,)
+    assert_matches_gate(q)
 
 
 def test_trusted_builders_check_the_cap_before_building():
