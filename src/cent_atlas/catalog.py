@@ -8,9 +8,17 @@ These and the other closed-form families (cyclic, elementary, Heisenberg,
 SL(2,3)) check their parameters and the order cap, then wrap their tables
 without the Cayley-table gate; a tier-1 test rebuilds each through the gate.
 The covers and the (C_p x C_p) : C_q classes are N : C_k products built by
-one helper from the image array of the acting generator.  Tests confirm the
-classification lists are pairwise non-isomorphic and, at small orders,
-match an independent exhaustive enumerator."""
+one helper from the image array of the acting generator.
+
+The classification lists have one owner: two generators yield the classes
+of a covered order one at a time, the abelian ones and then the nonabelian
+ones, and every list is the first followed by the second.  A sweep over
+nonabelian groups reads only the second, so it builds no abelian class.
+The catalog adds named extras at orders outside the covered shapes, each
+built only when the catalog reaches its order.  Tests confirm the
+classification lists are pairwise non-isomorphic for every covered order
+up to 500 and, at small orders, match an independent exhaustive
+enumerator."""
 
 from __future__ import annotations
 
@@ -32,7 +40,7 @@ from .core import (
 )
 from .errors import BadParameters, NoInstanceAvailable
 from .invariants import center
-from .numbers import crt, is_prime, order_shape, unit_of_order
+from .numbers import _SHAPES, crt, is_prime, order_shape, unit_of_order
 
 __all__ = [
     "FAMILIES",
@@ -336,24 +344,7 @@ def groups_of_order_pqr(p: int, q: int, r: int,
         _require_prime(v, name)
     if not p < q < r:
         raise BadParameters(f"need p < q < r, got {p}, {q}, {r}")
-    out = [cyclic(p * q * r, order_cap=order_cap)]
-    if q % p == 1:
-        out.append(metacyclic(q, p * r, unit_of_order(p, q), order_cap=order_cap))
-    if r % p == 1:
-        out.append(metacyclic(r, p * q, unit_of_order(p, r), order_cap=order_cap))
-    if r % q == 1:
-        out.append(metacyclic(r, p * q, unit_of_order(q, r), order_cap=order_cap))
-    if r % (p * q) == 1:
-        out.append(metacyclic(r, p * q, unit_of_order(p * q, r), order_cap=order_cap))
-    if q % p == 1 and r % p == 1:
-        u = unit_of_order(p, q)
-        v = unit_of_order(p, r)
-        # one class per power pairing (u, v^j); normalizing the q-component
-        # to u leaves no further identification
-        for j in range(1, p):
-            c = crt(u, q, pow(v, j, r), r)
-            out.append(metacyclic(q * r, p, c, order_cap=order_cap))
-    return out
+    return groups_of_covered_order(p * q * r, order_cap=order_cap)
 
 
 def groups_of_order_p2q(p: int, q: int,
@@ -366,32 +357,86 @@ def groups_of_order_p2q(p: int, q: int,
     _require_prime(q, "q")
     if p == q:
         raise BadParameters(f"p and q must be distinct, got {p} twice")
-    c_p = cyclic(p, order_cap=order_cap)
-    out = [
-        cyclic(p * p * q, order_cap=order_cap),
-        direct_product(c_p, cyclic(p * q, order_cap=order_cap),
-                       order_cap=order_cap),
-    ]
-    if q % p == 1:
-        kp = unit_of_order(p, q)
-        out.append(metacyclic(q, p * p, kp, order_cap=order_cap))
-        out.append(direct_product(
-            c_p, metacyclic(q, p, kp, order_cap=order_cap), order_cap=order_cap))
-    if q % (p * p) == 1:
-        out.append(metacyclic(q, p * p, unit_of_order(p * p, q),
-                              order_cap=order_cap))
-    if p % q == 1:
-        out.append(metacyclic(p * p, q, unit_of_order(q, p * p),
-                              order_cap=order_cap))
-        lam = unit_of_order(q, p)
-        # diagonal actions diag(lam, lam^b); swapping coordinates identifies
-        # exponent b with its inverse mod q
-        reps = sorted({0, 1} | {min(b, pow(b, -1, q)) for b in range(2, q)})
-        for b in reps:
-            out.append(_diagonal_p2q(p, q, lam, b, order_cap=order_cap))
-    if q % 2 == 1 and (p + 1) % q == 0 and (p - 1) % q != 0:
-        out.append(_irreducible_p2q(p, q, order_cap=order_cap))
-    return out
+    return groups_of_covered_order(p * p * q, order_cap=order_cap)
+
+
+def groups_of_order_p3(p: int, order_cap: int | None = None) -> list[Group]:
+    """The five isomorphism classes of order p^3."""
+    _require_prime(p, "p")
+    return groups_of_covered_order(p ** 3, order_cap=order_cap)
+
+
+def groups_of_covered_order(n: int, order_cap: int | None = None) -> list[Group]:
+    """One representative per isomorphism class of order n, of shape pqr,
+    p^2 q or p^3: the abelian classes first, then the nonabelian ones."""
+    if order_shape(n) is None:
+        raise BadParameters(f"order {n} is not of shape pqr, p^2 q, or p^3")
+    return [*_abelian_classes(n, order_cap), *_nonabelian_classes(n, order_cap)]
+
+
+def _abelian_classes(n: int, order_cap: int | None = None) -> Iterator[Group]:
+    """The abelian classes of the covered order n, built one at a time."""
+    kind, (p, *_) = order_shape(n)
+    yield cyclic(n, order_cap=order_cap)
+    if kind == "p2q":
+        yield direct_product(cyclic(p, order_cap=order_cap),
+                             cyclic(n // p, order_cap=order_cap), order_cap=order_cap)
+    elif kind == "p3":
+        yield direct_product(cyclic(p * p, order_cap=order_cap),
+                             cyclic(p, order_cap=order_cap), order_cap=order_cap)
+        yield elementary(p, 3, order_cap=order_cap)
+
+
+def _nonabelian_classes(n: int, order_cap: int | None = None) -> Iterator[Group]:
+    """The nonabelian classes of the covered order n, built one at a time."""
+    kind, primes = order_shape(n)
+    if kind == "pqr":
+        p, q, r = primes
+        # C_m : C_(n/m), the generator acting by a unit of order d mod m
+        for d, m in ((p, q), (p, r), (q, r), (p * q, r)):
+            if m % d == 1:
+                yield metacyclic(m, n // m, unit_of_order(d, m), order_cap=order_cap)
+        if q % p == 1 and r % p == 1:
+            u = unit_of_order(p, q)
+            v = unit_of_order(p, r)
+            # one class per power pairing (u, v^j); normalizing the q-component
+            # to u leaves no further identification
+            for j in range(1, p):
+                c = crt(u, q, pow(v, j, r), r)
+                yield metacyclic(q * r, p, c, order_cap=order_cap)
+    elif kind == "p2q":
+        p, q = primes
+        if q % p == 1:
+            yield metacyclic(q, p * p, unit_of_order(p, q), order_cap=order_cap)
+            yield _cp_x_cq_cp(p, q, order_cap=order_cap)
+        if q % (p * p) == 1:
+            yield metacyclic(q, p * p, unit_of_order(p * p, q), order_cap=order_cap)
+        if p % q == 1:
+            yield metacyclic(p * p, q, unit_of_order(q, p * p), order_cap=order_cap)
+            lam = unit_of_order(q, p)
+            # diagonal actions diag(lam, lam^b); swapping coordinates identifies
+            # exponent b with its inverse mod q
+            reps = sorted({0, 1} | {min(b, pow(b, -1, q)) for b in range(2, q)})
+            for b in reps:
+                yield _diagonal_p2q(p, q, lam, b, order_cap=order_cap)
+        if q % 2 == 1 and (p + 1) % q == 0 and (p - 1) % q != 0:
+            yield _irreducible_p2q(p, q, order_cap=order_cap)
+    elif primes == (2,):  # order 8
+        yield dihedral(8, order_cap=order_cap)
+        yield dicyclic(8, order_cap=order_cap)
+    else:  # order p^3, p odd
+        (p,) = primes
+        yield heisenberg(p, order_cap=order_cap)
+        yield modular_p3(p, order_cap=order_cap)
+
+
+def _cp_x_cq_cp(p: int, q: int, order_cap: int | None = None) -> Group:
+    """C_p x (C_q : C_p), for q = 1 (mod p): the one capable class of order
+    p^2 q with nontrivial center."""
+    return direct_product(
+        cyclic(p, order_cap=order_cap),
+        metacyclic(q, p, unit_of_order(p, q), order_cap=order_cap),
+        order_cap=order_cap)
 
 
 def _diagonal_p2q(p: int, q: int, lam: int, b: int,
@@ -419,28 +464,6 @@ def _irreducible_p2q(p: int, q: int, order_cap: int | None = None) -> Group:
     raise BadParameters(f"no order-{q} companion matrix over F_{p}")
 
 
-def groups_of_order_p3(p: int, order_cap: int | None = None) -> list[Group]:
-    """The five isomorphism classes of order p^3."""
-    _require_prime(p, "p")
-    out = [
-        cyclic(p ** 3, order_cap=order_cap),
-        direct_product(cyclic(p * p, order_cap=order_cap),
-                       cyclic(p, order_cap=order_cap), order_cap=order_cap),
-        elementary(p, 3, order_cap=order_cap),
-    ]
-    if p == 2:
-        out.append(dihedral(8, order_cap=order_cap))
-        out.append(dicyclic(8, order_cap=order_cap))
-    else:
-        out.append(heisenberg(p, order_cap=order_cap))
-        out.append(modular_p3(p, order_cap=order_cap))
-    return out
-
-
-# shape kind -> the exponent of each given prime in the order of G/Z(G)
-_SHAPE_EXPONENTS = {"pqr": (1, 1, 1), "p2q": (2, 1), "pq2": (1, 2), "p3": (3,)}
-
-
 def central_quotient_examples(kind: str, primes: tuple[int, ...],
                               order_cap: int | None = None) -> list[Group]:
     """Curated groups G whose central quotient has the requested order shape.
@@ -450,9 +473,11 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
     center.  Every instance is checked against the shape before it is
     returned.
     """
-    if kind not in _SHAPE_EXPONENTS:
+    # the exponent of each given prime in the order of G/Z(G); "pq2" is
+    # the p2q shape with the squared prime given last
+    exps = _SHAPES["p2q"][::-1] if kind == "pq2" else _SHAPES.get(kind)
+    if exps is None:
         raise BadParameters(f"unknown shape kind {kind!r}")
-    exps = _SHAPE_EXPONENTS[kind]
     if len(primes) != len(exps):
         raise BadParameters(
             f"shape {kind!r} needs {len(exps)} primes, got {len(primes)}")
@@ -463,9 +488,9 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
     target = prod(p ** e for p, e in zip(primes, exps))
 
     out: list[Group] = []
-    # every group of order p^3 has nontrivial center: none is its own instance
-    members = [] if kind == "p3" else groups_of_covered_order(
-        target, order_cap=order_cap)
+    # abelian groups and groups of order p^3 have nontrivial center: none
+    # is its own instance
+    members = () if kind == "p3" else _nonabelian_classes(target, order_cap)
     for g in members:
         if len(center(g)) == 1:
             out.append(g)
@@ -529,40 +554,28 @@ def prime_square_pairs(max_order: int) -> list[tuple[int, int]]:
     return [t for kind, t in covered_orders(max_order).values() if kind == "p2q"]
 
 
-def groups_of_covered_order(n: int, order_cap: int | None = None) -> list[Group]:
-    shape = order_shape(n)
-    if shape is None:
-        raise BadParameters(f"order {n} is not of shape pqr, p^2 q, or p^3")
-    kind, primes = shape
-    if kind == "pqr":
-        return groups_of_order_pqr(*primes, order_cap=order_cap)
-    if kind == "p2q":
-        return groups_of_order_p2q(*primes, order_cap=order_cap)
-    return groups_of_order_p3(*primes, order_cap=order_cap)
+def _c2_times(g: Group, order_cap: int | None) -> Group:
+    return direct_product(cyclic(2, order_cap=order_cap), g, order_cap=order_cap)
 
 
-def _named_extras(order_cap: int | None = None) -> list[Group]:
-    c2 = cyclic(2, order_cap=order_cap)
-    return [
-        dihedral(16, order_cap=order_cap),
-        metacyclic(8, 2, 3, order_cap=order_cap, label="SD16"),
-        dicyclic(16, order_cap=order_cap),
-        metacyclic(8, 2, 5, order_cap=order_cap, label="M16"),
-        sl23(order_cap=order_cap),
-        dihedral(24, order_cap=order_cap),
-        dicyclic(24, order_cap=order_cap),
-        direct_product(c2, alternating(4, order_cap=order_cap),
-                       order_cap=order_cap),
-        witness_h(2, 3, 2, order_cap=order_cap),
-        witness_h(2, 5, 4, order_cap=order_cap),
-        witness_h(2, 7, 6, order_cap=order_cap),
-        witness_h(2, 11, 10, order_cap=order_cap),
-        direct_product(c2, metacyclic(5, 4, 2, order_cap=order_cap),
-                       order_cap=order_cap),
-        heisenberg_cover(3, order_cap=order_cap),
-        direct_product(c2, metacyclic(7, 6, 3, order_cap=order_cap),
-                       order_cap=order_cap),
-    ]
+# order -> the named extras of that order under an order cap, in catalog
+# order; none lies at a covered order
+_NAMED_EXTRAS: dict[int, Callable[[int | None], list[Group]]] = {
+    16: lambda cap: [dihedral(16, order_cap=cap),
+                     metacyclic(8, 2, 3, order_cap=cap, label="SD16"),
+                     dicyclic(16, order_cap=cap),
+                     metacyclic(8, 2, 5, order_cap=cap, label="M16")],
+    24: lambda cap: [sl23(order_cap=cap), dihedral(24, order_cap=cap),
+                     dicyclic(24, order_cap=cap),
+                     _c2_times(alternating(4, order_cap=cap), cap),
+                     witness_h(2, 3, 2, order_cap=cap)],
+    40: lambda cap: [witness_h(2, 5, 4, order_cap=cap),
+                     _c2_times(metacyclic(5, 4, 2, order_cap=cap), cap)],
+    56: lambda cap: [witness_h(2, 7, 6, order_cap=cap)],
+    81: lambda cap: [heisenberg_cover(3, order_cap=cap)],
+    84: lambda cap: [_c2_times(metacyclic(7, 6, 3, order_cap=cap), cap)],
+    88: lambda cap: [witness_h(2, 11, 10, order_cap=cap)],
+}
 
 
 def catalog_orders(max_order: int, order_cap: int | None = None
@@ -570,20 +583,18 @@ def catalog_orders(max_order: int, order_cap: int | None = None
     """All classification-list groups plus named extras, one order at a
     time in ascending order.
 
-    Each order's list is built only when it is reached, so a caller that
-    does not keep the lists holds about one order's groups at a time,
-    besides the extras (none above order 88), where ``catalog_by_order``
-    holds them all.  Extras live at orders outside the covered shapes, so
-    no deduplication is needed between the two sources.
+    Each order's list and extras are built only when it is reached, so a
+    caller that does not keep the lists holds about one order's groups at
+    a time, where ``catalog_by_order`` holds them all.  Extras live at
+    orders outside the covered shapes, so no deduplication is needed
+    between the two sources.
     """
     covered = covered_orders(max_order)
-    extras: dict[int, list[Group]] = {}
-    for g in _named_extras(order_cap=order_cap):
-        if g.order <= max_order:
-            extras.setdefault(g.order, []).append(g)
-    for n in sorted(covered.keys() | extras.keys()):
+    for n in sorted(covered.keys() | {n for n in _NAMED_EXTRAS if n <= max_order}):
         groups = groups_of_covered_order(n, order_cap=order_cap) if n in covered else []
-        yield n, groups + extras.pop(n, [])
+        if n in _NAMED_EXTRAS:
+            groups += _NAMED_EXTRAS[n](order_cap)
+        yield n, groups
 
 
 def catalog_by_order(max_order: int,

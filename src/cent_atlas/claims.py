@@ -20,21 +20,21 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable
+from itertools import chain
+from math import prod
+from typing import Any, Callable, Iterable, Iterator
 
 from .catalog import (
+    _abelian_classes,
+    _cp_x_cq_cp,
+    _nonabelian_classes,
     alternating,
     catalog_by_order,
     central_quotient_examples,
-    cyclic,
     dihedral,
     elementary,
-    groups_of_order_p2q,
-    groups_of_order_p3,
-    groups_of_order_pqr,
     heisenberg,
     heisenberg_cover,
-    metacyclic,
     prime_square_pairs,
     prime_triples,
     witness_exponents,
@@ -42,7 +42,6 @@ from .catalog import (
 )
 from .core import (
     Group,
-    direct_product,
     quotient,
     quotient_with_cosets,
     subgroup_as_group,
@@ -132,18 +131,14 @@ def _isomorphic(g: Group, name: str) -> bool:
 
 
 # One entry: a sweep unit, or a run of capable() calls on one order, asks
-# for the same (p, q, order_cap) over and over, and nothing larger than
-# the last target is kept alive.
+# for the same (p, q) over and over, and nothing larger than the last
+# target is kept alive.
 @lru_cache(maxsize=1)
-def _special_p2q(p: int, q: int, order_cap: int | None) -> Group | None:
+def _special_p2q(p: int, q: int) -> Group | None:
     """C_p x (C_q : C_p), the capable class with nontrivial center; exists
-    only when q = 1 (mod p)."""
-    if q % p != 1:
-        return None
-    return direct_product(
-        cyclic(p, order_cap=order_cap),
-        metacyclic(q, p, unit_of_order(p, q), order_cap=order_cap),
-        order_cap=order_cap)
+    only when q = 1 (mod p).  Built under its own order p^2 q as the cap:
+    every caller already holds a group at least that large."""
+    return _cp_x_cq_cp(p, q, order_cap=p * p * q) if q % p == 1 else None
 
 
 def capable(g: Group) -> CapabilityVerdict:
@@ -162,7 +157,7 @@ def capable(g: Group) -> CapabilityVerdict:
         detail = f"center has order {z}"
         if kind == "p2q":
             sq, other = primes
-            special = _special_p2q(sq, other, None)  # None unless other = 1 (mod sq)
+            special = _special_p2q(sq, other)  # None unless other = 1 (mod sq)
             if special is not None and find_isomorphism(g, special) is not None:
                 return CapabilityVerdict(
                     "capable", "C9", f"isomorphic to {special.label}")
@@ -310,13 +305,13 @@ def _check_c9(g: Group, unit: tuple) -> _Check:
     kind, p, q, cap = unit
     if kind == "pq2":
         return _capable_check(g, "C9")
-    return _capable_check(g, "C9", _special_p2q(p, q, None),
+    return _capable_check(g, "C9", _special_p2q(p, q),
                           lambda: witness_h(p, q, unit_of_order(p, q), order_cap=cap))
 
 
 def _check_c9w(h: Group, unit: tuple) -> _Check:
-    p, q, cap, _ = unit
-    wr = witness_check(h, _special_p2q(p, q, cap))
+    p, q, _, _ = unit
+    wr = witness_check(h, _special_p2q(p, q))
     return (wr.ok and h.order == p ** 3 * q,
             f"|H|={h.order}, quotient_matches={wr.ok}", {})
 
@@ -364,12 +359,11 @@ def _check_c12(g: Group, unit: tuple) -> _Check:
 
 def _tail_c13(unit: tuple) -> list[_Row]:
     p, q = unit
-    expected = [e for e in (_special_p2q(p, q, None),
+    expected = [e for e in (_special_p2q(p, q),
                             _named("A4") if (p, q) == (2, 3) else None)
                 if e is not None]
-    found = [g for g in groups_of_order_p2q(p, q) if not g.is_abelian()
-             and abelian_profile(subgroup_as_group(
-                 g, sylow(g, p).subgroup)).kind == "elementary_abelian"]
+    found = [g for g in _nonabelian_classes(p * p * q) if abelian_profile(
+        subgroup_as_group(g, sylow(g, p).subgroup)).kind == "elementary_abelian"]
     unmatched = list(expected)
     for g in found:
         hit = next((e for e in unmatched
@@ -392,8 +386,8 @@ def _tail_c13(unit: tuple) -> list[_Row]:
 class _Claim:
     """A claim as data, made into rows by the one loop in :func:`_run_unit`:
     ``units(params)`` lists the sweep units, ``groups(unit)`` the groups of
-    a unit, ``check(g, unit)`` gives each one's (ok, note, extra),
-    ``nonabelian`` skips abelian groups, ``tail(unit)`` adds other rows."""
+    a unit, ``check(g, unit)`` gives each one's (ok, note, extra), and
+    ``tail(unit)`` adds other rows."""
 
     claim_id: str
     statement: str
@@ -402,12 +396,18 @@ class _Claim:
     units: Callable[[dict[str, Any]], list[tuple]]
     groups: Callable[[tuple], Iterable[Group]] = lambda unit: ()
     check: Callable[[Group, tuple], _Check] | None = None
-    nonabelian: bool = False
     tail: Callable[[tuple], list[_Row]] | None = None
 
 
+def _classes(order: int) -> Iterator[Group]:
+    """Every class of a covered order, built one at a time."""
+    return chain(_abelian_classes(order), _nonabelian_classes(order))
+
+
 # Sweeps that several claims share: (units from the parameters, the
-# groups of one unit).
+# groups of one unit).  The classification sweeps yield every class; a
+# claim about nonabelian groups reads their units with
+# ``_nonabelian_classes``, so it builds no abelian class.
 _SWEEPS: dict[str, tuple[Callable[[dict[str, Any]], list[tuple]],
                          Callable[[tuple], Iterable[Group]]]] = {
     "catalog": (lambda ps: [(ps["max_order"], n)
@@ -417,15 +417,15 @@ _SWEEPS: dict[str, tuple[Callable[[dict[str, Any]], list[tuple]],
                            for kind, primes in ps["shapes"]],
                lambda unit: central_quotient_examples(*unit)),
     "pqr": (lambda ps: prime_triples(ps["max_order"]),
-            lambda unit: groups_of_order_pqr(*unit)),
+            lambda unit: _classes(prod(unit))),
     "pqr_quotients": (lambda ps: [tuple(t) for t in ps["triples"]],
                       lambda unit: central_quotient_examples("pqr", unit)),
     # (kind, p, q) with p the squared prime; kind "pq2" when p > q
     "square_pairs": (lambda ps: [("p2q" if p < q else "pq2", p, q)
                                  for p, q in prime_square_pairs(ps["max_order"])],
-                     lambda unit: groups_of_order_p2q(*unit[1:])),
+                     lambda unit: _classes(unit[1] ** 2 * unit[2])),
     "p3": (lambda ps: [(p,) for p in ps["p_list"]],
-           lambda unit: groups_of_order_p3(*unit)),
+           lambda unit: _classes(unit[0] ** 3)),
 }
 
 
@@ -462,16 +462,16 @@ _register(_Claim(
     "A nonabelian group of order pqr with p < q < r has exactly q+2, r+2, "
     "or qr+2 distinct centralizers.",
     "all nonabelian groups of order pqr up to 500",
-    {"max_order": 500}, *_SWEEPS["pqr"],
-    lambda g, unit: _count_in(g, {unit[1] + 2, unit[2] + 2, unit[1] * unit[2] + 2}),
-    nonabelian=True))
+    {"max_order": 500}, _SWEEPS["pqr"][0],
+    lambda unit: _nonabelian_classes(prod(unit)),
+    lambda g, unit: _count_in(g, {unit[1] + 2, unit[2] + 2, unit[1] * unit[2] + 2})))
 _register(_Claim(
     "C3",
     "A nonabelian group of order pqr has centralizer count equal to the "
     "order of its derived subgroup plus 2.",
     "all nonabelian groups of order pqr up to 500",
-    {"max_order": 500}, *_SWEEPS["pqr"], _check_c3,
-    nonabelian=True))
+    {"max_order": 500}, _SWEEPS["pqr"][0],
+    lambda unit: _nonabelian_classes(prod(unit)), _check_c3))
 _register(_Claim(
     "C4",
     "A group of order pqr with p < q < r is a central quotient exactly "
@@ -498,8 +498,8 @@ _register(_Claim(
     "q+2, except A4 which has 6; a nonabelian group of order p q^2 with "
     "p < q has centralizer count q+2 or q^2+2.",
     "all nonabelian groups of orders p^2 q and p q^2 up to 300",
-    {"max_order": 300}, *_SWEEPS["square_pairs"], _check_c7,
-    nonabelian=True))
+    {"max_order": 300}, _SWEEPS["square_pairs"][0],
+    lambda unit: _nonabelian_classes(unit[1] ** 2 * unit[2]), _check_c7))
 _register(_Claim(
     "C8",
     "A nonabelian group whose proper centralizers are all abelian and "
@@ -520,7 +520,7 @@ _register(_Claim(
     # the witness covers, of order p^3 q, are built under order_cap
     {"max_order": 300, "order_cap": 4096},
     lambda ps: [(*unit, ps["order_cap"]) for unit in _SWEEPS["square_pairs"][0](ps)],
-    lambda unit: _SWEEPS["square_pairs"][1](unit[:3]), _check_c9))
+    _SWEEPS["square_pairs"][1], _check_c9))
 _register(_Claim(
     "C9w",
     "For primes with q = 1 (mod p) and any unit i of order p modulo q, "
@@ -556,9 +556,9 @@ _register(_Claim(
     "by exactly 1.",
     "curated covers with central quotient of order p^3, p in {2, 3}",
     {"p_list": (2, 3)}, _SWEEPS["p3"][0],
-    lambda unit: (central_quotient_examples("p3", unit)
-                  + groups_of_order_p3(*unit)),
-    _check_c12, nonabelian=True))
+    lambda unit: chain(central_quotient_examples("p3", unit),
+                       _nonabelian_classes(unit[0] ** 3)),
+    _check_c12))
 _register(_Claim(
     "C13",
     "For p < q, the nonabelian groups of order p^2 q whose Sylow "
@@ -583,16 +583,14 @@ def claim_index() -> list[dict[str, str]]:
 
 def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
     """The rows of one sweep unit, for every claim: one per source group,
-    abelian ones skipped for a claim about nonabelian groups, then the
-    tail.  A generator source holds one group at a time: each is dropped
-    before the next is built."""
+    then the tail.  A generator source holds one group at a time: each is
+    dropped before the next is built."""
     claim_id, unit = arg
     spec = _CLAIMS[claim_id]
     rows = []
     for g in spec.groups(unit):
-        if not (spec.nonabelian and g.is_abelian()):
-            ok, note, extra = spec.check(g, unit)
-            rows.append(_row(g, ok, note, **extra))
+        ok, note, extra = spec.check(g, unit)
+        rows.append(_row(g, ok, note, **extra))
         del g
     if spec.tail is not None:
         rows += spec.tail(unit)

@@ -233,8 +233,11 @@ class Group:
             raise IndexOutOfRange(f"element index {i} out of range for order {self.order}")
 
     def relabeled(self, label: str | None) -> "Group":
-        """Same group, different display label."""
-        return Group(self.table, self.inverse, self.element_orders, label)
+        """Same group, different display label, with a copy of the memo:
+        no memoised value depends on the label."""
+        g = Group(self.table, self.inverse, self.element_orders, label)
+        g._memo.update(self._memo)
+        return g
 
     def full_mask(self) -> SubsetMask:
         return SubsetMask((1 << self.order) - 1, self.order)

@@ -16,8 +16,9 @@ from .errors import BadParameters
 __all__ = ["crt", "factor", "is_prime", "order_shape", "primes_up_to",
            "unit_of_order"]
 
-# sorted exponents of the order -> shape kind
-_SHAPES = {(1, 1, 1): "pqr", (1, 2): "p2q", (3,): "p3"}
+# shape kind -> the exponent of each prime in the order, with the primes
+# as order_shape lists them
+_SHAPES = {"pqr": (1, 1, 1), "p2q": (2, 1), "p3": (3,)}
 
 
 def is_prime(n: int) -> bool:
@@ -63,7 +64,8 @@ def order_shape(n: int) -> tuple[str, tuple[int, ...]] | None:
     (p, q)) with p the squared prime (either may be larger), ("p3", (p,)),
     or None for any other n."""
     fac = factor(n)
-    kind = _SHAPES.get(tuple(sorted(fac.values())))
-    if kind is None:
-        return None
-    return kind, tuple(sorted(fac, key=lambda p: (-fac[p], p)))
+    primes = tuple(sorted(fac, key=lambda p: (-fac[p], p)))
+    for kind, exps in _SHAPES.items():
+        if exps == tuple(fac[p] for p in primes):
+            return kind, primes
+    return None

@@ -4,7 +4,11 @@ import hashlib
 
 import pytest
 
+import cent_atlas.catalog as catalog
+import cent_atlas.claims as claims
 from cent_atlas.catalog import (
+    _abelian_classes,
+    _nonabelian_classes,
     build,
     FamilySpec,
     alternating,
@@ -33,6 +37,7 @@ from cent_atlas.catalog import (
     witness_exponents,
     witness_h,
 )
+from cent_atlas.claims import report_to_jsonable, verify_claim
 from cent_atlas.core import direct_product, quotient
 from cent_atlas.errors import BadParameters, NoInstanceAvailable, OrderCapExceeded
 from cent_atlas.invariants import center, is_isomorphic
@@ -187,6 +192,9 @@ class TestNumberTheoryHelpers:
         assert all(p * p * q <= 50 for p, q in pairs)
 
 
+COVERED_500 = sorted(covered_orders(500))
+
+
 class TestClassifications:
     @pytest.mark.parametrize("p,q,r", [(2, 3, 5), (2, 3, 7), (2, 5, 7),
                                        (3, 5, 7), (2, 3, 11), (2, 5, 11),
@@ -205,7 +213,7 @@ class TestClassifications:
     def test_frozen_class_counts(self, order):
         assert len(groups_of_covered_order(order)) == CLASS_COUNTS[order]
 
-    @pytest.mark.parametrize("order", [8, 12, 18, 20, 27, 30, 42, 50])
+    @pytest.mark.parametrize("order", COVERED_500)
     def test_pairwise_non_isomorphic(self, order):
         gs = groups_of_covered_order(order)
         for i in range(len(gs)):
@@ -232,6 +240,31 @@ class TestClassifications:
         assert cov[8][0] == "p3"
         assert 16 not in cov  # p^4 is out of scope
         assert 60 not in cov  # not of a covered shape
+
+
+class TestAbelianNonabelianSplit:
+    @pytest.mark.parametrize("order", COVERED_500)
+    def test_split_is_the_list(self, order):
+        abelian_part = list(_abelian_classes(order))
+        nonabelian_part = list(_nonabelian_classes(order))
+        assert all(g.is_abelian() for g in abelian_part)
+        assert not any(g.is_abelian() for g in nonabelian_part)
+        assert [g.label for g in abelian_part + nonabelian_part] == [
+            g.label for g in groups_of_covered_order(order)]
+
+    @pytest.mark.parametrize("claim_id,params", [("C2", {"max_order": 150}),
+                                                 ("C7", {"max_order": 100})])
+    def test_nonabelian_sweeps_build_no_abelian_class(
+            self, monkeypatch, claim_id, params):
+        want = report_to_jsonable(verify_claim(claim_id, jobs=1, **params))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an abelian class was built")
+
+        monkeypatch.setattr(catalog, "_abelian_classes", refuse)
+        monkeypatch.setattr(claims, "_abelian_classes", refuse)
+        got = verify_claim(claim_id, jobs=1, **params)
+        assert got.passed and report_to_jsonable(got) == want
 
 
 class TestCentralQuotientExamples:
@@ -290,6 +323,22 @@ class TestCatalog:
     def test_catalog_respects_cap(self):
         small = catalog_up_to(30)
         assert {g.order for g in small} == {8, 12, 16, 18, 20, 24, 27, 28, 30}
+
+    def test_builds_no_extra_above_max_order(self, monkeypatch):
+        # in the catalog these build only extras, at orders 24 to 88
+        built = []
+
+        def recording(builder):
+            def record(*args, **kwargs):
+                g = builder(*args, **kwargs)
+                built.append(g.label)
+                return g
+            return record
+
+        for name in ("witness_h", "heisenberg_cover", "_c2_times"):
+            monkeypatch.setattr(catalog, name, recording(getattr(catalog, name)))
+        catalog_up_to(30)
+        assert built == ["C2xA4", "H(2,3,2)"]
 
 
 # The groups whose construction tables are pinned: the catalog to 500, the

@@ -14,6 +14,7 @@ from cent_atlas.catalog import (
     dicyclic,
     dihedral,
     elementary,
+    groups_of_order_p2q,
     heisenberg,
     metacyclic,
     modular_p3,
@@ -145,6 +146,16 @@ class TestCapability:
     def test_special_class_detail(self):
         v = capable(dihedral(12))
         assert v.rule == "C9"
+
+    def test_p2q_above_the_default_cap(self, monkeypatch):
+        # order 2084: the comparison group C2 x (C521 : C2) is built under
+        # its own order, not under the default cap of 2048
+        monkeypatch.delenv("CENT_ATLAS_ORDER_CAP", raising=False)
+        gs = groups_of_order_p2q(2, 521, order_cap=4096)
+        assert [(g.label, capable(g).status) for g in gs] == [
+            ("C2084", "not_capable"), ("C2xC1042", "not_capable"),
+            ("C521:C4(520)", "not_capable"), ("C2xC521:C2(520)", "capable"),
+            ("C521:C4(235)", "capable")]
 
 
 class TestWitnessCheck:

@@ -255,6 +255,19 @@ class TestAnalyze:
         code, _, _ = run(["analyze", "--in", str(tmp_path / "nope.json")], capsys)
         assert code == 3
 
+    def test_p2q_group_above_the_default_cap(self, tmp_path, monkeypatch,
+                                             capsys):
+        # capability compares C2 x C1042 with C2 x (C521 : C2), which is
+        # built under its own order 2084, not the default cap of 2048
+        monkeypatch.delenv("CENT_ATLAS_ORDER_CAP", raising=False)
+        src = tmp_path / "c2xc1042.json"
+        write_group_file(direct_product(cyclic(2), cyclic(1042), order_cap=4096),
+                         src)
+        code, out, err = run(["analyze", "--order-cap", "4096", "--in",
+                              str(src)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["capability"]["status"] == "not_capable"
+
     def test_permutation_input(self, tmp_path, capsys):
         src = tmp_path / "perm.json"
         src.write_text(json.dumps({"degree": 4,

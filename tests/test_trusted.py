@@ -116,7 +116,9 @@ HANDING_OVER = {"cyclic", "dihedral", "dicyclic", "metacyclic", "heisenberg",
 def test_family_matches_gate(family):
     for params in FAMILY_GRID[family]:
         g = build(FamilySpec(family, **params))
-        assert (SPANNING in g._memo) == (family in HANDING_OVER), g
+        # S1 is cyclic(1) relabelled, and keeps its handed-over set
+        hands_over = family in HANDING_OVER or g.label == "S1"
+        assert (SPANNING in g._memo) == hands_over, g
         assert_matches_gate(g)
 
 
@@ -165,6 +167,17 @@ def test_cyclic_closed_forms_match_oracles():
     assert core._spanning(cyclic(1)) == () == core._generators(cyclic(1))
     assert conjugacy_classes(cyclic(1)) == [[0]]
     assert derived_subgroup(cyclic(1)).elements() == [0]
+
+
+def test_relabelled_group_keeps_the_memo():
+    g = witness_h(2, 3, 2)
+    reps = core._class_reps(g)
+    h = g.relabeled("H")
+    assert (h.label, g.label) == ("H", "H(2,3,2)")
+    assert h._memo is not g._memo
+    assert h._memo[SPANNING] == g._memo[SPANNING]
+    assert h._memo[core._class_reps.__qualname__] is reps
+    assert build(FamilySpec("symmetric", n=1))._memo[SPANNING] == ()
 
 
 def test_products_combine_the_factors_sets():
