@@ -4,20 +4,27 @@ lists for orders pqr (distinct primes), p^2 q, and p^3.
 Builders return :class:`~cent_atlas.core.Group` values with systematic
 labels.  Metacyclic, dihedral and dicyclic groups share one presentation
 law, <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^k> on a^x b^y at index x + m y.
-These and the other closed-form families (cyclic, elementary, Heisenberg,
-SL(2,3)) check their parameters and the order cap, then wrap their tables
-without the Cayley-table gate; a tier-1 test rebuilds each through the gate.
-The covers and the (C_p x C_p) : C_q classes are N : C_k products built by
-one helper from the image array of the acting generator.
+These and the other closed-form families (cyclic, Heisenberg, SL(2,3))
+check their parameters and the order cap, then wrap their tables without
+the Cayley-table gate; a tier-1 test rebuilds each through the gate.
+Abelian groups have one builder, ``abelian``, a chain of direct products
+of cyclic groups; ``elementary`` is its C_p^k, relabelled.  The covers and
+the (C_p x C_p) : C_q classes are N : C_k products built by one helper
+from the image array of the acting generator.  The public builders made
+of parts (``abelian``, ``witness_h``, ``heisenberg_cover``) check the cap
+on the order of the group they return before they build a part, so a
+refusal names that order.
 
-The classification lists have one owner: two generators yield the classes
-of a covered order one at a time, the abelian ones and then the nonabelian
-ones, and every list is the first followed by the second.  A sweep over
-nonabelian groups reads only the second, so it builds no abelian class.
-The catalog adds named extras at orders outside the covered shapes, each
-built only when the catalog reaches its order.  Tests confirm the
-classification lists are pairwise non-isomorphic for every covered order
-up to 500 and, at small orders, match an independent exhaustive
+The catalog has one source per order: ``_order_groups(n)`` yields the
+groups of order n one at a time, for a covered n the abelian classes
+(``_abelian_classes``) and then the nonabelian ones
+(``_nonabelian_classes``), then the named extras of order n, which lie
+outside the covered shapes.  The classification lists, ``catalog_orders``
+and the claims' catalog and classification sweeps all read it, so a
+sweep holds one group at a time; a sweep over nonabelian groups reads
+only the second generator, so it builds no abelian class.  Tests confirm
+the classification lists are pairwise non-isomorphic for every covered
+order up to 500 and, at small orders, match an independent exhaustive
 enumerator."""
 
 from __future__ import annotations
@@ -92,7 +99,9 @@ def cyclic(n: int, order_cap: int | None = None) -> Group:
 
 
 def abelian(factors: tuple[int, ...], order_cap: int | None = None) -> Group:
-    """Direct product of cyclic groups of the given orders."""
+    """Direct product of cyclic groups of the given orders, the first
+    factor's digit the most significant."""
+    _check_order_cap(prod(factors), order_cap)
     if not factors:
         return cyclic(1, order_cap=order_cap)
     g = cyclic(factors[0], order_cap=order_cap)
@@ -102,17 +111,11 @@ def abelian(factors: tuple[int, ...], order_cap: int | None = None) -> Group:
 
 
 def elementary(p: int, k: int, order_cap: int | None = None) -> Group:
+    """C_p^k, at index x_1 p^(k-1) + ... + x_k as :func:`abelian` lays it out."""
     _require_prime(p, "p")
     if k < 1:
         raise BadParameters(f"rank must be positive, got {k}")
-    n = p ** k
-    _check_order_cap(n, order_cap)
-    table = np.zeros((n, n), dtype=np.int32)
-    d = np.arange(p, dtype=np.int32)
-    for j in range(k):  # index x = high p^(j+1) + (digit j) p^j + low
-        digit = table.reshape(n // p ** (j + 1), p, p ** j, n // p ** (j + 1), p, p ** j)
-        digit += ((d[:, None] + d) % p * p ** j)[:, None, None, :, None]
-    return _trusted(table, f"C{p}^{k}", gens=[p ** j for j in range(k)])
+    return abelian((p,) * k, order_cap=order_cap).relabeled(f"C{p}^{k}")
 
 
 def dihedral(order: int, order_cap: int | None = None) -> Group:
@@ -270,9 +273,8 @@ def witness_h(p: int, q: int, i: int, order_cap: int | None = None) -> Group:
         raise BadParameters(f"i^p = 1 (mod q) fails: {i}^{p} != 1 (mod {q})")
     if i % q == 1:
         raise BadParameters(f"i = {i} must not be 1 (mod q)")
-    c_p = cyclic(p, order_cap=order_cap)
-    base = direct_product(direct_product(c_p, c_p, order_cap=order_cap),
-                          cyclic(q, order_cap=order_cap), order_cap=order_cap)
+    _check_order_cap(p ** 3 * q, order_cap)
+    base = abelian((p, p, q), order_cap=order_cap)
     idx = np.arange(base.order)
     x, y, z = idx // (p * q), (idx // q) % p, idx % q
     img = ((x + y) % p) * p * q + y * q + (i * z) % q
@@ -287,9 +289,10 @@ def heisenberg_cover(p: int, order_cap: int | None = None) -> Group:
     _require_prime(p, "p")
     if p == 2:
         raise BadParameters("p must be odd (use D16 for covers of D8)")
+    _check_order_cap(p ** 4, order_cap)
     base = elementary(p, 3, order_cap=order_cap)
     idx = np.arange(base.order)
-    # elementary() indexes digits little-endian: idx = x + y*p + z*p^2
+    # the coordinates (x, y, z) of base at x + y*p + z*p^2
     x, y, z = idx % p, (idx // p) % p, idx // p ** 2
     img = (x + y) % p + ((y + z) % p) * p + z * p ** 2
     return _by_cyclic(base, p, img, f"W({p})", order_cap)
@@ -371,7 +374,18 @@ def groups_of_covered_order(n: int, order_cap: int | None = None) -> list[Group]
     p^2 q or p^3: the abelian classes first, then the nonabelian ones."""
     if order_shape(n) is None:
         raise BadParameters(f"order {n} is not of shape pqr, p^2 q, or p^3")
-    return [*_abelian_classes(n, order_cap), *_nonabelian_classes(n, order_cap)]
+    return list(_order_groups(n, order_cap))
+
+
+def _order_groups(n: int, order_cap: int | None = None) -> Iterator[Group]:
+    """The catalog's groups of order n, built one at a time: for a covered
+    n the abelian classes and then the nonabelian ones, then the named
+    extras of order n, if any (none lies at a covered order)."""
+    if order_shape(n) is not None:
+        yield from _abelian_classes(n, order_cap)
+        yield from _nonabelian_classes(n, order_cap)
+    if n in _NAMED_EXTRAS:
+        yield from _NAMED_EXTRAS[n](order_cap)
 
 
 def _abelian_classes(n: int, order_cap: int | None = None) -> Iterator[Group]:
@@ -379,11 +393,9 @@ def _abelian_classes(n: int, order_cap: int | None = None) -> Iterator[Group]:
     kind, (p, *_) = order_shape(n)
     yield cyclic(n, order_cap=order_cap)
     if kind == "p2q":
-        yield direct_product(cyclic(p, order_cap=order_cap),
-                             cyclic(n // p, order_cap=order_cap), order_cap=order_cap)
+        yield abelian((p, n // p), order_cap=order_cap)
     elif kind == "p3":
-        yield direct_product(cyclic(p * p, order_cap=order_cap),
-                             cyclic(p, order_cap=order_cap), order_cap=order_cap)
+        yield abelian((p * p, p), order_cap=order_cap)
         yield elementary(p, 3, order_cap=order_cap)
 
 
@@ -449,6 +461,7 @@ def _diagonal_p2q(p: int, q: int, lam: int, b: int,
 
 
 def _irreducible_p2q(p: int, q: int, order_cap: int | None = None) -> Group:
+    _check_order_cap(p * p * q, order_cap)
     base = elementary(p, 2, order_cap=order_cap)
     idx = np.arange(base.order)
     x, y = idx % p, idx // p
@@ -494,8 +507,7 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
     for g in members:
         if len(center(g)) == 1:
             out.append(g)
-            out.append(direct_product(cyclic(2, order_cap=order_cap), g,
-                                      order_cap=order_cap))
+            out.append(_c2_times(g, order_cap))
 
     if kind == "p2q":
         p, q = primes
@@ -578,23 +590,24 @@ _NAMED_EXTRAS: dict[int, Callable[[int | None], list[Group]]] = {
 }
 
 
+def _orders(max_order: int) -> list[int]:
+    """The catalog's orders up to max_order, ascending: the covered orders
+    and the orders of the named extras."""
+    return sorted(covered_orders(max_order).keys()
+                  | {n for n in _NAMED_EXTRAS if n <= max_order})
+
+
 def catalog_orders(max_order: int, order_cap: int | None = None
                    ) -> Iterator[tuple[int, list[Group]]]:
     """All classification-list groups plus named extras, one order at a
     time in ascending order.
 
-    Each order's list and extras are built only when it is reached, so a
-    caller that does not keep the lists holds about one order's groups at
-    a time, where ``catalog_by_order`` holds them all.  Extras live at
-    orders outside the covered shapes, so no deduplication is needed
-    between the two sources.
+    Each order's groups are built only when it is reached, so a caller
+    that does not keep the lists holds about one order's groups at a time,
+    where ``catalog_by_order`` holds them all.
     """
-    covered = covered_orders(max_order)
-    for n in sorted(covered.keys() | {n for n in _NAMED_EXTRAS if n <= max_order}):
-        groups = groups_of_covered_order(n, order_cap=order_cap) if n in covered else []
-        if n in _NAMED_EXTRAS:
-            groups += _NAMED_EXTRAS[n](order_cap)
-        yield n, groups
+    for n in _orders(max_order):
+        yield n, list(_order_groups(n, order_cap))
 
 
 def catalog_by_order(max_order: int,

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import prod
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .catalog import (
-    _abelian_classes,
     _cp_x_cq_cp,
     _nonabelian_classes,
+    _order_groups,
+    _orders,
     alternating,
-    catalog_by_order,
     central_quotient_examples,
     dihedral,
     elementary,
@@ -195,11 +195,6 @@ def witness_check(h: Group, target: Group) -> WitnessResult:
     return WitnessResult(iso is not None, quot,
                          tuple(tuple(c) for c in cosets),
                          None if iso is None else tuple(int(v) for v in iso))
-
-
-@lru_cache(maxsize=8)
-def _catalog(max_order: int) -> dict[int, list[Group]]:
-    return catalog_by_order(max_order)
 
 
 def _row(g: Group, ok: bool, note: str, **extra: Any) -> _Row:
@@ -399,33 +394,28 @@ class _Claim:
     tail: Callable[[tuple], list[_Row]] | None = None
 
 
-def _classes(order: int) -> Iterator[Group]:
-    """Every class of a covered order, built one at a time."""
-    return chain(_abelian_classes(order), _nonabelian_classes(order))
-
-
 # Sweeps that several claims share: (units from the parameters, the
-# groups of one unit).  The classification sweeps yield every class; a
-# claim about nonabelian groups reads their units with
-# ``_nonabelian_classes``, so it builds no abelian class.
+# groups of one unit).  The catalog and classification sweeps stream
+# ``_order_groups`` of one order per unit; a claim about nonabelian
+# groups reads their units with ``_nonabelian_classes``, so it builds no
+# abelian class.
 _SWEEPS: dict[str, tuple[Callable[[dict[str, Any]], list[tuple]],
                          Callable[[tuple], Iterable[Group]]]] = {
-    "catalog": (lambda ps: [(ps["max_order"], n)
-                            for n in _catalog(ps["max_order"])],
-                lambda unit: _catalog(unit[0])[unit[1]]),
+    "catalog": (lambda ps: [(n,) for n in _orders(ps["max_order"])],
+                lambda unit: _order_groups(unit[0])),
     "shapes": (lambda ps: [(kind, tuple(primes))
                            for kind, primes in ps["shapes"]],
                lambda unit: central_quotient_examples(*unit)),
     "pqr": (lambda ps: prime_triples(ps["max_order"]),
-            lambda unit: _classes(prod(unit))),
+            lambda unit: _order_groups(prod(unit))),
     "pqr_quotients": (lambda ps: [tuple(t) for t in ps["triples"]],
                       lambda unit: central_quotient_examples("pqr", unit)),
     # (kind, p, q) with p the squared prime; kind "pq2" when p > q
     "square_pairs": (lambda ps: [("p2q" if p < q else "pq2", p, q)
                                  for p, q in prime_square_pairs(ps["max_order"])],
-                     lambda unit: _classes(unit[1] ** 2 * unit[2])),
+                     lambda unit: _order_groups(unit[1] ** 2 * unit[2])),
     "p3": (lambda ps: [(p,) for p in ps["p_list"]],
-           lambda unit: _classes(unit[0] ** 3)),
+           lambda unit: _order_groups(unit[0] ** 3)),
 }
 
 
@@ -507,8 +497,7 @@ _register(_Claim(
     "quotient.",
     "every catalog group of order at most 100",
     {"max_order": 100}, _SWEEPS["catalog"][0],
-    lambda unit: [g for g in _SWEEPS["catalog"][1](unit)
-                  if cent_structure(g).is_ca],
+    lambda unit: (g for g in _order_groups(unit[0]) if cent_structure(g).is_ca),
     _check_c8))
 _register(_Claim(
     "C9",
@@ -583,8 +572,10 @@ def claim_index() -> list[dict[str, str]]:
 
 def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
     """The rows of one sweep unit, for every claim: one per source group,
-    then the tail.  A generator source holds one group at a time: each is
-    dropped before the next is built."""
+    then the tail.  The catalog and classification sources stream one
+    order's ``_order_groups`` (or its nonabelian classes), so the unit
+    holds one group at a time: each is dropped before the next is built.
+    Only the curated central-quotient lists arrive whole."""
     claim_id, unit = arg
     spec = _CLAIMS[claim_id]
     rows = []

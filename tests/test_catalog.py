@@ -2,10 +2,10 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import cent_atlas.catalog as catalog
-import cent_atlas.claims as claims
 from cent_atlas.catalog import (
     _abelian_classes,
     _nonabelian_classes,
@@ -41,7 +41,7 @@ from cent_atlas.claims import report_to_jsonable, verify_claim
 from cent_atlas.core import direct_product, quotient
 from cent_atlas.errors import BadParameters, NoInstanceAvailable, OrderCapExceeded
 from cent_atlas.invariants import center, is_isomorphic
-from cent_atlas.numbers import primes_up_to
+from cent_atlas.numbers import order_shape, primes_up_to
 
 from oracles import squarefree_class_count
 
@@ -242,6 +242,66 @@ class TestClassifications:
         assert 60 not in cov  # not of a covered shape
 
 
+# (p, k) for C_p^k, up to C2^11 at order 2048
+_ELEMENTARY_GRID = [(2, 1), (2, 2), (2, 3), (2, 6), (2, 11), (3, 1), (3, 2),
+                    (3, 6), (5, 2), (5, 3), (7, 3), (11, 2), (13, 1)]
+
+
+def _same_group(g, h):
+    return (np.array_equal(g.table, h.table)
+            and np.array_equal(g.inverse, h.inverse)
+            and np.array_equal(g.element_orders, h.element_orders))
+
+
+class TestOneAbelianWriter:
+    @pytest.mark.parametrize("p,k", _ELEMENTARY_GRID)
+    def test_elementary_is_abelian_relabelled(self, p, k):
+        g = elementary(p, k)
+        assert g.label == f"C{p}^{k}"
+        assert _same_group(g, abelian((p,) * k))
+        # digitwise addition mod p, written independently of both builders
+        x = np.arange(p ** k, dtype=np.int32)
+        table, inverse = np.zeros((x.size, x.size), np.int32), np.zeros_like(x)
+        for w in (p ** j for j in range(k)):
+            d = x // w % p
+            table += (d[:, None] + d) % p * w
+            inverse += -d % p * w
+        assert np.array_equal(g.table, table)
+        assert np.array_equal(g.inverse, inverse)
+        assert np.array_equal(g.element_orders, np.where(x > 0, p, 1))
+
+    @pytest.mark.parametrize("order", COVERED_500)
+    def test_abelian_classes_are_abelian_products(self, order):
+        kind, (p, *_) = order_shape(order)
+        factors = {"pqr": [(order,)], "p2q": [(order,), (p, order // p)],
+                   "p3": [(order,), (p * p, p), (p, p, p)]}[kind]
+        for g, fs in zip(_abelian_classes(order), factors, strict=True):
+            want = abelian(fs)
+            assert _same_group(g, want)
+            assert g.label == (f"C{p}^3" if len(fs) == 3 else want.label)
+
+
+class TestCapNamesTheBuiltOrder:
+    @pytest.mark.parametrize("build_it,order,cap", [
+        (lambda: witness_h(2, 3, 2, order_cap=10), 24, 10),
+        (lambda: heisenberg_cover(5, order_cap=100), 625, 100),
+        (lambda: abelian((2,) * 11, order_cap=1000), 2048, 1000),
+        (lambda: elementary(2, 11, order_cap=1000), 2048, 1000),
+        # the one nonabelian class of order 75 is (C5 x C5) : C3
+        (lambda: central_quotient_examples("p2q", (5, 3), order_cap=20), 75, 20),
+    ], ids=["witness_h", "heisenberg_cover", "abelian", "elementary", "p2q-75"])
+    def test_message_names_the_whole_order(self, build_it, order, cap):
+        with pytest.raises(OrderCapExceeded,
+                           match=rf"^order {order} exceeds cap {cap}$"):
+            build_it()
+
+    def test_parameters_are_checked_before_the_cap(self):
+        with pytest.raises(BadParameters):
+            witness_h(2, 5, 2, order_cap=10)
+        with pytest.raises(BadParameters):
+            heisenberg_cover(2, order_cap=10)
+
+
 class TestAbelianNonabelianSplit:
     @pytest.mark.parametrize("order", COVERED_500)
     def test_split_is_the_list(self, order):
@@ -261,8 +321,8 @@ class TestAbelianNonabelianSplit:
         def refuse(*args, **kwargs):
             raise AssertionError("an abelian class was built")
 
+        # the one owner: every catalog and claims source reads it
         monkeypatch.setattr(catalog, "_abelian_classes", refuse)
-        monkeypatch.setattr(claims, "_abelian_classes", refuse)
         got = verify_claim(claim_id, jobs=1, **params)
         assert got.passed and report_to_jsonable(got) == want
 

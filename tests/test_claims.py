@@ -252,3 +252,34 @@ def test_c9w_sweep_holds_one_order_3875_group_at_a_time(monkeypatch):
     table = 3875 ** 2 * 4
     assert units_peak < 1.5 * table, units_peak
     assert source_peak < 1.5 * table, source_peak
+
+
+def test_catalog_sweep_holds_about_one_group_at_a_time():
+    # C0 streams each order's groups from the catalog's per-order source:
+    # 1.4 MiB at max_order 300, where a cache of the whole catalog up to
+    # that order peaked at 38 MiB
+    tracemalloc.start()
+    try:
+        report = verify_claim("C0", jobs=1, max_order=300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.instances_checked > 250
+    assert peak < 8 * 2 ** 20, peak
+
+
+# SHA-256 of json.dumps(report_to_jsonable(report), indent=2) for the two
+# catalog sweeps at max_order 300, frozen from the reports of the sweep
+# that cached the whole catalog: the same rows at either job count.
+CATALOG_300_DIGESTS = {
+    "C0": "5f58eba926c379943ea6d5b97c136dcb1e9a45977e6ab2c31a6c3e58704e0907",
+    "C8": "b4c6d9c157a0c18599a4733646d93f5abb5cc9c0e4042f1cb75042810b6c6893",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("claim_id", sorted(CATALOG_300_DIGESTS))
+def test_catalog_sweeps_at_300_pinned(claim_id, jobs):
+    report = verify_claim(claim_id, jobs=jobs, max_order=300)
+    text = json.dumps(report_to_jsonable(report), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_300_DIGESTS[claim_id]

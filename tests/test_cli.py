@@ -76,6 +76,13 @@ class TestConstruct:
                             "--order-cap", "10"], capsys)
         assert code == 2
 
+    def test_order_cap_names_the_whole_order(self, capsys):
+        # H(2,3,2) has order 24; its C2 x C2 x C3 base alone crosses cap 10
+        code, _, err = run(["construct", "--family", "witness-h", "--p", "2",
+                            "--q", "3", "--i", "2", "--order-cap", "10"], capsys)
+        assert code == 2
+        assert "order 24 exceeds cap 10" in err
+
     def test_family_choices_are_the_registry(self):
         sub = next(a for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

@@ -1,0 +1,94 @@
+"""Repository tooling: no unused imports in the package, and the line
+counter in ``tools/src_lines.py`` (standard library only)."""
+
+import ast
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cent_atlas"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, counting ``__all__`` entries
+    as read (they are re-exports)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_module_has_no_unused_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_one():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "from typing import Any, Iterator\n"
+              "import numpy as np\n"
+              "from .x import kept\n"
+              "__all__ = ['kept']\n"
+              "def f(a: Any) -> int:\n"
+              "    return np.int32(os.sep)\n")
+    assert _unused_imports(source) == ["Iterator (line 3)"]
+
+
+def _load_src_lines():
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", ROOT / "tools" / "src_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_src_lines_counts_a_two_file_tree(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text('"""Module\ndocstring."""\n'   # 2 docstring lines
+                 "\n"
+                 "x = 1\n"
+                 "def f():\n"
+                 '    """One line."""\n'      # 1 docstring line
+                 '    return "not a docstring"\n', encoding="utf-8")
+    sub = tmp_path / "pkg"
+    sub.mkdir()
+    b = sub / "b.py"
+    b.write_text("class C:\n"
+                 '    """Class\n'
+                 "\n"
+                 '    docstring."""\n'        # 3 docstring lines
+                 "    y = 2\n"
+                 "\n"
+                 "z = 'tail'\n", encoding="utf-8")
+    src_lines = _load_src_lines()
+    assert src_lines.count(a) == (7, 4)
+    assert src_lines.count(b) == (7, 4)
+
+
+def test_src_lines_main_sums_the_tree(tmp_path):
+    (tmp_path / "a.py").write_text('"""Doc."""\nx = 1\n', encoding="utf-8")
+    (tmp_path / "b.py").write_text("y = 2\nz = 3\nw = 4\n", encoding="utf-8")
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py"),
+                          str(tmp_path)], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out[-1].split()[:2] == ["5", "4"]
+    assert [line.split()[:2] for line in out[:-1]] == [["2", "1"], ["3", "3"]]
