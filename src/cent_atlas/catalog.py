@@ -604,9 +604,14 @@ def catalog_orders(max_order: int, order_cap: int | None = None
 
     Each order's groups are built only when it is reached, so a caller
     that does not keep the lists holds about one order's groups at a time,
-    where ``catalog_by_order`` holds them all.
+    where ``catalog_by_order`` holds them all.  Every order is checked
+    against the cap before the first is built, so a catalog that reaches
+    past the cap is refused whole.
     """
-    for n in _orders(max_order):
+    orders = _orders(max_order)
+    for n in orders:
+        _check_order_cap(n, order_cap)
+    for n in orders:
         yield n, list(_order_groups(n, order_cap))
 
 

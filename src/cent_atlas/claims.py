@@ -2,6 +2,9 @@
 
 Each claim pairs a precise statement with a default sweep: a family of
 concrete groups on which the statement is checked instance by instance.
+A sweep is a list of units, and a unit is the tuple of arguments of the
+claim's source of groups: ``(n,)`` for the catalog's groups of order n,
+``(kind, primes)`` for the curated central-quotient instances.
 ``verify_claim`` runs a sweep (optionally across processes) and returns a
 deterministic report; two runs with different job counts produce identical
 rows.
@@ -21,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import prod
 from typing import Any, Callable, Iterable
 
 from .catalog import (
@@ -31,12 +33,11 @@ from .catalog import (
     _orders,
     alternating,
     central_quotient_examples,
+    covered_orders,
     dihedral,
     elementary,
     heisenberg,
     heisenberg_cover,
-    prime_square_pairs,
-    prime_triples,
     witness_exponents,
     witness_h,
 )
@@ -248,7 +249,7 @@ def _capable_check(g: Group, rule: str, special: Group | None = None,
     return ok, note, {}
 
 
-def _check_c0(g: Group, unit: tuple) -> _Check:
+def _check_c0(g: Group, *_: Any) -> _Check:
     count = cent_structure(g).count
     qz = quotient(g, center(g))
     is4 = _isomorphic(qz, "V4")
@@ -257,8 +258,7 @@ def _check_c0(g: Group, unit: tuple) -> _Check:
     return ok, f"cent={count}, |G/Z|={qz.order}", {"cent_count": count}
 
 
-def _check_c1(g: Group, unit: tuple) -> _Check:
-    kind, primes = unit
+def _check_c1(g: Group, kind: str, primes: tuple[int, ...]) -> _Check:
     cs = cent_structure(g)
     proper = [m.bits for m in cs.proper()]
     meets = all((a & b) == cs.center.bits
@@ -268,27 +268,32 @@ def _check_c1(g: Group, unit: tuple) -> _Check:
             f"intersections_central={meets}", {})
 
 
-def _check_c3(g: Group, unit: tuple) -> _Check:
+def _check_c2(g: Group, n: int) -> _Check:
+    _, (p, q, r) = order_shape(n)
+    return _count_in(g, {q + 2, r + 2, q * r + 2})
+
+
+def _check_c3(g: Group, *_: Any) -> _Check:
     dorder = len(derived_subgroup(g))
     return _count_in(g, {dorder + 2}, f"|G'|={dorder}")
 
 
-def _check_c6(g: Group, unit: tuple) -> _Check:
+def _check_c6(g: Group, *_: Any) -> _Check:
     count = cent_structure(g).count
     qcount = cent_structure(quotient(g, center(g))).count
     return count == qcount, f"cent={count}, quotient_cent={qcount}", {}
 
 
-def _check_c7(g: Group, unit: tuple) -> _Check:
-    kind, p, q = unit
-    if kind == "pq2":
+def _check_c7(g: Group, n: int) -> _Check:
+    _, (p, q) = order_shape(n)  # p is the squared prime
+    if p > q:
         return _count_in(g, {p + 2, p * p + 2})
     if (p, q) == (2, 3) and _isomorphic(g, "A4"):
         return _count_in(g, {6}, "expected 6 for A4")
     return _count_in(g, {q + 2}, f"expected {q + 2}")
 
 
-def _check_c8(g: Group, unit: tuple) -> _Check:
+def _check_c8(g: Group, *_: Any) -> _Check:
     kind = abelian_profile(quotient(g, center(g))).kind
     if kind == "nonabelian":
         return True, "central quotient nonabelian; vacuous", {}
@@ -296,23 +301,21 @@ def _check_c8(g: Group, unit: tuple) -> _Check:
             f"central quotient abelian of kind {kind}", {})
 
 
-def _check_c9(g: Group, unit: tuple) -> _Check:
-    kind, p, q, cap = unit
-    if kind == "pq2":
+def _check_c9(g: Group, n: int, cap: int) -> _Check:
+    _, (p, q) = order_shape(n)
+    if p > q:
         return _capable_check(g, "C9")
     return _capable_check(g, "C9", _special_p2q(p, q),
                           lambda: witness_h(p, q, unit_of_order(p, q), order_cap=cap))
 
 
-def _check_c9w(h: Group, unit: tuple) -> _Check:
-    p, q, _, _ = unit
+def _check_c9w(h: Group, p: int, q: int, *_: Any) -> _Check:
     wr = witness_check(h, _special_p2q(p, q))
     return (wr.ok and h.order == p ** 3 * q,
             f"|H|={h.order}, quotient_matches={wr.ok}", {})
 
 
-def _check_c10(g: Group, unit: tuple) -> _Check:
-    kind, primes = unit
+def _check_c10(g: Group, kind: str, primes: tuple[int, ...]) -> _Check:
     p, q = primes
     if kind == "p2q":
         allowed = {6, 8} if (p, q) == (2, 3) else {p * q + 2, q + 2}
@@ -321,8 +324,7 @@ def _check_c10(g: Group, unit: tuple) -> _Check:
     return _count_in(g, allowed, prefix=f"shape={kind}{primes}, ")
 
 
-def _check_c11(g: Group, unit: tuple) -> _Check:
-    (p,) = unit
+def _check_c11(g: Group, p: int) -> _Check:
     if g.is_abelian():
         rule = "baer-p3"
         truth = abelian_profile(g).kind == "elementary_abelian"
@@ -334,16 +336,14 @@ def _check_c11(g: Group, unit: tuple) -> _Check:
             f"verdict={verdict.status} ({verdict.detail})", {})
 
 
-def _tail_c11(unit: tuple) -> list[_Row]:
-    (p,) = unit
+def _tail_c11(p: int) -> list[_Row]:
     cover = dihedral(16) if p == 2 else heisenberg_cover(p)
     target = _named("D8") if p == 2 else heisenberg(p)
     wr = witness_check(cover, target)
     return [_row(cover, wr.ok, f"cover of {target.label}, witness_ok={wr.ok}")]
 
 
-def _check_c12(g: Group, unit: tuple) -> _Check:
-    (p,) = unit
+def _check_c12(g: Group, p: int) -> _Check:
     if g.order == p ** 3:
         return _count_in(g, {p + 2}, f"expected {p + 2}")
     w = omega(g)
@@ -352,12 +352,14 @@ def _check_c12(g: Group, unit: tuple) -> _Check:
                      f"omega={w}, allowed={sorted(allowed)}")
 
 
-def _tail_c13(unit: tuple) -> list[_Row]:
-    p, q = unit
+def _tail_c13(n: int) -> list[_Row]:
+    _, (p, q) = order_shape(n)
+    if p > q:
+        return []
     expected = [e for e in (_special_p2q(p, q),
                             _named("A4") if (p, q) == (2, 3) else None)
                 if e is not None]
-    found = [g for g in _nonabelian_classes(p * p * q) if abelian_profile(
+    found = [g for g in _nonabelian_classes(n) if abelian_profile(
         subgroup_as_group(g, sylow(g, p).subgroup)).kind == "elementary_abelian"]
     unmatched = list(expected)
     for g in found:
@@ -368,7 +370,7 @@ def _tail_c13(unit: tuple) -> list[_Row]:
         unmatched.remove(hit)
     ok = not unmatched and len(found) == len(expected)
     return [{
-        "order": p * p * q, "label": f"p={p},q={q}", "ok": bool(ok),
+        "order": n, "label": f"p={p},q={q}", "ok": bool(ok),
         "note": (f"classes with elementary Sylow-{p}: "
                  f"{[g.label for g in found]}, "
                  f"expected {[g.label for g in expected]}"),
@@ -379,44 +381,37 @@ def _tail_c13(unit: tuple) -> list[_Row]:
 
 @dataclass(frozen=True)
 class _Claim:
-    """A claim as data, made into rows by the one loop in :func:`_run_unit`:
-    ``units(params)`` lists the sweep units, ``groups(unit)`` the groups of
-    a unit, ``check(g, unit)`` gives each one's (ok, note, extra), and
-    ``tail(unit)`` adds other rows."""
+    """A claim as data, made into rows by the one loop in :func:`_run_unit`.
+
+    ``units(params)`` lists the sweep units.  A unit is the tuple of
+    arguments of the claim's source: ``groups(*unit)`` yields the unit's
+    groups, ``check(g, *unit)`` gives each one's (ok, note, extra), and
+    ``tail(*unit)`` adds other rows.  A classification sweep's unit is
+    ``(n,)``, so its source is the catalog's own per-order generator.
+    """
 
     claim_id: str
     statement: str
     sweep_default: str
     defaults: dict[str, Any]
     units: Callable[[dict[str, Any]], list[tuple]]
-    groups: Callable[[tuple], Iterable[Group]] = lambda unit: ()
-    check: Callable[[Group, tuple], _Check] | None = None
-    tail: Callable[[tuple], list[_Row]] | None = None
+    groups: Callable[..., Iterable[Group]] = lambda *unit: ()
+    check: Callable[..., _Check] | None = None
+    tail: Callable[..., list[_Row]] | None = None
 
 
-# Sweeps that several claims share: (units from the parameters, the
-# groups of one unit).  The catalog and classification sweeps stream
-# ``_order_groups`` of one order per unit; a claim about nonabelian
-# groups reads their units with ``_nonabelian_classes``, so it builds no
-# abelian class.
-_SWEEPS: dict[str, tuple[Callable[[dict[str, Any]], list[tuple]],
-                         Callable[[tuple], Iterable[Group]]]] = {
-    "catalog": (lambda ps: [(n,) for n in _orders(ps["max_order"])],
-                lambda unit: _order_groups(unit[0])),
-    "shapes": (lambda ps: [(kind, tuple(primes))
-                           for kind, primes in ps["shapes"]],
-               lambda unit: central_quotient_examples(*unit)),
-    "pqr": (lambda ps: prime_triples(ps["max_order"]),
-            lambda unit: _order_groups(prod(unit))),
-    "pqr_quotients": (lambda ps: [tuple(t) for t in ps["triples"]],
-                      lambda unit: central_quotient_examples("pqr", unit)),
-    # (kind, p, q) with p the squared prime; kind "pq2" when p > q
-    "square_pairs": (lambda ps: [("p2q" if p < q else "pq2", p, q)
-                                 for p, q in prime_square_pairs(ps["max_order"])],
-                     lambda unit: _order_groups(unit[1] ** 2 * unit[2])),
-    "p3": (lambda ps: [(p,) for p in ps["p_list"]],
-           lambda unit: _order_groups(unit[0] ** 3)),
-}
+def _covered(kind: str, max_order: int, *rest: Any) -> list[tuple]:
+    """Units ``(n, *rest)``, one per covered order n <= max_order of shape
+    ``kind``, in ascending order."""
+    return [(n, *rest) for n, (k, _) in covered_orders(max_order).items() if k == kind]
+
+
+def _shape_units(ps: dict[str, Any]) -> list[tuple]:
+    return [(kind, tuple(primes)) for kind, primes in ps["shapes"]]
+
+
+def _triple_units(ps: dict[str, Any]) -> list[tuple]:
+    return [("pqr", tuple(t)) for t in ps["triples"]]
 
 
 _C1_SHAPES = (("pqr", (2, 3, 5)), ("p2q", (2, 3)), ("p2q", (3, 2)),
@@ -426,139 +421,136 @@ _C10_SHAPES = (("p2q", (2, 3)), ("p2q", (2, 5)), ("p2q", (2, 7)),
                ("p2q", (3, 7)), ("pq2", (2, 3)), ("pq2", (2, 5)),
                ("pq2", (3, 5)))
 
-_CLAIMS: dict[str, _Claim] = {}
-
-
-def _register(claim: _Claim) -> None:
-    _CLAIMS[claim.claim_id] = claim
-
-
-_register(_Claim(
-    "C0",
-    "No group has exactly 2 or 3 distinct element centralizers; a group has "
-    "exactly 4 precisely when its central quotient is the Klein four-group, "
-    "and exactly 5 precisely when its central quotient is S3 or C3 x C3.",
-    "every catalog group of order at most 100",
-    {"max_order": 100}, *_SWEEPS["catalog"], _check_c0))
-_register(_Claim(
-    "C1",
-    "When the central quotient has order a product of three primes, not "
-    "necessarily distinct, every proper centralizer is abelian and two "
-    "distinct proper centralizers intersect exactly in the center.",
-    "curated central-quotient instances for shapes pqr, p^2 q, p q^2, p^3",
-    {"shapes": _C1_SHAPES}, *_SWEEPS["shapes"], _check_c1))
-_register(_Claim(
-    "C2",
-    "A nonabelian group of order pqr with p < q < r has exactly q+2, r+2, "
-    "or qr+2 distinct centralizers.",
-    "all nonabelian groups of order pqr up to 500",
-    {"max_order": 500}, _SWEEPS["pqr"][0],
-    lambda unit: _nonabelian_classes(prod(unit)),
-    lambda g, unit: _count_in(g, {unit[1] + 2, unit[2] + 2, unit[1] * unit[2] + 2})))
-_register(_Claim(
-    "C3",
-    "A nonabelian group of order pqr has centralizer count equal to the "
-    "order of its derived subgroup plus 2.",
-    "all nonabelian groups of order pqr up to 500",
-    {"max_order": 500}, _SWEEPS["pqr"][0],
-    lambda unit: _nonabelian_classes(prod(unit)), _check_c3))
-_register(_Claim(
-    "C4",
-    "A group of order pqr with p < q < r is a central quotient exactly "
-    "when its center is trivial.",
-    "all groups of order pqr up to 500, with a self-witness where capable",
-    {"max_order": 500}, *_SWEEPS["pqr"],
-    lambda g, unit: _capable_check(g, "C4")))
-_register(_Claim(
-    "C5",
-    "When the central quotient has order pqr with p < q < r, the "
-    "centralizer count is r+2 or qr+2.",
-    "curated central-quotient instances over four prime triples",
-    {"triples": _C5_TRIPLES}, *_SWEEPS["pqr_quotients"],
-    lambda g, unit: _count_in(g, {unit[2] + 2, unit[1] * unit[2] + 2})))
-_register(_Claim(
-    "C6",
-    "When the central quotient has order pqr, the group has the same "
-    "centralizer count as its central quotient.",
-    "curated central-quotient instances over four prime triples",
-    {"triples": _C5_TRIPLES}, *_SWEEPS["pqr_quotients"], _check_c6))
-_register(_Claim(
-    "C7",
-    "A nonabelian group of order p^2 q with p < q has centralizer count "
-    "q+2, except A4 which has 6; a nonabelian group of order p q^2 with "
-    "p < q has centralizer count q+2 or q^2+2.",
-    "all nonabelian groups of orders p^2 q and p q^2 up to 300",
-    {"max_order": 300}, _SWEEPS["square_pairs"][0],
-    lambda unit: _nonabelian_classes(unit[1] ** 2 * unit[2]), _check_c7))
-_register(_Claim(
-    "C8",
-    "A nonabelian group whose proper centralizers are all abelian and "
-    "whose central quotient is abelian has an elementary abelian central "
-    "quotient.",
-    "every catalog group of order at most 100",
-    {"max_order": 100}, _SWEEPS["catalog"][0],
-    lambda unit: (g for g in _order_groups(unit[0]) if cent_structure(g).is_ca),
-    _check_c8))
-_register(_Claim(
-    "C9",
-    "A group of order p^2 q with p < q is a central quotient exactly when "
-    "its center is trivial or it is C_p x (C_q : C_p); a group of order "
-    "p q^2 with p < q is a central quotient exactly when its center is "
-    "trivial.",
-    "all groups of orders p^2 q and p q^2 up to 300, with witnesses",
-    # the witness covers, of order p^3 q, are built under order_cap
-    {"max_order": 300, "order_cap": 4096},
-    lambda ps: [(*unit, ps["order_cap"]) for unit in _SWEEPS["square_pairs"][0](ps)],
-    _SWEEPS["square_pairs"][1], _check_c9))
-_register(_Claim(
-    "C9w",
-    "For primes with q = 1 (mod p) and any unit i of order p modulo q, "
-    "the group (C_p x C_p x C_q) : C_p of order p^3 q built from i has "
-    "central quotient C_p x (C_q : C_p).",
-    "p in {2, 3, 5}, prime q at most 31 with q = 1 (mod p), every valid i",
-    {"p_list": (2, 3, 5), "q_max": 31, "order_cap": 4096},
-    lambda ps: [(p, q, ps["order_cap"], i) for p in ps["p_list"]
-                for q in primes_up_to(ps["q_max"]) if q % p == 1
-                for i in witness_exponents(p, q)],
-    lambda unit: [witness_h(*unit[:2], unit[3], order_cap=unit[2])],
-    _check_c9w))
-_register(_Claim(
-    "C10",
-    "When the central quotient has order 12 the centralizer count is 6 or "
-    "8; order p^2 q with p < q and not 12 gives pq+2 or q+2; order p q^2 "
-    "with p < q gives q^2+2 or q^2+q+2.",
-    "curated central-quotient instances over seven shape choices",
-    {"shapes": _C10_SHAPES}, *_SWEEPS["shapes"], _check_c10))
-_register(_Claim(
-    "C11",
-    "Among groups of order p^3 the central quotients are exactly the "
-    "elementary abelian one, D8 when p = 2, and the exponent-p nonabelian "
-    "one when p is odd.",
-    "all five classes of order p^3 for p in {2, 3, 5}, with covers",
-    {"p_list": (2, 3, 5)}, *_SWEEPS["p3"], _check_c11,
-    tail=_tail_c11))
-_register(_Claim(
-    "C12",
-    "Every nonabelian group of order p^3 has exactly p+2 centralizers; "
-    "when the central quotient has order p^3 the centralizer count is "
-    "p^2+2 or p^2+p+2 and exceeds the largest pairwise non-commuting set "
-    "by exactly 1.",
-    "curated covers with central quotient of order p^3, p in {2, 3}",
-    {"p_list": (2, 3)}, _SWEEPS["p3"][0],
-    lambda unit: chain(central_quotient_examples("p3", unit),
-                       _nonabelian_classes(unit[0] ** 3)),
-    _check_c12))
-_register(_Claim(
-    "C13",
-    "For p < q, the nonabelian groups of order p^2 q whose Sylow "
-    "p-subgroup is elementary abelian are exactly C_p x (C_q : C_p) when "
-    "q = 1 (mod p) and none otherwise, except that A4 also qualifies for "
-    "(p, q) = (2, 3).",
-    "all prime pairs p < q with p^2 q up to 300",
-    {"max_order": 300},
-    lambda ps: [(sq, other) for sq, other in prime_square_pairs(ps["max_order"])
-                if sq < other],
-    tail=_tail_c13))
+_CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
+    _Claim(
+        "C0",
+        "No group has exactly 2 or 3 distinct element centralizers; a group "
+        "has exactly 4 precisely when its central quotient is the Klein "
+        "four-group, and exactly 5 precisely when its central quotient is S3 "
+        "or C3 x C3.",
+        "every catalog group of order at most 100",
+        {"max_order": 100}, lambda ps: [(n,) for n in _orders(ps["max_order"])],
+        _order_groups, _check_c0),
+    _Claim(
+        "C1",
+        "When the central quotient has order a product of three primes, not "
+        "necessarily distinct, every proper centralizer is abelian and two "
+        "distinct proper centralizers intersect exactly in the center.",
+        "curated central-quotient instances for shapes pqr, p^2 q, p q^2, p^3",
+        {"shapes": _C1_SHAPES}, _shape_units, central_quotient_examples,
+        _check_c1),
+    _Claim(
+        "C2",
+        "A nonabelian group of order pqr with p < q < r has exactly q+2, r+2, "
+        "or qr+2 distinct centralizers.",
+        "all nonabelian groups of order pqr up to 500",
+        {"max_order": 500}, lambda ps: _covered("pqr", ps["max_order"]),
+        _nonabelian_classes, _check_c2),
+    _Claim(
+        "C3",
+        "A nonabelian group of order pqr has centralizer count equal to the "
+        "order of its derived subgroup plus 2.",
+        "all nonabelian groups of order pqr up to 500",
+        {"max_order": 500}, lambda ps: _covered("pqr", ps["max_order"]),
+        _nonabelian_classes, _check_c3),
+    _Claim(
+        "C4",
+        "A group of order pqr with p < q < r is a central quotient exactly "
+        "when its center is trivial.",
+        "all groups of order pqr up to 500, with a self-witness where capable",
+        {"max_order": 500}, lambda ps: _covered("pqr", ps["max_order"]),
+        _order_groups, lambda g, n: _capable_check(g, "C4")),
+    _Claim(
+        "C5",
+        "When the central quotient has order pqr with p < q < r, the "
+        "centralizer count is r+2 or qr+2.",
+        "curated central-quotient instances over four prime triples",
+        {"triples": _C5_TRIPLES}, _triple_units, central_quotient_examples,
+        lambda g, _, t: _count_in(g, {t[2] + 2, t[1] * t[2] + 2})),
+    _Claim(
+        "C6",
+        "When the central quotient has order pqr, the group has the same "
+        "centralizer count as its central quotient.",
+        "curated central-quotient instances over four prime triples",
+        {"triples": _C5_TRIPLES}, _triple_units, central_quotient_examples,
+        _check_c6),
+    _Claim(
+        "C7",
+        "A nonabelian group of order p^2 q with p < q has centralizer count "
+        "q+2, except A4 which has 6; a nonabelian group of order p q^2 with "
+        "p < q has centralizer count q+2 or q^2+2.",
+        "all nonabelian groups of orders p^2 q and p q^2 up to 300",
+        {"max_order": 300}, lambda ps: _covered("p2q", ps["max_order"]),
+        _nonabelian_classes, _check_c7),
+    _Claim(
+        "C8",
+        "A nonabelian group whose proper centralizers are all abelian and "
+        "whose central quotient is abelian has an elementary abelian central "
+        "quotient.",
+        "every catalog group of order at most 100",
+        {"max_order": 100}, lambda ps: [(n,) for n in _orders(ps["max_order"])],
+        lambda n: (g for g in _order_groups(n) if cent_structure(g).is_ca),
+        _check_c8),
+    _Claim(
+        "C9",
+        "A group of order p^2 q with p < q is a central quotient exactly when "
+        "its center is trivial or it is C_p x (C_q : C_p); a group of order "
+        "p q^2 with p < q is a central quotient exactly when its center is "
+        "trivial.",
+        "all groups of orders p^2 q and p q^2 up to 300, with witnesses",
+        # the swept groups and the witness covers, of order p^3 q, are
+        # built under order_cap
+        {"max_order": 300, "order_cap": 4096},
+        lambda ps: _covered("p2q", ps["max_order"], ps["order_cap"]),
+        _order_groups, _check_c9),
+    _Claim(
+        "C9w",
+        "For primes with q = 1 (mod p) and any unit i of order p modulo q, "
+        "the group (C_p x C_p x C_q) : C_p of order p^3 q built from i has "
+        "central quotient C_p x (C_q : C_p).",
+        "p in {2, 3, 5}, prime q at most 31 with q = 1 (mod p), every valid i",
+        {"p_list": (2, 3, 5), "q_max": 31, "order_cap": 4096},
+        lambda ps: [(p, q, ps["order_cap"], i) for p in ps["p_list"]
+                    for q in primes_up_to(ps["q_max"]) if q % p == 1
+                    for i in witness_exponents(p, q)],
+        lambda p, q, cap, i: [witness_h(p, q, i, order_cap=cap)], _check_c9w),
+    _Claim(
+        "C10",
+        "When the central quotient has order 12 the centralizer count is 6 "
+        "or 8; order p^2 q with p < q and not 12 gives pq+2 or q+2; order "
+        "p q^2 with p < q gives q^2+2 or q^2+q+2.",
+        "curated central-quotient instances over seven shape choices",
+        {"shapes": _C10_SHAPES}, _shape_units, central_quotient_examples,
+        _check_c10),
+    _Claim(
+        "C11",
+        "Among groups of order p^3 the central quotients are exactly the "
+        "elementary abelian one, D8 when p = 2, and the exponent-p "
+        "nonabelian one when p is odd.",
+        "all five classes of order p^3 for p in {2, 3, 5}, with covers",
+        {"p_list": (2, 3, 5)}, lambda ps: [(p,) for p in ps["p_list"]],
+        lambda p: _order_groups(p ** 3), _check_c11, _tail_c11),
+    _Claim(
+        "C12",
+        "Every nonabelian group of order p^3 has exactly p+2 centralizers; "
+        "when the central quotient has order p^3 the centralizer count is "
+        "p^2+2 or p^2+p+2 and exceeds the largest pairwise non-commuting "
+        "set by exactly 1.",
+        "curated covers with central quotient of order p^3, p in {2, 3}",
+        {"p_list": (2, 3)}, lambda ps: [(p,) for p in ps["p_list"]],
+        lambda p: chain(central_quotient_examples("p3", (p,)),
+                        _nonabelian_classes(p ** 3)),
+        _check_c12),
+    _Claim(
+        "C13",
+        "For p < q, the nonabelian groups of order p^2 q whose Sylow "
+        "p-subgroup is elementary abelian are exactly C_p x (C_q : C_p) when "
+        "q = 1 (mod p) and none otherwise, except that A4 also qualifies for "
+        "(p, q) = (2, 3).",
+        "all prime pairs p < q with p^2 q up to 300",
+        {"max_order": 300}, lambda ps: _covered("p2q", ps["max_order"]),
+        tail=_tail_c13),
+)}
 
 
 def claim_ids() -> list[str]:
@@ -572,19 +564,21 @@ def claim_index() -> list[dict[str, str]]:
 
 def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
     """The rows of one sweep unit, for every claim: one per source group,
-    then the tail.  The catalog and classification sources stream one
-    order's ``_order_groups`` (or its nonabelian classes), so the unit
-    holds one group at a time: each is dropped before the next is built.
-    Only the curated central-quotient lists arrive whole."""
+    then the tail.  The unit is the tuple of arguments of the claim's
+    source, and its check and tail take the same arguments after the
+    group.  The catalog and classification sources stream one order's
+    ``_order_groups`` (or its nonabelian classes), so the unit holds one
+    group at a time: each is dropped before the next is built.  Only the
+    curated central-quotient lists arrive whole."""
     claim_id, unit = arg
     spec = _CLAIMS[claim_id]
     rows = []
-    for g in spec.groups(unit):
-        ok, note, extra = spec.check(g, unit)
+    for g in spec.groups(*unit):
+        ok, note, extra = spec.check(g, *unit)
         rows.append(_row(g, ok, note, **extra))
         del g
     if spec.tail is not None:
-        rows += spec.tail(unit)
+        rows += spec.tail(*unit)
     return rows
 
 
@@ -592,14 +586,17 @@ def verify_claim(claim_id: str, jobs: int | None = None,
                  **params: Any) -> ClaimReport:
     """Run one claim's sweep and aggregate a deterministic report.
 
-    jobs=None uses all available processors; jobs=1 stays in-process.
-    Unknown claim ids raise UnknownClaim; parameter sets that produce no
-    instances raise EmptySweep.
+    jobs=None uses all available processors; jobs=1 stays in-process;
+    jobs below 1 raise BadParameters.  Unknown claim ids raise
+    UnknownClaim; parameter sets that produce no instances raise
+    EmptySweep.
     """
     spec = _CLAIMS.get(claim_id)
     if spec is None:
         raise UnknownClaim(
             f"unknown claim {claim_id!r}; known: {', '.join(_CLAIMS)}")
+    if jobs is not None and jobs < 1:
+        raise BadParameters(f"jobs must be at least 1, got {jobs}")
     unknown = next((key for key in params if key not in spec.defaults), None)
     if unknown is not None:
         raise BadParameters(

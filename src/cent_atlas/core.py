@@ -209,18 +209,8 @@ class Group:
             x, k = self.inv(x), -k
         return int(_powers(self.table, np.array([x]), k)[0])
 
-    def conjugate(self, g: int, x: int) -> int:
-        """Return g * x * g^-1."""
-        return int(self.table[self.table[g, x], self.inverse[g]])
-
-    def commutes(self, i: int, j: int) -> bool:
-        return bool(self.table[i, j] == self.table[j, i])
-
     def is_abelian(self) -> bool:
         return bool((_centralizer_sizes(self) == self.order).all())
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def exponent(self) -> int:
         out = 1

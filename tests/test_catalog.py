@@ -400,6 +400,18 @@ class TestCatalog:
         catalog_up_to(30)
         assert built == ["C2xA4", "H(2,3,2)"]
 
+    @pytest.mark.parametrize("sweep", [catalog_by_order, catalog_up_to])
+    def test_cap_refuses_before_building(self, monkeypatch, sweep):
+        # order 12 is the first catalog order over the cap; order 8 must
+        # not be built first
+        def refuse(n, order_cap=None):
+            raise AssertionError(f"built order {n}")
+
+        monkeypatch.setattr(catalog, "_order_groups", refuse)
+        with pytest.raises(OrderCapExceeded,
+                           match="^order 12 exceeds cap 10$"):
+            sweep(20, order_cap=10)
+
 
 # The groups whose construction tables are pinned: the catalog to 500, the
 # central-quotient instances of every default C1, C5, C10 and C12 shape,

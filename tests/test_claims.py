@@ -62,6 +62,12 @@ class TestVerify:
         with pytest.raises(EmptySweep):
             verify_claim("C0", max_order=7)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(BadParameters,
+                           match=f"^jobs must be at least 1, got {jobs}$"):
+            verify_claim("C4", jobs=jobs, max_order=60)
+
     def test_c0_reduced(self):
         rep = verify_claim("C0", max_order=50)
         assert isinstance(rep, ClaimReport)
@@ -235,8 +241,8 @@ def test_c9w_sweep_holds_one_order_3875_group_at_a_time(monkeypatch):
     spec = claims._CLAIMS["C9w"]
     units = [u for u in spec.units(spec.defaults) if u[:2] == (5, 31)]
     assert [u[3] for u in units] == list(witness_exponents(5, 31))
-    one_source = dataclasses.replace(spec, groups=lambda unit: (
-        witness_h(5, 31, i, order_cap=unit[2]) for i in witness_exponents(5, 31)))
+    one_source = dataclasses.replace(spec, groups=lambda p, q, cap, i: (
+        witness_h(5, 31, i, order_cap=cap) for i in witness_exponents(5, 31)))
     tracemalloc.start()
     try:
         rows = [row for u in units for row in claims._run_unit(("C9w", u))]

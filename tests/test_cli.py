@@ -308,6 +308,15 @@ class TestCatalog:
         assert (code, err) == (0, "")
         assert out == f"wrote 42 group files to {out_dir}\n"
 
+    def test_cap_refuses_before_writing(self, tmp_path, capsys):
+        # order 12 is the first over the cap; the 5 groups of order 8 were
+        # written before it was reached
+        out_dir = tmp_path / "cat"
+        code, _, err = run(["catalog", "--max-order", "20", "--order-cap",
+                            "10", "--out-dir", str(out_dir)], capsys)
+        assert (code, err) == (2, "error: order 12 exceeds cap 10\n")
+        assert list(out_dir.glob("*.json")) == []
+
     def test_holds_one_order_at_a_time(self, tmp_path, capsys):
         # 1.7 MiB of Python allocations at max order 200, against 11.9 MiB
         # when every catalog group was built before the first file was
@@ -365,6 +374,34 @@ class TestVerify:
                             "--order-cap", "1374"], capsys)
         assert code == 2
         assert "order 1375 exceeds cap 1374" in err
+
+    def test_c9_builds_its_sweep_under_its_own_cap(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # the swept groups of order 116 = 2^2 * 29 exceed the environment's
+        # cap; C9's order_cap must reach them as it reaches the covers
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["verify", "--claim", "C9", "--jobs", "1", "--max-order",
+                "150", "--order-cap", "4096", "--out"]
+        assert run([*argv, str(a)], capsys)[0] == 0
+        monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "100")
+        code, _, err = run([*argv, str(b)], capsys)
+        assert (code, err) == (0, "")
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, jobs, capsys):
+        code, out, err = run(["verify", "--claim", "C4", "--max-order", "60",
+                              "--jobs", jobs], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+    def test_bad_order_cap_variable_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "abc")
+        code, out, err = run(["construct", "--family", "cyclic", "--n", "4"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: CENT_ATLAS_ORDER_CAP must be an integer, "
+                       "got 'abc'\n")
 
     def test_out_deterministic_across_jobs(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -40,12 +40,14 @@ from cent_atlas.core import (
     subgroup_generated,
 )
 from cent_atlas.errors import (
+    BadParameters,
     CentAtlasError,
     IndexOutOfRange,
     NoIdentityAtZero,
     NoInverse,
     NotAssociative,
     NotAutomorphism,
+    NotHomomorphism,
     NotLatinSquare,
     NotNormal,
     NotSubgroup,
@@ -607,3 +609,60 @@ def test_direct_product_axioms(a, b):
     table = g.table.tolist()
     assert all(table[x][0] == x == table[0][x] for x in range(g.order))
     assert is_associative(table)
+
+
+class TestRefusals:
+    """Each refusal names its error type and what was wrong."""
+
+    @pytest.mark.parametrize("h_order,action,error,message", [
+        (2, ActionSpec((1, 1), ((0, 2, 1), (0, 1, 2))), NotHomomorphism,
+         "two different images given for generator 1"),
+        (2, ActionSpec((0, 1), ((0, 2, 1), (0, 2, 1))), NotHomomorphism,
+         "identity of H must act trivially"),
+        # inversion has order 2, so it cannot be the image of an element
+        # of order 3
+        (3, ActionSpec((1,), ((0, 2, 1),)), NotHomomorphism,
+         "generator images are inconsistent at element 0"),
+        (4, ActionSpec((2,), ((0, 1, 2),)), NotHomomorphism,
+         "acting generators do not generate the acting group "
+         "(element 1 unreachable)"),
+        (2, ActionSpec((1,), ()), BadParameters,
+         "acting_generators and automorphism_images differ in length"),
+        (2, ActionSpec((), ()), BadParameters,
+         "action must name at least one acting generator"),
+        (2, ActionSpec((1,), ((0, 1, 1),)), NotAutomorphism,
+         "image is not a permutation of 0..2"),
+        (2, ActionSpec((1,), ((1, 0, 2),)), NotAutomorphism,
+         "automorphism must fix the identity"),
+    ])
+    def test_semidirect_product_refuses_action(self, h_order, action, error,
+                                               message):
+        c3 = from_cayley_table(cyclic_table(3))
+        h = from_cayley_table(cyclic_table(h_order))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            semidirect_product(c3, h, action)
+
+    def test_order_cap_zero_is_refused(self):
+        with pytest.raises(BadParameters,
+                           match="^order cap must be positive, got 0$"):
+            resolve_order_cap(0)
+
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "CENT_ATLAS_ORDER_CAP must be an integer, got 'abc'"),
+        ("0", "CENT_ATLAS_ORDER_CAP must be positive, got 0"),
+    ])
+    def test_bad_order_cap_variable_is_refused(self, monkeypatch, value,
+                                               message):
+        monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", value)
+        with pytest.raises(BadParameters, match=f"^{re.escape(message)}$"):
+            resolve_order_cap()
+
+    def test_no_permutation_generators(self):
+        with pytest.raises(BadParameters, match="^at least one generator "
+                           "permutation is required$"):
+            from_permutation_generators([])
+
+    def test_subgroup_without_identity(self):
+        with pytest.raises(NotSubgroup,
+                           match="^subgroup must contain the identity 0$"):
+            check_subgroup(from_cayley_table(cyclic_table(4)), [2])

@@ -1,5 +1,6 @@
-"""Repository tooling: no unused imports in the package, and the line
-counter in ``tools/src_lines.py`` (standard library only)."""
+"""Repository tooling: no unused imports or orphaned private names in the
+package, and the line counter in ``tools/src_lines.py`` (standard
+library only)."""
 
 import ast
 import importlib.util
@@ -51,6 +52,58 @@ def test_unused_import_check_sees_one():
               "def f(a: Any) -> int:\n"
               "    return np.int32(os.sep)\n")
     assert _unused_imports(source) == ["Iterator (line 3)"]
+
+
+def _orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_``-prefixed functions, classes and assignments that
+    no module in ``sources`` (file name -> source) reads, by name or as
+    an attribute, given as ``file:name``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    orphans = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            orphans += [f"{file}:{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")
+                        and name not in read]
+    return orphans
+
+
+def test_package_has_no_orphaned_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _orphaned_private_names(sources) == []
+
+
+def test_orphaned_private_name_check_sees_one():
+    # _TABLE is read in a.py, _helper and _Spec only from b.py
+    sources = {"a.py": ("_TABLE: dict = {}\n"
+                        "_lost = 2\n"
+                        "def _helper():\n"
+                        "    return _TABLE\n"
+                        "class _Spec:\n"
+                        "    pass\n"),
+               "b.py": ("import a\n"
+                        "from a import _helper\n"
+                        "x = _helper(), a._Spec\n"
+                        "def _unused():\n"
+                        "    return x\n")}
+    assert _orphaned_private_names(sources) == ["a.py:_lost", "b.py:_unused"]
 
 
 def _load_src_lines():
