@@ -164,10 +164,21 @@ def _presented(m: int, n: int, k: int, s: int, label: str,
 
     The int32 table is written in place, for a run of values of y at a
     time, so the working memory beyond it is an m x m block or at most
-    ``_CLOSE_BLOCK`` cells, whichever is larger.
+    ``_CLOSE_BLOCK`` cells, whichever is larger.  Inverses and element
+    orders come in closed form, in O(n) and with no pass over the table.
+    With t = k^-1 (mod m), b a b^-1 = a^t, and a^s is central, so
+    s t = s (mod m), and t^n = 1:
+
+    - the inverse of a^x b^y is a^-x for y = 0, and otherwise
+      a^(-s - x t^(n-y)) b^(n-y), since a^x b^y a^u b^(n-y) = a^(x + u t^y + s);
+    - with g = gcd(y, n) and d = n / g, the least power of a^x b^y in
+      <a> is the d-th, (a^x b^y)^d = a^(x S_g + s y / g), where the b part
+      wraps past b^n y / g times and S_g = sum of t^(j g) over j < d, as
+      the exponents j y for j < d run over the multiples of g mod n.  So
+      |a^x b^y| = d m / gcd(x S_g + s y / g, m).
     """
     _check_order_cap(m * n, order_cap)
-    # b a b^-1 = a^t with t = k^-1, so a^x b^y * a^u b^v = a^(x + u t^y) b^(y+v)
+    # a^x b^y * a^u b^v = a^(x + u t^y) b^(y+v)
     t = pow(k, -1, m)
     table = np.empty((m * n, m * n), dtype=np.int32)
     blocks = table.reshape(n, m, n, m)  # (y, x, v, u)
@@ -176,6 +187,10 @@ def _presented(m: int, n: int, k: int, s: int, label: str,
     wraps = y[:, None] + y >= n  # b^(y+v) = a^s b^(y+v-n)
     b_part = m * ((y[:, None] + y) % n)[:, None, :, None]
     t_y = np.array([pow(t, e, m) for e in range(n)], dtype=np.int64)[:, None]
+    x64, g = x.astype(np.int64), np.gcd(y, n)[:, None]
+    inverse = -(x64 * t_y[-y] + s * (y > 0)[:, None]) % m + m * (-y[:, None] % n)
+    s_g = np.array([t_y[::e].sum() for e in g.ravel().tolist()])[:, None]
+    orders = n // g * m // np.gcd(x64 * s_g + s * (y[:, None] // g), m)
     step = max(1, _CLOSE_BLOCK // (m * m))
     for lo in range(0, n, step):  # the rows of `step` values of y at once
         out, rows = blocks[lo:lo + step], slice(lo, lo + step)
@@ -190,7 +205,8 @@ def _presented(m: int, n: int, k: int, s: int, label: str,
             np.add(a_exp[:, :, None], b_part[rows], out=out)
     # a at 1 and b at m: the indices in {1, m} below the order generate,
     # also when m = 1 or n = 1 makes a or b trivial
-    return _trusted(table, label, gens=[e for e in sorted({1, m}) if e < m * n])
+    return _trusted(table, label, inverse.ravel(), orders.ravel(),
+                    [e for e in sorted({1, m}) if e < m * n])
 
 
 def metacyclic(m: int, n: int, k: int, order_cap: int | None = None,

@@ -1,9 +1,20 @@
 """Command-line front end.
 
 Subcommands: construct, analyze, catalog, verify, witness.  Exit codes:
-0 success or pass, 2 usage or parameter errors (including empty sweeps),
-3 invalid input files, 4 failed claims or witness checks.  Standard
-output is UTF-8 whatever the locale, as the files ``--out`` writes are.
+
+- 0 success or pass;
+- 2 usage or parameter errors (including empty sweeps and exceeded order
+  caps or search budgets), and input files of the wrong overall shape: a
+  table that is not a nonempty square matrix, JSON that is not an object
+  or has neither a "table" nor a "generators" field, and generators that
+  are empty, not permutations, or of a length other than "degree";
+- 3 every other invalid input file: unreadable, not UTF-8 or not JSON, a
+  field of the wrong type or value, a ragged table, entries that are not
+  integers in range, or a table that is not a group;
+- 4 failed claims or witness checks.
+
+Standard output is UTF-8 whatever the locale, as the files ``--out``
+writes are.
 """
 
 from __future__ import annotations

@@ -30,7 +30,12 @@ generators, products those of their factors, and quotients their
 parent's, where the parent already has one.  Subgroups, permutation
 groups and gate-built tables fall back to the greedy set, which only
 ``find_isomorphism`` needs, as its search order follows it; tier-1 tests
-check every handed-over set against a gate-built copy.
+check every handed-over set against a gate-built copy.  Builders hand
+over the inverses and element orders they know as well: direct products
+and subgroups both, from the factors or the parent; semidirect products
+and quotients their inverses; ``cyclic`` and the presented families
+(``catalog._presented``) both, in closed form.  A quotient by the
+trivial subgroup is the group itself, relabelled, memo and all.
 
 Any ``Group`` can be re-checked in full with ``from_cayley_table(g.table)``.
 """
@@ -41,7 +46,7 @@ import os
 from dataclasses import dataclass
 from functools import wraps
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Sized
 
 import numpy as np
 
@@ -308,9 +313,9 @@ def _centralizer_sizes(g: Group) -> np.ndarray:
 
 
 # Rows of the table gathered at once by ``_close``, by the checks of
-# ``from_cayley_table`` and by the presented families' writer: at most this
-# many cells (1 MB of int32), so their working memory stays O(n) at every
-# order.
+# ``from_cayley_table`` and by the semidirect and presented families'
+# writers: at most this many cells (1 MB of int32), so their working
+# memory stays O(n) at every order.
 _CLOSE_BLOCK = 1 << 18
 
 
@@ -488,7 +493,22 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     most ``_CLOSE_BLOCK`` cells, so their working memory is O(n) at every
     order; an order of at most 512 is a single block.
     """
-    return _validated(np.array(table), label, order_cap)
+    try:
+        arr = np.array(table)
+    except ValueError:  # numpy's rows-of-unequal-length error
+        raise NotLatinSquare(f"table is {_ragged(table)}") from None
+    return _validated(arr, label, order_cap)
+
+
+def _ragged(rows: Sequence) -> str:
+    """How a table numpy cannot make rectangular is ragged: its first row
+    whose length differs from row 0's, a row that is not a sequence
+    having none."""
+    sizes = [len(row) if isinstance(row, Sized) else 0 for row in rows]
+    i = next((i for i, k in enumerate(sizes) if k != sizes[0]), None)
+    if i is None:
+        return "ragged: an entry is not an integer"
+    return f"ragged: row {i} has {sizes[i]} entries but row 0 has {sizes[0]}"
 
 
 def _first_non_permutation(rows: np.ndarray) -> int | None:
@@ -615,25 +635,32 @@ def _product(n_grp: Group, h_grp: Group, theta: np.ndarray | None,
     """N x| H on pairs (a, h) at a*|H| + h, for the action ``theta``, an
     (|H|, |N|) array of permutations, or None for the direct product.
 
-    Each coset block is written in place through the table's
-    (a, h1, b, h2) view, so the working memory is one |N| x |N| block.
+    The direct product is written in one broadcast add through the
+    table's (a, h1, b, h2) view, with one |N| x |N| block of working
+    memory.  A semidirect product is written a whole row at a time: row
+    (a, h1) is row a of N's table, times |H|, gathered at theta(h1)
+    repeated |H| times, plus row h1 of H's table tiled |N| times; the rows
+    go in blocks of at most ``_CLOSE_BLOCK`` cells, so the working memory
+    is O(n).
     """
     nn, nh = n_grp.order, h_grp.order
     _check_order_cap(nn * nh, order_cap)
     table = np.empty((nn * nh, nn * nh), dtype=np.int32)
-    blocks = table.reshape(nn, nh, nn, nh)
     h_inv = h_grp.inverse[None, :]
     # (a, 0) for a in N's set and (0, h) for h in H's generate N x| H
     gens = [a * nh for a in _spanning(n_grp)] + list(_spanning(h_grp))
     if theta is None:  # (a, h1)(b, h2) = (ab, h1h2) for every h1 at once
-        np.add((n_grp.table * nh)[:, None, :, None], h_grp.table[:, None, :], out=blocks)
+        np.add((n_grp.table * nh)[:, None, :, None], h_grp.table[:, None, :],
+               out=table.reshape(nn, nh, nn, nh))
         inverse = n_grp.inverse[:, None] * nh + h_inv
         return _trusted(table, label, inverse.ravel(), np.lcm(
             n_grp.element_orders[:, None], h_grp.element_orders).ravel(), gens)
+    rows, step = table.reshape(nn, nh, -1), max(1, _CLOSE_BLOCK // table.shape[0])
     for h1 in range(nh):  # rows (a, h1): (a, h1)(b, h2) = (a theta(h1)(b), h1h2)
-        a_block = n_grp.table[:, theta[h1]]
-        a_block *= nh
-        np.add(a_block[:, :, None], h_grp.table[h1], out=blocks[:, h1])
+        cols, h_part = np.repeat(theta[h1], nh), np.tile(h_grp.table[h1], nn)
+        for lo in range(0, nn, step):
+            run = np.take(n_grp.table[lo:lo + step] * nh, cols, axis=1)
+            np.add(run, h_part, out=rows[lo:lo + step, h1])
     # (a, h)^-1 = (theta(h^-1)(a^-1), h^-1)
     inverse = theta[h_inv, n_grp.inverse[:, None]] * nh + h_inv
     return _trusted(table, label, inverse.ravel(), gens=gens)
@@ -732,8 +759,8 @@ def semidirect_product(n_grp: Group, h_grp: Group, action: ActionSpec,
 
     Product rule: (a, h1)(b, h2) = (a * theta(h1)(b), h1*h2).  A trivial
     action reproduces direct_product exactly, table and all.  The table is
-    written in place; working memory beyond it is one |N| x |N| block,
-    the (|H|, |N|) action and O(n).
+    written in place, in row blocks of at most ``_CLOSE_BLOCK`` cells;
+    working memory beyond it is the (|H|, |N|) action and O(n).
     """
     return _product(n_grp, h_grp, _extend_action(n_grp, h_grp, action), label, order_cap)
 
@@ -803,6 +830,8 @@ def quotient(g: Group, normal: SubsetMask | Iterable[int],
 def quotient_with_cosets(g: Group, normal: SubsetMask | Iterable[int],
                          label: str | None = None) -> tuple[Group, list[list[int]]]:
     mask = check_subgroup(g, normal)
+    if len(mask) == 1:  # G/1 is G, memo and all, each element its own coset
+        return g.relabeled(label), [[x] for x in range(g.order)]
     members = np.array(mask.elements(), dtype=np.int32)
     flags = mask.as_bool()
     conj = g.table[g.table[:, members], g.inverse[:, None]]

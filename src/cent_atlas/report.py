@@ -26,6 +26,7 @@ from .claims import CapabilityVerdict, capable
 from .core import (
     Group,
     _check_order_cap,
+    _ragged,
     _validated,
     from_permutation_generators,
 )
@@ -392,9 +393,15 @@ def read_group_file(path: str | Path,
                 type(v) is bool
                 for v in np.asarray(raw["table"], dtype=object).flat):
             raise BadGroupFile(f"{path}: field 'table' has a boolean entry")
+        try:
+            table = np.asarray(raw["table"])
+        except ValueError:  # numpy's rows-of-unequal-length error
+            raise BadGroupFile(
+                f"{path}: field 'table' is {_ragged(raw['table'])}") from None
+        del raw["table"]  # frees the JSON lists before the gate runs
         # the gate owns the array: the fast path's fresh table, or a fresh
         # array made of the JSON lists, is not copied again
-        g = _validated(np.asarray(raw.pop("table")), label or "", order_cap)
+        g = _validated(table, label or "", order_cap)
         order = raw.get("order")
         if order is not None and (type(order) is not int or order != g.order):
             raise BadGroupFile(f"{path}: field 'order' is {order!r} but the "

@@ -443,8 +443,15 @@ def read_group_file_json(path, order_cap: int | None = None) -> Group:
                 type(v) is bool
                 for v in np.asarray(raw["table"], dtype=object).flat):
             raise BadGroupFile(f"{path}: field 'table' has a boolean entry")
-        g = from_cayley_table(raw["table"], label=label or "",
-                              order_cap=order_cap)
+        try:
+            g = from_cayley_table(raw["table"], label=label or "",
+                                  order_cap=order_cap)
+        except NotLatinSquare as exc:  # a ragged table names the field
+            ragged = str(exc).removeprefix("table is ragged")
+            if ragged == str(exc):
+                raise
+            raise BadGroupFile(
+                f"{path}: field 'table' is ragged{ragged}") from None
         order = raw.get("order")
         if order is not None and (type(order) is not int or order != g.order):
             raise BadGroupFile(f"{path}: field 'order' is {order!r} but the "

@@ -251,6 +251,29 @@ class TestAnalyze:
         assert err.startswith("error: 'utf-8' codec can't decode byte")
         assert "Traceback" not in err
 
+    def test_ragged_table_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "ragged.json"
+        src.write_text('{"order":2,"label":null,"table":[[0,1],[1]]}')
+        code, out, err = run(["analyze", "--in", str(src)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {src}: field 'table' is ragged: row 1 has 1 "
+                       f"entries but row 0 has 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"table": [[0, 1], [1, 0], [0, 1]]}', "nonempty square matrix"),
+        ("[[0]]", "expected a JSON object"),
+        ('{"foo": 1}', "neither a group nor a permutation file"),
+        ('{"generators": []}', "at least one generator permutation"),
+    ], ids=["non-square", "json-array", "no-table", "no-generators"])
+    def test_malformed_file_is_a_parameter_error(self, tmp_path, capsys,
+                                                 text, message):
+        # as the module docstring and README say: these exit 2, not 3
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        code, out, err = run(["analyze", "--in", str(src)], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_float_in_permutation_is_rejected(self, tmp_path, capsys):
         src = tmp_path / "perm.json"
         src.write_text(json.dumps({"degree": 2, "generators": [[1.0, 0]]}))

@@ -100,6 +100,18 @@ class TestFromCayleyTable:
             from_cayley_table(cyclic_table(9), order_cap=8)
         assert from_cayley_table(cyclic_table(9), order_cap=9).order == 9
 
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1], [1]], "row 1 has 1 entries but row 0 has 2"),
+        ([[0], [1, 0]], "row 1 has 2 entries but row 0 has 1"),
+        ([[0, 1], 1], "row 1 has 0 entries but row 0 has 2"),
+        ([[0, [1]], [1, 0]], "an entry is not an integer"),
+    ], ids=["short-row", "long-row", "scalar-row", "nested-entry"])
+    def test_ragged_table_names_its_first_odd_row(self, table, message):
+        with pytest.raises(NotLatinSquare) as info:
+            from_cayley_table(table)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == f"table is ragged: {message}"
+
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "7")
         assert resolve_order_cap() == 7
@@ -461,15 +473,23 @@ def traced_peak(build):
 
 
 def test_products_are_written_in_place():
-    # the table plus one |N| x |N| block: 64.2 MiB for H(5,31,2), whose
-    # table is 57 MiB, and 80 MiB for D2048 x C2, whose table is 64 MiB
-    # (87 and 128 MiB with a temporary per coset and a reshape or
-    # transpose copy of the table)
+    # the table plus row blocks of at most _CLOSE_BLOCK cells: 61.9 MiB
+    # for H(5,31,2), whose table is 57 MiB; the table plus one |N| x |N|
+    # block: 80 MiB for D2048 x C2, whose table is 64 MiB (87 and 128 MiB
+    # with a temporary per coset and a reshape or transpose copy of the
+    # table)
     table = 3875 ** 2 * 4
     assert traced_peak(lambda: witness_h(5, 31, 2, order_cap=4096)) < table + 16 * 2 ** 20
     d, c2 = dihedral(2048), cyclic(2)
     table = 4096 ** 2 * 4
     assert traced_peak(lambda: direct_product(d, c2, order_cap=4096)) < 1.3 * table
+
+
+def test_semidirect_products_are_written_in_row_blocks():
+    # the 7.2 MiB table of H(5,11,3) plus blocks of at most _CLOSE_BLOCK
+    # cells and O(n) index arrays
+    table = 1375 ** 2 * 4
+    assert traced_peak(lambda: witness_h(5, 11, 3, order_cap=4096)) < 1.6 * table
 
 
 def test_closed_form_families_write_int32_tables_in_place():
@@ -517,6 +537,13 @@ class TestSubgroupsAndQuotients:
         three = orders.index(3)
         q = quotient(g, subgroup_generated(g, [three]))
         assert q.order == 2
+
+    @pytest.mark.parametrize("mask", [[1], [0, 4]],
+                             ids=["no-identity", "not-closed"])
+    def test_quotient_refuses_a_non_subgroup(self, mask):
+        g = from_cayley_table(cyclic_table(12))
+        with pytest.raises(NotSubgroup):
+            quotient_with_cosets(g, mask)
 
     def test_quotient_with_cosets_partition(self):
         g = from_cayley_table(cyclic_table(12))

@@ -19,7 +19,12 @@ from cent_atlas.catalog import (
 )
 from cent_atlas.core import from_cayley_table, quotient
 from cent_atlas.cli import main
-from cent_atlas.errors import BadParameters, NoIdentityAtZero, OrderCapExceeded
+from cent_atlas.errors import (
+    BadGroupFile,
+    BadParameters,
+    NoIdentityAtZero,
+    OrderCapExceeded,
+)
 from cent_atlas.invariants import center, is_isomorphic
 from cent_atlas.report import (
     analyze,
@@ -122,6 +127,22 @@ class TestGroupFiles:
         path.write_text(json.dumps({"order": 3}))
         with pytest.raises(BadParameters):
             read_group_file(path)
+
+    @pytest.mark.parametrize("table, row, entries, first", [
+        ([[0, 1], [1]], 1, 1, 2),
+        ([[0], [1, 0]], 1, 2, 1),
+        ([[0, 1, 2], [1, 2, 0], 2], 2, 0, 3),
+    ], ids=["short-row", "long-row", "scalar-row"])
+    def test_ragged_table_names_the_field_and_row(self, tmp_path, table, row,
+                                                  entries, first):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"order": 2, "label": None, "table": table}))
+        with pytest.raises(BadGroupFile) as info:
+            read_group_file(path)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == (
+            f"{path}: field 'table' is ragged: row {row} has {entries} "
+            f"entries but row 0 has {first}")
 
     def test_revalidates_axioms(self, tmp_path):
         path = tmp_path / "notgroup.json"

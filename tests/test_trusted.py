@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cent_atlas import catalog, core
@@ -36,6 +36,7 @@ from cent_atlas.core import (
     from_cayley_table,
     from_permutation_generators,
     quotient,
+    quotient_with_cosets,
     subgroup_as_group,
     subgroup_generated,
 )
@@ -195,6 +196,57 @@ def test_quotient_hands_over_only_a_set_its_parent_already_has():
     q = quotient(g, [0, 6])
     assert q._memo[SPANNING] == (1,)
     assert_matches_gate(q)
+
+
+@st.composite
+def presentations(draw):
+    """(m, n, k, s) with k^n = 1 and s (k - 1) = 0 (mod m): the presentation
+    <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^k> of a group of order m n."""
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 8))
+    k = draw(st.sampled_from([k for k in range(m) if gcd(k, m) == 1
+                              and pow(k, n, m) == 1 % m]))
+    s = draw(st.sampled_from([s for s in range(m) if s * (k - 1) % m == 0]))
+    return m, n, k, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations())
+@example((1, 1, 0, 0))
+@example((1, 6, 0, 0))
+@example((9, 1, 1, 4))
+@example((8, 4, 1, 2))  # a^s central with k = 1: b^4 = a^2
+@example((9, 3, 4, 3))  # s != 0 with k of order 3
+@example((12, 2, 11, 6))  # Dic24
+def test_presentation_hands_over_the_gates_orders_and_inverses(params):
+    m, n, k, s = params
+    assert_matches_gate(catalog._presented(m, n, k, s, "P", None))
+
+
+def test_presented_families_find_no_orders_or_inverses(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closed forms not handed over")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_element_orders", refuse)
+        patch.setattr(core, "_inverses", refuse)
+        built = [catalog.dihedral(n) for n in (2, 4, 30, 2048)]
+        built += [catalog.dicyclic(n) for n in (8, 12, 64, 2048)]
+        built += [catalog.metacyclic(m, n, k) for m, n, k in _metacyclic_grid()]
+        built += [catalog.modular_p3(p) for p in (3, 5, 7)]
+    for g in built:
+        assert_matches_gate(g)
+
+
+def test_quotient_by_the_trivial_subgroup_is_the_group():
+    for g in [witness_h(3, 7, 2), catalog.sl23(), from_permutation_generators(
+            [(1, 0, 2, 3), (1, 2, 3, 0)])]:
+        reps = core._class_reps(g)
+        q, cosets = quotient_with_cosets(g, [0], label="Q")
+        assert cosets == [[x] for x in range(g.order)]
+        assert q.label == "Q" and q.table is g.table
+        assert q._memo[core._class_reps.__qualname__] is reps
+        assert_matches_gate(q)
+        assert core._spanning(q) == core._spanning(g)
 
 
 def test_trusted_builders_check_the_cap_before_building():
