@@ -13,6 +13,9 @@ round with no n x n array.  Any S serves, so they take the one the
 group's builder handed over; only ``find_isomorphism`` needs the greedy
 set, whose order its search follows.  Only ``cent_structure`` builds the
 commuting matrix, and ``omega`` and ``frobenius_structure`` build none.
+The matrix's row sums are the centralizer sizes, so a group whose
+``cent_structure`` comes first takes its sizes, ``center`` and
+``is_abelian`` from there, with no class representatives.
 """
 
 from __future__ import annotations
@@ -95,10 +98,23 @@ class CentStructure:
 @_per_group
 def cent_structure(g: Group) -> CentStructure:
     """One ``np.unique`` over the bit-packed commuting rows, each viewed as
-    one opaque value (``axis=0`` sorts far slower); ``ids`` maps x to C(x)."""
+    one opaque value (``axis=0`` sorts far slower); ``ids`` maps x to C(x).
+
+    The commuting matrix's row sums are the centralizer sizes, so where
+    the memo has none yet they are stored there, read-only, as
+    :func:`~cent_atlas.core._centralizer_sizes` would keep them; an entry
+    already there is left as it is.  Groups reaching this point need no
+    class representatives for their sizes, ``center`` or ``is_abelian``.
+    The matrix itself is dropped once packed.
+    """
     n = g.order
-    packed = np.packbits(np.equal(g.table, g.table.T), axis=1,
-                         bitorder="little")
+    commute = np.equal(g.table, g.table.T)
+    key = _centralizer_sizes.__qualname__
+    if key not in g._memo:
+        g._memo[key] = np.count_nonzero(commute, axis=1)
+        g._memo[key].setflags(write=False)
+    packed = np.packbits(commute, axis=1, bitorder="little")
+    del commute
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, ids = np.unique(rows, return_index=True, return_inverse=True)
     by_bits = sorted((int.from_bytes(packed[x].tobytes(), "little"), int(x))
@@ -486,10 +502,20 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
     element (which must not map to 1) and checks it at each known one.  If
     phi(x s) = phi(x) phi(s) for every x of K and every generator s, phi is
     a homomorphism on K, and its trivial kernel makes it injective.
+
+    When h shares g's table object (``relabeled`` copies, G/1), the
+    identity map is returned at once, expanding no nodes, so even
+    ``max_nodes=0`` cannot raise.  It is the map the search would find
+    first: g_0, the smallest element of largest order, is a class minimum
+    and the first candidate at depth 0, and every candidate below g_i of
+    g_i's order lies in K_{i-1}, where its image would give phi a
+    non-trivial kernel.  Equal tables held in two objects take the search.
     """
+    n = g.order
+    if g.table is h.table:
+        return list(range(n))
     if not _iso_prefilter(g, h):
         return None
-    n = g.order
     gens = list(_generators(g))
     k = len(gens)
     g_cent, h_cent = _centralizer_sizes(g), _centralizer_sizes(h)

@@ -669,6 +669,30 @@ class TestRefusals:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             semidirect_product(c3, h, action)
 
+    @pytest.mark.parametrize("build,k,swap,cell", [
+        (lambda: cyclic(8), 3, (5, 7), (1, 4)),
+        (lambda: cyclic(8), 3, (2, 6), (1, 1)),
+        (lambda: cyclic(8), 3, (4, 6), (1, 3)),
+        (lambda: elementary(5, 2), 2, (7, 19), (1, 6)),
+        (lambda: elementary(5, 2), 2, (23, 24), (1, 22)),
+        (lambda: elementary(5, 2), 2, (3, 11), (1, 2)),
+    ])
+    def test_planted_non_automorphism_names_first_bad_cell(self, build, k,
+                                                           swap, cell):
+        # the power map x -> x^k with two images swapped fixes 0 and is a
+        # bijection; the generator-set check rejects it, and the message
+        # names the first bad cell of the whole product, as built and
+        # through the gate (whose generating set differs)
+        for n_grp in (build(), from_cayley_table(build().table)):
+            img = [n_grp.power(x, k) for x in range(n_grp.order)]
+            core._check_automorphism(n_grp, np.array(img, dtype=np.int32))
+            u, v = swap
+            img[u], img[v] = img[v], img[u]
+            act = ActionSpec((1,), (tuple(img),))
+            with pytest.raises(NotAutomorphism, match=re.escape(
+                    f"map breaks the product at {cell}") + "$"):
+                semidirect_product(n_grp, cyclic(2), act)
+
     def test_order_cap_zero_is_refused(self):
         with pytest.raises(BadParameters,
                            match="^order cap must be positive, got 0$"):

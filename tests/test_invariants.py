@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from cent_atlas import invariants
+from cent_atlas import claims, invariants
 from cent_atlas.catalog import (
     abelian,
     alternating,
@@ -31,7 +31,7 @@ from cent_atlas.catalog import (
 from cent_atlas.core import (ActionSpec, Group, SubsetMask,
                              _centralizer_sizes, _generating_indices,
                              direct_product, from_cayley_table,
-                             semidirect_product, subgroup_as_group)
+                             quotient, semidirect_product, subgroup_as_group)
 from cent_atlas.errors import (BadParameters, NotPrime, NotSubgroup,
                                OrderCapExceeded,
                                SearchBudgetExceeded)
@@ -51,7 +51,7 @@ from cent_atlas.invariants import (
     omega,
     sylow,
 )
-from cent_atlas.numbers import factor
+from cent_atlas.numbers import factor, order_shape
 from cent_atlas.report import analyze
 
 import oracles
@@ -418,6 +418,19 @@ class TestIsomorphism:
             find_isomorphism(dihedral(16), dihedral(16), max_nodes=1)
         assert issubclass(SearchBudgetExceeded, OrderCapExceeded)
 
+    def test_shared_table_takes_the_identity_map(self):
+        # G/1 shares g's table, so the identity comes back with no node
+        # expanded, even at max_nodes=0; a gate-built copy of the same
+        # table is a separate object, whose search finds the same map
+        groups = catalog_up_to(200)
+        for g in groups:
+            ident = list(range(g.order))
+            assert find_isomorphism(g, quotient(g, [0]), max_nodes=0) == ident
+            assert find_isomorphism(g, g, max_nodes=0) == ident, g.label
+            assert find_isomorphism(
+                g, from_cayley_table(g.table, order_cap=g.order)) == ident, g.label
+        assert len(groups) == 218
+
     def test_maps_onto_relabelled_copies_are_pinned(self):
         maps = []
         for g, copy in zip(catalog_up_to(100), relabelled_catalog()):
@@ -536,6 +549,31 @@ class TestPerGroupMemo:
                     assert not value.flags.writeable, (g.label, key)
                     with pytest.raises(ValueError):
                         value[0] = value[0]
+
+    def test_cent_structure_seeds_centralizer_sizes(self):
+        # the commuting matrix's row sums are the sizes, so C2's check
+        # (and anything else that calls cent_structure first) never needs
+        # class representatives; an entry already there is kept
+        key = _centralizer_sizes.__qualname__
+        pqr = 0
+        for g in relabelled_catalog(max_order=300, seed=11):
+            fresh = Group(g.table, g.inverse, g.element_orders, g.label)
+            shape = order_shape(g.order)
+            if shape and shape[0] == "pqr" and not g.is_abelian():
+                pqr += 1
+                claims._check_c2(fresh, g.order)
+            else:
+                cent_structure(fresh)
+            sizes = _centralizer_sizes(fresh)
+            assert not sizes.flags.writeable, g.label
+            assert np.array_equal(
+                sizes, oracles.dense_centralizer_sizes(g.table)), g.label
+            assert invariants._class_reps.__qualname__ not in fresh._memo
+            first = Group(g.table, g.inverse, g.element_orders, g.label)
+            sizes = _centralizer_sizes(first)
+            cent_structure(first)
+            assert first._memo[key] is sizes, g.label
+        assert pqr == 98
 
     def test_public_attributes_stay_read_only(self):
         g = dihedral(8)
