@@ -39,6 +39,7 @@ from cent_atlas.catalog import (
 )
 from cent_atlas.claims import report_to_jsonable, verify_claim
 from cent_atlas.core import direct_product, quotient
+from cent_atlas.enumeration import enumerate_groups
 from cent_atlas.errors import BadParameters, NoInstanceAvailable, OrderCapExceeded
 from cent_atlas.invariants import center, is_isomorphic
 from cent_atlas.numbers import order_shape, primes_up_to
@@ -459,3 +460,35 @@ def _construction_digest(groups) -> str:
 @pytest.mark.parametrize("name", sorted(_PINNED_GROUPS))
 def test_construction_tables_pinned(name):
     assert _construction_digest(_PINNED_GROUPS[name]()) == PINNED_DIGESTS[name]
+
+
+# Groups no pin above covers, pinned the same way before their builders
+# stated the acting generator as a matrix on abelian's coordinates and the
+# enumerator's search shared one placement branch: both covers, the
+# witnesses of order 1,375, the diagonal classes at order 507, the
+# irreducible class at order 1,805, and every enumerated table to order 12.
+_ACTION_PINNED_GROUPS = {
+    "heisenberg-cover-5": lambda: [heisenberg_cover(5)],
+    "heisenberg-cover-7": lambda: [heisenberg_cover(7, order_cap=2401)],
+    "witness-h-5-11": lambda: [witness_h(5, 11, i)
+                               for i in witness_exponents(5, 11)],
+    "p2q-13-3": lambda: groups_of_order_p2q(13, 3),
+    "p2q-19-5": lambda: groups_of_order_p2q(19, 5),
+    "enumerated-12": lambda: [g for n in range(1, 13)
+                              for g in enumerate_groups(n)],
+}
+
+ACTION_DIGESTS = {
+    "enumerated-12": "6e5008ef0f4ad7bce8395629918519d23f2f8d25912f6a55b72a4b4eefdc238d",
+    "heisenberg-cover-5": "08c5454c53967f12d3c51895bd6e9cd3b78dbeef1625fae483f7acb2dd317828",
+    "heisenberg-cover-7": "3c246421edb7021edbecd08744c4e3dd61ab82b71440c6a6442a07cccd095cee",
+    "p2q-13-3": "60979e4624f016739a3f786bafb07d404f66decd620b34c41c3a20fa92b54cfd",
+    "p2q-19-5": "e1ea96b4947d9ec38015aa0cd6974791051762880a47be3c3469954d76a44ded",
+    "witness-h-5-11": "4707f098721d939963194ed60fc1d5856452651f8dd6f3a2c11a673054cd909d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACTION_PINNED_GROUPS))
+def test_action_tables_pinned(name):
+    groups = _ACTION_PINNED_GROUPS[name]()
+    assert _construction_digest(groups) == ACTION_DIGESTS[name]
