@@ -9,11 +9,11 @@ check their parameters and the order cap, then wrap their tables without
 the Cayley-table gate; a tier-1 test rebuilds each through the gate.
 Abelian groups have one builder, ``abelian``, a chain of direct products
 of cyclic groups; ``elementary`` is its C_p^k, relabelled.  The covers and
-the (C_p x C_p) : C_q classes are N : C_k products built by one helper
-from the image array of the acting generator.  The public builders made
-of parts (``abelian``, ``witness_h``, ``heisenberg_cover``) check the cap
-on the order of the group they return before they build a part, so a
-refusal names that order.
+the (C_p x C_p) : C_q classes are N : C_k products, built by one helper
+from the matrix of the acting generator on ``abelian``'s coordinates.
+The public builders made of parts (``abelian``, ``witness_h``,
+``heisenberg_cover``) check the cap on the order of the group they
+return before they build a part, so a refusal names that order.
 
 The catalog has one source per order: ``_order_groups(n)`` yields the
 groups of order n one at a time, for a covered n the abelian classes
@@ -99,8 +99,9 @@ def cyclic(n: int, order_cap: int | None = None) -> Group:
 
 
 def abelian(factors: tuple[int, ...], order_cap: int | None = None) -> Group:
-    """Direct product of cyclic groups of the given orders, the first
-    factor's digit the most significant."""
+    """Direct product of cyclic groups of the given orders.  An element's
+    coordinates are its digits in the mixed radix ``factors``, the first
+    the most significant: ``np.unravel_index(x, factors)``."""
     _check_order_cap(prod(factors), order_cap)
     if not factors:
         return cyclic(1, order_cap=order_cap)
@@ -111,7 +112,7 @@ def abelian(factors: tuple[int, ...], order_cap: int | None = None) -> Group:
 
 
 def elementary(p: int, k: int, order_cap: int | None = None) -> Group:
-    """C_p^k, at index x_1 p^(k-1) + ... + x_k as :func:`abelian` lays it out."""
+    """C_p^k: :func:`abelian` of k factors p, relabelled."""
     _require_prime(p, "p")
     if k < 1:
         raise BadParameters(f"rank must be positive, got {k}")
@@ -246,30 +247,31 @@ def modular_p3(p: int, order_cap: int | None = None) -> Group:
 
 
 def sl23(order_cap: int | None = None) -> Group:
-    """SL(2,3): the 2x2 matrices over the 3-element field of determinant 1."""
+    """SL(2,3): the 2x2 matrices over the 3-element field of determinant 1.
+
+    [[a, b], [c, d]] has the base-3 code 27a + 9b + 3c + d; the elements
+    are the identity (code 28), then the other matrices by ascending code.
+    """
     _check_order_cap(24, order_cap)
-    mats = [(1, 0, 0, 1)]
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    if (a * d - b * c) % 3 == 1 and (a, b, c, d) != (1, 0, 0, 1):
-                        mats.append((a, b, c, d))
-    index = {m: i for i, m in enumerate(mats)}
-    n = len(mats)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, (a, b, c, d) in enumerate(mats):
-        for j, (e, f, g, h) in enumerate(mats):
-            prod = ((a * e + b * g) % 3, (a * f + b * h) % 3,
-                    (c * e + d * g) % 3, (c * f + d * h) % 3)
-            table[i, j] = index[prod]
-    return _trusted(table, "SL(2,3)")
+    entries = np.array(np.unravel_index(np.arange(81), (3, 3, 3, 3)))
+    a, b, c, d = entries
+    codes = np.flatnonzero((a * d - b * c) % 3 == 1)
+    codes = codes[np.argsort(codes != 28, kind="stable")]
+    index = np.empty(81, dtype=np.int32)
+    index[codes] = np.arange(codes.size)
+    mats = entries.T[codes].reshape(-1, 2, 2)
+    prods = np.einsum("iab,jbc->ijac", mats, mats) % 3
+    return _trusted(index[prods.reshape(24, 24, 4) @ (27, 9, 3, 1)], "SL(2,3)")
 
 
-def _by_cyclic(base: Group, k: int, img: np.ndarray, label: str,
-               order_cap: int | None) -> Group:
-    """base : C_k, the generator 1 of C_k acting on base by the
-    automorphism img (an image array over base's elements)."""
+def _linear(moduli: tuple[int, ...], matrix, k: int, label: str,
+            order_cap: int | None) -> Group:
+    """abelian(moduli) : C_k, the generator 1 of C_k acting by ``matrix``
+    on the coordinates of :func:`abelian`, row i taken mod moduli[i]."""
+    base = abelian(moduli, order_cap=order_cap)
+    coords = np.array(np.unravel_index(np.arange(base.order), moduli))
+    mods = np.array(moduli)[:, None]
+    img = np.ravel_multi_index(np.array(matrix) @ coords % mods, moduli)
     act = ActionSpec.from_pairs([(1, img.tolist())])
     return semidirect_product(base, cyclic(k, order_cap=order_cap), act,
                               label=label, order_cap=order_cap)
@@ -279,7 +281,7 @@ def witness_h(p: int, q: int, i: int, order_cap: int | None = None) -> Group:
     """Group of order p^3 q whose central quotient is C_p x (C_q : C_p).
 
     Realized as (C_p x C_p x C_q) : C_p where the acting generator fixes a,
-    sends b to ab, and raises d to the i-th power.
+    sends b to ab, and raises d to the i-th power: (x, y, z) -> (x + y, y, iz).
     """
     _require_prime(p, "p")
     _require_prime(q, "q")
@@ -290,28 +292,22 @@ def witness_h(p: int, q: int, i: int, order_cap: int | None = None) -> Group:
     if i % q == 1:
         raise BadParameters(f"i = {i} must not be 1 (mod q)")
     _check_order_cap(p ** 3 * q, order_cap)
-    base = abelian((p, p, q), order_cap=order_cap)
-    idx = np.arange(base.order)
-    x, y, z = idx // (p * q), (idx // q) % p, idx % q
-    img = ((x + y) % p) * p * q + y * q + (i * z) % q
-    return _by_cyclic(base, p, img, f"H({p},{q},{i})", order_cap)
+    return _linear((p, p, q), [[1, 1, 0], [0, 1, 0], [0, 0, i]], p,
+                   f"H({p},{q},{i})", order_cap)
 
 
 def heisenberg_cover(p: int, order_cap: int | None = None) -> Group:
     """Group of order p^4 (odd p) whose central quotient is Heis(p).
 
-    A single-Jordan-block action of C_p on C_p x C_p x C_p.
+    A single-Jordan-block action of C_p on C_p x C_p x C_p:
+    (x, y, z) -> (x, x + y, y + z).
     """
     _require_prime(p, "p")
     if p == 2:
         raise BadParameters("p must be odd (use D16 for covers of D8)")
     _check_order_cap(p ** 4, order_cap)
-    base = elementary(p, 3, order_cap=order_cap)
-    idx = np.arange(base.order)
-    # the coordinates (x, y, z) of base at x + y*p + z*p^2
-    x, y, z = idx % p, (idx // p) % p, idx // p ** 2
-    img = (x + y) % p + ((y + z) % p) * p + z * p ** 2
-    return _by_cyclic(base, p, img, f"W({p})", order_cap)
+    return _linear((p, p, p), [[1, 0, 0], [1, 1, 0], [0, 1, 1]], p,
+                   f"W({p})", order_cap)
 
 
 # family name -> (builder, the FamilySpec fields it takes, in call order);
@@ -469,27 +465,20 @@ def _cp_x_cq_cp(p: int, q: int, order_cap: int | None = None) -> Group:
 
 def _diagonal_p2q(p: int, q: int, lam: int, b: int,
                   order_cap: int | None = None) -> Group:
-    base = elementary(p, 2, order_cap=order_cap)
-    idx = np.arange(base.order)
-    x, y = idx % p, idx // p
-    img = (lam * x) % p + ((pow(lam, b, p) * y) % p) * p
-    return _by_cyclic(base, q, img, f"(C{p}xC{p}):C{q}[{b}]", order_cap)
+    return _linear((p, p), np.diag([pow(lam, b, p), lam]), q,
+                   f"(C{p}xC{p}):C{q}[{b}]", order_cap)
 
 
 def _irreducible_p2q(p: int, q: int, order_cap: int | None = None) -> Group:
     _check_order_cap(p * p * q, order_cap)
-    base = elementary(p, 2, order_cap=order_cap)
-    idx = np.arange(base.order)
-    x, y = idx % p, idx // p
     for t in range(p):
-        # companion matrix [[0,-1],[1,t]]: (x, y) -> (-y, x + t y); q is
-        # prime and the map is not the identity, so img^q = 1 means order q
-        img = (-y) % p + ((x + t * y) % p) * p
-        power = idx
-        for _ in range(q):
-            power = img[power]
-        if np.array_equal(power, idx):
-            return _by_cyclic(base, q, img, f"(C{p}xC{p}):C{q}", order_cap)
+        # a companion matrix, (x, y) -> (t x + y, -x); q is prime and the
+        # matrix is not the identity, so M^q = I (mod p) means order q
+        matrix = power = np.array([[t, 1], [-1, 0]])
+        for _ in range(q - 1):
+            power = power @ matrix % p
+        if (power == np.eye(2)).all():
+            return _linear((p, p), matrix, q, f"(C{p}xC{p}):C{q}", order_cap)
     raise BadParameters(f"no order-{q} companion matrix over F_{p}")
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import wraps
-from math import gcd
 from typing import Callable, Iterable, Sequence, Sized
 
 import numpy as np
@@ -218,10 +217,7 @@ class Group:
         return bool((_centralizer_sizes(self) == self.order).all())
 
     def exponent(self) -> int:
-        out = 1
-        for d in np.unique(self.element_orders):
-            out = out * int(d) // gcd(out, int(d))
-        return out
+        return int(np.lcm.reduce(self.element_orders))
 
     def check_index(self, i: int) -> None:
         if not 0 <= i < self.order:
@@ -239,23 +235,31 @@ class Group:
 
 
 def _per_group(fn: Callable) -> Callable:
-    """Compute ``fn(g)`` once per group and keep it in ``g._memo``.
+    """Compute ``fn(g)`` once per group and keep it in ``g._memo``, keyed
+    by fn's qualified name.
 
-    An array result is made read-only.  Only for values of O(n) size (see
-    :class:`Group`).
+    A stored array is made read-only.  Only for values of O(n) size (see
+    :class:`Group`).  Code that already holds the value hands it over with
+    ``seed(g, value)``, which stores it unless a value is there already,
+    and ``known(g)`` returns the stored value or None, computing nothing;
+    nothing else reads or writes the memo.
     """
     key = fn.__qualname__
 
-    @wraps(fn)
-    def once(g: Group):
-        memo = g._memo
-        if key not in memo:
-            value = fn(g)
+    def seed(g: Group, value) -> None:
+        if key not in g._memo:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-            memo[key] = value
-        return memo[key]
+            g._memo[key] = value
 
+    @wraps(fn)
+    def once(g: Group):
+        if key not in g._memo:
+            seed(g, fn(g))
+        return g._memo[key]
+
+    once.seed = seed
+    once.known = lambda g: g._memo.get(key)
     return once
 
 
@@ -476,7 +480,7 @@ def _trusted(table: np.ndarray, label: str | None,
     g = Group(arr, inverse.astype(np.int32, copy=False),
               orders.astype(np.int32, copy=False), label)
     if gens is not None:
-        g._memo[_spanning.__qualname__] = tuple(int(s) for s in gens)
+        _spanning.seed(g, tuple(int(s) for s in gens))
     return g
 
 
@@ -869,7 +873,7 @@ def quotient_with_cosets(g: Group, normal: SubsetMask | Iterable[int],
     q_table = coset_id[g.table[np.ix_(reps, reps)]]
     cosets = np.argsort(coset_id, kind="stable").reshape(len(reps), -1).tolist()
     # g's set maps onto one of G/N, but is not worth a closure on g
-    gens = g._memo.get(_spanning.__qualname__)
+    gens = _spanning.known(g)
     if gens is not None:
         gens = coset_id[list(gens)]
     return _trusted(q_table, label, coset_id[g.inverse[reps]], gens=gens), cosets

@@ -149,22 +149,17 @@ def _search(n: int) -> list[np.ndarray]:
         y, gl = cell
         row_used = state.row_used[y]
         col_used = state.col_used[gl]
-        for v in range(state.size):
+        # each free label, then a new one while labels remain
+        for v in range(state.size + (state.size < n)):
             if (row_used >> v) & 1 or (col_used >> v) & 1:
                 continue
             branch = state.copy()
             try:
+                if v == state.size:
+                    branch.new_label()
                 branch.place(y, gl, v)
             except _Dead:
                 continue
-            rec(branch)
-        if state.size < n:
-            branch = state.copy()
-            v = branch.new_label()
-            try:
-                branch.place(y, gl, v)
-            except _Dead:
-                return
             rec(branch)
 
     rec(_State(n))

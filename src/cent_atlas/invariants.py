@@ -100,19 +100,15 @@ def cent_structure(g: Group) -> CentStructure:
     """One ``np.unique`` over the bit-packed commuting rows, each viewed as
     one opaque value (``axis=0`` sorts far slower); ``ids`` maps x to C(x).
 
-    The commuting matrix's row sums are the centralizer sizes, so where
-    the memo has none yet they are stored there, read-only, as
-    :func:`~cent_atlas.core._centralizer_sizes` would keep them; an entry
-    already there is left as it is.  Groups reaching this point need no
-    class representatives for their sizes, ``center`` or ``is_abelian``.
+    The commuting matrix's row sums are the centralizer sizes, so they
+    seed :func:`~cent_atlas.core._centralizer_sizes`, which keeps an entry
+    already there.  Groups reaching this point need no class
+    representatives for their sizes, ``center`` or ``is_abelian``.
     The matrix itself is dropped once packed.
     """
     n = g.order
     commute = np.equal(g.table, g.table.T)
-    key = _centralizer_sizes.__qualname__
-    if key not in g._memo:
-        g._memo[key] = np.count_nonzero(commute, axis=1)
-        g._memo[key].setflags(write=False)
+    _centralizer_sizes.seed(g, np.count_nonzero(commute, axis=1))
     packed = np.packbits(commute, axis=1, bitorder="little")
     del commute
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()

@@ -11,18 +11,20 @@ json-only group-file loader.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 
 from cent_atlas.core import (
+    ActionSpec,
     Group,
     _check_order_cap,
     _element_orders,
     _generating_indices,
     from_cayley_table,
     from_permutation_generators,
+    semidirect_product,
 )
 from cent_atlas.errors import (
     BadGroupFile,
@@ -32,6 +34,7 @@ from cent_atlas.errors import (
     NotAssociative,
     NotLatinSquare,
 )
+from cent_atlas.invariants import find_isomorphism
 
 
 def center(table: list[list[int]]) -> list[int]:
@@ -323,6 +326,58 @@ def semidirect_table(n_table: list[list[int]], h_table: list[list[int]],
                 for h2 in range(nh):
                     row[b * nh + h2] = n_table[a][tb] * nh + h_table[h1][h2]
     return out
+
+
+def p2q_split_extensions(p: int, q: int) -> list[Group]:
+    """One group per isomorphism class of order p^2 q, by Burnside
+    (*Theory of Groups of Finite Order*, 2nd ed., 1911): every group of
+    that order has a normal Sylow subgroup, and its complement splits off
+    as the orders are coprime.  So each is P : C_q for P in
+    {C_(p^2), C_p x C_p} and an automorphism of P of order dividing q, or
+    C_q : K for K in {C_(p^2), C_p x C_p} and a homomorphism
+    K -> (Z/q)^x.  Every such action is built with ``semidirect_product``
+    on tables written here; ``find_isomorphism`` keeps the first of each
+    class."""
+    def cyclic(m):
+        return from_cayley_table([[(x + y) % m for y in range(m)]
+                                  for x in range(m)])
+
+    pairs = [(x, y) for x in range(p) for y in range(p)]  # (x, y) at x p + y
+    cp2 = from_cayley_table([[(a + c) % p * p + (b + d) % p for c, d in pairs]
+                             for a, b in pairs])
+    cq, cp_sq = cyclic(q), cyclic(p * p)
+
+    def power(m, e):  # the 2x2 matrix m = (a, b, c, d) to the e-th, mod p
+        out = (1, 0, 0, 1)
+        for _ in range(e):
+            a, b, c, d = out
+            out = tuple(v % p for v in (a * m[0] + b * m[2], a * m[1] + b * m[3],
+                                        c * m[0] + d * m[2], c * m[1] + d * m[3]))
+        return out
+
+    # (N, H, [(generator of H, image of N's elements under it), ...])
+    actions = [(cp_sq, cq, [(1, [u * x % (p * p) for x in range(p * p)])])
+               for u in range(p * p)
+               if u % p and pow(u, q, p * p) == 1]
+    actions += [(cp2, cq, [(1, [(a * x + b * y) % p * p + (c * x + d * y) % p
+                                for x, y in pairs])])
+                for a, b, c, d in product(range(p), repeat=4)
+                if power((a, b, c, d), q) == (1, 0, 0, 1)]
+
+    def scale(u):  # z -> u z on C_q
+        return [u * z % q for z in range(q)]
+
+    actions += [(cq, cp_sq, [(1, scale(u))])
+                for u in range(1, q) if pow(u, p * p, q) == 1]
+    units = [u for u in range(1, q) if pow(u, p, q) == 1]
+    actions += [(cq, cp2, [(p, scale(u)), (1, scale(v))])
+                for u in units for v in units]
+    reps: list[Group] = []
+    for n_grp, h_grp, images in actions:
+        g = semidirect_product(n_grp, h_grp, ActionSpec.from_pairs(images))
+        if all(find_isomorphism(g, h) is None for h in reps):
+            reps.append(g)
+    return reps
 
 
 def is_isomorphism(g_table: list[list[int]], h_table: list[list[int]],

@@ -44,7 +44,7 @@ from cent_atlas.errors import BadParameters, NoInstanceAvailable, OrderCapExceed
 from cent_atlas.invariants import center, is_isomorphic
 from cent_atlas.numbers import order_shape, primes_up_to
 
-from oracles import squarefree_class_count
+from oracles import p2q_split_extensions, squarefree_class_count
 
 # class counts per covered order, frozen after independent verification
 CLASS_COUNTS = {
@@ -220,6 +220,18 @@ class TestClassifications:
         for i in range(len(gs)):
             for j in range(i + 1, len(gs)):
                 assert not is_isomorphic(gs[i], gs[j]), (gs[i].label, gs[j].label)
+
+    @pytest.mark.parametrize("order", [n for n in covered_orders(100)
+                                       if order_shape(n)[0] == "p2q"])
+    def test_p2q_lists_match_every_split_extension(self, order):
+        # an independent list: every action with a normal Sylow subgroup
+        _, (p, q) = order_shape(order)
+        built = p2q_split_extensions(p, q)
+        listed = groups_of_covered_order(order)
+        match = [[is_isomorphic(g, h) for h in listed] for g in built]
+        assert len(built) == len(listed)
+        assert all(row.count(True) == 1 for row in match)
+        assert all(col.count(True) == 1 for col in zip(*match))
 
     def test_p3_families(self):
         labels8 = {g.label for g in groups_of_order_p3(2)}

@@ -200,7 +200,8 @@ def needs_branching(adj: np.ndarray) -> bool:
 
 def test_random_graphs_include_branching_ones():
     adj = find(graphs(), needs_branching,
-               settings=settings(phases=[Phase.generate], database=None))
+               settings=settings(phases=[Phase.generate], database=None,
+                                 derandomize=True))
     assert _max_clique(adj) == oracles.max_clique(adj.tolist())
 
 

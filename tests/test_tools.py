@@ -1,6 +1,6 @@
 """Repository tooling: no unused imports or orphaned private names in the
-package, and the line counter in ``tools/src_lines.py`` (standard
-library only)."""
+package, one owner of the per-group memo, and the line counter in
+``tools/src_lines.py`` (standard library only)."""
 
 import ast
 import importlib.util
@@ -104,6 +104,43 @@ def test_orphaned_private_name_check_sees_one():
                         "def _unused():\n"
                         "    return x\n")}
     assert _orphaned_private_names(sources) == ["a.py:_lost", "b.py:_unused"]
+
+
+def _memo_touches(sources: dict[str, str]) -> list[str]:
+    """``file:name`` for each top-level statement of ``sources`` (file name
+    -> source) that reads or writes an attribute ``_memo``, or names it in
+    a string as ``getattr`` would; ``name`` is the function or class, or
+    ``<module>`` for any other statement."""
+    touches = []
+    for file, source in sources.items():
+        for node in ast.parse(source).body:
+            if any((isinstance(sub, ast.Attribute) and sub.attr == "_memo")
+                   or (isinstance(sub, ast.Constant) and sub.value == "_memo")
+                   for sub in ast.walk(node)):
+                touches.append(f"{file}:{getattr(node, 'name', '<module>')}")
+    return touches
+
+
+def test_only_per_group_and_group_touch_the_memo():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _memo_touches(sources) == ["core.py:Group", "core.py:_per_group"]
+
+
+def test_memo_check_sees_each_kind_of_touch():
+    sources = {"a.py": ("class Group:\n"
+                        "    def m(self):\n"
+                        "        return self._memo\n"
+                        "def _per_group(fn):\n"
+                        "    return fn\n"
+                        "def _trusted(g):\n"
+                        "    g._memo['k'] = 1\n"),
+               "b.py": ("memo = getattr(object(), '_memo', None)\n"
+                        "def f(g):\n"
+                        '    """Reads ``g._memo``, in a docstring only."""\n'
+                        "    return g.memo\n")}
+    assert _memo_touches(sources) == ["a.py:Group", "a.py:_trusted",
+                                      "b.py:<module>"]
 
 
 def _load_src_lines():

@@ -181,6 +181,24 @@ def test_relabelled_group_keeps_the_memo():
     assert build(FamilySpec("symmetric", n=1))._memo[SPANNING] == ()
 
 
+def test_seed_keeps_an_existing_entry_and_freezes_an_array():
+    g = from_cayley_table((np.arange(6)[:, None] + np.arange(6)) % 6)
+    sizes = np.full(6, 6)
+    core._centralizer_sizes.seed(g, sizes)
+    assert core._centralizer_sizes(g) is sizes and not sizes.flags.writeable
+    core._centralizer_sizes.seed(g, np.zeros(6, dtype=int))
+    assert core._centralizer_sizes(g) is sizes
+    assert list(g._memo) == [core._centralizer_sizes.__qualname__]
+
+
+def test_known_computes_nothing():
+    g = from_cayley_table((np.arange(6)[:, None] + np.arange(6)) % 6)
+    assert core._class_reps.known(g) is None
+    assert g._memo == {}
+    reps = core._class_reps(g)
+    assert core._class_reps.known(g) is reps
+
+
 def test_products_combine_the_factors_sets():
     s3 = from_permutation_generators([(1, 0, 2), (1, 2, 0)])
     g = direct_product(s3, cyclic(4))
