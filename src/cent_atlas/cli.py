@@ -202,8 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnknownClaim, EmptySweep, BadParameters, OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CentAtlasError, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (CentAtlasError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -182,7 +182,7 @@ def group_to_jsonable(g: Group) -> dict[str, Any]:
     }
 
 
-# cells formatted per block: about 2^20, so a block's gather stays near 8 MB
+# cells formatted per block: about 2^20 8-byte words, near 8 MB per gather
 _WRITE_BLOCK = 1 << 20
 
 
@@ -192,24 +192,25 @@ def group_file_chunks(g: Group) -> Iterator[bytes]:
 
     The header comes from ``json.dumps``, so the label is escaped as JSON
     escapes it.  The table is formatted in row blocks of about 2^20 cells
-    through a lookup of ``"i,"`` and ``"i],["`` for i < n as zero-padded
-    byte rows: one gather per block, then the zero bytes dropped.  No
-    table becomes a Python list.
+    through a lookup of ``"i,"`` and ``"i],["`` for i < n, each token
+    NUL-padded to whole 8-byte words and gathered as one opaque item: one
+    word per cell below order 10^5 (the 8-byte ``"99999],["``), two from
+    there on by the same rounding.  A block is one gather, then the NULs
+    dropped by ``bytes.translate``.  No table becomes a Python list.
     """
     n = g.order
     head = json.dumps({"order": n, "label": g.label or None, "table": [[]]},
                       separators=(",", ":"))
     yield head[:-3].encode("ascii")  # up to and including "table":[[
     digits = [str(i) for i in range(n)]
-    width = len(digits[-1]) + 3
+    width = -(-(len(digits[-1]) + 3) // 8) * 8
     lut = np.array([d + "," for d in digits] + [d + "],[" for d in digits],
-                   dtype=f"S{width}").view(np.uint8).reshape(2 * n, width)
+                   dtype=f"S{width}").view(f"V{width}")
     step = max(1, _WRITE_BLOCK // n)
     for r in range(0, n, step):
         idx = g.table[r:r + step].astype(np.intp)
         idx[:, -1] += n  # each row's last cell closes the row with "],["
-        cells = lut[idx]
-        chunk = cells[cells != 0].tobytes()
+        chunk = lut[idx].tobytes().translate(None, b"\0")
         # the last row ends "]]}" instead of "],["
         yield chunk if r + step < n else chunk[:-2] + b"]}\n"
 
@@ -373,11 +374,13 @@ def read_group_file(path: str | Path,
         text = ""
         if raw is None:
             fh.seek(0)
-            text = fh.read().decode("utf-8")
-    if "\r" in text:  # universal newlines, as text-mode reading gives
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if raw is None:
-        raw = json.loads(text)
+            try:
+                text = fh.read().decode("utf-8")
+                if "\r" in text:  # universal newlines, as text mode gives
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                raw = json.loads(text)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise BadGroupFile(f"{path}: {exc}") from exc
     # the exact boolean scan below costs about a tenth of a load, so it
     # runs only where a JSON boolean can be
     maybe_bool = "true" in text or "false" in text

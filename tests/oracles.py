@@ -483,8 +483,11 @@ def dense_from_cayley_table(table, label: str | None = None,
 # fast path: the library's loader must agree with it on every file.
 
 def read_group_file_json(path, order_cap: int | None = None) -> Group:
-    text = Path(path).read_text(encoding="utf-8")
-    raw = json.loads(text)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadGroupFile(f"{path}: {exc}") from exc
     maybe_bool = "true" in text or "false" in text
     del text
     if not isinstance(raw, dict):

@@ -248,7 +248,7 @@ class TestAnalyze:
         code, out, err = run(["analyze", "--in", str(src)], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("error: 'utf-8' codec can't decode byte")
+        assert err.startswith(f"error: {src}: 'utf-8' codec can't decode byte")
         assert "Traceback" not in err
 
     def test_ragged_table_is_input_error(self, tmp_path, capsys):
@@ -473,6 +473,16 @@ class TestWitness:
         code, out, _ = run(["witness", str(cover), str(target)], capsys)
         assert code == 4
         assert "false" in out
+
+    def test_empty_target_names_its_file(self, tmp_path, capsys):
+        cover = tmp_path / "ok.json"
+        target = tmp_path / "empty.json"
+        write_group_file(witness_h(2, 3, 2), cover)
+        target.write_bytes(b"")
+        code, out, err = run(["witness", str(cover), str(target)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {target}: Expecting value: line 1 column 1 "
+                       "(char 0)\n")
 
 
 def test_module_entry_point():

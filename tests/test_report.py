@@ -196,6 +196,17 @@ class TestCompactLayout:
         self.check(symmetric(3).relabeled(label), tmp_path / "g.json")
         self.check(cyclic(1).relabeled(label), tmp_path / "g.json")
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101, 1000, 1001,
+                                   1025])
+    def test_every_token_width_and_a_short_last_block(self, n, tmp_path):
+        """Tokens from ``"0],["`` to ``"1000],["``, each padded to one
+        8-byte word; the 16-byte width from order 10^5 on (a 40 GB table)
+        is the same rounding and is not built.  At n = 1025 a block of
+        1,023 rows is followed by one of 2, so the closing ``]]}`` is
+        spliced onto a short last block."""
+        self.check(cyclic(n), tmp_path / "g.json")
+        self.check(relabel(cyclic(n), random.Random(n)), tmp_path / "g.json")
+
     @pytest.mark.parametrize("build", [
         lambda: dihedral(2048),
         lambda: witness_h(5, 31, 2, order_cap=3875)], ids=["D2048", "H(5,31,2)"])

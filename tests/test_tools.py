@@ -1,6 +1,7 @@
 """Repository tooling: no unused imports or orphaned private names in the
-package, one owner of the per-group memo, and the line counter in
-``tools/src_lines.py`` (standard library only)."""
+package, one owner of the per-group memo, the line counter in
+``tools/src_lines.py`` and the summary parser of ``tools/tier1_time.py``
+(standard library only)."""
 
 import ast
 import importlib.util
@@ -143,9 +144,9 @@ def test_memo_check_sees_each_kind_of_touch():
                                       "b.py:<module>"]
 
 
-def _load_src_lines():
+def _load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "src_lines", ROOT / "tools" / "src_lines.py")
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -169,7 +170,7 @@ def test_src_lines_counts_a_two_file_tree(tmp_path):
                  "    y = 2\n"
                  "\n"
                  "z = 'tail'\n", encoding="utf-8")
-    src_lines = _load_src_lines()
+    src_lines = _load_tool("src_lines")
     assert src_lines.count(a) == (7, 4)
     assert src_lines.count(b) == (7, 4)
 
@@ -182,3 +183,21 @@ def test_src_lines_main_sums_the_tree(tmp_path):
                          check=True).stdout.splitlines()
     assert out[-1].split()[:2] == ["5", "4"]
     assert [line.split()[:2] for line in out[:-1]] == [["2", "1"], ["3", "3"]]
+
+
+@pytest.mark.parametrize("output, want", [
+    ("....\n1039 passed in 83.52s (0:01:23)\n",
+     {"seconds": 83.52, "passed": 1039, "failed": 0}),
+    ("..F.\nFAILED tests/test_a.py::test_b - assert 0\n"
+     "1 failed, 1038 passed in 90.10s (0:01:30)\n",
+     {"seconds": 90.1, "passed": 1038, "failed": 1}),
+    ("==== 2 failed, 7 passed, 3 skipped, 1 error in 0.41s ====\n",
+     {"seconds": 0.41, "passed": 7, "failed": 3}),
+    ("5 passed, 2 skipped, 4 warnings in 1.00s\n",
+     {"seconds": 1.0, "passed": 5, "failed": 0}),
+    ("no tests ran in 0.01s\n", {"seconds": 0.01, "passed": 0, "failed": 0}),
+    ("ERROR: file or directory not found: nowhere\n", None),
+], ids=["passed", "failed-and-passed", "ruled-with-error", "skipped",
+        "none-ran", "no-summary"])
+def test_tier1_time_reads_the_pytest_summary(output, want):
+    assert _load_tool("tier1_time").parse_summary(output) == want
