@@ -5,9 +5,10 @@ with the identity at index 0; the permutation-generator file is
 {"degree": d, "generators": [[...], ...]}.  ``write_group_file`` emits
 compact one-line JSON without building a Python list of the table;
 ``read_group_file`` reads that layout by a fast path, in blocks of about
-1 MB straight into one int32 table that the validation gate takes over
-without a copy, accepts any other valid JSON for either kind through
-``json.loads``, and always revalidates the group axioms.
+1 MB parsed on two threads straight into one int32 table that the
+validation gate takes over without a copy, accepts any other valid JSON
+for either kind through ``json.loads``, and always revalidates the group
+axioms.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .claims import CapabilityVerdict, capable
 from .core import (
     Group,
     _check_order_cap,
+    _in_order,
     _ragged,
     _validated,
     from_permutation_generators,
@@ -231,13 +233,13 @@ _CANONICAL_END = b"]]}\n"
 _READ_BLOCK = 1 << 20
 
 
-def _row_chunks(fh: BinaryIO, text: bytes) -> Iterator[bytes | None]:
+def _row_chunks(fh: BinaryIO, buf: bytearray) -> Iterator[bytes]:
     """The table of a canonical file as chunks of whole rows joined by
-    ``],[``: ``text`` (the start of the table, after its ``[[``) and then
-    the rest of ``fh`` in blocks of ``_READ_BLOCK`` bytes, each chunk cut
-    at the last row break read so far.  The last chunk runs up to the
-    closing ``]]}`` and newline; it is None if the file ends otherwise."""
-    buf = bytearray(text)
+    ``],[``: ``buf`` (the start of the table, after its ``[[``, which is
+    consumed) and then the rest of ``fh`` in blocks of ``_READ_BLOCK``
+    bytes, each chunk cut at the last row break read so far.  The last
+    chunk runs up to the closing ``]]}`` and newline; it is empty if the
+    file ends otherwise."""
     while block := fh.read(_READ_BLOCK):
         buf += block
         cut = buf.rfind(b"],[", max(0, len(buf) - len(block) - 2))
@@ -245,21 +247,21 @@ def _row_chunks(fh: BinaryIO, text: bytes) -> Iterator[bytes | None]:
             yield bytes(memoryview(buf)[:cut])
             del buf[:cut + 3]
     yield bytes(buf[:-len(_CANONICAL_END)]) \
-        if buf.endswith(_CANONICAL_END) else None
+        if buf.endswith(_CANONICAL_END) else b""
 
 
-def _parse_rows(chunk: bytes, n: int) -> np.ndarray | None:
+def _parse_rows(chunk: bytes) -> np.ndarray | None:
     """The rows of one chunk as a k x n int32 array, or None unless the
-    chunk is k rows of n canonical tokens joined by ``],[``.
+    chunk is k rows of n canonical tokens joined by ``],[``, for some n.
 
     Only digits and commas around k - 1 row breaks, each made a -1 marker
     (the length check counts the replacements), and no empty token: then
-    the parse cannot stop early.  Dropping the places between rows leaves
-    a negative entry if any marker was elsewhere, that is, if some row was
-    not n tokens long.  Every token is at least as long as its value's
-    decimal digits, and longer exactly when it has a leading zero or
-    wrapped in int32 (ten or more digits): the tokens fill the chunk only
-    if all are canonical.
+    the parse cannot stop early.  The count of values gives n.  Dropping
+    the k - 1 places between rows of n leaves a negative entry if any
+    marker was elsewhere, that is, if some row was not n tokens long.
+    Every token is at least as long as its value's decimal digits, and
+    longer exactly when it has a leading zero or wrapped in int32 (ten or
+    more digits): the tokens fill the chunk only if all are canonical.
     """
     rest = chunk.translate(None, b"0123456789,")
     k = len(rest) // 2 + 1
@@ -271,10 +273,11 @@ def _parse_rows(chunk: bytes, n: int) -> np.ndarray | None:
         return None
     cells = np.fromstring(flat, dtype=np.int32, sep=",")
     del flat
+    n = (cells.size + 1) // k - 1
     if cells.size != k * (n + 1) - 1:
         return None
-    rows = np.delete(cells, np.s_[n::n + 1]).reshape(k, n)
-    del cells
+    cells.resize(k * (n + 1), refcheck=False)  # a place after the last row
+    rows = cells.reshape(k, n + 1)[:, :n]
     top = int(rows.max())
     if rows.min() < 0 or top >= 10 ** 9:
         return None
@@ -304,6 +307,10 @@ def _read_canonical(fh: BinaryIO,
     still parsed, block by block into nothing, and a file in the layout
     raises OrderCapExceeded as ``from_cayley_table`` would; one that
     leaves the layout anywhere returns None, for ``json.loads`` to judge.
+    A file of more than one block is parsed on two threads with at most
+    two chunks outstanding while this thread reads on (``_in_order``);
+    one block is parsed inline.  Refusing H(5,31,2) (order 3875) at a cap
+    of 2048 peaks at about 14 MiB of Python allocations.
     """
     head = bytearray()
     while (start := head.find(_CANONICAL_TABLE)) < 0:
@@ -322,12 +329,13 @@ def _read_canonical(fh: BinaryIO,
     start += len(_CANONICAL_TABLE)
     size = fh.seek(0, os.SEEK_END)
     fh.seek(len(head))
+    del head[:start]
     table, n, done = None, 0, 0
-    for chunk in _row_chunks(fh, head[start:]):
-        if chunk is None:
+    for rows in _in_order(_parse_rows, _row_chunks(fh, head)):
+        if rows is None:
             return None
         if not n:
-            n = chunk.split(b"],[", 1)[0].count(b",") + 1
+            n = rows.shape[1]
             # n rows of n one-digit tokens, the shortest canonical table
             if size - start < 2 * n * n + 2 * n - 3 + len(_CANONICAL_END):
                 return None
@@ -336,8 +344,7 @@ def _read_canonical(fh: BinaryIO,
                 table = np.empty((n, n), dtype=np.int32)
             except (BadParameters, OrderCapExceeded):
                 pass
-        rows = _parse_rows(chunk, n)
-        if rows is None or done + len(rows) > n:
+        if rows.shape[1] != n or done + len(rows) > n:
             return None
         if table is not None:
             table[done:done + len(rows)] = rows
@@ -357,9 +364,12 @@ def read_group_file(path: str | Path,
     layout is parsed by a fast path straight to an int32 table, which the
     gate of ``from_cayley_table`` then checks in place of a copy: at order
     n that path holds the 4 n^2 byte table and O(n) more besides blocks
-    of about 1 MB.  Any other text goes through ``json.loads``, and both
-    meet the same checks below, so which files load and every error
-    message are the same either way.
+    of about 1 MB.  A file of more than one block is parsed, and a table
+    of more than one row block (n > 512) checked, on two threads with at
+    most two blocks outstanding; reading and checking H(5,31,2) peaks at
+    about 71 MiB, its 57 MiB table included.  Any other text goes through
+    ``json.loads``, and both meet the same checks below, so which files
+    load and every error message are the same either way.
 
     A group file's "label" must be a string or null, its "order" (when
     present) the table's size, and its table free of JSON booleans, which
@@ -379,7 +389,7 @@ def read_group_file(path: str | Path,
                 if "\r" in text:  # universal newlines, as text mode gives
                     text = text.replace("\r\n", "\n").replace("\r", "\n")
                 raw = json.loads(text)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except ValueError as exc:  # also int-string limits in json.loads
                 raise BadGroupFile(f"{path}: {exc}") from exc
     # the exact boolean scan below costs about a tenth of a load, so it
     # runs only where a JSON boolean can be

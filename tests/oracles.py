@@ -486,7 +486,7 @@ def read_group_file_json(path, order_cap: int | None = None) -> Group:
     try:
         text = Path(path).read_text(encoding="utf-8")
         raw = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # decode errors and json.loads' int limit
         raise BadGroupFile(f"{path}: {exc}") from exc
     maybe_bool = "true" in text or "false" in text
     del text

@@ -251,6 +251,18 @@ class TestAnalyze:
         assert err.startswith(f"error: {src}: 'utf-8' codec can't decode byte")
         assert "Traceback" not in err
 
+    def test_overlong_integer_names_its_file(self, tmp_path, capsys):
+        # json.loads refuses an integer of more than 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        src = tmp_path / "big.json"
+        src.write_text('{"order":1,"label":null,"table":[[' + "1" * 5000
+                       + "]]}")
+        code, out, err = run(["analyze", "--in", str(src)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {src}: Exceeds the limit")
+        assert "Traceback" not in err
+
     def test_ragged_table_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "ragged.json"
         src.write_text('{"order":2,"label":null,"table":[[0,1],[1]]}')

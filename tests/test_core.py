@@ -258,23 +258,27 @@ def to_top(table: np.ndarray, elems: list[int]) -> np.ndarray:
     return out
 
 
-def switched(g: Group, zero: bool) -> tuple[np.ndarray, list[int]]:
-    """g's table with one intercalate switched, and its rows and columns.
+def switched(g: Group, zero: bool, start: int = 2,
+             table: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
+    """g's table (or ``table``, in place) with one intercalate switched, in
+    rows a, au for the first a >= ``start`` whose rows are still g's, and
+    its rows and columns.
 
     For an involution u the cells of rows a, au and columns b, ub hold two
     values crosswise, and trading them leaves a Latin square.  With
     b = a^-1 one value is 0, so some element loses its two-sided inverse;
     otherwise inverses stay and the loop is not associative.
     """
-    table = g.table.copy()
+    table = g.table.copy() if table is None else table
     u = int(np.flatnonzero(g.element_orders == 2)[0])
-    for a in range(2, g.order):
+    for a in range(start, g.order):
         b = int(g.inverse[a]) if zero else 1
         lines = [a, int(table[a, u]), b, int(table[u, b])]
         cells = [(x, y) for x in lines[:2] for y in lines[2:]]
         values = {int(table[c]) for c in cells}
         if len(set(lines)) == 4 and 0 not in lines and len(values) == 2 \
-                and (0 in values) == zero:
+                and (0 in values) == zero \
+                and np.array_equal(table[lines[:2]], g.table[lines[:2]]):
             break
     c, e = values
     for cell in cells:
@@ -316,6 +320,36 @@ class TestBlockedGate:
         assert gate_outcome(from_cayley_table, table) == want
         if defect != "associativity":  # the named line is one of the last 4
             assert int(re.findall(r"\d+", want[1])[0]) >= g.order - 4
+
+    @pytest.mark.parametrize("defect", ["row", "column", "associativity"])
+    @pytest.mark.parametrize("build", [lambda: cyclic(1024),
+                                       lambda: dihedral(1030)],
+                             ids=["C1024", "D1030"])
+    def test_earlier_of_two_blocks_is_reported(self, build, defect):
+        """One defect in row (or column) block 1 and one in block 3, the
+        two checked at once on two threads: the error names block 1's."""
+        g = build()
+        step = core._CLOSE_BLOCK // g.order
+        first, second = step + 3, 3 * step + 3
+        table = g.table.copy()
+        if defect == "row":
+            table[[first, second], 5] = table[[first, second], 7]
+        elif defect == "column":
+            for r, c in ((3, first), (9, second)):
+                table[r, [c, c + 2]] = table[r, [c + 2, c]]
+        else:
+            switched(g, False, first, table)
+            switched(g, False, second, table)
+        want = gate_outcome(oracles.dense_from_cayley_table, table)
+        assert want[0] is self.EXPECTED[defect], want
+        assert gate_outcome(from_cayley_table, table) == want
+        if defect != "associativity":
+            assert want[1].startswith(f"{defect} {first} ")
+        else:  # the reported generator fails in more than one block
+            x, s, _ = map(int, re.findall(r"\d+", want[1])[:3])
+            lhs, rhs = table[table[:, s]], np.take(table, table[s], axis=1)
+            bad = np.flatnonzero((lhs != rhs).any(axis=1))
+            assert x == bad[0] and len(set(bad // step)) > 1, bad
 
     @pytest.mark.parametrize("build", [lambda: cyclic(1024),
                                        lambda: dihedral(1030)],

@@ -248,6 +248,28 @@ def test_canonical_mutation_across_read_blocks(name, tmp_path):
             assert_same_as_json_loader(tmp_path, data, order_cap=2)
 
 
+@pytest.mark.parametrize("row", [20, 30])
+@pytest.mark.parametrize("token", ["01", "-1", "1000000000", "1.0", "true",
+                                   "", "[0]"])
+def test_bad_token_in_one_block_of_several(token, row, tmp_path):
+    """Read in blocks of 4 KB, the 29 KB file is cut into chunks of whole
+    rows at about 8 KB (two blocks, the first holding the header) and
+    every 4 KB after.  Row 20 lies in the second read block, in the first
+    chunk; row 30 in the third read block and the second chunk, which is
+    parsed beside the first and returns None while later blocks are
+    read."""
+    rows = copy.deepcopy(C100_ROWS)
+    rows[row][50] = token
+    data = layout(rows, order=b"100")
+    at = len(layout(rows[:row], order=b"100")) - len(b"]]}\n")
+    assert (at // 4096, (at + 300) // 4096) == ((row // 10) - 1,) * 2
+    assert len(data) > 7 * 4096
+    with read_blocks_of(4096):
+        assert report._read_canonical(io.BytesIO(data), None) is None
+        assert_same_as_json_loader(tmp_path, data)
+        assert_same_as_json_loader(tmp_path, data, order_cap=2)
+
+
 BYTES = st.sampled_from(list(b'0123456789,[]{}":- \n\r\t.e+lnrtu\\') + [0xff])
 
 
