@@ -29,17 +29,17 @@ enumerator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd, prod
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import (
-    _CLOSE_BLOCK,
     ActionSpec,
     Group,
     _check_order_cap,
+    _row_blocks,
     _trusted,
     direct_product,
     from_permutation_generators,
@@ -163,9 +163,10 @@ def _presented(m: int, n: int, k: int, s: int, label: str,
     """Group <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^k> on a^x b^y at
     index x + m y; the caller checks k^n = 1 and a^s central (mod m).
 
-    The int32 table is written in place, for a run of values of y at a
-    time, so the working memory beyond it is an m x m block or at most
-    ``_CLOSE_BLOCK`` cells, whichever is larger.  Inverses and element
+    The int32 table is written in place, for a ``_row_blocks`` run of
+    values of y at a time, each value taking m x m cells of working
+    memory, so the working memory beyond the table is one block or one
+    value's m x m cells, whichever is larger.  Inverses and element
     orders come in closed form, in O(n) and with no pass over the table.
     With t = k^-1 (mod m), b a b^-1 = a^t, and a^s is central, so
     s t = s (mod m), and t^n = 1:
@@ -192,9 +193,8 @@ def _presented(m: int, n: int, k: int, s: int, label: str,
     inverse = -(x64 * t_y[-y] + s * (y > 0)[:, None]) % m + m * (-y[:, None] % n)
     s_g = np.array([t_y[::e].sum() for e in g.ravel().tolist()])[:, None]
     orders = n // g * m // np.gcd(x64 * s_g + s * (y[:, None] // g), m)
-    step = max(1, _CLOSE_BLOCK // (m * m))
-    for lo in range(0, n, step):  # the rows of `step` values of y at once
-        out, rows = blocks[lo:lo + step], slice(lo, lo + step)
+    for rows in _row_blocks(n, m * m):  # the rows of a run of values of y
+        out = blocks[rows]
         ut = (x * t_y[rows] % m).astype(np.int32)  # u t^y, formed in int64
         a_exp = x[:, None] + ut[:, None, :]
         a_exp %= m
@@ -342,9 +342,17 @@ class FamilySpec:
 
 
 def build(spec: FamilySpec, order_cap: int | None = None) -> Group:
+    """The group ``spec`` names.  BadParameters names an unknown family, a
+    field the family does not take (rather than ignore it) or one it needs
+    and lacks."""
     if spec.family not in FAMILIES:
         raise BadParameters(f"unknown family {spec.family!r}")
     builder, names = FAMILIES[spec.family]
+    extra = [f.name for f in fields(spec)[1:]
+             if f.name not in names and getattr(spec, f.name) is not None]
+    if extra:
+        takes = " ".join(f"--{name}" for name in names) or "no parameters"
+        raise BadParameters(f"family {spec.family!r} takes {takes}, not --{extra[0]}")
     args = [getattr(spec, name) for name in names]
     if None in args:
         raise BadParameters(

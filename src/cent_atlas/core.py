@@ -15,6 +15,11 @@ produced it, by one of two paths:
   memory beyond that copy is O(n); past one row block (n > 512) the
   blocks are checked on two threads.  A group file's freshly parsed table
   is handed over without the copy.
+
+Every numpy pass over a run of table rows, in the gate, the closures, the
+product and family writers and the group-file writer, takes its runs from
+one helper, ``_row_blocks``: at most ``_CLOSE_BLOCK`` cells (or the
+writer's own bound) and at least one row each.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
   private ``_trusted``: direct products of two groups; semidirect products,
@@ -331,11 +336,18 @@ def _centralizer_sizes(g: Group) -> np.ndarray:
     return g.order // np.bincount(reps, minlength=g.order)[reps]
 
 
-# Rows of the table gathered at once by ``_close``, by the checks of
-# ``from_cayley_table`` and by the semidirect and presented families'
-# writers: at most this many cells (1 MB of int32), so their working
-# memory stays O(n) at every order.
+# Cells one numpy pass over a run of table rows touches at most (1 MB of
+# int32), so the working memory of every blocked pass stays O(n): see
+# ``_row_blocks``, the one place a block size is computed.
 _CLOSE_BLOCK = 1 << 18
+
+
+def _row_blocks(count: int, width: int, cells: int | None = None) -> Iterator[slice]:
+    """Slices cutting rows 0..count-1 of ``width`` cells each into runs of
+    at most ``cells`` cells and at least one row, in order.  ``cells``
+    defaults to ``_CLOSE_BLOCK``, read at call time."""
+    step = max(1, (_CLOSE_BLOCK if cells is None else cells) // width)
+    return map(slice, range(0, count, step), range(step, count + step, step))
 
 
 def _in_order(fn: Callable, blocks: Iterable) -> Iterator:
@@ -371,23 +383,22 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
     ``table`` must be a Latin square, and ``member`` closed except for the
     elements ``fresh`` (which it contains).  Each round multiplies only the
     previous round's new elements by everything found so far, on both
-    sides, so no product is formed more than twice: O(n^2) in all, in
-    blocks of rows of at most ``_CLOSE_BLOCK`` cells.  A closed set of a
+    sides, so no product is formed more than twice: O(n^2) in all, a
+    ``_row_blocks`` run of rows at a time.  A closed set of a
     Latin square is a subquasigroup, and a proper one has at most half the
     elements, so the closure of more than n/2 elements is everything.
     Associativity is not assumed.
     """
-    step = max(1, _CLOSE_BLOCK // member.size)
     while fresh.size:
         found = np.flatnonzero(member)
         if 2 * found.size > member.size:
             member[:] = True
             return
         hit = np.zeros_like(member)
-        for lo in range(0, fresh.size, step):
-            hit[np.take(table[fresh[lo:lo + step]], found, axis=1)] = True
-        for lo in range(0, found.size, step):
-            hit[np.take(table[found[lo:lo + step]], fresh, axis=1)] = True
+        for rows in _row_blocks(fresh.size, member.size):
+            hit[np.take(table[fresh[rows]], found, axis=1)] = True
+        for rows in _row_blocks(found.size, member.size):
+            hit[np.take(table[found[rows]], fresh, axis=1)] = True
         hit &= ~member
         member |= hit
         fresh = np.flatnonzero(hit)
@@ -422,24 +433,23 @@ def _generating_indices(table: np.ndarray,
 def _check_associative(table: np.ndarray) -> None:
     """Light's associativity test (Clifford & Preston, *Algebraic Theory of
     Semigroups* I, section 1.2): if (x*s)*y = x*(s*y) for all x, y and every
-    s in a generating set S, the table is associative.  O(|S| n^2), in row
-    blocks of at most ``_CLOSE_BLOCK`` cells, each s's blocks on two
-    threads when there is more than one (``_in_order``): the triple named
-    is the first in the order of S and then of x, as on one thread.
+    s in a generating set S, the table is associative.  O(|S| n^2), over
+    ``_row_blocks``, each s's blocks on two threads when there is more
+    than one (``_in_order``): the triple named is the first in the order
+    of S and then of x, as on one thread.
     """
     n = table.shape[0]
-    step = max(1, _CLOSE_BLOCK // n)
     for s in _generating_indices(table):
-        def light(lo: int, s: int = s) -> None:
-            lhs = table[table[lo:lo + step, s]]
-            rhs = np.take(table[lo:lo + step], table[s], axis=1)
+        def light(rows: slice, s: int = s) -> None:
+            lhs = table[table[rows, s]]
+            rhs = np.take(table[rows], table[s], axis=1)
             if not np.array_equal(lhs, rhs):
                 dx, y = map(int, np.argwhere(lhs != rhs)[0])
-                x = lo + dx
+                x = rows.start + dx
                 raise NotAssociative(
                     f"associativity fails at triple ({x}, {s}, {y}): ({x}*{s})*{y}"
                     f" = {lhs[dx, y]} but {x}*({s}*{y}) = {rhs[dx, y]}")
-        for _ in _in_order(light, range(0, n, step)):
+        for _ in _in_order(light, _row_blocks(n, n)):
             pass
 
 
@@ -479,11 +489,10 @@ def _element_orders(table: np.ndarray) -> np.ndarray:
 
 def _inverses(arr: np.ndarray) -> np.ndarray:
     """Right inverse of every element of a Latin square with identity 0, as
-    int32: the column of each row's 0, found in row blocks of at most
-    ``_CLOSE_BLOCK`` cells."""
-    step = max(1, _CLOSE_BLOCK // arr.shape[0])
-    return np.concatenate([np.argmax(arr[lo:lo + step] == 0, axis=1)
-                           for lo in range(0, arr.shape[0], step)]).astype(np.int32)
+    int32: the column of each row's 0, found over ``_row_blocks``."""
+    n = arr.shape[0]
+    return np.concatenate([np.argmax(arr[rows] == 0, axis=1)
+                           for rows in _row_blocks(n, n)]).astype(np.int32)
 
 
 def _trusted(table: np.ndarray, label: str | None,
@@ -500,8 +509,8 @@ def _trusted(table: np.ndarray, label: str | None,
     pays a closure for one.  The result equals what
     :func:`from_cayley_table` returns for the same table.  A table that is
     not int32 and C-contiguous costs a copy; without element orders they
-    cost O(n log n) gathers per prime, and without inverses one pass in
-    row blocks of at most ``_CLOSE_BLOCK`` cells.
+    cost O(n log n) gathers per prime, and without inverses one pass over
+    ``_row_blocks``.
     """
     arr = np.ascontiguousarray(table, dtype=np.int32)
     arr.setflags(write=False)
@@ -537,14 +546,14 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     per prime dividing n.  The whole gate costs O(|S| n^2); no check is
     skipped for any table.  The Group holds a copy of the table, never
     the caller's array.  Besides that int32 copy (and, for a wider input,
-    the copy it is narrowed from), the checks work in row blocks of at
-    most ``_CLOSE_BLOCK`` cells, so their working memory is O(n) at every
-    order; an order of at most 512 is a single block.  A table of more
-    than one row block (n > 512) has its row, column and associativity
-    checks run on two threads with at most two blocks outstanding (see
-    ``_in_order``), and the error raised is the first faulty block's, as
-    on one thread.  At order 3875 the gate peaks at about 62 MiB of
-    Python allocations, the 57 MiB copy included.
+    the copy it is narrowed from), the checks work over ``_row_blocks``,
+    so their working memory is O(n) at every order; an order of at most
+    512 is a single block.  A table of more than one row block (n > 512)
+    has its row, column and associativity checks run on two threads with
+    at most two blocks outstanding (see ``_in_order``), and the error
+    raised is the first faulty block's, as on one thread.  At order 3875
+    the gate peaks at about 62 MiB of Python allocations, the 57 MiB copy
+    included.
     """
     try:
         arr = np.array(table)
@@ -600,13 +609,13 @@ def _validated(arr: np.ndarray, label: str | None,
     if not np.array_equal(arr[:, 0], idx):
         i = int(np.flatnonzero(arr[:, 0] != idx)[0])
         raise NoIdentityAtZero(f"{i}*0 = {int(arr[i, 0])}, expected {i}")
-    step = max(1, _CLOSE_BLOCK // n)
     for line, lines in (("row", arr), ("column", arr.T)):
-        def permutations(lo: int, line=line, lines=lines) -> None:
-            i = _first_non_permutation(lines[lo:lo + step])
+        def permutations(rows: slice, line=line, lines=lines) -> None:
+            i = _first_non_permutation(lines[rows])
             if i is not None:
-                raise NotLatinSquare(f"{line} {lo + i} is not a permutation of 0..{n - 1}")
-        for _ in _in_order(permutations, range(0, n, step)):
+                raise NotLatinSquare(
+                    f"{line} {rows.start + i} is not a permutation of 0..{n - 1}")
+        for _ in _in_order(permutations, _row_blocks(n, n)):
             pass
     right_inv = _inverses(arr)
     if (bad := np.flatnonzero(arr[right_inv, idx])).size:
@@ -687,9 +696,9 @@ def _product(n_grp: Group, h_grp: Group, theta: np.ndarray | None,
     table's (a, h1, b, h2) view, with one |N| x |N| block of working
     memory.  A semidirect product is written a whole row at a time: row
     (a, h1) is row a of N's table, times |H|, gathered at theta(h1)
-    repeated |H| times, plus row h1 of H's table tiled |N| times; the rows
-    go in blocks of at most ``_CLOSE_BLOCK`` cells, so the working memory
-    is O(n).
+    repeated |H| times, plus row h1 of H's table tiled |N| times, for a
+    ``_row_blocks`` run of values of a at a time, so the working memory is
+    O(n).
     """
     nn, nh = n_grp.order, h_grp.order
     _check_order_cap(nn * nh, order_cap)
@@ -703,12 +712,12 @@ def _product(n_grp: Group, h_grp: Group, theta: np.ndarray | None,
         inverse = n_grp.inverse[:, None] * nh + h_inv
         return _trusted(table, label, inverse.ravel(), np.lcm(
             n_grp.element_orders[:, None], h_grp.element_orders).ravel(), gens)
-    rows, step = table.reshape(nn, nh, -1), max(1, _CLOSE_BLOCK // table.shape[0])
+    by_a, blocks = table.reshape(nn, nh, -1), tuple(_row_blocks(nn, nn * nh))
     for h1 in range(nh):  # rows (a, h1): (a, h1)(b, h2) = (a theta(h1)(b), h1h2)
         cols, h_part = np.repeat(theta[h1], nh), np.tile(h_grp.table[h1], nn)
-        for lo in range(0, nn, step):
-            run = np.take(n_grp.table[lo:lo + step] * nh, cols, axis=1)
-            np.add(run, h_part, out=rows[lo:lo + step, h1])
+        for a in blocks:
+            run = np.take(n_grp.table[a] * nh, cols, axis=1)
+            np.add(run, h_part, out=by_a[a, h1])
     # (a, h)^-1 = (theta(h^-1)(a^-1), h^-1)
     inverse = theta[h_inv, n_grp.inverse[:, None]] * nh + h_inv
     return _trusted(table, label, inverse.ravel(), gens=gens)
@@ -817,8 +826,8 @@ def semidirect_product(n_grp: Group, h_grp: Group, action: ActionSpec,
 
     Product rule: (a, h1)(b, h2) = (a * theta(h1)(b), h1*h2).  A trivial
     action reproduces direct_product exactly, table and all.  The table is
-    written in place, in row blocks of at most ``_CLOSE_BLOCK`` cells;
-    working memory beyond it is the (|H|, |N|) action and O(n).
+    written in place over ``_row_blocks``; working memory beyond it is the
+    (|H|, |N|) action and O(n).
     """
     return _product(n_grp, h_grp, _extend_action(n_grp, h_grp, action), label, order_cap)
 

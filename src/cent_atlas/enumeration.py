@@ -52,21 +52,15 @@ class _State:
         dup.col_used = self.col_used[:]
         return dup
 
-    def place(self, x: int, j: int, v: int) -> bool:
-        """Record x*j = v; True if anything changed, _Dead on conflict."""
-        n = self.n
-        cur = self.table[x * n + j]
-        if cur != -1:
-            if cur != v:
-                raise _Dead
-            return False
+    def place(self, x: int, j: int, v: int) -> None:
+        """Record x*j = v in an empty cell; _Dead if row x or column j
+        already holds v."""
         bit = 1 << v
         if self.row_used[x] & bit or self.col_used[j] & bit:
             raise _Dead
-        self.table[x * n + j] = v
+        self.table[x * self.n + j] = v
         self.row_used[x] |= bit
         self.col_used[j] |= bit
-        return True
 
     def new_label(self) -> int:
         v = self.size
@@ -153,13 +147,11 @@ def _search(n: int) -> list[np.ndarray]:
         for v in range(state.size + (state.size < n)):
             if (row_used >> v) & 1 or (col_used >> v) & 1:
                 continue
+            # v is free in row y and column gl; a new label's row and column are empty
             branch = state.copy()
-            try:
-                if v == state.size:
-                    branch.new_label()
-                branch.place(y, gl, v)
-            except _Dead:
-                continue
+            if v == state.size:
+                branch.new_label()
+            branch.place(y, gl, v)
             rec(branch)
 
     rec(_State(n))

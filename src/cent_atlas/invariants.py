@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_CLOSE_BLOCK, Group, SubsetMask, _as_mask,
-                   _centralizer_sizes, _class_reps, _close, _conjugators,
-                   _generating_indices, _generators, _per_group, _powers,
-                   _spanning)
+from .core import (Group, SubsetMask, _as_mask, _centralizer_sizes,
+                   _class_reps, _close, _conjugators, _generating_indices,
+                   _generators, _per_group, _powers, _row_blocks, _spanning)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
 from .numbers import factor, is_prime
@@ -286,20 +285,20 @@ def _centralizer_closure(g: Group, seeds: list[int]) -> SubsetMask | None:
     """Smallest subgroup containing the seeds and C_G(x) for each of its
     non-identity members x, or None when that is all of G.  It is normal
     when the seeds are a union of conjugacy classes.  Each member's
-    commuting row is read once, in blocks of at most ``_CLOSE_BLOCK``."""
+    commuting row is read once, over ``_row_blocks``."""
     member = np.zeros(g.order, dtype=bool)
     done = member.copy()
     member[0] = done[0] = True
     fresh = np.asarray(seeds)
     member[fresh] = True
-    step = max(1, _CLOSE_BLOCK // g.order)
     while fresh.size:
         _close(g.table, member, fresh)
         if member.all():
             return None
         new = np.flatnonzero(member & ~done)
         done |= member
-        for x in np.split(new, range(step, new.size, step)):
+        for rows in _row_blocks(new.size, g.order):
+            x = new[rows]
             member |= (g.table[x] == g.table[:, x].T).any(axis=0)
         fresh = np.flatnonzero(member & ~done)
     return SubsetMask.from_bool(member)

@@ -29,6 +29,7 @@ from .core import (
     _check_order_cap,
     _in_order,
     _ragged,
+    _row_blocks,
     _validated,
     from_permutation_generators,
 )
@@ -184,7 +185,7 @@ def group_to_jsonable(g: Group) -> dict[str, Any]:
     }
 
 
-# cells formatted per block: about 2^20 8-byte words, near 8 MB per gather
+# cells formatted per row block: at most 2^20 8-byte words, near 8 MB per gather
 _WRITE_BLOCK = 1 << 20
 
 
@@ -193,12 +194,13 @@ def group_file_chunks(g: Group) -> Iterator[bytes]:
     ``json.dumps(group_to_jsonable(g), separators=(",", ":")) + "\n"``.
 
     The header comes from ``json.dumps``, so the label is escaped as JSON
-    escapes it.  The table is formatted in row blocks of about 2^20 cells
-    through a lookup of ``"i,"`` and ``"i],["`` for i < n, each token
-    NUL-padded to whole 8-byte words and gathered as one opaque item: one
-    word per cell below order 10^5 (the 8-byte ``"99999],["``), two from
-    there on by the same rounding.  A block is one gather, then the NULs
-    dropped by ``bytes.translate``.  No table becomes a Python list.
+    escapes it.  The table is formatted a ``_row_blocks`` run of at most
+    ``_WRITE_BLOCK`` cells at a time, through a lookup of ``"i,"`` and
+    ``"i],["`` for i < n, each token NUL-padded to whole 8-byte words and
+    gathered as one opaque item: one word per cell below order 10^5 (the
+    8-byte ``"99999],["``), two from there on by the same rounding.  A
+    block is one gather, then the NULs dropped by ``bytes.translate``.  No
+    table becomes a Python list.
     """
     n = g.order
     head = json.dumps({"order": n, "label": g.label or None, "table": [[]]},
@@ -208,18 +210,17 @@ def group_file_chunks(g: Group) -> Iterator[bytes]:
     width = -(-(len(digits[-1]) + 3) // 8) * 8
     lut = np.array([d + "," for d in digits] + [d + "],[" for d in digits],
                    dtype=f"S{width}").view(f"V{width}")
-    step = max(1, _WRITE_BLOCK // n)
-    for r in range(0, n, step):
-        idx = g.table[r:r + step].astype(np.intp)
+    for rows in _row_blocks(n, n, _WRITE_BLOCK):
+        idx = g.table[rows].astype(np.intp)
         idx[:, -1] += n  # each row's last cell closes the row with "],["
         chunk = lut[idx].tobytes().translate(None, b"\0")
         # the last row ends "]]}" instead of "],["
-        yield chunk if r + step < n else chunk[:-2] + b"]}\n"
+        yield chunk if rows.stop < n else chunk[:-2] + b"]}\n"
 
 
 def write_group_file(g: Group, path: str | Path) -> None:
-    """Write g as compact one-line JSON, streamed in blocks of about 2^20
-    cells (see ``group_file_chunks``)."""
+    """Write g as compact one-line JSON, streamed a row block at a time
+    (see ``group_file_chunks``)."""
     with open(path, "wb") as fh:
         fh.writelines(group_file_chunks(g))
 

@@ -130,6 +130,31 @@ class TestBuilders:
         with pytest.raises(BadParameters):
             elementary(6, 2)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cyclic(0), "cyclic order must be positive, got 0"),
+        (lambda: elementary(2, 0), "rank must be positive, got 0"),
+        (lambda: dicyclic(6),
+         "dicyclic order must be a multiple of 4 and >= 8, got 6"),
+        (lambda: symmetric(0), "degree must be positive, got 0"),
+        (lambda: alternating(2), "degree must be at least 3, got 2"),
+        (lambda: metacyclic(0, 2, 1), "orders must be positive, got m=0, n=2"),
+        (lambda: groups_of_order_pqr(5, 3, 2), "need p < q < r, got 5, 3, 2"),
+        (lambda: groups_of_order_p2q(3, 3), "p and q must be distinct, got 3 twice"),
+        (lambda: groups_of_covered_order(16),
+         "order 16 is not of shape pqr, p^2 q, or p^3"),
+        (lambda: central_quotient_examples("pqr", (2, 2, 3)),
+         "shape 'pqr' needs distinct primes, got (2, 2, 3)"),
+    ], ids=["cyclic", "elementary", "dicyclic", "symmetric", "alternating",
+            "metacyclic", "pqr", "p2q", "covered-order", "central-quotient"])
+    def test_refusal_names_the_bad_parameter(self, build, message):
+        with pytest.raises(BadParameters) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_abelian_of_no_factors_is_trivial(self):
+        g = abelian(())
+        assert (g.label, g.table.tolist()) == ("C1", [[0]])
+
 
 class TestWitnessFamily:
     def test_parameters_validated(self):
@@ -170,6 +195,18 @@ class TestFamilySpec:
     def test_missing_parameter(self):
         with pytest.raises(BadParameters, match="--n"):
             build(FamilySpec(family="cyclic"))
+
+    @pytest.mark.parametrize("spec, message", [
+        (FamilySpec("cyclic", n=3, p=7), "family 'cyclic' takes --n, not --p"),
+        (FamilySpec("metacyclic", m=7, n=6, k=3, q=5, i=1),
+         "family 'metacyclic' takes --m --n --k, not --q"),
+        (FamilySpec("sl23", i=2), "family 'sl23' takes no parameters, not --i"),
+        (FamilySpec("heisenberg", n=4), "family 'heisenberg' takes --p, not --n"),
+    ], ids=["cyclic", "metacyclic", "sl23", "missing-and-unused"])
+    def test_unused_parameter_is_refused(self, spec, message):
+        with pytest.raises(BadParameters) as info:
+            build(spec)
+        assert str(info.value) == message
 
     def test_unknown_family(self):
         with pytest.raises(BadParameters):

@@ -71,6 +71,12 @@ class TestConstruct:
         assert code == 2
         assert "--n" in err
 
+    def test_unused_parameter_is_refused(self, capsys):
+        code, out, err = run(["construct", "--family", "cyclic", "--n", "3",
+                              "--p", "7"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: family 'cyclic' takes --n, not --p\n"
+
     def test_order_cap(self, capsys):
         code, _, err = run(["construct", "--family", "cyclic", "--n", "50",
                             "--order-cap", "10"], capsys)
@@ -286,6 +292,13 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert message in err
 
+    def test_generator_length_must_match_degree(self, tmp_path, capsys):
+        src = tmp_path / "perm.json"
+        src.write_text(json.dumps({"degree": 3, "generators": [[1, 0]]}))
+        code, out, err = run(["analyze", "--in", str(src)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {src}: generator length disagrees with degree 3\n"
+
     def test_float_in_permutation_is_rejected(self, tmp_path, capsys):
         src = tmp_path / "perm.json"
         src.write_text(json.dumps({"degree": 2, "generators": [[1.0, 0]]}))
@@ -377,6 +390,11 @@ class TestVerify:
         code, out, _ = run(["verify", "--list"], capsys)
         assert code == 0
         assert "C0" in out and "C9w" in out
+
+    def test_needs_a_claim_or_the_list(self, capsys):
+        code, out, err = run(["verify"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: verify needs --claim or --list\n"
 
     def test_unknown_claim(self, capsys):
         code, _, err = run(["verify", "--claim", "C99"], capsys)

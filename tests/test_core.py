@@ -11,7 +11,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from cent_atlas import core
+from cent_atlas import core, report
 from cent_atlas.catalog import (
     abelian,
     alternating,
@@ -20,6 +20,7 @@ from cent_atlas.catalog import (
     dicyclic,
     dihedral,
     elementary,
+    symmetric,
     witness_h,
 )
 from cent_atlas.core import (
@@ -53,6 +54,7 @@ from cent_atlas.errors import (
     NotSubgroup,
     OrderCapExceeded,
 )
+from cent_atlas.report import analyze, read_group_file, write_group_file
 
 import oracles
 from oracles import closure, is_associative
@@ -313,7 +315,7 @@ class TestBlockedGate:
                              ids=["C1024", "D1030"])
     def test_defect_in_the_last_block(self, build, defect):
         g = build()
-        assert g.order // max(1, core._CLOSE_BLOCK // g.order) >= 4
+        assert len(list(core._row_blocks(g.order, g.order))) >= 4
         table = planted(g, defect)
         want = gate_outcome(oracles.dense_from_cayley_table, table)
         assert want[0] is self.EXPECTED[defect], want
@@ -329,7 +331,7 @@ class TestBlockedGate:
         """One defect in row (or column) block 1 and one in block 3, the
         two checked at once on two threads: the error names block 1's."""
         g = build()
-        step = core._CLOSE_BLOCK // g.order
+        step = next(core._row_blocks(g.order, g.order)).stop
         first, second = step + 3, 3 * step + 3
         table = g.table.copy()
         if defect == "row":
@@ -385,6 +387,68 @@ def test_blocked_gate_matches_whole_table_checks(table, block):
         mp.setattr(core, "_CLOSE_BLOCK", block)
         assert gate_outcome(from_cayley_table, table) == gate_outcome(
             oracles.dense_from_cayley_table, table)
+
+
+def row_block_outcomes(path) -> list:
+    """What the row-block rule must not change, for every catalog group up
+    to order 60 plus D200, S4 and H(2,7,6): its arrays as built, as a
+    gate-built relabelled copy and as read back from its group file, the
+    file's bytes and its ``analyze`` report."""
+    rng = np.random.default_rng(26)
+    out = []
+    for g in [*catalog_up_to(60), dihedral(200), symmetric(4), witness_h(2, 7, 6)]:
+        perm = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+        copy = np.empty_like(g.table)
+        copy[np.ix_(perm, perm)] = perm[g.table]
+        file = path / f"{len(out)}.json"
+        write_group_file(g, file)
+        out.append([gate_outcome(lambda _: g, None),
+                    gate_outcome(from_cayley_table, copy),
+                    gate_outcome(read_group_file, file),
+                    file.read_bytes(), analyze(g).to_jsonable()])
+    return out
+
+
+def two_block_faults() -> dict[str, np.ndarray]:
+    """D200's table with a fault in row (or column) block 1 and one in
+    block 3, or with an intercalate switched in each, for the current
+    row-block size."""
+    g = dihedral(200)
+    step = next(core._row_blocks(g.order, g.order)).stop
+    first, second = step + 3, 3 * step + 3
+    row, column = g.table.copy(), g.table.copy()
+    row[[first, second], 5] = row[[first, second], 7]
+    for r, c in ((3, first), (9, second)):
+        column[r, [c, c + 2]] = column[r, [c + 2, c]]
+    light = switched(g, False, first)[0]
+    switched(g, False, second, light)
+    return {"row": row, "column": column, "associativity": light}
+
+
+@pytest.mark.parametrize("cells", [1, 97, 4099])
+def test_shrunken_row_blocks_change_nothing(cells, tmp_path):
+    """At 1 cell every pass runs a row at a time and the gate runs on two
+    threads for every n >= 2; built groups, gate-built copies, group files
+    and reports, and the gate's first error, match the default sizes."""
+    (tmp_path / "default").mkdir()
+    (tmp_path / "shrunk").mkdir()
+    want = row_block_outcomes(tmp_path / "default")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CLOSE_BLOCK", cells)
+        mp.setattr(report, "_WRITE_BLOCK", cells)
+        got = row_block_outcomes(tmp_path / "shrunk")
+        faults = two_block_faults()
+        errors = {name: gate_outcome(from_cayley_table, table)
+                  for name, table in faults.items()}
+    assert got == want
+    for name, table in faults.items():
+        assert errors[name] == gate_outcome(from_cayley_table, table)
+        assert errors[name][0] is TestBlockedGate.EXPECTED[name], errors[name]
+
+
+def test_group_repr_names_label_and_order():
+    assert repr(cyclic(4)) == "<C4 of order 4>"
+    assert repr(from_cayley_table([[0]])) == "<Group of order 1>"
 
 
 class TestPermutationGenerators:

@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -121,6 +123,23 @@ class TestGroupFiles:
         path.write_text(json.dumps({"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}))
         g = read_group_file(path)
         assert g.order == 6
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    def test_reads_a_pipe(self, tmp_path, indent):
+        # a FIFO cannot seek: its bytes are held so that the json.loads
+        # path can read them again after the compact-layout attempt
+        g = dihedral(12)
+        text = json.dumps(group_to_jsonable(g), separators=(",", ":"),
+                          indent=indent) + "\n"
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(text,),
+                                  daemon=True)
+        writer.start()
+        back = read_group_file(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (back.label, back.table.tolist()) == (g.label, g.table.tolist())
 
     def test_rejects_unknown_payload(self, tmp_path):
         path = tmp_path / "bad.json"

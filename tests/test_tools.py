@@ -1,7 +1,7 @@
 """Repository tooling: no unused imports or orphaned private names in the
 package, one owner of the per-group memo, the line counter in
-``tools/src_lines.py`` and the summary parser of ``tools/tier1_time.py``
-(standard library only)."""
+``tools/src_lines.py``, the summary parser of ``tools/tier1_time.py`` and
+the line tracer of ``tools/unrun_lines.py`` (standard library only)."""
 
 import ast
 import importlib.util
@@ -201,3 +201,37 @@ def test_src_lines_main_sums_the_tree(tmp_path):
         "none-ran", "no-summary"])
 def test_tier1_time_reads_the_pytest_summary(output, want):
     assert _load_tool("tier1_time").parse_summary(output) == want
+
+
+def test_unrun_lines_lists_what_a_selection_never_ran(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text("def used(x):\n"
+                                "    if x:\n"
+                                "        return 1\n"
+                                "    return 2\n"                       # 4
+                                "\n"
+                                "def unused():\n"
+                                "    return [y for y in range(3)]\n"   # 7
+                                "\n"
+                                "class K:\n"
+                                "    def method(self):\n"
+                                "        return 3\n"                   # 11
+                                "\n"
+                                "def in_thread():\n"
+                                "    return 4\n", encoding="utf-8")
+    (tmp_path / "test_mod.py").write_text(
+        "import threading\n"
+        "import mod\n"
+        "def test_used():\n"
+        "    assert mod.used(True) == 1\n"
+        "    worker = threading.Thread(target=mod.in_thread)\n"
+        "    worker.start()\n"
+        "    worker.join()\n", encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "unrun_lines.py"),
+         "--root", str(src), "-q", "-p", "no:cacheprovider", "test_mod.py"],
+        cwd=tmp_path, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[-4:] == ["src/mod.py:4: used", "src/mod.py:7: unused",
+                        "src/mod.py:11: K.method", "3 function lines never ran"]
