@@ -250,6 +250,62 @@ class TestSylow:
                     g.label, p)
 
 
+def _sylow_digest(groups) -> str:
+    """SHA-256 over (prime, count, subgroup bits) for every prime of every
+    group, in order."""
+    h = hashlib.sha256()
+    for g in groups:
+        for p in sorted(factor(g.order)):
+            s = sylow(g, p)
+            h.update(f"{g.order} {p} {s.count} {s.subgroup.bits:x};".encode())
+    return h.hexdigest()
+
+
+# Frozen from the normalizer-growth construction for every prime, before
+# the normal and cyclic cases were read off the element orders: both
+# return the same representative and count as that growth.
+SYLOW_DIGESTS = {
+    "catalog-300":
+        "8b2a3d0f99304d7c7d725f49710f54b09186526cfcdda668f9ddab0d3e452149",
+    "catalog-300-relabelled":
+        "bfbbc6206d9bc3b26af1fba1eb3aa6384a82b39b042ec82c388f0ac6c6033046",
+    "large":
+        "93fbfbb9e2cb1cd42801506d291308db15852a86d4af8f13cce042e5b52c487f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYLOW_DIGESTS))
+def test_sylow_data_pinned(name):
+    if name == "large":
+        groups = [build() for build in LARGE_GROUPS[:4]]
+    elif name == "catalog-300":
+        groups = catalog_up_to(300)
+    else:
+        groups = relabelled_catalog(max_order=300, seed=27)
+    assert _sylow_digest(groups) == SYLOW_DIGESTS[name]
+
+
+# (group, prime, a group isomorphic to its Sylow subgroups, their count):
+# one case per way ``sylow`` can find its answer
+SYLOW_CASES = {
+    "normal-C2xC4xC3": (lambda: abelian((2, 4, 3)), 2, lambda: abelian((2, 4)), 1),
+    "cyclic-S3": (lambda: symmetric(3), 2, lambda: cyclic(2), 3),
+    "cyclic-A5": (lambda: alternating(5), 5, lambda: cyclic(5), 6),
+    "cyclic-Dic12": (lambda: dicyclic(12), 2, lambda: cyclic(4), 3),
+    "growth-A5": (lambda: alternating(5), 2, lambda: elementary(2, 2), 5),
+    "growth-S4": (lambda: symmetric(4), 2, lambda: dihedral(8), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYLOW_CASES))
+def test_sylow_named_cases(case):
+    build, p, kind, count = SYLOW_CASES[case]
+    g = build()
+    s = sylow(g, p)
+    assert s.count == count == oracles.sylow_count(g.table.tolist(), p)
+    assert is_isomorphic(subgroup_as_group(g, s.subgroup), kind())
+
+
 def test_normalizer_matches_oracle_on_every_subgroup_sylow_visits(
         monkeypatch):
     seen = []
