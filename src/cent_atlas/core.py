@@ -15,11 +15,6 @@ produced it, by one of two paths:
   memory beyond that copy is O(n); past one row block (n > 512) the
   blocks are checked on two threads.  A group file's freshly parsed table
   is handed over without the copy.
-
-Every numpy pass over a run of table rows, in the gate, the closures, the
-product and family writers and the group-file writer, takes its runs from
-one helper, ``_row_blocks``: at most ``_CLOSE_BLOCK`` cells (or the
-writer's own bound) and at least one row each.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
   private ``_trusted``: direct products of two groups; semidirect products,
@@ -30,18 +25,27 @@ writer's own bound) and at least one row each.
   rebuilds each of them, and every product, subgroup and quotient it
   covers, through the gate and asserts the two Groups are equal.
 
+Every numpy pass over a run of table rows, in the gate, the closures, the
+product and family writers and the group-file writer, takes its runs from
+one helper, ``_row_blocks``: at most ``_CLOSE_BLOCK`` cells (or the
+writer's own bound) and at least one row each.
+
 Class data and G' can be computed from any generating set, so a builder
-that knows one hands it to ``_trusted``: the families their presentation
+that knows one hands it over: the families their presentation
 generators, products those of their factors, and quotients their
-parent's, where the parent already has one.  Subgroups, permutation
-groups and gate-built tables fall back to the greedy set, which only
-``find_isomorphism`` needs, as its search order follows it; tier-1 tests
-check every handed-over set against a gate-built copy.  Builders hand
-over the inverses and element orders they know as well: direct products
-and subgroups both, from the factors or the parent; semidirect products
-and quotients their inverses; ``cyclic`` and the presented families
-(``catalog._presented``) both, in closed form.  A quotient by the
-trivial subgroup is the group itself, relabelled, memo and all.
+parent's, where the parent already has one, all through ``_trusted``;
+gate-built tables hand over the gate's set, the one Light's test has
+just used, so permutation groups, group files and enumeration
+candidates pay no second closure for one.  Subgroups, and quotients of
+a parent with no set, fall back to the greedy set by element order,
+which only ``find_isomorphism`` needs, as its search order follows it;
+tier-1 tests check every handed-over set against a gate-built copy.
+Builders hand over the inverses and element orders they know as well:
+direct products and subgroups both, from the factors or the parent;
+semidirect products and quotients their inverses; ``cyclic`` and the
+presented families (``catalog._presented``) both, in closed form.  A
+quotient by the trivial subgroup is the group itself, relabelled, memo
+and all.
 
 Any ``Group`` can be re-checked in full with ``from_cayley_table(g.table)``.
 """
@@ -282,7 +286,9 @@ def _generators(g: Group) -> tuple[int, ...]:
 @_per_group
 def _spanning(g: Group) -> tuple[int, ...]:
     """Some generating set of g: the one its builder handed to
-    :func:`_trusted`, which stores it here, else the greedy set."""
+    :func:`_trusted`, or for a gate-built table the set Light's test used
+    (``_check_associative``), either stored here when g is made, else the
+    greedy set of :func:`_generators`."""
     return _generators(g)
 
 
@@ -381,13 +387,16 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
     """Grow the flags ``member`` in place to the smallest product-closed set.
 
     ``table`` must be a Latin square, and ``member`` closed except for the
-    elements ``fresh`` (which it contains).  Each round multiplies only the
-    previous round's new elements by everything found so far, on both
-    sides, so no product is formed more than twice: O(n^2) in all, a
-    ``_row_blocks`` run of rows at a time.  A closed set of a
-    Latin square is a subquasigroup, and a proper one has at most half the
-    elements, so the closure of more than n/2 elements is everything.
-    Associativity is not assumed.
+    elements ``fresh`` (which it contains).  A round over a set F found so
+    far with |F|^2 at most ``_CLOSE_BLOCK`` forms all of F x F in one
+    gather and one scatter, so it costs a fixed handful of numpy calls and
+    at most 2^18 products; a larger round multiplies only the previous
+    round's new elements by F, on both sides, a ``_row_blocks`` run of rows
+    at a time, so no product is formed more than twice: O(n^2) in all.
+    Either round adds every product the current set lacks, so both reach
+    the same set.  A closed set of a Latin square is a subquasigroup, and
+    a proper one has at most half the elements, so the closure of more
+    than n/2 elements is everything.  Associativity is not assumed.
     """
     while fresh.size:
         found = np.flatnonzero(member)
@@ -395,10 +404,13 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
             member[:] = True
             return
         hit = np.zeros_like(member)
-        for rows in _row_blocks(fresh.size, member.size):
-            hit[np.take(table[fresh[rows]], found, axis=1)] = True
-        for rows in _row_blocks(found.size, member.size):
-            hit[np.take(table[found[rows]], fresh, axis=1)] = True
+        if found.size ** 2 <= _CLOSE_BLOCK:
+            hit[table[found[:, None], found]] = True
+        else:
+            for rows in _row_blocks(fresh.size, member.size):
+                hit[np.take(table[fresh[rows]], found, axis=1)] = True
+            for rows in _row_blocks(found.size, member.size):
+                hit[np.take(table[found[rows]], fresh, axis=1)] = True
         hit &= ~member
         member |= hit
         fresh = np.flatnonzero(hit)
@@ -430,16 +442,18 @@ def _generating_indices(table: np.ndarray,
     return gens
 
 
-def _check_associative(table: np.ndarray) -> None:
+def _check_associative(table: np.ndarray) -> tuple[int, ...]:
     """Light's associativity test (Clifford & Preston, *Algebraic Theory of
     Semigroups* I, section 1.2): if (x*s)*y = x*(s*y) for all x, y and every
     s in a generating set S, the table is associative.  O(|S| n^2), over
     ``_row_blocks``, each s's blocks on two threads when there is more
     than one (``_in_order``): the triple named is the first in the order
-    of S and then of x, as on one thread.
+    of S and then of x, as on one thread.  Returns S, which generates the
+    table once it passes.
     """
     n = table.shape[0]
-    for s in _generating_indices(table):
+    gens = _generating_indices(table)
+    for s in gens:
         def light(rows: slice, s: int = s) -> None:
             lhs = table[table[rows, s]]
             rhs = np.take(table[rows], table[s], axis=1)
@@ -451,6 +465,7 @@ def _check_associative(table: np.ndarray) -> None:
                     f" = {lhs[dx, y]} but {x}*({s}*{y}) = {rhs[dx, y]}")
         for _ in _in_order(light, _row_blocks(n, n)):
             pass
+    return tuple(gens)
 
 
 def _powers(table: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
@@ -540,7 +555,7 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     - every element has a two-sided inverse, O(n^2);
     - associativity by Light's test over a greedy generating set S of the
       table, whose closure costs O(n^2) and whose test costs O(|S| n^2),
-      with |S| <= log2(n).
+      with |S| <= log2(n); the Group keeps S as its generating set.
 
     Element orders then come from their p-parts in O(n log n) gathers
     per prime dividing n.  The whole gate costs O(|S| n^2); no check is
@@ -620,9 +635,11 @@ def _validated(arr: np.ndarray, label: str | None,
     right_inv = _inverses(arr)
     if (bad := np.flatnonzero(arr[right_inv, idx])).size:
         raise NoInverse(f"element {bad[0]} has no two-sided inverse")
-    _check_associative(arr)
+    gens = _check_associative(arr)
     arr.setflags(write=False)
-    return Group(arr, right_inv, _element_orders(arr), label)
+    g = Group(arr, right_inv, _element_orders(arr), label)
+    _spanning.seed(g, gens)
+    return g
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

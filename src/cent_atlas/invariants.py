@@ -198,11 +198,23 @@ class SylowData:
 def sylow(g: Group, l: int) -> SylowData:
     """Sylow l-subgroup representative and the number of conjugates.
 
-    The representative starts from a cyclic subgroup on an element of
-    maximal l-power order and grows through normalizers until it reaches
-    full l-part size, adding each time the smallest y of N_G(P) outside P
-    with y^l in P, and carrying the elements added as generators of P.
-    The conjugates of P number [G : N_G(P)].
+    The representative is <x> for the first x of maximal l-power order,
+    grown through normalizers until it reaches the l-part l^e of |G|: each
+    time by the smallest y of N_G(P) outside P with y^l in P, carrying the
+    elements added as generators of P.  The conjugates of P number
+    [G : N_G(P)].  The element orders, whose l-power ones are those
+    dividing l^e, settle two cases with no closure (Holt, Eick &
+    O'Brien, *Handbook of Computational Group Theory*, 2005, 4.7):
+
+    - exactly l^e elements of l-power order: each Sylow subgroup holds
+      l^e of them and every one lies in some Sylow subgroup, so they form
+      the only one, which the growth reaches too; the count is 1.
+    - an element x of order l^e: <x> is a Sylow subgroup, so every Sylow
+      subgroup is cyclic and holds phi(l^e) elements of order l^e, each
+      generating it and lying in no other; they number
+      #{order l^e} / phi(l^e).  The growth starts from this same <x>,
+      already of full size, and never runs.  <x> is x's powers, doubled
+      by one gather a round, about log2(l^e) gathers.
     """
     if not is_prime(l):
         raise NotPrime(f"{l} is not prime")
@@ -211,10 +223,18 @@ def sylow(g: Group, l: int) -> SylowData:
         raise BadParameters(f"{l} does not divide the group order {g.order}")
     pk = l ** e
     orders = g.element_orders
-    lpow = orders[np.isin(orders, [l ** i for i in range(1, e + 1)])]
-    best = int(lpow.max())
-    gens = [int(np.flatnonzero(orders == best)[0])]
+    lpow = pk % orders == 0  # the elements of l-power order
+    if np.count_nonzero(lpow) == pk:
+        return SylowData(prime=l, count=1, subgroup=SubsetMask.from_bool(lpow))
+    gens = [int(np.argmax(np.where(lpow, orders, 0)))]
     member = np.zeros(g.order, dtype=bool)
+    if orders[gens[0]] == pk:
+        powers = np.array([0, gens[0]])
+        while powers.size < pk:  # x^m times x^0..x^(m-1) gives x^m..x^(2m-1)
+            powers = np.append(powers, g.table[g.table[powers[-1], gens[0]], powers])
+        member[powers] = True
+        count = int(np.count_nonzero(orders == pk)) // (pk - pk // l)
+        return SylowData(prime=l, count=count, subgroup=SubsetMask.from_bool(member))
     member[[0, gens[0]]] = True
     _close(g.table, member, np.array(gens))
     while member.sum() < pk:
@@ -261,7 +281,7 @@ def abelian_profile(g: Group) -> AbelianProfile:
     for p, a in factor(g.order).items():
         rank = 0  # log_p of the number of elements of order dividing p^(k-1)
         for k in range(1, a + 1):
-            count = int(np.isin(orders, [p ** i for i in range(k + 1)]).sum())
+            count = int(np.count_nonzero(p ** k % orders == 0))
             at_least_k = factor(count)[p] - rank
             rank += at_least_k
             factors += [1] * (at_least_k - len(factors))

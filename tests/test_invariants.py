@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from cent_atlas import claims, invariants
+from cent_atlas import claims, core, invariants
 from cent_atlas.catalog import (
     abelian,
     alternating,
@@ -251,8 +251,8 @@ class TestSylow:
 
 
 def _sylow_digest(groups) -> str:
-    """SHA-256 over (prime, count, subgroup bits) for every prime of every
-    group, in order."""
+    """SHA-256 over (order, prime, count, subgroup bits) for every prime of
+    every group, in order."""
     h = hashlib.sha256()
     for g in groups:
         for p in sorted(factor(g.order)):
@@ -261,9 +261,9 @@ def _sylow_digest(groups) -> str:
     return h.hexdigest()
 
 
-# Frozen from the normalizer-growth construction for every prime, before
-# the normal and cyclic cases were read off the element orders: both
-# return the same representative and count as that growth.
+# Frozen from the normalizer growth alone, run for every prime: the normal
+# and cyclic cases read off the element orders must return the same
+# representative and count as that growth.
 SYLOW_DIGESTS = {
     "catalog-300":
         "8b2a3d0f99304d7c7d725f49710f54b09186526cfcdda668f9ddab0d3e452149",
@@ -298,10 +298,16 @@ SYLOW_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SYLOW_CASES))
-def test_sylow_named_cases(case):
+def test_sylow_named_cases(case, monkeypatch):
     build, p, kind, count = SYLOW_CASES[case]
     g = build()
+    closures = []
+    monkeypatch.setattr(invariants, "_close", lambda *a: closures.append(
+        core._close(*a)))
     s = sylow(g, p)
+    # only the growth path takes a closure
+    assert bool(closures) == case.startswith("growth"), closures
+    monkeypatch.undo()
     assert s.count == count == oracles.sylow_count(g.table.tolist(), p)
     assert is_isomorphic(subgroup_as_group(g, s.subgroup), kind())
 
@@ -316,12 +322,14 @@ def test_normalizer_matches_oracle_on_every_subgroup_sylow_visits(
         seen.append((g, flags.copy(), got))
         return got
 
+    # the growth path's normalizers, and each Sylow subgroup's through
+    # ``normalizer``, which the normal and cyclic paths never take
     monkeypatch.setattr(invariants, "_normalizing", spy)
     for g in catalog_up_to(60):
         for p in factor(g.order):
-            sylow(g, p)
+            normalizer(g, sylow(g, p).subgroup)
     monkeypatch.undo()
-    # 172 normalizers, some of them proper
+    # 152 normalizers, 56 of them proper
     assert len(seen) > 150 and not all(got.all() for _, _, got in seen)
     for g, flags, got in seen:
         want = oracles.normalizer(g.table.tolist(), np.flatnonzero(flags))

@@ -5,8 +5,8 @@ Products, subgroups, quotients and the closed-form families skip
 returns for the same table, and no path that takes a table from outside
 the library may reach the trusted constructor.  The generating set a
 builder hands over must generate its group, and the class data and G'
-taken from it must equal those the gate-built copy takes from the greedy
-set.
+taken from it must equal those the gate-built copy takes from the set
+Light's test used.
 """
 
 import json
@@ -71,11 +71,12 @@ def assert_matches_gate(g):
 
 def assert_spanning_matches(g, checked):
     """g's generating set closes to g, and its class data and G' equal
-    those of ``checked``, a gate-built copy that uses the greedy set."""
+    those of ``checked``, a gate-built copy that keeps the set Light's
+    test used."""
     gens = core._spanning(g)
     assert len(subgroup_generated(g, gens)) == g.order, (g, gens)
-    assert SPANNING not in checked._memo
-    assert core._spanning(checked) == core._generators(checked)
+    assert checked._memo[SPANNING] == tuple(core._generating_indices(checked.table))
+    assert core._spanning(checked) is checked._memo[SPANNING]
     assert np.array_equal(core._class_reps(g), core._class_reps(checked)), g
     assert conjugacy_classes(g) == conjugacy_classes(checked), g
     assert derived_subgroup(g) == derived_subgroup(checked), g
@@ -111,15 +112,15 @@ def test_grid_covers_every_family():
 # families whose builders hand a generating set to the trusted constructor
 HANDING_OVER = {"cyclic", "dihedral", "dicyclic", "metacyclic", "heisenberg",
                 "modular-p3", "elementary", "witness-h"}
+# families built through the gate, which keeps the set Light's test used
+GATE_BUILT = {"symmetric", "alternating"}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_GRID))
 def test_family_matches_gate(family):
     for params in FAMILY_GRID[family]:
         g = build(FamilySpec(family, **params))
-        # S1 is cyclic(1) relabelled, and keeps its handed-over set
-        hands_over = family in HANDING_OVER or g.label == "S1"
-        assert (SPANNING in g._memo) == hands_over, g
+        assert (SPANNING in g._memo) == (family in HANDING_OVER | GATE_BUILT), g
         assert_matches_gate(g)
 
 
@@ -188,13 +189,13 @@ def test_seed_keeps_an_existing_entry_and_freezes_an_array():
     assert core._centralizer_sizes(g) is sizes and not sizes.flags.writeable
     core._centralizer_sizes.seed(g, np.zeros(6, dtype=int))
     assert core._centralizer_sizes(g) is sizes
-    assert list(g._memo) == [core._centralizer_sizes.__qualname__]
+    assert list(g._memo) == [SPANNING, core._centralizer_sizes.__qualname__]
 
 
 def test_known_computes_nothing():
     g = from_cayley_table((np.arange(6)[:, None] + np.arange(6)) % 6)
     assert core._class_reps.known(g) is None
-    assert g._memo == {}
+    assert list(g._memo) == [SPANNING]
     reps = core._class_reps(g)
     assert core._class_reps.known(g) is reps
 
@@ -202,12 +203,13 @@ def test_known_computes_nothing():
 def test_products_combine_the_factors_sets():
     s3 = from_permutation_generators([(1, 0, 2), (1, 2, 0)])
     g = direct_product(s3, cyclic(4))
-    assert core._spanning(g) == tuple(4 * s for s in core._generators(s3)) + (1,)
+    assert core._spanning(g) == tuple(4 * s for s in core._spanning(s3)) + (1,)
     assert_matches_gate(g)
 
 
 def test_quotient_hands_over_only_a_set_its_parent_already_has():
-    g = from_cayley_table((np.arange(12)[:, None] + np.arange(12)) % 12)
+    # C12 as a subgroup of C24, so it has no set until one is asked for
+    g = subgroup_as_group(cyclic(24), range(0, 24, 2))
     q = quotient(g, [0, 6])
     assert SPANNING not in g._memo and SPANNING not in q._memo
     center(g)  # class data memoises g's greedy set (1,)
