@@ -389,6 +389,53 @@ def test_blocked_gate_matches_whole_table_checks(table, block):
             oracles.dense_from_cayley_table, table)
 
 
+@pytest.mark.parametrize("z", [0, 2, None], ids=["z0", "z2", "zk"])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_cyclic_with_an_absorbed_element_is_refused(k, z):
+    """C_k plus an element x = k with c*x = x*c = x for every c in C_k and
+    x*x = z (x itself for None).  The closure of {1} is C_k, more than
+    half the table, and Light's test passes over it, yet row k is
+    constant: generation must be shown without assuming a Latin square."""
+    table = np.full((k + 1, k + 1), k)
+    table[:k, :k] = cyclic_table(k)
+    table[k, k] = k if z is None else z
+    assert _generating_indices(table) == [1]
+    want = (NotLatinSquare, f"row {k} is not a permutation of 0..{k}")
+    assert gate_outcome(oracles.dense_from_cayley_table, table) == want
+    assert gate_outcome(from_cayley_table, table) == want
+
+
+@st.composite
+def absorbed_extensions(draw) -> np.ndarray:
+    """A catalog group G of order at most 12 plus 1-3 extra elements that
+    every member of G fixes on both sides (g*e = e*g = e), with any
+    products among the extras, relabelled with 0 kept at 0.  Light's test
+    passes over every set of members of G, and G is closed.  Half the
+    products among the extras are drawn from the extras, so that they
+    often form a semigroup, over which Light's test passes too."""
+    g = draw(st.deferred(lambda: st.sampled_from(
+        [h for h in small_catalog() if h.order <= 12])))
+    n, m = g.order, draw(st.integers(1, 3))
+    table = np.empty((n + m, n + m), dtype=np.int64)
+    table[:n, :n] = g.table
+    table[:n, n:] = np.arange(n, n + m)
+    table[n:, :n] = np.arange(n, n + m)[:, None]
+    entry = st.one_of(st.integers(n, n + m - 1), st.integers(0, n + m - 1))
+    table[n:, n:] = np.reshape(draw(st.lists(entry, min_size=m * m,
+                                             max_size=m * m)), (m, m))
+    perm = np.array([0, *draw(st.permutations(range(1, n + m)))])
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(perm, perm)] = perm[table]
+    return relabelled
+
+
+@settings(max_examples=200, deadline=None)
+@given(absorbed_extensions())
+def test_gate_refuses_absorbed_extensions_as_the_dense_checks_do(table):
+    assert gate_outcome(from_cayley_table, table) == gate_outcome(
+        oracles.dense_from_cayley_table, table)
+
+
 def row_block_outcomes(path) -> list:
     """What the row-block rule must not change, for every catalog group up
     to order 60 plus D200, S4 and H(2,7,6): its arrays as built, as a
