@@ -7,14 +7,18 @@ produced it, by one of two paths:
 - Tables from outside the library go through :func:`from_cayley_table`:
   the public constructor itself, group files (``report.read_group_file``),
   permutation generators and enumeration candidates.  That gate checks the
-  shape and order cap, integer entries in 0..n-1, the identity at 0, the
-  Latin property, two-sided inverses and associativity, in O(|S| n^2) time
-  for a generating set S of at most log2(n) elements; its docstring gives
-  the cost of each check.  The gate keeps one int32 copy of the table,
-  which becomes the Group's, and checks it in row blocks, so its working
-  memory beyond that copy is O(n); past one row block (n > 512) the
-  blocks are checked on two threads.  A group file's freshly parsed table
-  is handed over without the copy.
+  shape and order cap, integer entries in 0..n-1 and the identity at 0,
+  then accepts by proof: the rows of a greedy generating set S of at most
+  log2(n) elements are permutations, S reaches every element, and Light's
+  test passes over S, which makes the table a group, in O(|S| n^2) time.
+  Only a table that fails the proof has its rows and columns scanned, its
+  two-sided inverses checked and Light's test rerun, in that order, to
+  name its first fault; ``_validated``'s docstring gives the proof and
+  ``from_cayley_table``'s the cost of each check.  The gate keeps one
+  int32 copy of the table, which becomes the Group's, and checks it in
+  row blocks, so its working memory beyond that copy is O(n); past one
+  row block (n > 512) the blocks are checked on two threads.  A group
+  file's freshly parsed table is handed over without the copy.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
   private ``_trusted``: direct products of two groups; semidirect products,
@@ -442,17 +446,60 @@ def _generating_indices(table: np.ndarray,
     return gens
 
 
-def _check_associative(table: np.ndarray) -> tuple[int, ...]:
-    """Light's associativity test (Clifford & Preston, *Algebraic Theory of
-    Semigroups* I, section 1.2): if (x*s)*y = x*(s*y) for all x, y and every
-    s in a generating set S, the table is associative.  O(|S| n^2), over
-    ``_row_blocks``, each s's blocks on two threads when there is more
-    than one (``_in_order``): the triple named is the first in the order
-    of S and then of x, as on one thread.  Returns S, which generates the
-    table once it passes.
+def _orbit_generators(table: np.ndarray) -> list[int] | None:
+    """The greedy set S of the gate's accept path, found without assuming
+    a Latin square, or None if a generator's row is not a permutation or
+    S would need more than log2(n) elements.
+
+    W, the orbit of 0 under x -> x*t, starts as {0}.  Each round takes s,
+    the smallest element outside W, checks its row in O(n), and grows W
+    to its exact closure under right multiplication by the steps: each s,
+    the product of s with the generator before it, and the repeated
+    squares of both (at most log2(n) + 1 each).  Squares write a power of
+    s in as many rounds as its exponent has binary digits; the product
+    does the same for the rotations of a dihedral group generated by two
+    reflections, which otherwise take a round each (1,026 rounds for
+    D2048).  Members new to W are multiplied by every step, older ones by
+    the new steps only, ``_row_blocks`` cells at a time: O(n) gathers per
+    step, and O(n) per round.  Every step is a product of generators, so
+    in a group W is <S> and S is :func:`_generating_indices`'s set.
+    ``_close`` is no use here: its n/2 rule holds only in a Latin square.
     """
     n = table.shape[0]
-    gens = _generating_indices(table)
+    member = np.arange(n) == 0
+    gens, steps = [], np.empty(0, dtype=int)
+    while not member.all():
+        s = int(np.argmin(member))
+        if len(gens) == n.bit_length() - 1 or not np.bincount(table[s], minlength=n).all():
+            return None
+        new = []
+        for t in (s, int(table[gens[-1], s])) if gens else (s,):
+            for _ in range(n.bit_length()):
+                new.append(t)
+                t = int(table[t, t])
+        gens.append(s)
+        rows, cols = np.flatnonzero(member), np.array(sorted(set(new)))
+        steps = np.concatenate([steps, cols])
+        while rows.size:
+            hit = np.zeros_like(member)
+            for b in _row_blocks(rows.size, cols.size):
+                hit[table[rows[b, None], cols]] = True
+            rows, cols = np.flatnonzero(hit & ~member), steps
+            member[rows] = True
+    return gens
+
+
+def _check_associative(table: np.ndarray, gens: Sequence[int] | None = None) -> tuple[int, ...]:
+    """Light's associativity test (Clifford & Preston, *Algebraic Theory of
+    Semigroups* I, section 1.2): if (x*s)*y = x*(s*y) for all x, y and every
+    s in a generating set S, the table is associative.  S is ``gens``, by
+    default the greedy set of a Latin square (:func:`_generating_indices`).
+    O(|S| n^2), over ``_row_blocks``, each s's blocks on two threads when
+    there is more than one (``_in_order``): the triple named is the first
+    in the order of S and then of x, as on one thread.  Returns S.
+    """
+    n = table.shape[0]
+    gens = tuple(_generating_indices(table) if gens is None else gens)
     for s in gens:
         def light(rows: slice, s: int = s) -> None:
             lhs = table[table[rows, s]]
@@ -465,7 +512,7 @@ def _check_associative(table: np.ndarray) -> tuple[int, ...]:
                     f" = {lhs[dx, y]} but {x}*({s}*{y}) = {rhs[dx, y]}")
         for _ in _in_order(light, _row_blocks(n, n)):
             pass
-    return tuple(gens)
+    return gens
 
 
 def _powers(table: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
@@ -551,24 +598,32 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     - integer entries: bool, float and object tables are refused, not cast;
     - every entry in 0..n-1, before narrowing to int32, so none can wrap;
     - row 0 and column 0 are the identity;
-    - every row and every column is a permutation of 0..n-1, O(n^2);
-    - every element has a two-sided inverse, O(n^2);
-    - associativity by Light's test over a greedy generating set S of the
-      table, whose closure costs O(n^2) and whose test costs O(|S| n^2),
-      with |S| <= log2(n); the Group keeps S as its generating set.
+    - the accept path: a greedy generating set S, |S| <= log2(n), whose
+      rows are permutations and whose right-multiplication orbit of 0 is
+      everything, O(n) per generator and O(n) gathers per orbit step
+      (``_orbit_generators``); Light's test over S, O(|S| n^2); and the
+      right inverses, one O(n^2) elementwise pass.  These prove the table
+      a group (see ``_validated``), so the Latin property and two-sided
+      inverses need no n^2 scatter; the Group keeps S as its generating set.
+    - only if that proof fails, the reject path names the first fault:
+      every row, then every column, is a permutation of 0..n-1 (one n^2
+      bool scatter each); every element has a two-sided inverse, O(n^2);
+      associativity by Light's test over the greedy set of the Latin
+      square, whose closure costs O(n^2).
 
     Element orders then come from their p-parts in O(n log n) gathers
-    per prime dividing n.  The whole gate costs O(|S| n^2); no check is
-    skipped for any table.  The Group holds a copy of the table, never
-    the caller's array.  Besides that int32 copy (and, for a wider input,
-    the copy it is narrowed from), the checks work over ``_row_blocks``,
-    so their working memory is O(n) at every order; an order of at most
-    512 is a single block.  A table of more than one row block (n > 512)
-    has its row, column and associativity checks run on two threads with
-    at most two blocks outstanding (see ``_in_order``), and the error
-    raised is the first faulty block's, as on one thread.  At order 3875
-    the gate peaks at about 62 MiB of Python allocations, the 57 MiB copy
-    included.
+    per prime dividing n.  The whole gate costs O(|S| n^2) on either
+    path; no check is skipped for any table, and an invalid table pays
+    the failed proof on top of the scans.  The Group holds a copy of the
+    table, never the caller's array.  Besides that int32 copy (and, for a
+    wider input, the copy it is narrowed from), the checks work over
+    ``_row_blocks``, so their working memory is O(n) at every order; an
+    order of at most 512 is a single block.  A table of more than one row
+    block (n > 512) has Light's test, and on the reject path the row and
+    column scans, run on two threads with at most two blocks outstanding
+    (see ``_in_order``), and the error raised is the first faulty
+    block's, as on one thread.  At order 3875 the gate peaks at about 62
+    MiB of Python allocations (61.8 MiB), the 57 MiB copy included.
     """
     try:
         arr = np.array(table)
@@ -606,6 +661,26 @@ def _validated(arr: np.ndarray, label: str | None,
     int32 and C-contiguous, and is frozen into the Group, so no caller may
     keep it: ``from_cayley_table`` hands over a copy of its input, and
     ``report.read_group_file`` the table it has just parsed.
+
+    After the shape, cap, dtype, range and identity checks, the accept
+    path proves the table a group.  Let A be the set of a with
+    (x*a)*y = x*(a*y) for all x, y.  Light's test puts every s of S in A,
+    and so does the identity.  A is closed under products: for a, b in
+    A, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) =
+    x*((a*b)*y).  Every member w of the orbit W of ``_orbit_generators``
+    is a product of generators, so it lies in A, and for each step t,
+    row w*t is row w composed with row t: by induction along W from the
+    identity's row, with the generators' rows checked and each square
+    or product of generators' row a composite of theirs, every row of W
+    is a permutation.  W is everything, so the table is associative and
+    each element has a right inverse: a monoid in which every element
+    has a right inverse is a group, so its columns are permutations and
+    right inverses are two-sided.  In a group W = <S>, so S is the
+    greedy set :func:`_generating_indices` picks, and every group passes.
+
+    A table that fails the proof (a generator's row, more than log2(n)
+    generators, or Light's test) takes the reject path: the ordered
+    checks of :func:`from_cayley_table`, which name its first fault.
     """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise BadParameters(f"table must be a nonempty square matrix, got shape {arr.shape}")
@@ -624,20 +699,25 @@ def _validated(arr: np.ndarray, label: str | None,
     if not np.array_equal(arr[:, 0], idx):
         i = int(np.flatnonzero(arr[:, 0] != idx)[0])
         raise NoIdentityAtZero(f"{i}*0 = {int(arr[i, 0])}, expected {i}")
-    for line, lines in (("row", arr), ("column", arr.T)):
-        def permutations(rows: slice, line=line, lines=lines) -> None:
-            i = _first_non_permutation(lines[rows])
-            if i is not None:
-                raise NotLatinSquare(
-                    f"{line} {rows.start + i} is not a permutation of 0..{n - 1}")
-        for _ in _in_order(permutations, _row_blocks(n, n)):
-            pass
-    right_inv = _inverses(arr)
-    if (bad := np.flatnonzero(arr[right_inv, idx])).size:
-        raise NoInverse(f"element {bad[0]} has no two-sided inverse")
-    gens = _check_associative(arr)
+    gens = _orbit_generators(arr)
+    try:
+        gens = None if gens is None else _check_associative(arr, gens)
+    except NotAssociative:
+        gens = None
+    if gens is None:  # the reject path: the ordered checks name the fault
+        for line, lines in (("row", arr), ("column", arr.T)):
+            def permutations(rows: slice, line=line, lines=lines) -> None:
+                i = _first_non_permutation(lines[rows])
+                if i is not None:
+                    raise NotLatinSquare(
+                        f"{line} {rows.start + i} is not a permutation of 0..{n - 1}")
+            for _ in _in_order(permutations, _row_blocks(n, n)):
+                pass
+        if (bad := np.flatnonzero(arr[_inverses(arr), idx])).size:
+            raise NoInverse(f"element {bad[0]} has no two-sided inverse")
+        gens = _check_associative(arr)
     arr.setflags(write=False)
-    g = Group(arr, right_inv, _element_orders(arr), label)
+    g = Group(arr, _inverses(arr), _element_orders(arr), label)
     _spanning.seed(g, gens)
     return g
 

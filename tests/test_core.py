@@ -436,6 +436,34 @@ def test_gate_refuses_absorbed_extensions_as_the_dense_checks_do(table):
         oracles.dense_from_cayley_table, table)
 
 
+def test_valid_tables_never_reach_the_reject_path(monkeypatch):
+    """Every catalog group up to order 300, D2048 and H(5,31,2), each
+    relabelled, and D2048 as built, pass on the accept path: the reject
+    path's row and column scans never run, and the gate keeps the greedy
+    generating set.  One broken table shows that the spy sees the scans."""
+    scans = []
+    scan = core._first_non_permutation
+    monkeypatch.setattr(core, "_first_non_permutation",
+                        lambda rows: scans.append(len(rows)) or scan(rows))
+    rng = np.random.default_rng(28)
+    big = [dihedral(2048), witness_h(5, 31, 2, order_cap=3875)]
+    tables = [big[0].table]
+    for g in [*catalog_up_to(300), *big]:
+        perm = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+        tables.append(np.empty_like(g.table))
+        tables[-1][np.ix_(perm, perm)] = perm[g.table]
+    for table in tables:
+        checked = from_cayley_table(table, order_cap=len(table))
+        assert core._spanning.known(checked) == tuple(
+            _generating_indices(checked.table))
+    assert scans == []
+    broken = tables[-1].copy()
+    broken[7, 3] = broken[7, 4]
+    with pytest.raises(NotLatinSquare, match="^row 7 "):
+        from_cayley_table(broken, order_cap=len(broken))
+    assert scans
+
+
 def row_block_outcomes(path) -> list:
     """What the row-block rule must not change, for every catalog group up
     to order 60 plus D200, S4 and H(2,7,6): its arrays as built, as a

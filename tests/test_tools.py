@@ -5,6 +5,7 @@ the line tracer of ``tools/unrun_lines.py`` (standard library only)."""
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -235,3 +236,13 @@ def test_unrun_lines_lists_what_a_selection_never_ran(tmp_path):
     ).stdout.splitlines()
     assert out[-4:] == ["src/mod.py:4: used", "src/mod.py:7: unused",
                         "src/mod.py:11: K.method", "3 function lines never ran"]
+
+
+def test_unrun_lines_puts_root_on_the_path_of_subprocesses():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "unrun_lines.py"), "-q",
+         "-p", "no:cacheprovider", "tests/test_cli.py::test_module_entry_point"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert "1 passed" in proc.stdout

@@ -8,7 +8,9 @@ none pytest runs its configured suite from the working directory)
 pytest runs in this process with ``sys.settrace`` and
 ``threading.settrace`` set, so the calling thread and every thread
 started after it are traced, and only frames of files under DIR are
-followed line by line.  DIR goes first on ``sys.path``.  Then each line
+followed line by line.  DIR goes first on ``sys.path`` and on
+``PYTHONPATH``, so that the subprocesses tests start (``python -m``, a
+console script) import from it too; they are not traced.  Then each line
 that starts a statement in a function, lambda or comprehension of a file
 under DIR, other than its ``def`` line, and never ran is printed as
 ``path:line: qualified name``, and last their count.  Module and class
@@ -80,6 +82,8 @@ def main(argv: list[str] | None = None) -> int:
     root = args.root.resolve()
     files = {os.path.realpath(p): p for p in sorted(root.rglob("*.py"))}
     sys.path.insert(0, str(root))
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root), os.environ.get("PYTHONPATH")]))
     import pytest
 
     code, ran = traced(set(files), lambda: pytest.main(pytest_args))
