@@ -455,6 +455,47 @@ PINNED_PAIR_MAPS = (
     "1d14da4d13d5026a90ba4da7165a8402ce73d295ec4c98d5feb32fbebc562d68")
 
 
+def _search_order(g: Group) -> tuple[list[int], list]:
+    """find_isomorphism's generators of g and the walks that grow each
+    prefix's subgroup to the next."""
+    gens = list(core._generators(g))
+    return gens, invariants._prefix_walks(g, gens)
+
+
+def _walk_digest(groups) -> str:
+    """SHA-256 over (order, generators, walks) for every group, in order."""
+    h = hashlib.sha256()
+    for g in groups:
+        gens, walks = _search_order(g)
+        h.update(repr((g.order, gens, walks)).encode())
+    return h.hexdigest()
+
+
+# Frozen from the greedy set by element order that the search followed
+# when a group's memo held it: the search's own choice of generators must
+# give the same generators and walks, so the same maps and node counts.
+WALK_DIGESTS = {
+    "catalog-300":
+        "6fbcb1e54d07f8723bc4e07fbee61a38d01d62d466a89beb70e0ed8c98ff2171",
+    "catalog-300-relabelled":
+        "fe989ecb729f1c66780ed7b94ecab7fa96e18a5309cf4c5b5b0851fdaacada0f",
+    "large":
+        "f6a99fc279c15691107ede750c5018e70b7fa17bba42dc0eaa5ce07dcd8664dc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_DIGESTS))
+def test_search_generators_and_walks_pinned(name):
+    if name == "large":
+        groups = [dihedral(2048), relabel(witness_h(5, 31, 2, order_cap=3875),
+                                          random.Random(1))]
+    elif name == "catalog-300":
+        groups = catalog_up_to(300)
+    else:
+        groups = relabelled_catalog(max_order=300, seed=29)
+    assert _walk_digest(groups) == WALK_DIGESTS[name]
+
+
 class TestIsomorphism:
     def test_positive(self):
         assert is_isomorphic(symmetric(3), metacyclic(3, 2, 2))
