@@ -34,16 +34,18 @@ product and family writers and the group-file writer, takes its runs from
 one helper, ``_row_blocks``: at most ``_CLOSE_BLOCK`` cells (or the
 writer's own bound) and at least one row each.
 
-Class data and G' can be computed from any generating set, so a builder
+A group's memo holds one generating set, ``_spanning``.  Class data, G'
+and the automorphism check can use any generating set, so a builder
 that knows one hands it over: the families their presentation
 generators, products those of their factors, and quotients their
 parent's, where the parent already has one, all through ``_trusted``;
 gate-built tables hand over the gate's set, the one Light's test has
 just used, so permutation groups, group files and enumeration
 candidates pay no second closure for one.  Subgroups, and quotients of
-a parent with no set, fall back to the greedy set by element order,
-which only ``find_isomorphism`` needs, as its search order follows it;
-tier-1 tests check every handed-over set against a gate-built copy.
+a parent with no set, fall back to the plain greedy set of
+``_generating_indices``.  ``find_isomorphism`` chooses its own
+generators as it walks (``invariants._prefix_walks``).  Tier-1 tests
+check every handed-over set against a gate-built copy.
 Builders hand over the inverses and element orders they know as well:
 direct products and subgroups both, from the factors or the parent;
 semidirect products and quotients their inverses; ``cyclic`` and the
@@ -193,10 +195,10 @@ class Group:
     The private ``_memo`` dict is the one mutable slot: functions wrapped
     in :func:`_per_group` keep their result there, so each is computed at
     most once per group and freed with it.  It holds only values of O(n)
-    size: masks, flags, the generating set, read-only length-n arrays and
-    ``CentStructure`` (one mask per distinct centralizer); never the n x n
-    commuting matrix, which ``cent_structure`` builds and drops, or another
-    ``Group``.
+    size: masks, flags, one generating set (``_spanning``), read-only
+    length-n arrays and ``CentStructure`` (one mask per distinct
+    centralizer); never the n x n commuting matrix, which
+    ``cent_structure`` builds and drops, or another ``Group``.
     """
 
     __slots__ = ("order", "table", "inverse", "element_orders", "label", "_memo")
@@ -280,20 +282,14 @@ def _per_group(fn: Callable) -> Callable:
 
 
 @_per_group
-def _generators(g: Group) -> tuple[int, ...]:
-    """g's greedy generating set by element order, at most log2(n) elements
-    (see :func:`_generating_indices`).  Only ``find_isomorphism`` needs
-    this order; class data and G' take any set from :func:`_spanning`."""
-    return tuple(_generating_indices(g.table, g.element_orders))
-
-
-@_per_group
 def _spanning(g: Group) -> tuple[int, ...]:
-    """Some generating set of g: the one its builder handed to
+    """g's one generating set: the one its builder handed to
     :func:`_trusted`, or for a gate-built table the set Light's test used
     (``_check_associative``), either stored here when g is made, else the
-    greedy set of :func:`_generators`."""
-    return _generators(g)
+    greedy set of :func:`_generating_indices`, at most log2(n) elements.
+    Class data, G' and ``_check_automorphism`` take any set;
+    ``find_isomorphism`` chooses its own (``invariants._prefix_walks``)."""
+    return tuple(_generating_indices(g.table))
 
 
 def _conjugators(g: Group) -> np.ndarray:
@@ -421,12 +417,10 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
 
 
 def _generating_indices(table: np.ndarray,
-                        orders: np.ndarray | None = None,
                         within: np.ndarray | None = None) -> list[int]:
     """Greedy generating set of a loop table, or of the subgroup flagged by
-    ``within``: the smallest element outside the closure so far (given
-    element ``orders``, the smallest of largest order), until the closure
-    is everything.
+    ``within``: the smallest element outside the closure so far, until the
+    closure is everything.
 
     Each new generator at least doubles the closure, since a proper subloop
     of a finite loop has at most half its order, so there are at most
@@ -437,8 +431,7 @@ def _generating_indices(table: np.ndarray,
     target = np.ones_like(member) if within is None else within
     gens: list[int] = []
     while (outside := np.flatnonzero(target & ~member)).size:
-        pick = 0 if orders is None else int(np.argmax(orders[outside]))
-        gens.append(int(outside[pick]))
+        gens.append(int(outside[0]))
         member[gens[-1]] = True
         _close(table, member, np.array(gens[-1:]))
     if (member & ~target).any():
@@ -489,17 +482,16 @@ def _orbit_generators(table: np.ndarray) -> list[int] | None:
     return gens
 
 
-def _check_associative(table: np.ndarray, gens: Sequence[int] | None = None) -> tuple[int, ...]:
+def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
     """Light's associativity test (Clifford & Preston, *Algebraic Theory of
     Semigroups* I, section 1.2): if (x*s)*y = x*(s*y) for all x, y and every
-    s in a generating set S, the table is associative.  S is ``gens``, by
-    default the greedy set of a Latin square (:func:`_generating_indices`).
-    O(|S| n^2), over ``_row_blocks``, each s's blocks on two threads when
-    there is more than one (``_in_order``): the triple named is the first
-    in the order of S and then of x, as on one thread.  Returns S.
+    s in a generating set S = ``gens``, the table is associative; raises
+    NotAssociative otherwise.  O(|S| n^2), over ``_row_blocks``, each s's
+    blocks on two threads when there is more than one (``_in_order``): the
+    triple named is the first in the order of S and then of x, as on one
+    thread.
     """
     n = table.shape[0]
-    gens = tuple(_generating_indices(table) if gens is None else gens)
     for s in gens:
         def light(rows: slice, s: int = s) -> None:
             lhs = table[table[rows, s]]
@@ -512,7 +504,6 @@ def _check_associative(table: np.ndarray, gens: Sequence[int] | None = None) -> 
                     f" = {lhs[dx, y]} but {x}*({s}*{y}) = {rhs[dx, y]}")
         for _ in _in_order(light, _row_blocks(n, n)):
             pass
-    return gens
 
 
 def _powers(table: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
@@ -700,10 +691,11 @@ def _validated(arr: np.ndarray, label: str | None,
         i = int(np.flatnonzero(arr[:, 0] != idx)[0])
         raise NoIdentityAtZero(f"{i}*0 = {int(arr[i, 0])}, expected {i}")
     gens = _orbit_generators(arr)
-    try:
-        gens = None if gens is None else _check_associative(arr, gens)
-    except NotAssociative:
-        gens = None
+    if gens is not None:
+        try:
+            _check_associative(arr, gens)
+        except NotAssociative:
+            gens = None
     if gens is None:  # the reject path: the ordered checks name the fault
         for line, lines in (("row", arr), ("column", arr.T)):
             def permutations(rows: slice, line=line, lines=lines) -> None:
@@ -715,10 +707,11 @@ def _validated(arr: np.ndarray, label: str | None,
                 pass
         if (bad := np.flatnonzero(arr[_inverses(arr), idx])).size:
             raise NoInverse(f"element {bad[0]} has no two-sided inverse")
-        gens = _check_associative(arr)
+        gens = _generating_indices(arr)
+        _check_associative(arr, gens)
     arr.setflags(write=False)
     g = Group(arr, _inverses(arr), _element_orders(arr), label)
-    _spanning.seed(g, gens)
+    _spanning.seed(g, tuple(gens))
     return g
 
 

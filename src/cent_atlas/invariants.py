@@ -3,15 +3,16 @@ the non-commuting clique number, and isomorphism testing.
 
 Everything here works on validated :class:`~cent_atlas.core.Group` values and
 returns plain data.  Nothing mutates the group except its private memo:
-``center``, ``cent_structure``, ``derived_subgroup``, the generating sets,
-the class representatives and the centralizer sizes are computed once per
-group (see :func:`~cent_atlas.core._per_group`).
+``center``, ``cent_structure``, ``derived_subgroup``, the one generating
+set, the class representatives and the centralizer sizes are computed
+once per group (see :func:`~cent_atlas.core._per_group`).
 
 Class data (hence centralizer sizes, ``center`` and ``is_abelian``) and
 ``derived_subgroup`` come from a generating set S alone, in O(n |S|) per
 round with no n x n array.  Any S serves, so they take the one the
-group's builder handed over; only ``find_isomorphism`` needs the greedy
-set, whose order its search follows.  Only ``cent_structure`` builds the
+group's builder handed over.  ``find_isomorphism`` keeps none: its
+search picks its own generators, by element order, as it walks
+(``_prefix_walks``).  Only ``cent_structure`` builds the
 commuting matrix, and ``omega`` and ``frobenius_structure`` build none.
 The matrix's row sums are the centralizer sizes, so a group whose
 ``cent_structure`` comes first takes its sizes, ``center`` and
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import (Group, SubsetMask, _as_mask, _centralizer_sizes,
                    _class_reps, _close, _conjugators, _generating_indices,
-                   _generators, _per_group, _powers, _row_blocks, _spanning)
+                   _per_group, _powers, _row_blocks, _spanning)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
 from .numbers import factor, is_prime
@@ -445,54 +446,57 @@ def omega(g: Group) -> int:
     return _max_clique(t != t.T)
 
 
-def _order_histogram(g: Group) -> tuple[tuple[int, int], ...]:
-    vals, counts = np.unique(g.element_orders, return_counts=True)
-    return tuple((int(v), int(c)) for v, c in zip(vals, counts))
-
-
 def _iso_prefilter(g: Group, h: Group) -> bool:
-    if g.order != h.order:
+    """False when an invariant tells g and h apart: the count of elements
+    of each order (hence the order), then commutativity.  Two abelian
+    groups with equal counts are isomorphic, as the counts of elements of
+    order dividing p^k give every Sylow p-subgroup's cyclic factors (see
+    :func:`abelian_profile`), so they pass at once; nonabelian ones must
+    also share their sorted centralizer sizes and |G'|."""
+    if not np.array_equal(np.bincount(g.element_orders), np.bincount(h.element_orders)):
         return False
-    if _order_histogram(g) != _order_histogram(h):
+    abelian = g.is_abelian()
+    if abelian != h.is_abelian():
         return False
-    ga, ha = g.is_abelian(), h.is_abelian()
-    if ga != ha:
-        return False
-    if ga:
-        return abelian_profile(g).invariant_factors == abelian_profile(h).invariant_factors
-    if sorted(_centralizer_sizes(g).tolist()) != sorted(
-            _centralizer_sizes(h).tolist()):
-        return False
-    if len(derived_subgroup(g)) != len(derived_subgroup(h)):
-        return False
-    return True
+    return abelian or (
+        np.array_equal(np.sort(_centralizer_sizes(g)), np.sort(_centralizer_sizes(h)))
+        and len(derived_subgroup(g)) == len(derived_subgroup(h)))
 
 
-def _prefix_walks(g: Group, gens: list[int]) -> list[list[tuple[int, int, int, bool]]]:
-    """For each depth i, the products that grow K = <gens[:i]> to
-    <gens[:i+1]>: x * gens[i] for each x of K in turn, each followed by a
-    breadth-first walk from the new element it meets (if any), which takes
-    w * gens[s] for every s <= i and every new w.  An entry (x, s, z, new)
-    has z = x * gens[s] and says whether z is met there first.
+def _prefix_walks(g: Group) -> tuple[list[int], list[list[tuple[int, int, int, bool]]]]:
+    """The search's generators g_0, g_1, ... of g and, for each depth i,
+    the products that grow K_{i-1} = <g_0..g_{i-1}> to K_i.
+
+    g_i is the smallest element of largest order outside K_{i-1}, which
+    the walks so far have flagged in ``known``, so picking it costs one
+    ``np.argmax``; each K_i at least doubles K_{i-1}, so there are at most
+    log2(n) generators.  Walk i takes x * g_i for each x of K_{i-1} in
+    turn, each followed by a breadth-first walk from the new element it
+    meets (if any), which takes w * g_s for every s <= i and every new w.
+    An entry (x, s, z, new) has z = x * g_s and says whether z is met
+    there first.  Every member's product with every g_s is then in K_i,
+    so K_i is closed and is the subgroup.
     """
-    right = g.table[:, gens].tolist()
     known = bytearray(g.order)
     known[0] = 1
-    members = [0]
-    walks = []
-    for i in range(len(gens)):
+    flags = np.frombuffer(known, dtype=bool)
+    members, gens, right, walks = [0], [], [], []
+    while len(members) < g.order:
+        i = len(gens)
+        gens.append(int(np.argmax(np.where(flags, 0, g.element_orders))))
+        right.append(g.table[:, gens[i]].tolist())
         walk = []
         for x in members[:]:
             queue = [(x, i)]
             for w, s in queue:  # grows as new elements are met
-                z = right[w][s]
+                z = right[s][w]
                 walk.append((w, s, z, not known[z]))
                 if not known[z]:
                     known[z] = 1
                     members.append(z)
                     queue += [(z, t) for t in range(i + 1)]
         walks.append(walk)
-    return walks
+    return gens, walks
 
 
 # A safety cap, not a tuning knob: with the invariants memoised, one node
@@ -505,11 +509,12 @@ _DEFAULT_ISO_BUDGET = 500_000
 def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -> list[int] | None:
     """Explicit isomorphism g -> h as an image list, or None.
 
-    Backtracks over images of g's greedy generators g_0, g_1, ..., each
-    ranging over the elements of h with the same order and centralizer size
-    (hence class size); the first over conjugacy class representatives
-    only, since conjugate tuples extend identically.  Each image tried counts as
-    one node; more than ``max_nodes`` raise SearchBudgetExceeded.
+    Backtracks over images of the generators g_0, g_1, ... that
+    :func:`_prefix_walks` picks in g, each ranging over the elements of h
+    with the same order and centralizer size (hence class size); the first
+    over conjugacy class representatives only, since conjugate tuples
+    extend identically.  Each image tried counts as one node; more than
+    ``max_nodes`` raise SearchBudgetExceeded.
 
     A prefix g_0..g_i -> y_0..y_i survives exactly when it extends to an
     injective homomorphism phi of K_i = <g_0..g_i>: walking the products
@@ -531,7 +536,7 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
         return list(range(n))
     if not _iso_prefilter(g, h):
         return None
-    gens = list(_generators(g))
+    gens, walks = _prefix_walks(g)
     k = len(gens)
     g_cent, h_cent = _centralizer_sizes(g), _centralizer_sizes(h)
     is_rep = _class_reps(h) == np.arange(n)
@@ -541,7 +546,6 @@ def find_isomorphism(g: Group, h: Group, max_nodes: int = _DEFAULT_ISO_BUDGET) -
              for i, x in enumerate(gens)]
     if not all(cands):
         return None
-    walks = _prefix_walks(g, gens)
     h_mul = memoryview(h.table)
     phi = [0] * n
     images: list[int] = []

@@ -29,7 +29,7 @@ from cent_atlas.catalog import (
     witness_h,
 )
 from cent_atlas.core import (ActionSpec, Group, SubsetMask,
-                             _centralizer_sizes, _generating_indices,
+                             _centralizer_sizes,
                              direct_product, from_cayley_table,
                              quotient, semidirect_product, subgroup_as_group)
 from cent_atlas.errors import (BadParameters, NotPrime, NotSubgroup,
@@ -455,18 +455,13 @@ PINNED_PAIR_MAPS = (
     "1d14da4d13d5026a90ba4da7165a8402ce73d295ec4c98d5feb32fbebc562d68")
 
 
-def _search_order(g: Group) -> tuple[list[int], list]:
-    """find_isomorphism's generators of g and the walks that grow each
-    prefix's subgroup to the next."""
-    gens = list(core._generators(g))
-    return gens, invariants._prefix_walks(g, gens)
-
-
 def _walk_digest(groups) -> str:
-    """SHA-256 over (order, generators, walks) for every group, in order."""
+    """SHA-256 over (order, generators, walks) for every group, in order:
+    find_isomorphism's generators of g and the walks that grow each
+    prefix's subgroup to the next."""
     h = hashlib.sha256()
     for g in groups:
-        gens, walks = _search_order(g)
+        gens, walks = invariants._prefix_walks(g)
         h.update(repr((g.order, gens, walks)).encode())
     return h.hexdigest()
 
@@ -582,6 +577,34 @@ class TestIsomorphism:
         assert oracles.is_isomorphism(g.table.tolist(), copy.table.tolist(),
                                       phi)
 
+    def test_abelian_groups_with_equal_order_counts_are_isomorphic(self):
+        # the prefilter passes two abelian groups with equal counts of
+        # elements of each order without a search: over every abelian
+        # group up to order 64 the counts agree exactly when the
+        # invariant factors do
+        for n in range(1, 65):
+            groups = [abelian(f) for f in invariant_factor_tuples(n)]
+            for g in groups:
+                for h in groups:
+                    same_counts = np.array_equal(np.bincount(g.element_orders),
+                                                 np.bincount(h.element_orders))
+                    assert same_counts == (
+                        abelian_profile(g).invariant_factors
+                        == abelian_profile(h).invariant_factors), (g, h)
+        assert [abelian_profile(abelian(f)).invariant_factors
+                for f in invariant_factor_tuples(64)] == invariant_factor_tuples(64)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_heisenberg_shares_the_order_counts_of_elementary(self, p):
+        # exponent p and order p^3 both: the counts alone would pass them,
+        # so the prefilter must refuse them for commutativity
+        g, h = heisenberg(p), elementary(p, 3)
+        assert np.array_equal(np.bincount(g.element_orders),
+                              np.bincount(h.element_orders))
+        assert not invariants._iso_prefilter(g, h)
+        assert not invariants._iso_prefilter(h, g)
+        assert not is_isomorphic(g, h) and not is_isomorphic(h, g)
+
     def test_generators_greedy_by_order(self):
         # find_isomorphism's generators: the first element of largest
         # order outside the closure so far
@@ -593,7 +616,7 @@ class TestIsomorphism:
                            key=lambda x: (oracles.element_order(table, x), -x))
                 want.append(pick)
                 members = oracles.closure(table, want)
-            assert _generating_indices(g.table, g.element_orders) == want, g.label
+            assert invariants._prefix_walks(g)[0] == want, g.label
 
 
 def test_is_prime_small():
@@ -607,6 +630,17 @@ def test_catalog_counts_vs_oracle_small():
         table = g.table.tolist()
         assert cent_structure(g).count == oracles.cent_count(table), g.label
         assert omega(g) == oracles.omega(table), g.label
+
+
+def invariant_factor_tuples(n: int, bound: int = 0) -> list[tuple[int, ...]]:
+    """Every (d_1, ..., d_k) with product n, each d_i > 1 dividing the one
+    before (d_1 dividing ``bound`` when it is not 0), in lexicographic
+    order: the invariant factors of each abelian group of order n."""
+    if n == 1:
+        return [()]
+    return [(d, *rest) for d in range(2, n + 1)
+            if n % d == 0 and bound % d == 0
+            for rest in invariant_factor_tuples(n // d, d)]
 
 
 def relabel(g: Group, rng: random.Random) -> Group:

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -310,3 +312,39 @@ class TestCatalogFilename:
 
     def test_label_of_punctuation_only_gets_the_group_slug(self):
         assert catalog_filename(1, cyclic(4).relabeled(":[]")) == "4_1_group.json"
+
+
+# A flag-less ``np.unique`` imports ``numpy.ma`` (1.7 MB of RSS in every
+# sweep and pool process); the library's calls pass a flag and do not.
+_NO_MASKED_ARRAYS = """
+import os, sys, tempfile
+from cent_atlas.catalog import symmetric
+from cent_atlas.claims import claim_ids, verify_claim
+from cent_atlas.core import from_cayley_table
+from cent_atlas.report import analyze, read_group_file, write_group_file
+reduced = {
+    "C0": {"max_order": 30}, "C1": {"shapes": (("p2q", (2, 3)),)},
+    "C2": {"max_order": 60}, "C3": {"max_order": 60}, "C4": {"max_order": 60},
+    "C5": {"triples": ((2, 3, 5),)}, "C6": {"triples": ((2, 3, 5),)},
+    "C7": {"max_order": 60}, "C8": {"max_order": 30}, "C9": {"max_order": 60},
+    "C9w": {"p_list": (2,), "q_max": 7, "order_cap": 4096},
+    "C10": {"shapes": (("p2q", (2, 3)), ("pq2", (2, 3)))},
+    "C11": {"p_list": (2,)}, "C12": {"p_list": (2,)}, "C13": {"max_order": 60},
+}
+assert set(reduced) == set(claim_ids())
+for cid in claim_ids():
+    assert verify_claim(cid, jobs=1, **reduced[cid]).passed, cid
+g = from_cayley_table(symmetric(4).table.copy(), label="S4")
+analyze(g)
+with tempfile.TemporaryDirectory() as d:
+    write_group_file(g, os.path.join(d, "S4.json"))
+    analyze(read_group_file(os.path.join(d, "S4.json")))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sweeps_analyze_and_files_import_no_masked_arrays():
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -166,7 +166,7 @@ def test_cyclic_closed_forms_match_oracles():
         assert g.inverse.tolist() == [oracles.inverse(table, x) for x in range(n)]
         assert g.element_orders.tolist() == [
             oracles.element_order(table, x) for x in range(n)]
-    assert core._spanning(cyclic(1)) == () == core._generators(cyclic(1))
+    assert core._spanning(cyclic(1)) == ()
     assert conjugacy_classes(cyclic(1)) == [[0]]
     assert derived_subgroup(cyclic(1)).elements() == [0]
 
