@@ -1,5 +1,7 @@
 """Group construction, validation, and algebraic operations."""
 
+import hashlib
+import random
 import re
 import tracemalloc
 from functools import cache
@@ -332,16 +334,8 @@ class TestBlockedGate:
         two checked at once on two threads: the error names block 1's."""
         g = build()
         step = next(core._row_blocks(g.order, g.order)).stop
-        first, second = step + 3, 3 * step + 3
-        table = g.table.copy()
-        if defect == "row":
-            table[[first, second], 5] = table[[first, second], 7]
-        elif defect == "column":
-            for r, c in ((3, first), (9, second)):
-                table[r, [c, c + 2]] = table[r, [c + 2, c]]
-        else:
-            switched(g, False, first, table)
-            switched(g, False, second, table)
+        first = step + 3
+        table = two_block_faults(g)[defect]
         want = gate_outcome(oracles.dense_from_cayley_table, table)
         assert want[0] is self.EXPECTED[defect], want
         assert gate_outcome(from_cayley_table, table) == want
@@ -484,11 +478,10 @@ def row_block_outcomes(path) -> list:
     return out
 
 
-def two_block_faults() -> dict[str, np.ndarray]:
-    """D200's table with a fault in row (or column) block 1 and one in
-    block 3, or with an intercalate switched in each, for the current
-    row-block size."""
-    g = dihedral(200)
+def two_block_faults(g: Group) -> dict[str, np.ndarray]:
+    """g's table with a fault in row (or column) block 1 and one in block
+    3, or with an intercalate switched in each, for the current row-block
+    size."""
     step = next(core._row_blocks(g.order, g.order)).stop
     first, second = step + 3, 3 * step + 3
     row, column = g.table.copy(), g.table.copy()
@@ -512,13 +505,111 @@ def test_shrunken_row_blocks_change_nothing(cells, tmp_path):
         mp.setattr(core, "_CLOSE_BLOCK", cells)
         mp.setattr(report, "_WRITE_BLOCK", cells)
         got = row_block_outcomes(tmp_path / "shrunk")
-        faults = two_block_faults()
+        faults = two_block_faults(dihedral(200))
         errors = {name: gate_outcome(from_cayley_table, table)
                   for name, table in faults.items()}
     assert got == want
     for name, table in faults.items():
         assert errors[name] == gate_outcome(from_cayley_table, table)
         assert errors[name][0] is TestBlockedGate.EXPECTED[name], errors[name]
+
+
+def intercalates(square: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Every (i1, i2, j1, j2), i1 < i2 and j1 < j2, whose four cells hold
+    two values crosswise, in lexicographic order."""
+    n = len(square)
+    where = np.argsort(square, axis=1)  # where[i, v]: the column of v in row i
+    found = []
+    for i1, i2 in combinations(range(n), 2):
+        j2 = where[i2, square[i1]]
+        for j1 in np.flatnonzero((square[i1, j2] == square[i2]) & (j2 > np.arange(n))):
+            found.append((i1, i2, int(j1), int(j2[j1])))
+    return found
+
+
+def seeded_gate_tables() -> list[np.ndarray]:
+    """2,000 loop squares of orders 4-16 drawn from ``random.Random(30)``:
+    principal loop isotopes of group tables with up to three intercalates
+    switched, about two in five with one cell overwritten or two cells of
+    a row or column swapped.  No Hypothesis, so the list is fixed."""
+    rng = random.Random(30)
+    bases = [cyclic(n).table for n in range(4, 17)]
+    bases += [g.table for g in (abelian((2, 2)), abelian((3, 3)), dihedral(6),
+                                dihedral(10), dihedral(14), *catalog_up_to(16))]
+    tables = []
+    for _ in range(2000):
+        base = rng.choice(bases)
+        n = len(base)
+        rows, cols, syms = (np.array(rng.sample(range(n), n)) for _ in range(3))
+        square = syms[base[np.ix_(rows, cols)]]
+        for _ in range(rng.randint(0, 3)):
+            if found := intercalates(square):
+                i1, i2, j1, j2 = rng.choice(found)
+                square[[i1, i2, i1, i2], [j1, j2, j2, j1]] = square[
+                    [i1, i2, i1, i2], [j2, j1, j1, j2]]
+        r, c = rng.randrange(n), rng.randrange(n)
+        row_of, col_of = np.argsort(square[:, c]), np.argsort(square[r])
+        e = square[r, c]
+        swap = np.arange(n)
+        swap[[0, e]] = swap[[e, 0]]
+        table = swap[square[np.ix_(row_of[swap], col_of[swap])]]
+        op = rng.choice(["none", "none", "none", "cell", "row-swap", "column-swap"])
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if op == "cell":
+            table[i, j] = rng.randrange(n)
+        elif op == "row-swap":
+            table[i, [j, k]] = table[i, [k, j]]
+        elif op == "column-swap":
+            table[[j, k], i] = table[[k, j], i]
+        tables.append(table)
+    return tables
+
+
+def planted_gate_tables() -> list[np.ndarray]:
+    """The tables of :class:`TestBlockedGate`, and those of
+    ``two_block_faults`` on D200 at the row-block sizes of
+    ``test_shrunken_row_blocks_change_nothing``."""
+    big = [cyclic(1024), dihedral(1030)]
+    tables = [planted(g, d) for g in big for d in sorted(TestBlockedGate.EXPECTED)]
+    tables += [two_block_faults(g)[d] for g in big
+               for d in ("row", "column", "associativity")]
+    tables += [to_top(g.table, [5, 3]) for g in big]
+    for cells in (1, 97, 4099):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CLOSE_BLOCK", cells)
+            tables += two_block_faults(dihedral(200)).values()
+    return tables
+
+
+# SHA-256 over ``gate_outcome`` of each table, frozen before the gate's
+# reject path was changed: every Group and every error message, whichever
+# path the gate takes.
+GATE_DIGESTS = {
+    "seeded":
+        "4bad0a56642525e0ca24bd386eb4aeaf6f513dfe2ae14f2c876540ea4996a110",
+    "planted":
+        "73090e9b951b821955a2d376c141adfde5b419a294e8cc2390a354f862662324",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_DIGESTS))
+def test_gate_outcomes_pinned(name):
+    tables = seeded_gate_tables() if name == "seeded" else planted_gate_tables()
+    h = hashlib.sha256()
+    kinds = set()
+    for table in tables:
+        out = gate_outcome(from_cayley_table, table)
+        if isinstance(out, tuple):
+            kinds.add(out[0])
+            h.update(f"{out[0].__name__}: {out[1]};".encode())
+        else:
+            kinds.add(Group)
+            for dtype, raw in out:
+                h.update(dtype.str.encode() + raw)
+    assert kinds == {Group, NotLatinSquare, NoIdentityAtZero, NoInverse,
+                     NotAssociative} - ({NoIdentityAtZero} if name == "planted"
+                                        else set())
+    assert h.hexdigest() == GATE_DIGESTS[name]
 
 
 def test_group_repr_names_label_and_order():

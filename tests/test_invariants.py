@@ -338,6 +338,24 @@ def test_normalizer_matches_oracle_on_every_subgroup_sylow_visits(
         assert set(normalizer(g, mask).elements()) == want, g
 
 
+# SHA-256 over, for every catalog group up to order 60 and every prime p
+# of its order, the generating set ``core._spanning`` finds for its Sylow
+# p-subgroup as a standalone group, and that subgroup's normalizer: frozen
+# before both moved to the gate's greedy routine.
+SUBGROUP_SETS_DIGEST = (
+    "ceec4e80104a57add81d644802a9904a6f865d9638bf8045a1f60c4c65a22b57")
+
+
+def test_subgroup_sets_pinned():
+    h = hashlib.sha256()
+    for g in catalog_up_to(60):
+        for p in sorted(factor(g.order)):
+            s = sylow(g, p).subgroup
+            gens = core._spanning(subgroup_as_group(g, s))
+            h.update(f"{g.order} {p} {gens} {normalizer(g, s).bits:x};".encode())
+    assert h.hexdigest() == SUBGROUP_SETS_DIGEST
+
+
 def test_normalizer_rejects_a_non_subgroup():
     g = symmetric(3)
     x = int(np.flatnonzero(g.element_orders == 3)[0])
