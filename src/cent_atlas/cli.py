@@ -3,11 +3,12 @@
 Subcommands: construct, analyze, catalog, verify, witness.  Exit codes:
 
 - 0 success or pass;
-- 2 usage or parameter errors (including empty sweeps and exceeded order
-  caps or search budgets), and input files of the wrong overall shape: a
-  table that is not a nonempty square matrix, JSON that is not an object
-  or has neither a "table" nor a "generators" field, and generators that
-  are empty, not permutations, or of a length other than "degree";
+- 2 usage or parameter errors (including empty sweeps, an empty catalog
+  such as ``catalog --max-order 7``, and exceeded order caps or search
+  budgets), and input files of the wrong overall shape: a table that is
+  not a nonempty square matrix, JSON that is not an object or has
+  neither a "table" nor a "generators" field, and generators that are
+  empty, not permutations, or of a length other than "degree";
 - 3 every other invalid input file: unreadable, not UTF-8 or not JSON, a
   field of the wrong type or value, a ragged table, entries that are not
   integers in range, or a table that is not a group;
@@ -24,6 +25,7 @@ import io
 import json
 import sys
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 from . import catalog as _catalog
@@ -136,11 +138,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    orders = _catalog.catalog_orders(args.max_order, order_cap=args.order_cap)
+    first = next(orders, None)
+    if first is None:
+        raise BadParameters(
+            f"the catalog has no group of order at most {args.max_order}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     total = 0
-    for order, groups in _catalog.catalog_orders(
-            args.max_order, order_cap=args.order_cap):
+    for order, groups in chain([first], orders):
         for index, g in enumerate(groups, start=1):
             write_group_file(g, out_dir / catalog_filename(index, g))
             total += 1

@@ -12,13 +12,14 @@ produced it, by one of two paths:
   log2(n) elements are permutations, S reaches every element, and Light's
   test passes over S, which makes the table a group, in O(|S| n^2) time.
   Only a table that fails the proof has its rows and columns scanned, its
-  two-sided inverses checked and Light's test rerun, in that order, to
-  name its first fault; ``_validated``'s docstring gives the proof and
-  ``from_cayley_table``'s the cost of each check.  The gate keeps one
-  int32 copy of the table, which becomes the Group's, and checks it in
-  row blocks, so its working memory beyond that copy is O(n); past one
-  row block (n > 512) the blocks are checked on two threads.  A group
-  file's freshly parsed table is handed over without the copy.
+  two-sided inverses checked and Light's test rerun over the same S, in
+  that order, to name its first fault; ``_validated``'s docstring gives
+  the proof and ``from_cayley_table``'s the cost of each check.  The
+  gate keeps one int32 copy of the table, which becomes the Group's, and
+  checks it in row blocks, so its working memory beyond that copy is
+  O(n); past one row block (n > 512) the blocks are checked on two
+  threads.  A group file's freshly parsed table is handed over without
+  the copy.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
   private ``_trusted``: direct products of two groups; semidirect products,
@@ -31,8 +32,8 @@ produced it, by one of two paths:
 
 Every numpy pass over a run of table rows, in the gate, the closures, the
 product and family writers and the group-file writer, takes its runs from
-one helper, ``_row_blocks``: at most ``_CLOSE_BLOCK`` cells (or the
-writer's own bound) and at least one row each.
+one helper, ``_row_blocks``: at most ``_CLOSE_BLOCK`` cells and at
+least one row each.
 
 A group's memo holds one generating set, ``_spanning``.  Class data, G'
 and the automorphism check can use any generating set, so a builder
@@ -42,8 +43,9 @@ parent's, where the parent already has one, all through ``_trusted``;
 gate-built tables hand over the gate's set, the one Light's test has
 just used, so permutation groups, group files and enumeration
 candidates pay no second closure for one.  Subgroups, and quotients of
-a parent with no set, fall back to the plain greedy set of
-``_generating_indices``.  ``find_isomorphism`` chooses its own
+a parent with no set, fall back to the same greedy orbit set,
+``_orbit_generators``, the library's one greedy routine, found on their
+own table.  ``find_isomorphism`` chooses its own
 generators as it walks (``invariants._prefix_walks``).  Tier-1 tests
 check every handed-over set against a gate-built copy.
 Builders hand over the inverses and element orders they know as well:
@@ -69,6 +71,7 @@ import numpy as np
 
 from .errors import (
     BadParameters,
+    InconsistentInvariants,
     IndexOutOfRange,
     NoIdentityAtZero,
     NoInverse,
@@ -286,10 +289,11 @@ def _spanning(g: Group) -> tuple[int, ...]:
     """g's one generating set: the one its builder handed to
     :func:`_trusted`, or for a gate-built table the set Light's test used
     (``_check_associative``), either stored here when g is made, else the
-    greedy set of :func:`_generating_indices`, at most log2(n) elements.
-    Class data, G' and ``_check_automorphism`` take any set;
-    ``find_isomorphism`` chooses its own (``invariants._prefix_walks``)."""
-    return tuple(_generating_indices(g.table))
+    greedy set of :func:`_orbit_generators`, at most log2(n) elements,
+    whose orbit is always all of a group.  Class data, G' and
+    ``_check_automorphism`` take any set; ``find_isomorphism`` chooses its
+    own (``invariants._prefix_walks``)."""
+    return tuple(_orbit_generators(g.table)[0])
 
 
 def _conjugators(g: Group) -> np.ndarray:
@@ -348,11 +352,11 @@ def _centralizer_sizes(g: Group) -> np.ndarray:
 _CLOSE_BLOCK = 1 << 18
 
 
-def _row_blocks(count: int, width: int, cells: int | None = None) -> Iterator[slice]:
+def _row_blocks(count: int, width: int) -> Iterator[slice]:
     """Slices cutting rows 0..count-1 of ``width`` cells each into runs of
-    at most ``cells`` cells and at least one row, in order.  ``cells``
-    defaults to ``_CLOSE_BLOCK``, read at call time."""
-    step = max(1, (_CLOSE_BLOCK if cells is None else cells) // width)
+    at most ``_CLOSE_BLOCK`` cells, read at call time, and at least one
+    row, in order."""
+    step = max(1, _CLOSE_BLOCK // width)
     return map(slice, range(0, count, step), range(step, count + step, step))
 
 
@@ -386,7 +390,7 @@ def _in_order(fn: Callable, blocks: Iterable) -> Iterator:
 def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
     """Grow the flags ``member`` in place to the smallest product-closed set.
 
-    ``table`` must be a Latin square, and ``member`` closed except for the
+    ``table`` must be a group's, and ``member`` closed except for the
     elements ``fresh`` (which it contains).  A round over a set F found so
     far with |F|^2 at most ``_CLOSE_BLOCK`` forms all of F x F in one
     gather and one scatter, so it costs a fixed handful of numpy calls and
@@ -394,9 +398,9 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
     round's new elements by F, on both sides, a ``_row_blocks`` run of rows
     at a time, so no product is formed more than twice: O(n^2) in all.
     Either round adds every product the current set lacks, so both reach
-    the same set.  A closed set of a Latin square is a subquasigroup, and
+    the same set.  A closed set of a group is a subgroup, and by Lagrange
     a proper one has at most half the elements, so the closure of more
-    than n/2 elements is everything.  Associativity is not assumed.
+    than n/2 elements is everything.
     """
     while fresh.size:
         found = np.flatnonzero(member)
@@ -416,33 +420,11 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
         fresh = np.flatnonzero(hit)
 
 
-def _generating_indices(table: np.ndarray,
-                        within: np.ndarray | None = None) -> list[int]:
-    """Greedy generating set of a loop table, or of the subgroup flagged by
-    ``within``: the smallest element outside the closure so far, until the
-    closure is everything.
-
-    Each new generator at least doubles the closure, since a proper subloop
-    of a finite loop has at most half its order, so there are at most
-    log2(n) of them.  Raises NotSubgroup if ``within`` is not closed.
-    """
-    member = np.zeros(table.shape[0], dtype=bool)
-    member[0] = True
-    target = np.ones_like(member) if within is None else within
-    gens: list[int] = []
-    while (outside := np.flatnonzero(target & ~member)).size:
-        gens.append(int(outside[0]))
-        member[gens[-1]] = True
-        _close(table, member, np.array(gens[-1:]))
-    if (member & ~target).any():
-        raise NotSubgroup("mask is not closed under the product")
-    return gens
-
-
-def _orbit_generators(table: np.ndarray) -> list[int] | None:
-    """The greedy set S of the gate's accept path, found without assuming
-    a Latin square, or None if a generator's row is not a permutation or
-    S would need more than log2(n) elements.
+def _orbit_generators(table: np.ndarray) -> tuple[list[int], bool]:
+    """The library's one greedy generating set S, found without assuming
+    a Latin square, and whether its orbit W is everything: the set so far
+    and False when the next generator's row is not a permutation or S
+    would need more than log2(n) elements.
 
     W, the orbit of 0 under x -> x*t, starts as {0}.  Each round takes s,
     the smallest element outside W, checks its row in O(n), and grows W
@@ -455,8 +437,9 @@ def _orbit_generators(table: np.ndarray) -> list[int] | None:
     D2048).  Members new to W are multiplied by every step, older ones by
     the new steps only, ``_row_blocks`` cells at a time: O(n) gathers per
     step, and O(n) per round.  Every step is a product of generators, so
-    in a group W is <S> and S is :func:`_generating_indices`'s set.
-    ``_close`` is no use here: its n/2 rule holds only in a Latin square.
+    in a group W is <S>: S is the greedy set over subgroup closures, and
+    it is whole after at most log2(n) rounds, as each at least doubles W.
+    ``_close`` is no use here: its n/2 rule holds only in a group.
     """
     n = table.shape[0]
     member = np.arange(n) == 0
@@ -464,7 +447,7 @@ def _orbit_generators(table: np.ndarray) -> list[int] | None:
     while not member.all():
         s = int(np.argmin(member))
         if len(gens) == n.bit_length() - 1 or not np.bincount(table[s], minlength=n).all():
-            return None
+            return gens, False
         new = []
         for t in (s, int(table[gens[-1], s])) if gens else (s,):
             for _ in range(n.bit_length()):
@@ -479,7 +462,7 @@ def _orbit_generators(table: np.ndarray) -> list[int] | None:
                 hit[table[rows[b, None], cols]] = True
             rows, cols = np.flatnonzero(hit & ~member), steps
             member[rows] = True
-    return gens
+    return gens, True
 
 
 def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
@@ -599,8 +582,9 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     - only if that proof fails, the reject path names the first fault:
       every row, then every column, is a permutation of 0..n-1 (one n^2
       bool scatter each); every element has a two-sided inverse, O(n^2);
-      associativity by Light's test over the greedy set of the Latin
-      square, whose closure costs O(n^2).
+      associativity by Light's test over the accept path's set S, whole
+      or not, which fails at the same generator and (x, y) as over the
+      greedy set of the Latin square's magma closures (``_validated``).
 
     Element orders then come from their p-parts in O(n log n) gathers
     per prime dividing n.  The whole gate costs O(|S| n^2) on either
@@ -666,12 +650,21 @@ def _validated(arr: np.ndarray, label: str | None,
     is a permutation.  W is everything, so the table is associative and
     each element has a right inverse: a monoid in which every element
     has a right inverse is a group, so its columns are permutations and
-    right inverses are two-sided.  In a group W = <S>, so S is the
-    greedy set :func:`_generating_indices` picks, and every group passes.
+    right inverses are two-sided.  In a group W = <S>, which at least
+    doubles with each generator, so every group passes.
 
     A table that fails the proof (a generator's row, more than log2(n)
     generators, or Light's test) takes the reject path: the ordered
     checks of :func:`from_cayley_table`, which name its first fault.
+    Its Light's test reuses S, whole or not, and still names the fault
+    that the greedy set over magma closures M_j would: the first s_j of
+    that set to fail, at the first (x, y).  For while s_1..s_(j-1) pass,
+    they lie in A, so every bracketed product of them equals the
+    left-bracketed one and W_(j-1) = M_(j-1): both rules pick the same
+    s_j.  In a Latin square each M_j is a subquasigroup, so it at least
+    doubles with each generator, and the test fails within the log2(n)
+    bound.  A table that passes every check is a group and took the
+    accept path, so the reject path ends in a raise it cannot reach.
     """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise BadParameters(f"table must be a nonempty square matrix, got shape {arr.shape}")
@@ -690,13 +683,13 @@ def _validated(arr: np.ndarray, label: str | None,
     if not np.array_equal(arr[:, 0], idx):
         i = int(np.flatnonzero(arr[:, 0] != idx)[0])
         raise NoIdentityAtZero(f"{i}*0 = {int(arr[i, 0])}, expected {i}")
-    gens = _orbit_generators(arr)
-    if gens is not None:
+    gens, whole = _orbit_generators(arr)
+    if whole:
         try:
             _check_associative(arr, gens)
         except NotAssociative:
-            gens = None
-    if gens is None:  # the reject path: the ordered checks name the fault
+            whole = False
+    if not whole:  # the reject path: the ordered checks name the fault
         for line, lines in (("row", arr), ("column", arr.T)):
             def permutations(rows: slice, line=line, lines=lines) -> None:
                 i = _first_non_permutation(lines[rows])
@@ -707,8 +700,8 @@ def _validated(arr: np.ndarray, label: str | None,
                 pass
         if (bad := np.flatnonzero(arr[_inverses(arr), idx])).size:
             raise NoInverse(f"element {bad[0]} has no two-sided inverse")
-        gens = _generating_indices(arr)
         _check_associative(arr, gens)
+        raise InconsistentInvariants("table passed the reject path's checks but not the proof")
     arr.setflags(write=False)
     g = Group(arr, _inverses(arr), _element_orders(arr), label)
     _spanning.seed(g, tuple(gens))

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Group, SubsetMask, _as_mask, _centralizer_sizes,
-                   _class_reps, _close, _conjugators, _generating_indices,
-                   _per_group, _powers, _row_blocks, _spanning)
+from .core import (Group, SubsetMask, _centralizer_sizes, _class_reps,
+                   _close, _conjugators, _per_group, _powers, _row_blocks,
+                   _spanning, check_subgroup, subgroup_as_group)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
 from .numbers import factor, is_prime
@@ -180,13 +180,16 @@ def _normalizing(g: Group, flags: np.ndarray, gens: list[int]) -> np.ndarray:
 def normalizer(g: Group, mask: SubsetMask) -> SubsetMask:
     """Mask of elements x with x * S * x^-1 = S, for a subgroup S.
 
-    Conjugates a greedy generating set of S, at most log2|S| elements;
-    raises NotSubgroup when the mask is not closed under the product and
-    BadParameters when it belongs to a group of another order.
+    Conjugates S's greedy generating set, at most log2|S| elements: the
+    ``_spanning`` set of S as a standalone group, mapped back to g's
+    labels, which keeps their order.  Raises NotSubgroup, naming the
+    product that leaves the mask, when it is not closed (``check_subgroup``)
+    and BadParameters when it belongs to a group of another order.
     """
-    flags = _as_mask(g, mask).as_bool()
-    gens = _generating_indices(g.table, within=flags)
-    return SubsetMask.from_bool(_normalizing(g, flags, gens))
+    mask = check_subgroup(g, mask)
+    members = np.array(mask.elements())
+    gens = members[list(_spanning(subgroup_as_group(g, mask)))]
+    return SubsetMask.from_bool(_normalizing(g, mask.as_bool(), gens))
 
 
 @dataclass(frozen=True)

@@ -185,22 +185,18 @@ def group_to_jsonable(g: Group) -> dict[str, Any]:
     }
 
 
-# cells formatted per row block: at most 2^20 8-byte words, near 8 MB per gather
-_WRITE_BLOCK = 1 << 20
-
-
 def group_file_chunks(g: Group) -> Iterator[bytes]:
     """The group file of g as ASCII blocks, byte for byte
     ``json.dumps(group_to_jsonable(g), separators=(",", ":")) + "\n"``.
 
     The header comes from ``json.dumps``, so the label is escaped as JSON
-    escapes it.  The table is formatted a ``_row_blocks`` run of at most
-    ``_WRITE_BLOCK`` cells at a time, through a lookup of ``"i,"`` and
-    ``"i],["`` for i < n, each token NUL-padded to whole 8-byte words and
-    gathered as one opaque item: one word per cell below order 10^5 (the
-    8-byte ``"99999],["``), two from there on by the same rounding.  A
-    block is one gather, then the NULs dropped by ``bytes.translate``.  No
-    table becomes a Python list.
+    escapes it.  The table is formatted a ``_row_blocks`` run (at most
+    ``_CLOSE_BLOCK`` cells, 2 MB of 8-byte words) at a time, through a
+    lookup of ``"i,"`` and ``"i],["`` for i < n, each token NUL-padded to
+    whole 8-byte words and gathered as one opaque item: one word per cell
+    below order 10^5 (the 8-byte ``"99999],["``), two from there on by the
+    same rounding.  A block is one gather, then the NULs dropped by
+    ``bytes.translate``.  No table becomes a Python list.
     """
     n = g.order
     head = json.dumps({"order": n, "label": g.label or None, "table": [[]]},
@@ -210,7 +206,7 @@ def group_file_chunks(g: Group) -> Iterator[bytes]:
     width = -(-(len(digits[-1]) + 3) // 8) * 8
     lut = np.array([d + "," for d in digits] + [d + "],[" for d in digits],
                    dtype=f"S{width}").view(f"V{width}")
-    for rows in _row_blocks(n, n, _WRITE_BLOCK):
+    for rows in _row_blocks(n, n):
         idx = g.table[rows].astype(np.intp)
         idx[:, -1] += n  # each row's last cell closes the row with "],["
         chunk = lut[idx].tobytes().translate(None, b"\0")

@@ -21,7 +21,6 @@ from cent_atlas.core import (
     Group,
     _check_order_cap,
     _element_orders,
-    _generating_indices,
     from_cayley_table,
     from_permutation_generators,
     semidirect_product,
@@ -403,12 +402,9 @@ def dense_class_reps(table: np.ndarray) -> np.ndarray:
     return table[table, dense_inverse(table)[:, None]].min(axis=0)
 
 
-def dense_derived_subgroup(table: np.ndarray) -> np.ndarray:
-    """Flags of the subgroup generated by the whole commutator table,
-    closed by multiplying all members together until nothing is new."""
-    inv = dense_inverse(table)
-    member = np.zeros(len(table), dtype=bool)
-    member[table[table[np.ix_(inv, inv)], table]] = True
+def dense_closure(table: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """The flags ``member`` closed by multiplying all members together
+    until nothing is new: the magma closure, with no shortcut."""
     while True:
         idx = np.flatnonzero(member)
         grown = member.copy()
@@ -416,6 +412,26 @@ def dense_derived_subgroup(table: np.ndarray) -> np.ndarray:
         if (grown == member).all():
             return member
         member = grown
+
+
+def dense_derived_subgroup(table: np.ndarray) -> np.ndarray:
+    """Flags of the subgroup generated by the whole commutator table."""
+    inv = dense_inverse(table)
+    member = np.zeros(len(table), dtype=bool)
+    member[table[table[np.ix_(inv, inv)], table]] = True
+    return dense_closure(table, member)
+
+
+def greedy_generators(table: np.ndarray) -> list[int]:
+    """The smallest element outside the magma closure of the identity and
+    the elements chosen before it, until that closure is everything."""
+    member = np.arange(len(table)) == 0
+    gens = []
+    while not member.all():
+        gens.append(int(np.argmin(member)))
+        member[gens[-1]] = True
+        member = dense_closure(table, member)
+    return gens
 
 
 def dense_centralizer_sizes(table: np.ndarray) -> np.ndarray:
@@ -466,7 +482,7 @@ def dense_from_cayley_table(table, label: str | None = None,
     if not np.array_equal(arr[right_inv, idx], np.zeros(n, dtype=np.int32)):
         i = int(np.flatnonzero(arr[right_inv, idx] != 0)[0])
         raise NoInverse(f"element {i} has no two-sided inverse")
-    for s in _generating_indices(arr):
+    for s in greedy_generators(arr):
         lhs = arr[arr[:, s], :]
         rhs = np.take(arr, arr[s], axis=1)
         if not np.array_equal(lhs, rhs):

@@ -365,6 +365,19 @@ class TestCatalog:
         assert (code, err) == (2, "error: order 12 exceeds cap 10\n")
         assert list(out_dir.glob("*.json")) == []
 
+    @pytest.mark.parametrize("max_order", ["-5", "0", "1", "7"])
+    def test_empty_catalog_is_refused_before_its_directory(
+            self, tmp_path, capsys, max_order):
+        # the smallest catalog order is 8; verify refuses an empty sweep
+        # the same way
+        out_dir = tmp_path / "cat"
+        code, out, err = run(["catalog", "--max-order", max_order,
+                              "--out-dir", str(out_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: the catalog has no group of order at most "
+                       f"{max_order}\n")
+        assert not out_dir.exists()
+
     def test_holds_one_order_at_a_time(self, tmp_path, capsys):
         # 1.7 MiB of Python allocations at max order 200, against 11.9 MiB
         # when every catalog group was built before the first file was

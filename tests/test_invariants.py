@@ -359,7 +359,8 @@ def test_subgroup_sets_pinned():
 def test_normalizer_rejects_a_non_subgroup():
     g = symmetric(3)
     x = int(np.flatnonzero(g.element_orders == 3)[0])
-    with pytest.raises(NotSubgroup):
+    with pytest.raises(NotSubgroup, match=rf"^not closed: {x}\*{x} = "
+                                          rf"{g.mul(x, x)} is outside$"):
         normalizer(g, SubsetMask.from_elements([0, x], 6))
 
 
