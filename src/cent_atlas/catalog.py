@@ -29,7 +29,6 @@ enumerator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from math import gcd, prod
 from typing import Callable, Iterator
 
@@ -51,7 +50,6 @@ from .numbers import _SHAPES, crt, is_prime, order_shape, unit_of_order
 
 __all__ = [
     "FAMILIES",
-    "FamilySpec",
     "abelian",
     "alternating",
     "build",
@@ -71,8 +69,6 @@ __all__ = [
     "heisenberg",
     "heisenberg_cover",
     "metacyclic",
-    "prime_square_pairs",
-    "prime_triples",
     "modular_p3",
     "sl23",
     "symmetric",
@@ -310,8 +306,9 @@ def heisenberg_cover(p: int, order_cap: int | None = None) -> Group:
                    f"W({p})", order_cap)
 
 
-# family name -> (builder, the FamilySpec fields it takes, in call order);
-# drives both build() and the CLI's construct --family choices.
+# family name -> (builder, the parameters it takes, in call order); the
+# one statement of the family parameters, read by build() and the CLI's
+# construct flags.
 FAMILIES: dict[str, tuple[Callable[..., Group], tuple[str, ...]]] = {
     "cyclic": (cyclic, ("n",)),
     "dihedral": (dihedral, ("n",)),
@@ -327,36 +324,22 @@ FAMILIES: dict[str, tuple[Callable[..., Group], tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Recipe for a named group: a :data:`FAMILIES` name and its integer
-    parameters; see :func:`build`."""
-
-    family: str
-    n: int | None = None
-    m: int | None = None
-    k: int | None = None
-    p: int | None = None
-    q: int | None = None
-    i: int | None = None
-
-
-def build(spec: FamilySpec, order_cap: int | None = None) -> Group:
-    """The group ``spec`` names.  BadParameters names an unknown family, a
-    field the family does not take (rather than ignore it) or one it needs
-    and lacks."""
-    if spec.family not in FAMILIES:
-        raise BadParameters(f"unknown family {spec.family!r}")
-    builder, names = FAMILIES[spec.family]
-    extra = [f.name for f in fields(spec)[1:]
-             if f.name not in names and getattr(spec, f.name) is not None]
+def build(family: str, *, order_cap: int | None = None,
+          **params: int | None) -> Group:
+    """The :data:`FAMILIES` group ``family`` with integer ``params``, e.g.
+    ``build("dihedral", n=10)``; a parameter given as None counts as not
+    given.  BadParameters names an unknown family, a parameter the family
+    does not take (rather than ignore it) or one it needs and lacks."""
+    if family not in FAMILIES:
+        raise BadParameters(f"unknown family {family!r}")
+    builder, names = FAMILIES[family]
+    extra = [name for name, v in params.items() if name not in names and v is not None]
     if extra:
         takes = " ".join(f"--{name}" for name in names) or "no parameters"
-        raise BadParameters(f"family {spec.family!r} takes {takes}, not --{extra[0]}")
-    args = [getattr(spec, name) for name in names]
+        raise BadParameters(f"family {family!r} takes {takes}, not --{extra[0]}")
+    args = [params.get(name) for name in names]
     if None in args:
-        raise BadParameters(
-            f"family {spec.family!r} needs --{names[args.index(None)]}")
+        raise BadParameters(f"family {family!r} needs --{names[args.index(None)]}")
     return builder(*args, order_cap=order_cap)
 
 
@@ -567,16 +550,6 @@ def covered_orders(max_order: int) -> dict[int, tuple[str, tuple[int, ...]]]:
     with its :func:`~cent_atlas.numbers.order_shape`, in ascending order."""
     shapes = ((n, order_shape(n)) for n in range(2, max_order + 1))
     return {n: shape for n, shape in shapes if shape is not None}
-
-
-def prime_triples(max_order: int) -> list[tuple[int, int, int]]:
-    """Triples p < q < r of primes with pqr <= max_order, by product."""
-    return [t for kind, t in covered_orders(max_order).values() if kind == "pqr"]
-
-
-def prime_square_pairs(max_order: int) -> list[tuple[int, int]]:
-    """Pairs (p, q), p squared, with p^2 q <= max_order, by product."""
-    return [t for kind, t in covered_orders(max_order).values() if kind == "p2q"]
 
 
 def _c2_times(g: Group, order_cap: int | None) -> Group:

@@ -325,6 +325,10 @@ def _check_c10(g: Group, kind: str, primes: tuple[int, ...]) -> _Check:
 
 
 def _check_c11(g: Group, p: int) -> _Check:
+    if g.order > p ** 3:  # the cover of D8 or Heis(p)
+        target = _named("D8") if p == 2 else heisenberg(p)
+        wr = witness_check(g, target)
+        return wr.ok, f"cover of {target.label}, witness_ok={wr.ok}", {}
     if g.is_abelian():
         rule = "baer-p3"
         truth = abelian_profile(g).kind == "elementary_abelian"
@@ -334,13 +338,6 @@ def _check_c11(g: Group, p: int) -> _Check:
     verdict = capable(g)
     return (_agrees(verdict, rule, truth),
             f"verdict={verdict.status} ({verdict.detail})", {})
-
-
-def _tail_c11(p: int) -> list[_Row]:
-    cover = dihedral(16) if p == 2 else heisenberg_cover(p)
-    target = _named("D8") if p == 2 else heisenberg(p)
-    wr = witness_check(cover, target)
-    return [_row(cover, wr.ok, f"cover of {target.label}, witness_ok={wr.ok}")]
 
 
 def _check_c12(g: Group, p: int) -> _Check:
@@ -386,8 +383,9 @@ class _Claim:
     ``units(params)`` lists the sweep units.  A unit is the tuple of
     arguments of the claim's source: ``groups(*unit)`` yields the unit's
     groups, ``check(g, *unit)`` gives each one's (ok, note, extra), and
-    ``tail(*unit)`` adds other rows.  A classification sweep's unit is
-    ``(n,)``, so its source is the catalog's own per-order generator.
+    ``tail(*unit)`` adds rows about no single group (C13's one row per
+    unit).  A classification sweep's unit is ``(n,)``, so its source is
+    the catalog's own per-order generator.
     """
 
     claim_id: str
@@ -529,7 +527,9 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "nonabelian one when p is odd.",
         "all five classes of order p^3 for p in {2, 3, 5}, with covers",
         {"p_list": (2, 3, 5)}, lambda ps: [(p,) for p in ps["p_list"]],
-        lambda p: _order_groups(p ** 3), _check_c11, _tail_c11),
+        lambda p: chain(_order_groups(p ** 3),
+                        [dihedral(16) if p == 2 else heisenberg_cover(p)]),
+        _check_c11),
     _Claim(
         "C12",
         "Every nonabelian group of order p^3 has exactly p+2 centralizers; "
@@ -569,7 +569,8 @@ def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
     group.  The catalog and classification sources stream one order's
     ``_order_groups`` (or its nonabelian classes), so the unit holds one
     group at a time: each is dropped before the next is built.  Only the
-    curated central-quotient lists arrive whole."""
+    curated central-quotient lists arrive whole, and C11's cover, built
+    as its unit starts."""
     claim_id, unit = arg
     spec = _CLAIMS[claim_id]
     rows = []

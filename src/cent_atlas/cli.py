@@ -24,7 +24,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import fields
 from itertools import chain
 from pathlib import Path
 
@@ -56,7 +55,9 @@ from .report import (
 
 __all__ = ["main"]
 
-_FAMILY_PARAMS = tuple(f.name for f in fields(_catalog.FamilySpec))[1:]
+# the construct flags: every FAMILIES parameter, in first-seen order
+_FAMILY_PARAMS = tuple(dict.fromkeys(
+    name for _, names in _catalog.FAMILIES.values() for name in names))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,9 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    spec = _catalog.FamilySpec(
-        args.family, **{name: getattr(args, name) for name in _FAMILY_PARAMS})
-    g = _catalog.build(spec, order_cap=args.order_cap)
+    g = _catalog.build(args.family, order_cap=args.order_cap,
+                       **{name: getattr(args, name) for name in _FAMILY_PARAMS})
     if args.out:
         write_group_file(g, args.out)
         print(f"{g.label}: order {g.order} written to {args.out}")

@@ -17,8 +17,8 @@ produced it, by one of two paths:
   the proof and ``from_cayley_table``'s the cost of each check.  The
   gate keeps one int32 copy of the table, which becomes the Group's, and
   checks it in row blocks, so its working memory beyond that copy is
-  O(n); past one row block (n > 512) the blocks are checked on two
-  threads.  A group file's freshly parsed table is handed over without
+  O(n); past one row block (n > 512) Light's test checks the blocks on
+  two threads.  A group file's freshly parsed table is handed over without
   the copy.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
@@ -365,8 +365,8 @@ def _in_order(fn: Callable, blocks: Iterable) -> Iterator:
 
     Two threads apply fn, with at most two results outstanding, while
     ``blocks`` is drawn on the caller's thread; a single block runs inline
-    and starts no thread.  The callers' numpy gathers, scatters and parses
-    release the GIL for most of their time, so the two threads overlap.
+    and starts no thread.  The callers' numpy gathers and parses release
+    the GIL for most of their time, so the two threads overlap.
     Results and exceptions come back in block order, so the first fault
     in block order is the one reported, and a later block's is dropped.
     The threads are joined when the generator ends, raises or is closed
@@ -594,11 +594,12 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     wider input, the copy it is narrowed from), the checks work over
     ``_row_blocks``, so their working memory is O(n) at every order; an
     order of at most 512 is a single block.  A table of more than one row
-    block (n > 512) has Light's test, and on the reject path the row and
-    column scans, run on two threads with at most two blocks outstanding
-    (see ``_in_order``), and the error raised is the first faulty
-    block's, as on one thread.  At order 3875 the gate peaks at about 62
-    MiB of Python allocations (61.8 MiB), the 57 MiB copy included.
+    block (n > 512) has Light's test run on two threads with at most two
+    blocks outstanding (see ``_in_order``), and the error raised is the
+    first faulty block's, as on one thread; the reject path's row and
+    column scans run on the calling thread, block by block in order.  At
+    order 3875 the gate peaks at about 62 MiB of Python allocations (61.8
+    MiB), the 57 MiB copy included.
     """
     try:
         arr = np.array(table)
@@ -656,14 +657,15 @@ def _validated(arr: np.ndarray, label: str | None,
     A table that fails the proof (a generator's row, more than log2(n)
     generators, or Light's test) takes the reject path: the ordered
     checks of :func:`from_cayley_table`, which name its first fault.
-    Its Light's test reuses S, whole or not, and still names the fault
-    that the greedy set over magma closures M_j would: the first s_j of
-    that set to fail, at the first (x, y).  For while s_1..s_(j-1) pass,
-    they lie in A, so every bracketed product of them equals the
-    left-bracketed one and W_(j-1) = M_(j-1): both rules pick the same
-    s_j.  In a Latin square each M_j is a subquasigroup, so it at least
-    doubles with each generator, and the test fails within the log2(n)
-    bound.  A table that passes every check is a group and took the
+    Its row and column scans take the blocks in order on the calling
+    thread, so the first faulty block is the one named.  Its Light's test
+    reuses S, whole or not, and still names the fault that the greedy set
+    over magma closures M_j would: the first s_j of that set to fail, at
+    the first (x, y).  For while s_1..s_(j-1) pass, they lie in A, so
+    every bracketed product of them equals the left-bracketed one and
+    W_(j-1) = M_(j-1): both rules pick the same s_j.  In a Latin square
+    each M_j is a subquasigroup, so it at least doubles with each
+    generator, and the test fails within the log2(n) bound.  A table that passes every check is a group and took the
     accept path, so the reject path ends in a raise it cannot reach.
     """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -691,13 +693,11 @@ def _validated(arr: np.ndarray, label: str | None,
             whole = False
     if not whole:  # the reject path: the ordered checks name the fault
         for line, lines in (("row", arr), ("column", arr.T)):
-            def permutations(rows: slice, line=line, lines=lines) -> None:
+            for rows in _row_blocks(n, n):
                 i = _first_non_permutation(lines[rows])
                 if i is not None:
                     raise NotLatinSquare(
                         f"{line} {rows.start + i} is not a permutation of 0..{n - 1}")
-            for _ in _in_order(permutations, _row_blocks(n, n)):
-                pass
         if (bad := np.flatnonzero(arr[_inverses(arr), idx])).size:
             raise NoInverse(f"element {bad[0]} has no two-sided inverse")
         _check_associative(arr, gens)

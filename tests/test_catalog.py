@@ -10,7 +10,6 @@ from cent_atlas.catalog import (
     _abelian_classes,
     _nonabelian_classes,
     build,
-    FamilySpec,
     alternating,
     abelian,
     catalog_by_order,
@@ -29,8 +28,6 @@ from cent_atlas.catalog import (
     heisenberg_cover,
     metacyclic,
     modular_p3,
-    prime_square_pairs,
-    prime_triples,
     sl23,
     symmetric,
     unit_of_order,
@@ -187,47 +184,46 @@ class TestWitnessFamily:
 
 
 class TestFamilySpec:
+    """build(family, **params): a family is named by a FAMILIES key and
+    its keyword parameters."""
+
     def test_build_dispatch(self):
-        g = build(FamilySpec(family="dihedral", n=10))
+        g = build("dihedral", n=10)
         assert g.order == 10
-        assert is_isomorphic(build(FamilySpec(family="sl23")), sl23())
+        assert is_isomorphic(build("sl23"), sl23())
 
     def test_missing_parameter(self):
         with pytest.raises(BadParameters, match="--n"):
-            build(FamilySpec(family="cyclic"))
+            build("cyclic")
+        with pytest.raises(BadParameters, match="--n"):
+            build("cyclic", n=None)
 
-    @pytest.mark.parametrize("spec, message", [
-        (FamilySpec("cyclic", n=3, p=7), "family 'cyclic' takes --n, not --p"),
-        (FamilySpec("metacyclic", m=7, n=6, k=3, q=5, i=1),
+    @pytest.mark.parametrize("family, params, message", [
+        ("cyclic", {"n": 3, "p": 7}, "family 'cyclic' takes --n, not --p"),
+        ("metacyclic", {"m": 7, "n": 6, "k": 3, "q": 5, "i": 1},
          "family 'metacyclic' takes --m --n --k, not --q"),
-        (FamilySpec("sl23", i=2), "family 'sl23' takes no parameters, not --i"),
-        (FamilySpec("heisenberg", n=4), "family 'heisenberg' takes --p, not --n"),
-    ], ids=["cyclic", "metacyclic", "sl23", "missing-and-unused"])
-    def test_unused_parameter_is_refused(self, spec, message):
+        ("sl23", {"i": 2}, "family 'sl23' takes no parameters, not --i"),
+        ("heisenberg", {"n": 4}, "family 'heisenberg' takes --p, not --n"),
+        ("cyclic", {"n": 3, "r": 2}, "family 'cyclic' takes --n, not --r"),
+    ], ids=["cyclic", "metacyclic", "sl23", "missing-and-unused", "unknown-name"])
+    def test_unused_parameter_is_refused(self, family, params, message):
         with pytest.raises(BadParameters) as info:
-            build(spec)
+            build(family, **params)
         assert str(info.value) == message
 
     def test_unknown_family(self):
         with pytest.raises(BadParameters):
-            build(FamilySpec(family="sporadic"))
+            build("sporadic")
+
+    def test_order_cap_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            build("cyclic", 5)
 
 
 class TestNumberTheoryHelpers:
     def test_unit_of_order(self):
         u = unit_of_order(3, 7)
         assert pow(u, 3, 7) == 1 and u != 1
-
-    def test_prime_triples(self):
-        triples = prime_triples(105)
-        assert (2, 3, 5) in triples and (2, 3, 7) in triples
-        assert (3, 5, 7) in triples
-        assert all(p < q < r and p * q * r <= 105 for p, q, r in triples)
-
-    def test_prime_square_pairs(self):
-        pairs = prime_square_pairs(50)
-        assert (2, 3) in pairs and (3, 2) in pairs and (2, 11) in pairs
-        assert all(p * p * q <= 50 for p, q in pairs)
 
 
 COVERED_500 = sorted(covered_orders(500))

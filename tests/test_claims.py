@@ -236,6 +236,14 @@ REDUCED_DIGESTS = {
 }
 
 
+def test_c11_witnesses_the_odd_cover():
+    # the reduced sweep above reaches only p = 2, whose cover is D16
+    rep = verify_claim("C11", jobs=1, p_list=(3,))
+    assert rep.passed, rep.counterexample
+    assert [(r["label"], r["note"]) for r in rep.rows if r["order"] == 81] == [
+        ("W(3)", "cover of Heis(3), witness_ok=True")]
+
+
 def test_c9w_sweep_holds_one_order_3875_group_at_a_time(monkeypatch):
     # each H(5,31,i) table is 57 MiB: the claim's (5, 31) units, one per
     # exponent and run one after another as at jobs=1, and the same four

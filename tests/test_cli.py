@@ -97,6 +97,15 @@ class TestConstruct:
         assert list(family.choices) == list(FAMILIES)
         assert set(FAMILY_EXAMPLES) == set(FAMILIES)
 
+    def test_integer_flags_are_the_registry_parameters(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = [a.dest for a in sub.choices["construct"]._actions
+                 if a.type is int and a.dest != "order_cap"]
+        assert flags == ["n", "m", "k", "p", "q", "i"]
+        assert set(flags) == {name for _, names in FAMILIES.values()
+                              for name in names}
+
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_every_family_builds(self, family, capsys):
         flags, order = FAMILY_EXAMPLES[family]

@@ -4,7 +4,7 @@ from math import gcd, prod
 
 import pytest
 
-from cent_atlas.catalog import covered_orders, prime_square_pairs, prime_triples
+from cent_atlas.catalog import covered_orders
 from cent_atlas.errors import BadParameters
 from cent_atlas.numbers import (
     crt,
@@ -17,8 +17,8 @@ from cent_atlas.numbers import (
 
 import oracles
 
-# prime_triples(500) and prime_square_pairs(500), frozen from the
-# nested-loop implementations they replace
+# the pqr triples and p^2 q pairs of covered_orders(500), by product,
+# frozen from the nested-loop implementations it replaces
 TRIPLES_500 = [
     (2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 5, 7), (2, 3, 13), (2, 3, 17),
     (3, 5, 7), (2, 5, 11), (2, 3, 19), (2, 5, 13), (2, 3, 23), (2, 7, 11),
@@ -52,8 +52,6 @@ def test_order_shape_matches_oracle():
 
 
 def test_covered_orders_frozen():
-    assert prime_triples(500) == TRIPLES_500
-    assert prime_square_pairs(500) == SQUARE_PAIRS_500
     want = {p * q * r: ("pqr", (p, q, r)) for p, q, r in TRIPLES_500}
     want.update({p * p * q: ("p2q", (p, q)) for p, q in SQUARE_PAIRS_500})
     want.update({p ** 3: ("p3", (p,)) for p in (2, 3, 5, 7)})

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from cent_atlas import catalog, core
 from cent_atlas.catalog import (
     FAMILIES,
-    FamilySpec,
     build,
     catalog_up_to,
     cyclic,
@@ -119,7 +118,7 @@ GATE_BUILT = {"symmetric", "alternating"}
 @pytest.mark.parametrize("family", sorted(FAMILY_GRID))
 def test_family_matches_gate(family):
     for params in FAMILY_GRID[family]:
-        g = build(FamilySpec(family, **params))
+        g = build(family, **params)
         assert (SPANNING in g._memo) == (family in HANDING_OVER | GATE_BUILT), g
         assert_matches_gate(g)
 
@@ -179,7 +178,7 @@ def test_relabelled_group_keeps_the_memo():
     assert h._memo is not g._memo
     assert h._memo[SPANNING] == g._memo[SPANNING]
     assert h._memo[core._class_reps.__qualname__] is reps
-    assert build(FamilySpec("symmetric", n=1))._memo[SPANNING] == ()
+    assert build("symmetric", n=1)._memo[SPANNING] == ()
 
 
 def test_seed_keeps_an_existing_entry_and_freezes_an_array():
