@@ -51,7 +51,7 @@ from cent_atlas.invariants import (
     omega,
     sylow,
 )
-from cent_atlas.numbers import factor, order_shape
+from cent_atlas.numbers import factor, order_shape, unit_of_order
 from cent_atlas.report import analyze
 
 import oracles
@@ -508,6 +508,45 @@ def test_search_generators_and_walks_pinned(name):
     else:
         groups = relabelled_catalog(max_order=300, seed=29)
     assert _walk_digest(groups) == WALK_DIGESTS[name]
+
+
+def _closure_digest(groups) -> str:
+    """SHA-256 over (order, G' bits, Frobenius kernel and complement bits
+    and cyclic flag, or None) for every group, in order."""
+    h = hashlib.sha256()
+    for g in groups:
+        f = frobenius_structure(g)
+        frob = f and (f"{f.kernel.bits:x}", f"{f.complement.bits:x}",
+                      f.complement_is_cyclic)
+        h.update(repr((g.order, f"{derived_subgroup(g).bits:x}", frob)).encode())
+    return h.hexdigest()
+
+
+# Frozen from derived_subgroup and _centralizer_closure when each ran its
+# own loop around core._close.
+CLOSURE_DIGESTS = {
+    "catalog-300":
+        "629c05a6128bb3d24a4c3a432ac90363e1748f7b12cad6c734d474fbb6b9b8ff",
+    "catalog-300-relabelled":
+        "c295e3687accd56f7dfa1a99b8922d2d8cb743ed33c2ee2323143c5d6cc93b96",
+    "large":
+        "2f56690c48c7f8c85b3e93b43f6c36e5b7c1962bba3cc8a8f10fa22057a0428a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_DIGESTS))
+def test_derived_and_frobenius_pinned(name):
+    if name == "large":
+        # and a Frobenius group whose kernel closure passes 512 elements
+        frob = metacyclic(1033, 3, unit_of_order(3, 1033), order_cap=3099)
+        groups = [*(build() for build in LARGE_GROUPS[:4]),
+                  *(relabel(g, random.Random(32)) for g in
+                    (witness_h(5, 31, 2, order_cap=3875), frob))]
+    elif name == "catalog-300":
+        groups = catalog_up_to(300)
+    else:
+        groups = relabelled_catalog(max_order=300, seed=32)
+    assert _closure_digest(groups) == CLOSURE_DIGESTS[name]
 
 
 class TestIsomorphism:
