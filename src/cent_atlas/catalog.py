@@ -15,20 +15,22 @@ The public builders made of parts (``abelian``, ``witness_h``,
 ``heisenberg_cover``) check the cap on the order of the group they
 return before they build a part, so a refusal names that order.
 
-The catalog has one source per order: ``_order_groups(n)`` yields the
-groups of order n one at a time, for a covered n the abelian classes
-(``_abelian_classes``) and then the nonabelian ones
-(``_nonabelian_classes``), then the named extras of order n, which lie
-outside the covered shapes.  The classification lists, ``catalog_orders``
-and the claims' catalog and classification sweeps all read it, so a
-sweep holds one group at a time; a sweep over nonabelian groups reads
-only the second generator, so it builds no abelian class.  Tests confirm
-the classification lists are pairwise non-isomorphic for every covered
-order up to 500 and, at small orders, match an independent exhaustive
-enumerator."""
+One order's classes are ``groups_of_covered_order(n)``, for n of shape
+pqr, p^2 q or p^3.  The catalog has one source per order:
+``_order_groups(n)`` yields the groups of order n one at a time, for a
+covered n the abelian classes (``_abelian_classes``) and then the
+nonabelian ones (``_nonabelian_classes``), then the named extras of
+order n, which lie outside the covered shapes.  The classification
+lists, ``catalog_orders`` and the claims' catalog and classification
+sweeps all read it, so a sweep holds one group at a time; a sweep over
+nonabelian groups reads only the second generator, so it builds no
+abelian class.  Tests confirm the classification lists are pairwise
+non-isomorphic for every covered order up to 500 and, at small orders,
+match an independent exhaustive enumerator."""
 
 from __future__ import annotations
 
+import operator
 from math import gcd, prod
 from typing import Callable, Iterator
 
@@ -63,9 +65,6 @@ __all__ = [
     "dihedral",
     "elementary",
     "groups_of_covered_order",
-    "groups_of_order_p2q",
-    "groups_of_order_p3",
-    "groups_of_order_pqr",
     "heisenberg",
     "heisenberg_cover",
     "metacyclic",
@@ -329,7 +328,9 @@ def build(family: str, *, order_cap: int | None = None,
     """The :data:`FAMILIES` group ``family`` with integer ``params``, e.g.
     ``build("dihedral", n=10)``; a parameter given as None counts as not
     given.  BadParameters names an unknown family, a parameter the family
-    does not take (rather than ignore it) or one it needs and lacks."""
+    does not take (rather than ignore it), one it needs and lacks, or one
+    that is a bool or not an integer (no ``__index__``, as a float or a
+    str); numpy integers are accepted and passed on as ints."""
     if family not in FAMILIES:
         raise BadParameters(f"unknown family {family!r}")
     builder, names = FAMILIES[family]
@@ -338,38 +339,12 @@ def build(family: str, *, order_cap: int | None = None,
         takes = " ".join(f"--{name}" for name in names) or "no parameters"
         raise BadParameters(f"family {family!r} takes {takes}, not --{extra[0]}")
     args = [params.get(name) for name in names]
-    if None in args:
-        raise BadParameters(f"family {family!r} needs --{names[args.index(None)]}")
-    return builder(*args, order_cap=order_cap)
-
-
-def groups_of_order_pqr(p: int, q: int, r: int,
-                        order_cap: int | None = None) -> list[Group]:
-    """One representative per isomorphism class of order pqr, p < q < r."""
-    for v, name in ((p, "p"), (q, "q"), (r, "r")):
-        _require_prime(v, name)
-    if not p < q < r:
-        raise BadParameters(f"need p < q < r, got {p}, {q}, {r}")
-    return groups_of_covered_order(p * q * r, order_cap=order_cap)
-
-
-def groups_of_order_p2q(p: int, q: int,
-                        order_cap: int | None = None) -> list[Group]:
-    """One representative per isomorphism class of order p^2 q.
-
-    p is the squared prime; q is the other prime (either may be larger).
-    """
-    _require_prime(p, "p")
-    _require_prime(q, "q")
-    if p == q:
-        raise BadParameters(f"p and q must be distinct, got {p} twice")
-    return groups_of_covered_order(p * p * q, order_cap=order_cap)
-
-
-def groups_of_order_p3(p: int, order_cap: int | None = None) -> list[Group]:
-    """The five isomorphism classes of order p^3."""
-    _require_prime(p, "p")
-    return groups_of_covered_order(p ** 3, order_cap=order_cap)
+    for name, v in zip(names, args):
+        if v is None:
+            raise BadParameters(f"family {family!r} needs --{name}")
+        if isinstance(v, bool) or not hasattr(v, "__index__"):
+            raise BadParameters(f"family {family!r} needs an integer --{name}, got {v!r}")
+    return builder(*map(operator.index, args), order_cap=order_cap)
 
 
 def groups_of_covered_order(n: int, order_cap: int | None = None) -> list[Group]:

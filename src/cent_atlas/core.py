@@ -131,23 +131,15 @@ def _check_order_cap(n: int, order_cap: int | None) -> None:
         raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
 
 
-def _bits_from_bool(flags: np.ndarray) -> int:
-    packed = np.packbits(flags.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _bool_from_bits(bits: int, n: int) -> np.ndarray:
-    raw = bits.to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little").astype(bool)
-
-
 @dataclass(frozen=True)
 class SubsetMask:
     """Subset of a group's elements, stored as a bitmask.
 
     ``bits`` has bit i set iff element i belongs to the subset; ``order`` is
     the order of the owning group, so masks from different groups never
-    compare equal by accident.
+    compare equal by accident.  ``from_bool`` and ``as_bool`` convert
+    from and to one flag per element through numpy's little-endian bit
+    packing, with no Python loop over the elements.
     """
 
     bits: int
@@ -170,13 +162,16 @@ class SubsetMask:
 
     @classmethod
     def from_bool(cls, flags: np.ndarray) -> "SubsetMask":
-        return cls(_bits_from_bool(flags), len(flags))
+        packed = np.packbits(flags.astype(np.uint8), bitorder="little")
+        return cls(int.from_bytes(packed.tobytes(), "little"), len(flags))
 
     def elements(self) -> list[int]:
         return [i for i in range(self.order) if self.bits >> i & 1]
 
     def as_bool(self) -> np.ndarray:
-        return _bool_from_bits(self.bits, self.order)
+        raw = self.bits.to_bytes((self.order + 7) // 8, "little")
+        return np.unpackbits(np.frombuffer(raw, np.uint8), count=self.order,
+                             bitorder="little").astype(bool)
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.order and bool(self.bits >> i & 1)
@@ -387,20 +382,27 @@ def _in_order(fn: Callable, blocks: Iterable) -> Iterator:
         yield from (future.result() for future in pending)
 
 
-def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
-    """Grow the flags ``member`` in place to the smallest product-closed set.
+def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray,
+           also: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
+    """Grow the flags ``member`` in place to the smallest set closed under
+    the product and, when given, under ``also``.
 
     ``table`` must be a group's, and ``member`` closed except for the
-    elements ``fresh`` (which it contains).  A round over a set F found so
-    far with |F|^2 at most ``_CLOSE_BLOCK`` forms all of F x F in one
-    gather and one scatter, so it costs a fixed handful of numpy calls and
-    at most 2^18 products; a larger round multiplies only the previous
-    round's new elements by F, on both sides, a ``_row_blocks`` run of rows
-    at a time, so no product is formed more than twice: O(n^2) in all.
-    Either round adds every product the current set lacks, so both reach
-    the same set.  A closed set of a group is a subgroup, and by Lagrange
-    a proper one has at most half the elements, so the closure of more
-    than n/2 elements is everything.
+    elements ``fresh`` (which it contains).  ``also(xs)`` returns elements
+    (indices or flags) the set must hold once it holds xs; it is applied
+    to ``fresh`` and to every member added later, a ``_row_blocks`` run of
+    them at a time, and never to the members closed at the call (so a
+    centralizer closure that starts with the identity closed never takes
+    its centralizer, all of G).  A round over a set F found so far with |F|^2
+    at most ``_CLOSE_BLOCK`` forms all of F x F in one gather and one
+    scatter, so it costs a fixed handful of numpy calls and at most 2^18
+    products; a larger round multiplies only the previous round's new
+    elements by F, on both sides, a ``_row_blocks`` run of rows at a time,
+    so no product is formed more than twice: O(n^2) in all.  Either round
+    adds every product the current set lacks, so both reach the same set.
+    A closed set of a group is a subgroup, and by Lagrange a proper one
+    has at most half the elements, so the closure of more than n/2
+    elements is everything.
     """
     while fresh.size:
         found = np.flatnonzero(member)
@@ -415,6 +417,9 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray) -> None:
                 hit[np.take(table[fresh[rows]], found, axis=1)] = True
             for rows in _row_blocks(found.size, member.size):
                 hit[np.take(table[found[rows]], fresh, axis=1)] = True
+        if also is not None:
+            for rows in _row_blocks(fresh.size, member.size):
+                hit[also(fresh[rows])] = True
         hit &= ~member
         member |= hit
         fresh = np.flatnonzero(hit)
@@ -858,7 +863,11 @@ def _check_automorphism(n_grp: Group, img: np.ndarray) -> None:
 
 def _extend_action(n_grp: Group, h_grp: Group, action: ActionSpec) -> np.ndarray:
     """Extend generator images to a full map H -> Aut(N), returned as an
-    (|H|, |N|) array of permutations; raises NotHomomorphism on conflict."""
+    (|H|, |N|) array of permutations; raises NotHomomorphism on conflict.
+
+    Rows are filled by a walk from the identity over the acting
+    generators.  A row is unknown while it holds -1: every image fixes 0
+    (``_check_automorphism``), so a known row's entry at 0 is 0."""
     if len(action.acting_generators) != len(action.automorphism_images):
         raise BadParameters("acting_generators and automorphism_images differ in length")
     if not action.acting_generators:
@@ -876,28 +885,24 @@ def _extend_action(n_grp: Group, h_grp: Group, action: ActionSpec) -> np.ndarray
     theta[0] = np.arange(nn, dtype=np.int32)
     if 0 in gen_imgs and not np.array_equal(gen_imgs[0], theta[0]):
         raise NotHomomorphism("identity of H must act trivially")
-    known = np.zeros(nh, dtype=bool)
-    known[0] = True
     queue = [0]
     while queue:
         h = queue.pop()
         for g, img in gen_imgs.items():
             hg = int(h_grp.table[h, g])
             composed = theta[h][img]
-            if known[hg]:
-                if not np.array_equal(theta[hg], composed):
-                    raise NotHomomorphism(
-                        f"generator images are inconsistent at element {hg}"
-                    )
-            else:
+            if theta[hg, 0] < 0:
                 theta[hg] = composed
-                known[hg] = True
                 queue.append(hg)
-    if not known.all():
-        missing = int(np.flatnonzero(~known)[0])
+            elif not np.array_equal(theta[hg], composed):
+                raise NotHomomorphism(
+                    f"generator images are inconsistent at element {hg}"
+                )
+    missing = np.flatnonzero(theta[:, 0] < 0)
+    if missing.size:
         raise NotHomomorphism(
             f"acting generators do not generate the acting group "
-            f"(element {missing} unreachable)"
+            f"(element {missing[0]} unreachable)"
         )
     return theta
 

@@ -17,6 +17,10 @@ commuting matrix, and ``omega`` and ``frobenius_structure`` build none.
 The matrix's row sums are the centralizer sizes, so a group whose
 ``cent_structure`` comes first takes its sizes, ``center`` and
 ``is_abelian`` from there, with no class representatives.
+The subgroup closures (G', Sylow growth and the Frobenius kernel and
+complement) all run ``core._close``, the one closure loop: G' with each
+new member's conjugates by S alongside the products, and the Frobenius
+closures with each new member's centralizer.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Group, SubsetMask, _centralizer_sizes, _class_reps,
-                   _close, _conjugators, _per_group, _powers, _row_blocks,
-                   _spanning, check_subgroup, subgroup_as_group)
+                   _close, _conjugators, _per_group, _powers, _spanning,
+                   check_subgroup, subgroup_as_group)
 from .errors import (BadParameters, InconsistentInvariants, NotPrime,
                      SearchBudgetExceeded)
 from .numbers import factor, is_prime
@@ -136,11 +140,11 @@ def derived_subgroup(g: Group) -> SubsetMask:
 
     Built as the normal closure of the commutators [s, t] of the members
     s, t of any generating set (:func:`~cent_atlas.core._spanning`):
-    closing under the product alternates with adding the generators'
-    conjugates of the members until neither adds anything.
-    That closure N is the smallest normal subgroup holding every [s, t];
-    G' is normal and holds them, and G/N is abelian because its generators
-    commute, so N = G'.  O(n k) per round besides the closure.
+    one ``_close`` under the product and the generators' conjugates of
+    each new member.  That closure N is the smallest normal subgroup
+    holding every [s, t]; G' is normal and holds them, and G/N is abelian
+    because its generators commute, so N = G'.  O(k) conjugates per
+    member besides the products.
     """
     s = np.array(_spanning(g), dtype=np.intp)
     inv = g.inverse[s]
@@ -149,14 +153,7 @@ def derived_subgroup(g: Group) -> SubsetMask:
     member = np.zeros(g.order, dtype=bool)
     member[0] = True
     member[comms] = True
-    fresh = np.flatnonzero(member)
-    while fresh.size:
-        _close(g.table, member, fresh)
-        hit = np.zeros_like(member)
-        hit[conj[:, member]] = True
-        hit &= ~member
-        member |= hit
-        fresh = np.flatnonzero(hit)
+    _close(g.table, member, np.flatnonzero(member), lambda x: conj[:, x])
     return SubsetMask.from_bool(member)
 
 
@@ -308,24 +305,15 @@ class FrobeniusStructure:
 def _centralizer_closure(g: Group, seeds: list[int]) -> SubsetMask | None:
     """Smallest subgroup containing the seeds and C_G(x) for each of its
     non-identity members x, or None when that is all of G.  It is normal
-    when the seeds are a union of conjugacy classes.  Each member's
-    commuting row is read once, over ``_row_blocks``."""
+    when the seeds are a union of conjugacy classes.  One ``_close``
+    under the product and each new member's commuting row, read once;
+    the identity is closed at the call, so its row, all of G, is never
+    read."""
     member = np.zeros(g.order, dtype=bool)
-    done = member.copy()
-    member[0] = done[0] = True
-    fresh = np.asarray(seeds)
-    member[fresh] = True
-    while fresh.size:
-        _close(g.table, member, fresh)
-        if member.all():
-            return None
-        new = np.flatnonzero(member & ~done)
-        done |= member
-        for rows in _row_blocks(new.size, g.order):
-            x = new[rows]
-            member |= (g.table[x] == g.table[:, x].T).any(axis=0)
-        fresh = np.flatnonzero(member & ~done)
-    return SubsetMask.from_bool(member)
+    member[[0, *seeds]] = True
+    _close(g.table, member, np.asarray(seeds),
+           lambda x: (g.table[x] == g.table[:, x].T).any(axis=0))
+    return None if member.all() else SubsetMask.from_bool(member)
 
 
 def frobenius_structure(g: Group) -> FrobeniusStructure | None:

@@ -21,9 +21,6 @@ from cent_atlas.catalog import (
     dihedral,
     elementary,
     groups_of_covered_order,
-    groups_of_order_p2q,
-    groups_of_order_p3,
-    groups_of_order_pqr,
     heisenberg,
     heisenberg_cover,
     metacyclic,
@@ -135,14 +132,12 @@ class TestBuilders:
         (lambda: symmetric(0), "degree must be positive, got 0"),
         (lambda: alternating(2), "degree must be at least 3, got 2"),
         (lambda: metacyclic(0, 2, 1), "orders must be positive, got m=0, n=2"),
-        (lambda: groups_of_order_pqr(5, 3, 2), "need p < q < r, got 5, 3, 2"),
-        (lambda: groups_of_order_p2q(3, 3), "p and q must be distinct, got 3 twice"),
         (lambda: groups_of_covered_order(16),
          "order 16 is not of shape pqr, p^2 q, or p^3"),
         (lambda: central_quotient_examples("pqr", (2, 2, 3)),
          "shape 'pqr' needs distinct primes, got (2, 2, 3)"),
     ], ids=["cyclic", "elementary", "dicyclic", "symmetric", "alternating",
-            "metacyclic", "pqr", "p2q", "covered-order", "central-quotient"])
+            "metacyclic", "covered-order", "central-quotient"])
     def test_refusal_names_the_bad_parameter(self, build, message):
         with pytest.raises(BadParameters) as info:
             build()
@@ -211,6 +206,18 @@ class TestFamilySpec:
             build(family, **params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value, shown", [(True, "True"), (6.0, "6.0"),
+                                              ("6", "'6'")],
+                             ids=["bool", "float", "str"])
+    def test_non_integer_parameter_is_refused(self, value, shown):
+        with pytest.raises(BadParameters) as info:
+            build("cyclic", n=value)
+        assert str(info.value) == f"family 'cyclic' needs an integer --n, got {shown}"
+
+    def test_numpy_integers_are_accepted(self):
+        g = build("metacyclic", m=np.int64(7), n=np.int32(3), k=np.int16(2))
+        assert g.table.tolist() == metacyclic(7, 3, 2).table.tolist()
+
     def test_unknown_family(self):
         with pytest.raises(BadParameters):
             build("sporadic")
@@ -234,11 +241,11 @@ class TestClassifications:
                                        (3, 5, 7), (2, 3, 11), (2, 5, 11),
                                        (3, 7, 13), (2, 7, 11), (5, 7, 11)])
     def test_pqr_count_matches_divisor_formula(self, p, q, r):
-        got = len(groups_of_order_pqr(p, q, r))
+        got = len(groups_of_covered_order(p * q * r))
         assert got == squarefree_class_count(p * q * r)
 
     def test_pqr_pairwise_distinct(self):
-        gs = groups_of_order_pqr(2, 3, 5)
+        gs = groups_of_covered_order(30)
         for i in range(len(gs)):
             for j in range(i + 1, len(gs)):
                 assert not is_isomorphic(gs[i], gs[j])
@@ -267,17 +274,15 @@ class TestClassifications:
         assert all(col.count(True) == 1 for col in zip(*match))
 
     def test_p3_families(self):
-        labels8 = {g.label for g in groups_of_order_p3(2)}
+        labels8 = {g.label for g in groups_of_covered_order(8)}
         assert "D8" in labels8 and "Q8" in labels8
-        gs27 = groups_of_order_p3(3)
+        gs27 = groups_of_covered_order(27)
         assert len(gs27) == 5
         assert sum(1 for g in gs27 if not g.is_abelian()) == 2
 
     def test_p2q_counts(self):
-        assert len(groups_of_order_p2q(2, 3)) == 5   # order 12
-        assert len(groups_of_order_p2q(3, 2)) == 5   # order 18
-        assert len(groups_of_order_p2q(2, 5)) == 5   # order 20
-        assert len(groups_of_order_p2q(5, 2)) == 5   # order 50
+        for n in (12, 18, 20, 50):  # 2^2 3, 3^2 2, 2^2 5 and 5^2 2
+            assert len(groups_of_covered_order(n)) == 5, n
 
     def test_covered_orders_shapes(self):
         cov = covered_orders(130)
@@ -474,7 +479,7 @@ _PINNED_GROUPS = {
     "witness-h": lambda: [witness_h(p, q, i) for p in (2, 3)
                           for q in primes_up_to(31) if q % p == 1
                           for i in witness_exponents(p, q)],
-    "p2q-13-7": lambda: groups_of_order_p2q(13, 7),
+    "p2q-13-7": lambda: groups_of_covered_order(13 * 13 * 7),
     "dihedral": lambda: [dihedral(n) for n in (2, 4, 8, 2048)],
     "dicyclic": lambda: [dicyclic(n) for n in (8, 12, 2048)],
 }
@@ -517,8 +522,8 @@ _ACTION_PINNED_GROUPS = {
     "heisenberg-cover-7": lambda: [heisenberg_cover(7, order_cap=2401)],
     "witness-h-5-11": lambda: [witness_h(5, 11, i)
                                for i in witness_exponents(5, 11)],
-    "p2q-13-3": lambda: groups_of_order_p2q(13, 3),
-    "p2q-19-5": lambda: groups_of_order_p2q(19, 5),
+    "p2q-13-3": lambda: groups_of_covered_order(13 * 13 * 3),
+    "p2q-19-5": lambda: groups_of_covered_order(19 * 19 * 5),
     "enumerated-12": lambda: [g for n in range(1, 13)
                               for g in enumerate_groups(n)],
 }

@@ -14,7 +14,7 @@ from cent_atlas.catalog import (
     dicyclic,
     dihedral,
     elementary,
-    groups_of_order_p2q,
+    groups_of_covered_order,
     heisenberg,
     metacyclic,
     modular_p3,
@@ -122,6 +122,20 @@ class TestVerify:
         finally:
             del claims._CLAIMS["Cfake"]
 
+    def test_c13_names_the_unmatched_class(self, monkeypatch):
+        # Dic12 has a cyclic Sylow 2-subgroup, so the first class found
+        # with an elementary one matches no expected group
+        special = claims._special_p2q
+        monkeypatch.setattr(claims, "_special_p2q", lambda p, q: (
+            dicyclic(12) if (p, q) == (2, 3) else special(p, q)))
+        rep = verify_claim("C13", jobs=1, max_order=12)
+        assert not rep.passed
+        assert rep.counterexample == (
+            "p=2,q=3 (order 12): classes with elementary Sylow-2: "
+            "['C2xC3:C2(2)', '(C2xC2):C3'], expected ['Dic12', 'A4']")
+        monkeypatch.undo()
+        assert verify_claim("C13", jobs=1, max_order=12).passed
+
 
 class TestCapability:
     # frozen verdict table
@@ -157,7 +171,7 @@ class TestCapability:
         # order 2084: the comparison group C2 x (C521 : C2) is built under
         # its own order, not under the default cap of 2048
         monkeypatch.delenv("CENT_ATLAS_ORDER_CAP", raising=False)
-        gs = groups_of_order_p2q(2, 521, order_cap=4096)
+        gs = groups_of_covered_order(2 * 2 * 521, order_cap=4096)
         assert [(g.label, capable(g).status) for g in gs] == [
             ("C2084", "not_capable"), ("C2xC1042", "not_capable"),
             ("C521:C4(520)", "not_capable"), ("C2xC521:C2(520)", "capable"),

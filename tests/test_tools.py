@@ -1,7 +1,8 @@
 """Repository tooling: no unused imports or orphaned private names in the
 package, one owner of the per-group memo, the line counter in
-``tools/src_lines.py``, the summary parser of ``tools/tier1_time.py`` and
-the line tracer of ``tools/unrun_lines.py`` (standard library only)."""
+``tools/src_lines.py``, the summary and durations parsers of
+``tools/tier1_time.py`` and the line tracer of ``tools/unrun_lines.py``
+(standard library only)."""
 
 import ast
 import importlib.util
@@ -202,6 +203,24 @@ def test_src_lines_main_sums_the_tree(tmp_path):
         "none-ran", "no-summary"])
 def test_tier1_time_reads_the_pytest_summary(output, want):
     assert _load_tool("tier1_time").parse_summary(output) == want
+
+
+def test_tier1_time_sums_call_durations_by_file():
+    output = ("....\n"
+              "============ slowest durations ============\n"
+              "2.50s call     tests/test_b.py::TestX::test_y[p=2, q=3]\n"
+              "1.25s call     tests/test_a.py::test_one\n"
+              "0.90s setup    tests/test_a.py::test_one\n"
+              "1.00s call     tests/test_a.py::test_two\n"
+              "0.50s teardown tests/test_b.py::TestX::test_y[p=2, q=3]\n"
+              "0.00s call     tests/test_c.py::test_fast\n"
+              "3 passed in 6.15s\n")
+    tool = _load_tool("tier1_time")
+    got = tool.parse_durations(output)
+    assert got == {"tests/test_b.py": 2.5, "tests/test_a.py": 2.25,
+                   "tests/test_c.py": 0.0}
+    assert list(got) == ["tests/test_b.py", "tests/test_a.py", "tests/test_c.py"]
+    assert tool.parse_durations("3 passed in 6.15s\n") == {}
 
 
 def test_unrun_lines_lists_what_a_selection_never_ran(tmp_path):

@@ -1,7 +1,11 @@
 """Time the tier-1 suite: run it N times, each in a fresh subprocess from
 the repository root with src/ first on PYTHONPATH, and print one JSON line
 with each run's seconds, passed and failed counts, read from pytest's own
-summary line, and the median seconds.  Errors count as failures.
+summary line, and the median seconds.  Errors count as failures.  Each
+run also gives its summed per-test call time by test file, slowest file
+first, read from pytest's ``--durations=0 --durations-min=0`` report:
+those sums leave out collection, setup and teardown, so they move less
+with the host's load than the whole run does.
 
 Usage: python tools/tier1_time.py [--runs N]   (N defaults to 3)
 """
@@ -17,7 +21,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMAND = [sys.executable, "-m", "pytest", "-q",
-           "--continue-on-collection-errors"]
+           "--continue-on-collection-errors", "--durations=0",
+           "--durations-min=0"]
 # "1039 passed in 83.52s (0:01:23)", "2 failed, 1 skipped in 0.40s", with
 # or without the "=" rules pytest draws around it outside -q
 _SUMMARY = re.compile(r"=*\s*((?:\d+ \w+|no tests ran)(?:, \d+ \w+)*)"
@@ -39,6 +44,22 @@ def parse_summary(output: str) -> dict | None:
     return None
 
 
+# "0.52s call     tests/test_core.py::TestGate::test_x[a b]"
+_DURATION = re.compile(r"([0-9.]+)s call +([^:\s]+)::")
+
+
+def parse_durations(output: str) -> dict[str, float]:
+    """Summed call seconds per test file from pytest's durations report
+    in ``output``, slowest file first; empty if it has none."""
+    sums: dict[str, float] = {}
+    for line in output.splitlines():
+        match = _DURATION.match(line)
+        if match:
+            sums[match[2]] = sums.get(match[2], 0.0) + float(match[1])
+    return {path: round(t, 2)
+            for path, t in sorted(sums.items(), key=lambda kv: -kv[1])}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=3)
@@ -57,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
             print("error: no pytest summary line", file=sys.stderr)
             return 1
-        runs.append(run)
+        runs.append({**run, "by_file": parse_durations(proc.stdout)})
     print(json.dumps({"runs": runs, "median_s": statistics.median(
         run["seconds"] for run in runs)}))
     return 0
