@@ -3,9 +3,8 @@ the repository root with src/ first on PYTHONPATH, and print one JSON line
 with each run's seconds, passed and failed counts, read from pytest's own
 summary line, and the median seconds.  Errors count as failures.  Each
 run also gives its summed per-test call time by test file, slowest file
-first, read from pytest's ``--durations=0 --durations-min=0`` report:
-those sums leave out collection, setup and teardown, so they move less
-with the host's load than the whole run does.
+first, read from pytest's ``--durations=0 --durations-min=0`` report;
+those sums leave out collection, setup and teardown.
 
 Usage: python tools/tier1_time.py [--runs N]   (N defaults to 3)
 """
@@ -17,6 +16,7 @@ import re
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,13 +51,11 @@ _DURATION = re.compile(r"([0-9.]+)s call +([^:\s]+)::")
 def parse_durations(output: str) -> dict[str, float]:
     """Summed call seconds per test file from pytest's durations report
     in ``output``, slowest file first; empty if it has none."""
-    sums: dict[str, float] = {}
-    for line in output.splitlines():
-        match = _DURATION.match(line)
+    sums: Counter = Counter()
+    for match in map(_DURATION.match, output.splitlines()):
         if match:
-            sums[match[2]] = sums.get(match[2], 0.0) + float(match[1])
-    return {path: round(t, 2)
-            for path, t in sorted(sums.items(), key=lambda kv: -kv[1])}
+            sums[match[2]] += float(match[1])
+    return {path: round(t, 2) for path, t in sums.most_common()}
 
 
 def main(argv: list[str] | None = None) -> int:
