@@ -77,12 +77,24 @@ __all__ = [
 ]
 
 
+def _integer(value: object, owner: str, name: str) -> int:
+    """``value`` as an int, numpy integers included; BadParameters for a
+    bool or a value with no ``__index__``, as a float or a str."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParameters(f"{owner} needs an integer {name}, got {value!r}")
+
+
 def _require_prime(value: int, name: str) -> None:
     if not is_prime(value):
         raise BadParameters(f"{name} = {value} must be prime")
 
 
 def cyclic(n: int, order_cap: int | None = None) -> Group:
+    n = _integer(n, "cyclic", "n")
     if n < 1:
         raise BadParameters(f"cyclic order must be positive, got {n}")
     _check_order_cap(n, order_cap)
@@ -108,6 +120,7 @@ def abelian(factors: tuple[int, ...], order_cap: int | None = None) -> Group:
 
 def elementary(p: int, k: int, order_cap: int | None = None) -> Group:
     """C_p^k: :func:`abelian` of k factors p, relabelled."""
+    p, k = _integer(p, "elementary", "p"), _integer(k, "elementary", "k")
     _require_prime(p, "p")
     if k < 1:
         raise BadParameters(f"rank must be positive, got {k}")
@@ -116,6 +129,7 @@ def elementary(p: int, k: int, order_cap: int | None = None) -> Group:
 
 def dihedral(order: int, order_cap: int | None = None) -> Group:
     """Dihedral group of the given (even) order: rotations and reflections."""
+    order = _integer(order, "dihedral", "order")
     if order < 2 or order % 2:
         raise BadParameters(f"dihedral order must be even and >= 2, got {order}")
     return _presented(order // 2, 2, -1, 0, f"D{order}", order_cap)
@@ -124,6 +138,7 @@ def dihedral(order: int, order_cap: int | None = None) -> Group:
 def dicyclic(order: int, order_cap: int | None = None) -> Group:
     """Dicyclic group of the given order (divisible by 4); the generalized
     quaternion group when the order is a power of 2."""
+    order = _integer(order, "dicyclic", "order")
     if order < 8 or order % 4:
         raise BadParameters(f"dicyclic order must be a multiple of 4 and >= 8, got {order}")
     label = f"Q{order}" if order & (order - 1) == 0 else f"Dic{order}"
@@ -131,6 +146,7 @@ def dicyclic(order: int, order_cap: int | None = None) -> Group:
 
 
 def symmetric(n: int, order_cap: int | None = None) -> Group:
+    n = _integer(n, "symmetric", "n")
     if n < 1:
         raise BadParameters(f"degree must be positive, got {n}")
     if n == 1:
@@ -142,6 +158,7 @@ def symmetric(n: int, order_cap: int | None = None) -> Group:
 
 
 def alternating(n: int, order_cap: int | None = None) -> Group:
+    n = _integer(n, "alternating", "n")
     if n < 3:
         raise BadParameters(f"degree must be at least 3, got {n}")
     three = (1, 2, 0) + tuple(range(3, n))
@@ -208,6 +225,7 @@ def _presented(m: int, n: int, k: int, s: int, label: str,
 def metacyclic(m: int, n: int, k: int, order_cap: int | None = None,
                label: str | None = None) -> Group:
     """Group <a, b | a^m = b^n = 1, b^-1 a b = a^k>; needs k^n = 1 (mod m)."""
+    m, n, k = (_integer(v, "metacyclic", name) for v, name in zip((m, n, k), "mnk"))
     if m < 1 or n < 1:
         raise BadParameters(f"orders must be positive, got m={m}, n={n}")
     if gcd(k, m) != 1:
@@ -219,6 +237,7 @@ def metacyclic(m: int, n: int, k: int, order_cap: int | None = None,
 
 def heisenberg(p: int, order_cap: int | None = None) -> Group:
     """Unitriangular 3x3 group over the p-element field; exponent p for odd p."""
+    p = _integer(p, "heisenberg", "p")
     _require_prime(p, "p")
     n = p ** 3
     _check_order_cap(n, order_cap)
@@ -235,6 +254,7 @@ def heisenberg(p: int, order_cap: int | None = None) -> Group:
 
 def modular_p3(p: int, order_cap: int | None = None) -> Group:
     """Nonabelian group of order p^3 and exponent p^2, for odd p."""
+    p = _integer(p, "modular_p3", "p")
     _require_prime(p, "p")
     if p == 2:
         raise BadParameters("p must be odd (the order-8 relatives are D8 and Q8)")
@@ -278,6 +298,7 @@ def witness_h(p: int, q: int, i: int, order_cap: int | None = None) -> Group:
     Realized as (C_p x C_p x C_q) : C_p where the acting generator fixes a,
     sends b to ab, and raises d to the i-th power: (x, y, z) -> (x + y, y, iz).
     """
+    p, q, i = (_integer(v, "witness_h", name) for v, name in zip((p, q, i), "pqi"))
     _require_prime(p, "p")
     _require_prime(q, "q")
     if q % p != 1:
@@ -338,13 +359,13 @@ def build(family: str, *, order_cap: int | None = None,
     if extra:
         takes = " ".join(f"--{name}" for name in names) or "no parameters"
         raise BadParameters(f"family {family!r} takes {takes}, not --{extra[0]}")
-    args = [params.get(name) for name in names]
-    for name, v in zip(names, args):
+    args = []
+    for name in names:
+        v = params.get(name)
         if v is None:
             raise BadParameters(f"family {family!r} needs --{name}")
-        if isinstance(v, bool) or not hasattr(v, "__index__"):
-            raise BadParameters(f"family {family!r} needs an integer --{name}, got {v!r}")
-    return builder(*map(operator.index, args), order_cap=order_cap)
+        args.append(_integer(v, f"family {family!r}", f"--{name}"))
+    return builder(*args, order_cap=order_cap)
 
 
 def groups_of_covered_order(n: int, order_cap: int | None = None) -> list[Group]:

@@ -21,6 +21,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -42,6 +43,7 @@ from .catalog import (
     witness_h,
 )
 from .core import (
+    ORDER_CAP_ENV,
     Group,
     quotient,
     quotient_with_cosets,
@@ -583,6 +585,61 @@ def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
     return rows
 
 
+# ((workers, pid, the order cap variable), pool): the process's one pool
+_pool: tuple[tuple[int, int, str | None], ProcessPoolExecutor] | None = None
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down and wait for its workers; a pool inherited
+    across a fork belongs to the parent and is only forgotten."""
+    global _pool
+    if _pool is not None and _pool[0][1] == os.getpid():
+        _pool[1].shutdown(cancel_futures=True)
+    _pool = None
+
+
+def _kept_pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of ``workers`` workers, started on first use and
+    replaced when the worker count, the process or the order cap variable
+    (which workers read at call time) is not the pool's own."""
+    global _pool
+    key = (workers, os.getpid(), os.environ.get(ORDER_CAP_ENV))
+    if _pool is not None and _pool[0] != key:
+        _drop_pool()
+    if _pool is None:
+        _pool = (key, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def _run_units(args: list[tuple[str, tuple]]) -> list[_Row]:
+    return [row for arg in args for row in _run_unit(arg)]
+
+
+def _pool_rows(args: list[tuple[str, tuple]], workers: int) -> list[_Row]:
+    """The rows of ``args`` from the kept pool, in unit order.  Units go
+    in consecutive batches, a quarter of a worker's share each, submitted
+    last batch first: sources list their units in ascending order, so the
+    largest start first and the small ones fill the tail.  Results are
+    read in unit order, so an error is the first in unit order; it
+    cancels the queued batches and leaves the pool in use, and an
+    interrupt (not an Exception) also drops the pool."""
+    size = max(1, len(args) // (4 * workers))
+    batches = [args[i:i + size] for i in range(0, len(args), size)][::-1]
+    try:
+        futures = [_kept_pool(workers).submit(_run_units, b) for b in batches]
+    except BrokenProcessPool:  # its workers died after its last sweep
+        _drop_pool()
+        futures = [_kept_pool(workers).submit(_run_units, b) for b in batches]
+    try:
+        return [row for f in reversed(futures) for row in f.result()]
+    except BaseException as exc:
+        for f in futures:
+            f.cancel()
+        if not isinstance(exc, Exception):  # workers may be dead or busy
+            _drop_pool()
+        raise
+
+
 def verify_claim(claim_id: str, jobs: int | None = None,
                  **params: Any) -> ClaimReport:
     """Run one claim's sweep and aggregate a deterministic report.
@@ -591,6 +648,15 @@ def verify_claim(claim_id: str, jobs: int | None = None,
     jobs below 1 raise BadParameters.  Unknown claim ids raise
     UnknownClaim; parameter sets that produce no instances raise
     EmptySweep.
+
+    With jobs above 1 and more than one unit, the sweep runs on the
+    process's one pool of ``jobs`` workers, which later calls reuse.  It
+    is shut down and replaced when a call asks for another worker count
+    or sees another value of CENT_ATLAS_ORDER_CAP, and when its workers
+    have died; a forked child starts its own.  Workers see the library
+    as it was when the pool started, plus that key: code patched into
+    this process later is not seen by them.  The rows, the report and
+    any error raised are those of jobs=1.
     """
     spec = _CLAIMS.get(claim_id)
     if spec is None:
@@ -611,11 +677,9 @@ def verify_claim(claim_id: str, jobs: int | None = None,
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(args) == 1:
-        chunks = [_run_unit(a) for a in args]
+        rows = _run_units(args)
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            chunks = list(pool.map(_run_unit, args))
-    rows = [row for chunk in chunks for row in chunk]
+        rows = _pool_rows(args, jobs)
     rows.sort(key=lambda r: (r["order"], r["label"],
                              json.dumps(r, sort_keys=True)))
     failing = next((r for r in rows if not r["ok"]), None)

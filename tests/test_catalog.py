@@ -218,6 +218,22 @@ class TestFamilySpec:
         g = build("metacyclic", m=np.int64(7), n=np.int32(3), k=np.int16(2))
         assert g.table.tolist() == metacyclic(7, 3, 2).table.tolist()
 
+    @pytest.mark.parametrize("builder, args, message", [
+        (cyclic, (True,), "cyclic needs an integer n, got True"),
+        (dihedral, (8.0,), "dihedral needs an integer order, got 8.0"),
+        (metacyclic, (7, 3, "2"), "metacyclic needs an integer k, got '2'"),
+    ], ids=["cyclic-bool", "dihedral-float", "metacyclic-str"])
+    def test_builders_refuse_a_non_integer(self, builder, args, message):
+        with pytest.raises(BadParameters) as info:
+            builder(*args)
+        assert str(info.value) == message
+
+    def test_builders_take_numpy_integers_as_ints(self):
+        g = metacyclic(np.int64(7), np.int32(3), np.int16(2))
+        assert g.label == "C7:C3(2)"
+        assert g.table.tolist() == metacyclic(7, 3, 2).table.tolist()
+        assert cyclic(np.int8(5)).label == "C5"
+
     def test_unknown_family(self):
         with pytest.raises(BadParameters):
             build("sporadic")

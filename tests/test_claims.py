@@ -3,7 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +38,12 @@ from cent_atlas.claims import (
     witness_check,
 )
 from cent_atlas.core import direct_product
-from cent_atlas.errors import BadParameters, EmptySweep, UnknownClaim
+from cent_atlas.errors import (
+    BadParameters,
+    EmptySweep,
+    OrderCapExceeded,
+    UnknownClaim,
+)
 
 
 def test_claim_ids_stable():
@@ -197,34 +209,40 @@ class TestWitnessCheck:
         assert not res.ok
 
 
+REDUCED = {
+    "C0": {"max_order": 50},
+    "C1": {"shapes": (("p2q", (2, 3)),)},
+    "C2": {"max_order": 150},
+    "C3": {"max_order": 150},
+    "C4": {"max_order": 150},
+    "C5": {"triples": ((2, 3, 5),)},
+    "C6": {"triples": ((2, 3, 5),)},
+    "C7": {"max_order": 100},
+    "C8": {"max_order": 50},
+    "C9": {"max_order": 150},
+    "C9w": {"p_list": (2,), "q_max": 7, "order_cap": 4096},
+    "C10": {"shapes": (("p2q", (2, 3)), ("pq2", (2, 3)))},
+    "C11": {"p_list": (2,)},
+    "C12": {"p_list": (2,)},
+    "C13": {"max_order": 100},
+}
+
+
+def _digest(report: ClaimReport) -> str:
+    text = json.dumps(report_to_jsonable(report), indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_all_claims_pass_reduced():
     """Every registered claim passes on a reduced sweep (smoke, not
     acceptance).  At jobs=1 every check runs in this process, where a
     line trace sees it; the digests are the same at every ``jobs``, and
-    ``test_determinism_across_jobs`` and the jobs=2 catalog pins cover
-    the pool."""
-    reduced = {
-        "C0": {"max_order": 50},
-        "C1": {"shapes": (("p2q", (2, 3)),)},
-        "C2": {"max_order": 150},
-        "C3": {"max_order": 150},
-        "C4": {"max_order": 150},
-        "C5": {"triples": ((2, 3, 5),)},
-        "C6": {"triples": ((2, 3, 5),)},
-        "C7": {"max_order": 100},
-        "C8": {"max_order": 50},
-        "C9": {"max_order": 150},
-        "C9w": {"p_list": (2,), "q_max": 7, "order_cap": 4096},
-        "C10": {"shapes": (("p2q", (2, 3)), ("pq2", (2, 3)))},
-        "C11": {"p_list": (2,)},
-        "C12": {"p_list": (2,)},
-        "C13": {"max_order": 100},
-    }
+    ``test_reduced_sweeps_share_one_pool``, ``test_determinism_across_jobs``
+    and the jobs=2 catalog pins cover the pool."""
     for cid in claim_ids():
-        rep = verify_claim(cid, jobs=1, **reduced[cid])
+        rep = verify_claim(cid, jobs=1, **REDUCED[cid])
         assert rep.passed, f"{cid}: {rep.counterexample}"
-        text = json.dumps(report_to_jsonable(rep), indent=2)
-        assert hashlib.sha256(text.encode()).hexdigest() == REDUCED_DIGESTS[cid], cid
+        assert _digest(rep) == REDUCED_DIGESTS[cid], cid
 
 
 # SHA-256 of json.dumps(report_to_jsonable(report), indent=2) for each
@@ -248,6 +266,103 @@ REDUCED_DIGESTS = {
     "C12": "2c127df27f5008f4c69d1aecccc711d1e9c0fedc9454681a9e71ddcee088d31f",
     "C13": "2ec045f27f515aee9c39a3494224ca224cb7582b71e7a106543684c21c8c725e",
 }
+
+
+def _workers() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def test_reduced_sweeps_share_one_pool():
+    # all 15 reduced sweeps, one after another in this process at jobs=2,
+    # give the jobs=1 reports byte for byte, from one set of workers
+    seen = set()
+    for cid in claim_ids():
+        assert _digest(verify_claim(cid, jobs=2, **REDUCED[cid])) == \
+            REDUCED_DIGESTS[cid], cid
+        seen |= _workers()
+    assert len(seen) == 2
+
+
+def test_pool_is_kept_between_calls():
+    first = verify_claim("C4", jobs=2, max_order=60)
+    workers = _workers()
+    second = verify_claim("C4", jobs=2, max_order=60)
+    assert len(workers) == 2 and _workers() == workers
+    assert report_to_jsonable(first) == report_to_jsonable(second)
+
+
+def test_pool_under_another_order_cap_raises_the_first_error(monkeypatch):
+    # workers read the cap at call time, so a new value starts new workers;
+    # the units are submitted largest first, and the error raised is still
+    # the first in unit order, as at jobs=1
+    verify_claim("C4", jobs=2, max_order=60)
+    before = _workers()
+    monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "20")
+    for jobs in (1, 2):
+        with pytest.raises(OrderCapExceeded, match="^order 24 exceeds cap 20$"):
+            verify_claim("C0", jobs=jobs, max_order=50)
+    assert len(_workers()) == 2 and not _workers() & before
+    assert verify_claim("C0", jobs=2, max_order=20).passed
+
+
+def test_pool_with_killed_workers_is_replaced():
+    want = report_to_jsonable(verify_claim("C4", jobs=1, max_order=60))
+    verify_claim("C4", jobs=2, max_order=60)
+    killed = multiprocessing.active_children()
+    for child in killed:
+        os.kill(child.pid, signal.SIGKILL)
+    for child in killed:
+        child.join(timeout=10)
+    time.sleep(0.2)  # the pool's manager thread sees its workers die
+    assert report_to_jsonable(verify_claim("C4", jobs=2, max_order=60)) == want
+    assert len(_workers()) == 2
+    assert not _workers() & {child.pid for child in killed}
+
+
+class _Interrupt(BaseException):
+    """Raised from a timer, as a benchmark's item cap or Ctrl-C would."""
+
+
+def test_pool_interrupted_mid_sweep_is_dropped():
+    # the handler ends the workers before it raises, as perfbench's item
+    # cap does; the interrupted call drops the pool, so the next call
+    # needs no wait to find its workers dead
+    want = report_to_jsonable(verify_claim("C4", jobs=1, max_order=60))
+    verify_claim("C4", jobs=2, max_order=60)
+
+    def interrupt(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise _Interrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(_Interrupt):
+            verify_claim("C9w", jobs=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not _workers()
+    assert report_to_jsonable(verify_claim("C4", jobs=2, max_order=60)) == want
+
+
+def test_pool_workers_end_with_their_process():
+    script = ("import multiprocessing\n"
+              "from cent_atlas.claims import verify_claim\n"
+              "assert verify_claim('C4', max_order=60, jobs=2).passed\n"
+              "print(*[c.pid for c in multiprocessing.active_children()])\n")
+    src = Path(claims.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_c11_witnesses_the_odd_cover():

@@ -240,19 +240,26 @@ def test_unrun_lines_lists_what_a_selection_never_ran(tmp_path):
                                 "\n"
                                 "def in_thread():\n"
                                 "    return 4\n", encoding="utf-8")
+    # the test also prepends three lines to mod.py as it runs: the report
+    # still names each line at its place in the code that ran
     (tmp_path / "test_mod.py").write_text(
         "import threading\n"
+        "from pathlib import Path\n"
         "import mod\n"
         "def test_used():\n"
         "    assert mod.used(True) == 1\n"
         "    worker = threading.Thread(target=mod.in_thread)\n"
         "    worker.start()\n"
-        "    worker.join()\n", encoding="utf-8")
+        "    worker.join()\n"
+        "    path = Path(mod.__file__)\n"
+        "    path.write_text('# a\\n# b\\n# c\\n' + path.read_text())\n",
+        encoding="utf-8")
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "unrun_lines.py"),
          "--root", str(src), "-q", "-p", "no:cacheprovider", "test_mod.py"],
         cwd=tmp_path, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
+    assert (src / "mod.py").read_text().startswith("# a\n")
     assert out[-4:] == ["src/mod.py:4: used", "src/mod.py:7: unused",
                         "src/mod.py:11: K.method", "3 function lines never ran"]
 

@@ -13,11 +13,12 @@ followed line by line.  DIR goes first on ``sys.path`` and on
 console script) import from it too; they are not traced.  Then each line
 that starts a statement in a function, lambda or comprehension of a file
 under DIR, other than its ``def`` line, and never ran is printed as
-``path:line: qualified name``, and last their count.  Module and class
-bodies are left out: they run on import.  Process-pool children (a
-claim sweep with ``jobs`` above 1) are not traced, so a line that only
-they run is listed as never run.  The trace makes pytest several times
-slower.
+``path:line: qualified name``, and last their count; those lines are
+read before pytest starts, so a file edited during the run is reported
+against the lines that ran.  Module and class bodies are left out: they
+run on import.  Process-pool children (a claim sweep with ``jobs`` above
+1) are not traced, so a line that only they run is listed as never run.
+The trace makes pytest several times slower.
 """
 
 import argparse
@@ -84,12 +85,13 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(root))
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root), os.environ.get("PYTHONPATH")]))
+    statements = {real: function_lines(path) for real, path in files.items()}
     import pytest
 
     code, ran = traced(set(files), lambda: pytest.main(pytest_args))
     unrun = [f"{os.path.relpath(path)}:{n}: {name}"
              for real, path in files.items()
-             for n, name in sorted(function_lines(path).items())
+             for n, name in sorted(statements[real].items())
              if (real, n) not in ran]
     print("\n".join(unrun))
     print(f"{len(unrun)} function lines never ran")
