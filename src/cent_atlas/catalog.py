@@ -30,7 +30,6 @@ match an independent exhaustive enumerator."""
 
 from __future__ import annotations
 
-import operator
 from math import gcd, prod
 from typing import Callable, Iterator
 
@@ -48,7 +47,7 @@ from .core import (
 )
 from .errors import BadParameters, NoInstanceAvailable
 from .invariants import center
-from .numbers import _SHAPES, crt, is_prime, order_shape, unit_of_order
+from .numbers import _SHAPES, _integer, crt, is_prime, order_shape, unit_of_order
 
 __all__ = [
     "FAMILIES",
@@ -75,17 +74,6 @@ __all__ = [
     "witness_exponents",
     "witness_h",
 ]
-
-
-def _integer(value: object, owner: str, name: str) -> int:
-    """``value`` as an int, numpy integers included; BadParameters for a
-    bool or a value with no ``__index__``, as a float or a str."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise BadParameters(f"{owner} needs an integer {name}, got {value!r}")
 
 
 def _require_prime(value: int, name: str) -> None:
@@ -318,6 +306,7 @@ def heisenberg_cover(p: int, order_cap: int | None = None) -> Group:
     A single-Jordan-block action of C_p on C_p x C_p x C_p:
     (x, y, z) -> (x, x + y, y + z).
     """
+    p = _integer(p, "heisenberg_cover", "p")
     _require_prime(p, "p")
     if p == 2:
         raise BadParameters("p must be odd (use D16 for covers of D8)")
@@ -487,7 +476,7 @@ def central_quotient_examples(kind: str, primes: tuple[int, ...],
         raise BadParameters(
             f"shape {kind!r} needs {len(exps)} primes, got {len(primes)}")
     for v in primes:
-        _require_prime(v, "prime")
+        _require_prime(_integer(v, "central_quotient_examples", "prime"), "prime")
     if len(set(primes)) != len(primes):
         raise BadParameters(f"shape {kind!r} needs distinct primes, got {primes}")
     target = prod(p ** e for p, e in zip(primes, exps))
@@ -543,7 +532,10 @@ def witness_exponents(p: int, q: int) -> list[int]:
 
 def covered_orders(max_order: int) -> dict[int, tuple[str, tuple[int, ...]]]:
     """Orders up to max_order that the classification lists cover, each
-    with its :func:`~cent_atlas.numbers.order_shape`, in ascending order."""
+    with its :func:`~cent_atlas.numbers.order_shape`, in ascending order.
+    Every catalog view and order sweep reads its orders here, so this is
+    where a bool or non-integer ``max_order`` is refused."""
+    max_order = _integer(max_order, "an order sweep", "max_order")
     shapes = ((n, order_shape(n)) for n in range(2, max_order + 1))
     return {n: shape for n, shape in shapes if shape is not None}
 

@@ -59,7 +59,7 @@ from .invariants import (
     omega,
     sylow,
 )
-from .numbers import order_shape, primes_up_to, unit_of_order
+from .numbers import _integer, order_shape, primes_up_to, unit_of_order
 
 __all__ = [
     "CapabilityVerdict",
@@ -662,13 +662,18 @@ def verify_claim(claim_id: str, jobs: int | None = None,
     if spec is None:
         raise UnknownClaim(
             f"unknown claim {claim_id!r}; known: {', '.join(_CLAIMS)}")
-    if jobs is not None and jobs < 1:
+    if jobs is not None and _integer(jobs, "verify_claim", "jobs") < 1:
         raise BadParameters(f"jobs must be at least 1, got {jobs}")
     unknown = next((key for key in params if key not in spec.defaults), None)
     if unknown is not None:
         raise BadParameters(
             f"claim {claim_id} takes {sorted(spec.defaults)}, not {unknown!r}")
     merged = {**spec.defaults, **params}
+    # max_order is checked where every sweep reads it, in covered_orders
+    if "q_max" in merged:
+        _integer(merged["q_max"], f"claim {claim_id}", "q_max")
+    for p in merged.get("p_list", ()):
+        _integer(p, f"claim {claim_id}", "p_list entry")
     units = spec.units(merged)
     if not units:
         raise EmptySweep(f"claim {claim_id}: no instances under {merged}")

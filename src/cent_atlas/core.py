@@ -16,10 +16,11 @@ produced it, by one of two paths:
   that order, to name its first fault; ``_validated``'s docstring gives
   the proof and ``from_cayley_table``'s the cost of each check.  The
   gate keeps one int32 copy of the table, which becomes the Group's, and
-  checks it in row blocks, so its working memory beyond that copy is
-  O(n); past one row block (n > 512) Light's test checks the blocks on
-  two threads.  A group file's freshly parsed table is handed over without
-  the copy.
+  checks it in row blocks on the calling thread, so its working memory
+  beyond that copy is O(n).  A group file's freshly parsed table, and the
+  tables that permutation generators and enumeration build, are handed
+  over without the copy.  A table that passes is wrapped by ``_trusted``,
+  the one constructor of every ``Group``.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
   private ``_trusted``: direct products of two groups; semidirect products,
@@ -61,10 +62,8 @@ Any ``Group`` can be re-checked in full with ``from_cayley_table(g.table)``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import wraps
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, Sized
 
 import numpy as np
@@ -83,7 +82,7 @@ from .errors import (
     NotSubgroup,
     OrderCapExceeded,
 )
-from .numbers import factor
+from .numbers import _integer, factor
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -110,6 +109,7 @@ ORDER_CAP_ENV = "CENT_ATLAS_ORDER_CAP"
 def resolve_order_cap(explicit: int | None = None) -> int:
     """Return the effective order cap: explicit arg, else env var, else default."""
     if explicit is not None:
+        explicit = _integer(explicit, "the order cap", "value")
         if explicit < 1:
             raise BadParameters(f"order cap must be positive, got {explicit}")
         return explicit
@@ -355,33 +355,6 @@ def _row_blocks(count: int, width: int) -> Iterator[slice]:
     return map(slice, range(0, count, step), range(step, count + step, step))
 
 
-def _in_order(fn: Callable, blocks: Iterable) -> Iterator:
-    """fn(b) for each b of ``blocks``, yielded in the order of ``blocks``.
-
-    Two threads apply fn, with at most two results outstanding, while
-    ``blocks`` is drawn on the caller's thread; a single block runs inline
-    and starts no thread.  The callers' numpy gathers and parses release
-    the GIL for most of their time, so the two threads overlap.
-    Results and exceptions come back in block order, so the first fault
-    in block order is the one reported, and a later block's is dropped.
-    The threads are joined when the generator ends, raises or is closed
-    (which CPython does as soon as a caller drops it), after at most the
-    two blocks in flight.
-    """
-    it = iter(blocks)
-    head = list(islice(it, 2))
-    if len(head) < 2:
-        yield from map(fn, head)
-        return
-    with ThreadPoolExecutor(2) as pool:
-        pending = [pool.submit(fn, b) for b in head]
-        for b in it:
-            done = pending.pop(0).result()
-            pending.append(pool.submit(fn, b))
-            yield done
-        yield from (future.result() for future in pending)
-
-
 def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray,
            also: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
     """Grow the flags ``member`` in place to the smallest set closed under
@@ -474,14 +447,12 @@ def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
     """Light's associativity test (Clifford & Preston, *Algebraic Theory of
     Semigroups* I, section 1.2): if (x*s)*y = x*(s*y) for all x, y and every
     s in a generating set S = ``gens``, the table is associative; raises
-    NotAssociative otherwise.  O(|S| n^2), over ``_row_blocks``, each s's
-    blocks on two threads when there is more than one (``_in_order``): the
-    triple named is the first in the order of S and then of x, as on one
-    thread.
+    NotAssociative otherwise, at the first triple in the order of S and
+    then of x.  O(|S| n^2), over ``_row_blocks``.
     """
     n = table.shape[0]
     for s in gens:
-        def light(rows: slice, s: int = s) -> None:
+        for rows in _row_blocks(n, n):
             lhs = table[table[rows, s]]
             rhs = np.take(table[rows], table[s], axis=1)
             if not np.array_equal(lhs, rhs):
@@ -490,8 +461,6 @@ def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
                 raise NotAssociative(
                     f"associativity fails at triple ({x}, {s}, {y}): ({x}*{s})*{y}"
                     f" = {lhs[dx, y]} but {x}*({s}*{y}) = {rhs[dx, y]}")
-        for _ in _in_order(light, _row_blocks(n, n)):
-            pass
 
 
 def _powers(table: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
@@ -540,18 +509,19 @@ def _trusted(table: np.ndarray, label: str | None,
              inverse: np.ndarray | None = None,
              orders: np.ndarray | None = None,
              gens: Iterable[int] | None = None) -> Group:
-    """Wrap a table that is a group by construction, without the gate.
+    """Wrap a table that is a group as a Group: the one constructor.
 
-    The module docstring lists the callers and why each table is a group.
-    The caller checks the order cap before it builds the table, and may
-    pass inverses, element orders and a generating set it already knows.
-    The set is stored as the group's :func:`_spanning` set, which class
-    data and G' read; any generating set serves them, so the group never
-    pays a closure for one.  The result equals what
-    :func:`from_cayley_table` returns for the same table.  A table that is
-    not int32 and C-contiguous costs a copy; without element orders they
-    cost O(n log n) gathers per prime, and without inverses one pass over
-    ``_row_blocks``.
+    ``_validated`` calls it last, with the set S of its proof; every other
+    caller skips the gate, and the module docstring lists them and why
+    each table is a group by construction.  Such a caller checks the
+    order cap before it builds the table, and may pass inverses, element
+    orders and a generating set it already knows.  The set is stored as
+    the group's :func:`_spanning` set, which class data and G' read; any
+    generating set serves them, so the group never pays a closure for
+    one.  The result equals what :func:`from_cayley_table` returns for the
+    same table.  A table that is not int32 and C-contiguous costs a copy;
+    without element orders they cost O(n log n) gathers per prime, and
+    without inverses one pass over ``_row_blocks``.
     """
     arr = np.ascontiguousarray(table, dtype=np.int32)
     arr.setflags(write=False)
@@ -597,14 +567,10 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     the failed proof on top of the scans.  The Group holds a copy of the
     table, never the caller's array.  Besides that int32 copy (and, for a
     wider input, the copy it is narrowed from), the checks work over
-    ``_row_blocks``, so their working memory is O(n) at every order; an
-    order of at most 512 is a single block.  A table of more than one row
-    block (n > 512) has Light's test run on two threads with at most two
-    blocks outstanding (see ``_in_order``), and the error raised is the
-    first faulty block's, as on one thread; the reject path's row and
-    column scans run on the calling thread, block by block in order.  At
-    order 3875 the gate peaks at about 62 MiB of Python allocations (61.8
-    MiB), the 57 MiB copy included.
+    ``_row_blocks``, one block at a time in order on the calling thread,
+    so their working memory is O(n) at every order and the first faulty
+    block is the one named.  At order 3875 the gate peaks at about 60 MiB
+    of Python allocations (60.3 MiB), the 57 MiB copy included.
     """
     try:
         arr = np.array(table)
@@ -640,8 +606,12 @@ def _validated(arr: np.ndarray, label: str | None,
 
     The array is narrowed to int32 in place of a copy where it already is
     int32 and C-contiguous, and is frozen into the Group, so no caller may
-    keep it: ``from_cayley_table`` hands over a copy of its input, and
-    ``report.read_group_file`` the table it has just parsed.
+    keep it: ``from_cayley_table`` hands over a copy of its input,
+    ``report.read_group_file`` the table it has just parsed, and
+    ``from_permutation_generators`` and ``enumeration.enumerate_groups``
+    the tables they have just built.  A table that passes is wrapped by
+    :func:`_trusted` with the set S, so the gate is a check in front of
+    the one constructor.
 
     After the shape, cap, dtype, range and identity checks, the accept
     path proves the table a group.  Let A be the set of a with
@@ -662,16 +632,17 @@ def _validated(arr: np.ndarray, label: str | None,
     A table that fails the proof (a generator's row, more than log2(n)
     generators, or Light's test) takes the reject path: the ordered
     checks of :func:`from_cayley_table`, which name its first fault.
-    Its row and column scans take the blocks in order on the calling
-    thread, so the first faulty block is the one named.  Its Light's test
+    Its row and column scans take the blocks in order, so the first
+    faulty block is the one named.  Its Light's test
     reuses S, whole or not, and still names the fault that the greedy set
     over magma closures M_j would: the first s_j of that set to fail, at
     the first (x, y).  For while s_1..s_(j-1) pass, they lie in A, so
     every bracketed product of them equals the left-bracketed one and
     W_(j-1) = M_(j-1): both rules pick the same s_j.  In a Latin square
     each M_j is a subquasigroup, so it at least doubles with each
-    generator, and the test fails within the log2(n) bound.  A table that passes every check is a group and took the
-    accept path, so the reject path ends in a raise it cannot reach.
+    generator, and the test fails within the log2(n) bound.  A table
+    that passes every check is a group and took the accept path, so the
+    reject path ends in a raise it cannot reach.
     """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise BadParameters(f"table must be a nonempty square matrix, got shape {arr.shape}")
@@ -707,10 +678,7 @@ def _validated(arr: np.ndarray, label: str | None,
             raise NoInverse(f"element {bad[0]} has no two-sided inverse")
         _check_associative(arr, gens)
         raise InconsistentInvariants("table passed the reject path's checks but not the proof")
-    arr.setflags(write=False)
-    g = Group(arr, _inverses(arr), _element_orders(arr), label)
-    _spanning.seed(g, tuple(gens))
-    return g
+    return _trusted(arr, label, gens=gens)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -759,7 +727,7 @@ def from_permutation_generators(generators: Sequence[Sequence[int]],
     for i, p in enumerate(elems):
         row = [index[_compose(p, q)] for q in elems]
         table[i] = row
-    return from_cayley_table(table, label=label, order_cap=cap)
+    return _validated(table, label, cap)
 
 
 def direct_product(g: Group, h: Group, label: str | None = None,

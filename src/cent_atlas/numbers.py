@@ -4,11 +4,13 @@ The one home of primality, factorization, primes up to a bound, units of a
 given multiplicative order, the Chinese remainder theorem for two moduli,
 and :func:`order_shape`, which names the shape of a group order that the
 classification lists and the capability decision cover.  Plain integers
-only, no numpy.
+only, no numpy; ``_integer`` is the one check that a public integer
+parameter is one.
 """
 
 from __future__ import annotations
 
+import operator
 from math import gcd, isqrt
 
 from .errors import BadParameters
@@ -19,6 +21,17 @@ __all__ = ["crt", "factor", "is_prime", "order_shape", "primes_up_to",
 # shape kind -> the exponent of each prime in the order, with the primes
 # as order_shape lists them
 _SHAPES = {"pqr": (1, 1, 1), "p2q": (2, 1), "p3": (3,)}
+
+
+def _integer(value: object, owner: str, name: str) -> int:
+    """``value`` as an int, numpy integers included; BadParameters for a
+    bool or a value with no ``__index__``, as a float or a str."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParameters(f"{owner} needs an integer {name}, got {value!r}")
 
 
 def is_prime(n: int) -> bool:

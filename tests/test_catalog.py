@@ -222,7 +222,16 @@ class TestFamilySpec:
         (cyclic, (True,), "cyclic needs an integer n, got True"),
         (dihedral, (8.0,), "dihedral needs an integer order, got 8.0"),
         (metacyclic, (7, 3, "2"), "metacyclic needs an integer k, got '2'"),
-    ], ids=["cyclic-bool", "dihedral-float", "metacyclic-str"])
+        (heisenberg_cover, (3.0,), "heisenberg_cover needs an integer p, got 3.0"),
+        (central_quotient_examples, ("p3", (2.0,)),
+         "central_quotient_examples needs an integer prime, got 2.0"),
+        (catalog_by_order, (12.5,),
+         "an order sweep needs an integer max_order, got 12.5"),
+        (catalog_up_to, (12.5,),
+         "an order sweep needs an integer max_order, got 12.5"),
+    ], ids=["cyclic-bool", "dihedral-float", "metacyclic-str",
+            "heisenberg_cover-float", "central_quotient_examples-float",
+            "catalog_by_order-float", "catalog_up_to-float"])
     def test_builders_refuse_a_non_integer(self, builder, args, message):
         with pytest.raises(BadParameters) as info:
             builder(*args)

@@ -80,6 +80,28 @@ class TestVerify:
                            match=f"^jobs must be at least 1, got {jobs}$"):
             verify_claim("C4", jobs=jobs, max_order=60)
 
+    @pytest.mark.parametrize("claim_id, params, message", [
+        ("C2", {"max_order": 30.5},
+         "an order sweep needs an integer max_order, got 30.5"),
+        ("C2", {"max_order": "40"},
+         "an order sweep needs an integer max_order, got '40'"),
+        ("C0", {"max_order": True},
+         "an order sweep needs an integer max_order, got True"),
+        ("C9w", {"p_list": (2,), "q_max": 7.5},
+         "claim C9w needs an integer q_max, got 7.5"),
+        ("C11", {"p_list": (2, 3.0)},
+         "claim C11 needs an integer p_list entry, got 3.0"),
+        ("C0", {"jobs": 1.5, "max_order": 12},
+         "verify_claim needs an integer jobs, got 1.5"),
+        ("C0", {"jobs": True, "max_order": 12},
+         "verify_claim needs an integer jobs, got True"),
+    ], ids=["max_order-float", "max_order-str", "max_order-bool", "q_max-float",
+            "p_list-float", "jobs-float", "jobs-bool"])
+    def test_non_integer_parameter_is_refused(self, claim_id, params, message):
+        with pytest.raises(BadParameters) as info:
+            verify_claim(claim_id, **params)
+        assert str(info.value) == message
+
     def test_c0_reduced(self):
         rep = verify_claim("C0", max_order=50)
         assert isinstance(rep, ClaimReport)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+import cent_atlas.claims as claims
 from cent_atlas.catalog import FAMILIES, cyclic, dihedral, witness_h
 from cent_atlas.cli import _build_parser, main
 from cent_atlas.core import direct_product, from_cayley_table
@@ -434,6 +436,18 @@ class TestVerify:
                               "4096", "--p-max", "2", "--q-max", "7"], capsys)
         assert (code, err) == (0, "")
         assert out.startswith("C9w: PASS (")
+
+    def test_failing_claim_exits_4_with_its_counterexample(self, monkeypatch,
+                                                           capsys):
+        spec = claims._CLAIMS["C2"]
+        monkeypatch.setitem(claims._CLAIMS, "C2", dataclasses.replace(
+            spec, check=lambda g, n: (False, "planted failure", {})))
+        code, out, err = run(["verify", "--claim", "C2", "--max-order", "60",
+                              "--jobs", "1"], capsys)
+        assert (code, err) == (4, "")
+        assert out.startswith("C2: FAIL (")
+        assert out.endswith("\ncounterexample: C15:C2(14) (order 30): "
+                            "planted failure\n")
 
     def test_c9_takes_the_default_order_cap_explicitly(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -876,6 +876,20 @@ class TestSubsetMask:
         assert 2 in m and 3 not in m
         assert m == SubsetMask.from_bool(m.as_bool())
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: SubsetMask(0, 0), BadParameters,
+         "mask owner order must be positive, got 0"),
+        (lambda: SubsetMask(-1, 3), IndexOutOfRange,
+         "mask bits out of range for order 3"),
+        (lambda: SubsetMask(8, 3), IndexOutOfRange,
+         "mask bits out of range for order 3"),
+        (lambda: SubsetMask.from_elements([3], 3), IndexOutOfRange,
+         "element 3 out of range for order 3"),
+    ], ids=["order-0", "negative-bits", "bits-past-order", "element-past-order"])
+    def test_refuses_a_bad_mask(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=24))
@@ -968,6 +982,17 @@ class TestRefusals:
             with pytest.raises(NotAutomorphism, match=re.escape(
                     f"map breaks the product at {cell}") + "$"):
                 semidirect_product(n_grp, cyclic(2), act)
+
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: cyclic(5, order_cap=10.5), "10.5"),
+        (lambda: cyclic(5, order_cap=True), "True"),
+        (lambda: from_cayley_table([[0]], order_cap="9"), "'9'"),
+    ], ids=["float", "bool", "str"])
+    def test_non_integer_order_cap_is_refused(self, build, shown):
+        with pytest.raises(BadParameters) as info:
+            build()
+        assert str(info.value) == (
+            f"the order cap needs an integer value, got {shown}")
 
     def test_order_cap_zero_is_refused(self):
         with pytest.raises(BadParameters,

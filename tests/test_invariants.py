@@ -242,6 +242,11 @@ class TestSylow:
         with pytest.raises(NotPrime):
             sylow(symmetric(3), 4)
 
+    def test_rejects_a_prime_not_dividing_the_order(self):
+        with pytest.raises(BadParameters,
+                           match="^5 does not divide the group order 6$"):
+            sylow(symmetric(3), 5)
+
     def test_counts_vs_oracle(self):
         for g in catalog_up_to(100):
             table = g.table.tolist()

@@ -1,11 +1,12 @@
 """Repository tooling: no unused imports or orphaned private names in the
 package, one owner of the per-group memo, the line counter in
 ``tools/src_lines.py``, the summary and durations parsers of
-``tools/tier1_time.py`` and the line tracer of ``tools/unrun_lines.py``
-(standard library only)."""
+``tools/tier1_time.py``, the line tracer of ``tools/unrun_lines.py`` and
+the pair runner of ``tools/bench_pairs.py`` (standard library only)."""
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -272,3 +273,52 @@ def test_unrun_lines_puts_root_on_the_path_of_subprocesses():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:]
     assert "1 passed" in proc.stdout
+
+
+# a perfbench/run.py stand-in: logs "<side> <seed>" to the log beside the
+# checkouts, then prints fixed values for that side and seed
+_STUB_RUN = '''import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parents[1]
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open(here.parent / "order.log", "a") as log:
+    log.write(f"{here.name} {seed}\\n")
+wall, correct, failed = VALUES[seed]
+metrics = {"setup_s": 0.25, "wall_s": wall, "peak_rss_mb": 40.0}
+print("wall_s", wall, "s")
+print(json.dumps({"correct": correct, "attempted": 4, "failed": failed,
+                  "metrics": {k: {"value": v, "unit": "s"}
+                              for k, v in metrics.items()}}))
+'''
+
+
+def test_bench_pairs_alternates_and_applies_the_pair_rule(tmp_path):
+    values = {"parent": {5: (1.0, True, 0), 6: (1.2, True, 0),
+                         7: (1.4, True, 0), 8: (1.6, True, 0)},
+              "change": {5: (0.9, True, 0), 6: (1.2, True, 0),
+                         7: (1.5, False, 1), 8: (1.1, True, 0)}}
+    for side, table in values.items():
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            f"VALUES = {table!r}\n" + _STUB_RUN, encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"),
+         str(tmp_path / "parent"), str(tmp_path / "change"),
+         "--workload", "sweep", "--pairs", "4", "--seed", "5"],
+        capture_output=True, text=True, check=True).stdout
+    got = json.loads(out)
+    assert (tmp_path / "order.log").read_text().split("\n")[:-1] == [
+        "parent 5", "change 5", "change 6", "parent 6",
+        "parent 7", "change 7", "change 8", "parent 8"]
+    assert got["first"] == ["parent", "change", "parent", "change"]
+    assert got["seeds"] == [5, 6, 7, 8]
+    wall = got["metrics"]["wall_s"]
+    assert wall["parent_median"] == pytest.approx(1.3)
+    assert wall["change_median"] == pytest.approx(1.15)
+    assert wall["parent_iqr"] == pytest.approx(0.3)  # 1.45 - 1.15
+    # the change wins seeds 5 and 8, ties 6 and loses 7
+    assert (wall["change_wins"], wall["pairs"]) == (2, 4)
+    assert got["metrics"]["setup_s"]["change_wins"] == 0
+    assert set(got["metrics"]) == {"setup_s", "wall_s", "peak_rss_mb"}
+    assert got["bad_runs"] == [{"side": "change", "seed": 7,
+                                "correct": False, "failed": 1}]

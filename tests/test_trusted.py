@@ -286,8 +286,10 @@ def test_element_orders_match_oracle_on_relabelled_tables(data):
 
 
 class TestUserTablesNeverTrusted:
-    """With the trusted constructor made to raise, every path that takes
-    a table or generators from outside the library still works.
+    """With the trusted constructor made to raise unless the gate calls
+    it, every path that takes a table or generators from outside the
+    library still works: none skips the gate.  The gate's own call is its
+    last step, after every check has passed.
 
     ``analyze`` builds reference groups for the capability of p^2 q and
     order-8 inputs, so the inputs here have other orders.
@@ -296,6 +298,8 @@ class TestUserTablesNeverTrusted:
     @pytest.fixture(autouse=True)
     def refuse_trusted(self, monkeypatch):
         def refuse(*args, **kwargs):
+            if sys._getframe(1).f_code is core._validated.__code__:
+                return real(*args, **kwargs)
             raise AssertionError("trusted constructor reached")
 
         real = core._trusted
