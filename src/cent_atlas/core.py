@@ -17,10 +17,9 @@ produced it, by one of two paths:
   the proof and ``from_cayley_table``'s the cost of each check.  The
   gate keeps one int32 copy of the table, which becomes the Group's, and
   checks it in row blocks on the calling thread, so its working memory
-  beyond that copy is O(n).  A group file's freshly parsed table, and the
-  tables that permutation generators and enumeration build, are handed
-  over without the copy.  A table that passes is wrapped by ``_trusted``,
-  the one constructor of every ``Group``.
+  beyond that copy is O(n).  A group file's freshly parsed table is
+  handed over without the copy.  A table that passes is wrapped by
+  ``_trusted``, the one constructor of every ``Group``.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
   private ``_trusted``: direct products of two groups; semidirect products,
@@ -447,15 +446,20 @@ def _check_associative(table: np.ndarray, gens: Sequence[int]) -> None:
     """Light's associativity test (Clifford & Preston, *Algebraic Theory of
     Semigroups* I, section 1.2): if (x*s)*y = x*(s*y) for all x, y and every
     s in a generating set S = ``gens``, the table is associative; raises
-    NotAssociative otherwise, at the first triple in the order of S and
-    then of x.  O(|S| n^2), over ``_row_blocks``.
+    NotAssociative otherwise, at the first triple in the order of S, then
+    of x, then of y.  O(|S| n^2), over ``_row_blocks``; each s's row must
+    be a permutation, as the gate has shown before either call.
     """
     n = table.shape[0]
     for s in gens:
+        y_of = np.argsort(table[s])  # s*y -> y: row s is a permutation
         for rows in _row_blocks(n, n):
-            lhs = table[table[rows, s]]
-            rhs = np.take(table[rows], table[s], axis=1)
-            if not np.array_equal(lhs, rhs):
+            # row x*s with each y moved to column s*y is row x if the test
+            # passes; "wrap" skips a bounds check that y_of never needs
+            moved = np.take(table[table[rows, s]], y_of, axis=1, mode="wrap")
+            if not np.array_equal(moved, table[rows]):
+                lhs = table[table[rows, s]]
+                rhs = np.take(table[rows], table[s], axis=1)
                 dx, y = map(int, np.argwhere(lhs != rhs)[0])
                 x = rows.start + dx
                 raise NotAssociative(
@@ -606,12 +610,10 @@ def _validated(arr: np.ndarray, label: str | None,
 
     The array is narrowed to int32 in place of a copy where it already is
     int32 and C-contiguous, and is frozen into the Group, so no caller may
-    keep it: ``from_cayley_table`` hands over a copy of its input,
-    ``report.read_group_file`` the table it has just parsed, and
-    ``from_permutation_generators`` and ``enumeration.enumerate_groups``
-    the tables they have just built.  A table that passes is wrapped by
-    :func:`_trusted` with the set S, so the gate is a check in front of
-    the one constructor.
+    keep it: ``from_cayley_table`` hands over a copy of its input, and
+    ``report.read_group_file`` the table it has just parsed.  A table
+    that passes is wrapped by :func:`_trusted` with the set S, so the
+    gate is a check in front of the one constructor.
 
     After the shape, cap, dtype, range and identity checks, the accept
     path proves the table a group.  Let A be the set of a with
@@ -727,7 +729,7 @@ def from_permutation_generators(generators: Sequence[Sequence[int]],
     for i, p in enumerate(elems):
         row = [index[_compose(p, q)] for q in elems]
         table[i] = row
-    return _validated(table, label, cap)
+    return from_cayley_table(table, label=label, order_cap=cap)
 
 
 def direct_product(g: Group, h: Group, label: str | None = None,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Group, _validated
+from .core import Group, from_cayley_table
 from .errors import BadParameters
 from .invariants import is_isomorphic
 
@@ -135,7 +135,7 @@ def _search(n: int) -> list[np.ndarray]:
                 state.add_generator()
                 rec(state)
                 return
-            arr = np.array(state.table, dtype=np.int32).reshape(n, n)
+            arr = np.array(state.table, dtype=np.int64).reshape(n, n)
             if (arr < 0).any():
                 raise AssertionError("incomplete table at a closed leaf")
             leaves.append(arr)
@@ -167,7 +167,7 @@ def enumerate_groups(n: int, order_cap: int | None = None) -> list[Group]:
             f"order {n} exceeds the search limit {MAX_ENUMERATION_ORDER}")
     reps: list[Group] = []
     for arr in _search(n):
-        g = _validated(arr, None, order_cap)  # the leaf is fresh: no copy
+        g = from_cayley_table(arr, order_cap=order_cap)
         if any(is_isomorphic(g, h) for h in reps):
             continue
         reps.append(g.relabeled(f"E{n}.{len(reps) + 1}"))

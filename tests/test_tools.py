@@ -318,7 +318,24 @@ def test_bench_pairs_alternates_and_applies_the_pair_rule(tmp_path):
     assert wall["parent_iqr"] == pytest.approx(0.3)  # 1.45 - 1.15
     # the change wins seeds 5 and 8, ties 6 and loses 7
     assert (wall["change_wins"], wall["pairs"]) == (2, 4)
+    assert wall["change_vs_parent"] == pytest.approx(-0.15 / 1.3)
+    assert wall["parent_iqr_ratio"] == pytest.approx(0.3 / 1.3)
+    assert (wall["bound"], wall["verdict"]) == (0.25, "within bound")
     assert got["metrics"]["setup_s"]["change_wins"] == 0
     assert set(got["metrics"]) == {"setup_s", "wall_s", "peak_rss_mb"}
     assert got["bad_runs"] == [{"side": "change", "seed": 7,
                                 "correct": False, "failed": 1}]
+
+
+@pytest.mark.parametrize("parent, change, sign, want", [
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], 1, "worse than bound"),
+    ([1.0, 1.0, 2.0, 2.0], [1.5, 1.5, 1.5, 1.5], 1, "unresolved"),
+    # a range wider than the bound, but every change run beats every parent run
+    ([1.0, 1.0, 2.0, 2.0], [0.4, 0.4, 0.4, 0.4], 1, "gain"),
+    ([1.0, 1.0, 2.0, 2.0], [0.5, 0.5, 0.5, 0.5], 1, "within bound"),
+    ([10.0, 10.1, 10.2, 10.3], [12.0, 12.0, 12.0, 12.0], -1, "gain"),
+    ([10.0, 10.1, 10.2, 10.3], [7.0, 7.0, 7.0, 7.0], -1, "worse than bound"),
+    ([1.0, 1.1, 1.2, 1.3], [1.2, 1.2, 1.2, 1.2], 1, "within bound"),
+])
+def test_bench_pairs_verdict_reads_the_bound(parent, change, sign, want):
+    assert _load_tool("bench_pairs").verdict(parent, change, sign, 0.25) == want

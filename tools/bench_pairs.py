@@ -11,7 +11,14 @@ odd, and reads the JSON result on the last line of each run's standard
 output.  For each end-to-end metric of this repository's BENCHMARK.json
 the output gives both sides' runs and medians, the parent's interquartile
 range (inclusive quartiles), the pairs the change won by the metric's
-``better`` direction, ties counting for neither side, and the pairs run.
+``better`` direction, ties counting for neither side, the pairs run, the
+change's median relative to the parent's, the parent's range relative to
+its median, the metric's ``bound`` and a verdict: "worse than bound"
+where the change's median is worse by more than the bound; else
+"unresolved" where the parent's range is wider than the bound and not
+every change run beats every parent run; else "gain" where the change
+won at least nine pairs in ten and its median beats the parent's by more
+than the parent's range; else "within bound".
 It also lists every run that read ``correct: false`` or ``failed`` above
 0.  A run that exits nonzero or prints no result stops the tool.
 """
@@ -40,21 +47,47 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """The pair rule's figures for each metric in ``better`` (name ->
-    "lower" or "higher"), from the results of both sides in pair order."""
+def verdict(parent: list[float], change: list[float], sign: int,
+            bound: float) -> str:
+    """The pair rule's reading of one metric.  ``sign`` is 1 where lower is
+    better and -1 where higher is; ``bound`` is the largest worsening of
+    the change's median, relative to the parent's, that is no regression.
+    """
+    p, c = [sign * v for v in parent], [sign * v for v in change]
+    p_med, c_med = statistics.median(p), statistics.median(c)
+    q1, _, q3 = statistics.quantiles(p, n=4, method="inclusive")
+    if c_med - p_med > bound * abs(p_med):
+        return "worse than bound"
+    if q3 - q1 > bound * abs(p_med) and max(c) >= min(p):
+        return "unresolved"
+    if (sum(x > y for x, y in zip(p, c)) >= 0.9 * len(p)
+            and p_med - c_med > q3 - q1):
+        return "gain"
+    return "within bound"
+
+
+def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """The pair rule's figures for each metric of ``metrics`` (BENCHMARK.json
+    entries with ``name``, ``better`` and ``bound``), from the results of
+    both sides in pair order."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
         parent, change = ([r["metrics"][name]["value"] for r in runs[side]]
                           for side in SIDES)
+        p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if metric["better"] == "lower" else -1
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": p_med,
+            "change_median": c_med,
             "parent_iqr": q3 - q1,
             "change_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
             "pairs": len(parent),
+            "change_vs_parent": (c_med - p_med) / p_med,
+            "parent_iqr_ratio": (q3 - q1) / p_med,
+            "bound": bound,
+            "verdict": verdict(parent, change, sign, bound),
             "parent_runs": parent,
             "change_runs": change,
         }
@@ -72,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     first, bad = [], []
     for i in range(args.pairs):
@@ -88,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                             "failed": result["failed"]})
     print(json.dumps({"workload": args.workload,
                       "seeds": [args.seed + i for i in range(args.pairs)],
-                      "first": first, "metrics": summarize(runs, better),
+                      "first": first, "metrics": summarize(runs, spec["end_to_end"]),
                       "bad_runs": bad}))
     return 0
 
