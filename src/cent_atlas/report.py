@@ -5,10 +5,11 @@ with the identity at index 0; the permutation-generator file is
 {"degree": d, "generators": [[...], ...]}.  ``write_group_file`` emits
 compact one-line JSON without building a Python list of the table;
 ``read_group_file`` reads that layout by a fast path, in blocks of about
-1 MB parsed on two threads straight into one int32 table that the
-validation gate takes over without a copy, accepts any other valid JSON
-for either kind through ``json.loads``, and always revalidates the group
-axioms.
+1 MB parsed on two threads, each chunk with one GIL-held
+``bytes.translate`` and numpy passes that free the GIL, straight into
+one int32 table that the validation gate takes over without a copy,
+accepts any other valid JSON for either kind through ``json.loads``, and
+always revalidates the group axioms.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ _CANONICAL_END = b"]]}\n"
 # bytes read at a time by the fast path: about 1 MB, so that what it holds
 # besides the table stays small at every order
 _READ_BLOCK = 1 << 20
+# a translate table keeping digits and commas and blanking every other byte
+_BLANK_ALL_BUT_CELLS = bytes(b if b in b"0123456789," else ord(" ")
+                             for b in range(256))
 
 
 def _row_chunks(fh: BinaryIO, buf: bytearray) -> Iterator[bytes]:
@@ -252,36 +256,51 @@ def _parse_rows(chunk: bytes) -> np.ndarray | None:
     """The rows of one chunk as a k x n int32 array, or None unless the
     chunk is k rows of n canonical tokens joined by ``],[``, for some n.
 
-    Only digits and commas around k - 1 row breaks, each made a -1 marker
-    (the length check counts the replacements), and no empty token: then
-    the parse cannot stop early.  The count of values gives n.  Dropping
-    the k - 1 places between rows of n leaves a negative entry if any
-    marker was elsewhere, that is, if some row was not n tokens long.
-    Every token is at least as long as its value's decimal digits, and
-    longer exactly when it has a leading zero or wrapped in int32 (ten or
-    more digits): the tokens fill the chunk only if all are canonical.
+    One ``bytes.translate`` blanks every byte but digits and commas, so a
+    row break ``],[`` reads as `` , ``; every other pass is numpy's and
+    leaves the GIL free for the other thread.  The k - 1 ``]`` give k.
+    Each must open a ``],[`` with a digit on both sides, and the blanks
+    must be those breaks' brackets alone: then every byte is a digit, a
+    comma or in a break, and no token is blank (numpy reads a blank token
+    as 0, a digit no byte accounts for, which a leading zero elsewhere
+    could offset).  ``np.fromstring`` raises ``ValueError`` on an empty
+    token (numpy 2), but older numpy may warn and return the values before
+    it.  Every token is at least as long as its value's decimal digits,
+    and longer exactly when it has a leading zero or wrapped in int32 (ten
+    or more digits), so a short parse leaves bytes that no value accounts
+    for.  The last check therefore rejects it on its own, without the
+    exception: the values must come k rows of n, and with each row's digit
+    widths summed, every row's ``]`` must fall where its values put it and
+    the last row must end where the chunk does.
     """
-    rest = chunk.translate(None, b"0123456789,")
-    k = len(rest) // 2 + 1
-    if not (chunk[:1].isdigit() and chunk[-1:].isdigit()
-            and rest == b"][" * (k - 1)):
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    close = np.flatnonzero(raw == ord("]"))
+    k = close.size + 1
+    # a digit first, and room for "],[" and a digit after each "]"
+    if not chunk[:1].isdigit() or k > 1 and close[-1] > len(chunk) - 4:
         return None
-    flat = chunk.replace(b"],[", b",-1,")
-    if len(flat) != len(chunk) + k - 1 or b",," in flat:
+    around = raw[close[:, None] + np.arange(-1, 4)]  # a digit, "],[", a digit
+    text = chunk.translate(_BLANK_ALL_BUT_CELLS)
+    if (around[:, 1:4].tobytes() != b"],[" * (k - 1)
+            or not (around[:, ::4] - ord("0") < 10).all()
+            or np.count_nonzero(np.frombuffer(text, dtype=np.uint8)
+                                == ord(" ")) != 2 * (k - 1)):
         return None
-    cells = np.fromstring(flat, dtype=np.int32, sep=",")
-    del flat
-    n = (cells.size + 1) // k - 1
-    if cells.size != k * (n + 1) - 1:
+    try:  # an empty token, or not k rows' worth of values
+        rows = np.fromstring(text, dtype=np.int32, sep=",").reshape(k, -1)
+    except ValueError:
         return None
-    cells.resize(k * (n + 1), refcheck=False)  # a place after the last row
-    rows = cells.reshape(k, n + 1)[:, :n]
+    del text
     top = int(rows.max())
     if rows.min() < 0 or top >= 10 ** 9:
         return None
-    digits = rows.size + sum(int(np.count_nonzero(rows >= 10 ** j))
-                             for j in range(1, len(str(top))))
-    if len(chunk) != digits + k * (n - 1) + 3 * (k - 1):
+    n = rows.shape[1]
+    widths = np.full(k, n)
+    for j in range(1, len(str(top))):
+        widths += np.count_nonzero(rows >= 10 ** j, axis=1)
+    # each row's digits, n - 1 commas and then "],[": where its "]" falls
+    ends = np.cumsum(widths + n + 2) - 3
+    if ends[-1] != len(chunk) or not np.array_equal(ends[:-1], close):
         return None
     return rows
 
@@ -293,13 +312,14 @@ def _in_order(fn: Callable, blocks: Iterable) -> Iterator:
     ``blocks`` is drawn on the caller's thread; a single block runs inline
     and starts no thread.  Its one caller is the fast path of
     ``_read_canonical``, where two threads parse a file of several blocks
-    clearly faster than one (H(5,31,2) on a 2-core host: about 0.55
-    against 0.74 s); the gate, where they gave no clear gain, checks its
-    row blocks on the calling thread.  Results and exceptions come back in block order, so
-    the first fault in block order is the one reported, and a later
-    block's is dropped.  The threads are joined when the generator ends,
-    raises or is closed (which CPython does as soon as a caller drops
-    it), after at most the two blocks in flight.
+    clearly faster than one, since ``_parse_rows`` holds the GIL only for
+    one ``bytes.translate`` (H(5,31,2) on a 2-core host: about 0.30
+    against 0.44 s); the gate, where they gave no clear gain, checks its
+    row blocks on the calling thread.  Results and exceptions come back
+    in block order, so the first fault in block order is the one
+    reported, and a later block's is dropped.  The threads are joined
+    when the generator ends, raises or is closed (which CPython does as
+    soon as a caller drops it), after at most the two blocks in flight.
     """
     it = iter(blocks)
     head = list(islice(it, 2))
@@ -336,8 +356,9 @@ def _read_canonical(fh: BinaryIO,
     leaves the layout anywhere returns None, for ``json.loads`` to judge.
     A file of more than one block is parsed on two threads with at most
     two chunks outstanding while this thread reads on (``_in_order``);
-    one block is parsed inline.  Refusing H(5,31,2) (order 3875) at a cap
-    of 2048 peaks at about 14 MiB of Python allocations.
+    one block is parsed inline, by the same ``_parse_rows``.  Refusing
+    H(5,31,2) (order 3875) at a cap of 2048 peaks at about 14 MiB of
+    Python allocations.
     """
     head = bytearray()
     while (start := head.find(_CANONICAL_TABLE)) < 0:
@@ -393,10 +414,11 @@ def read_group_file(path: str | Path,
     n that path holds the 4 n^2 byte table and O(n) more besides blocks
     of about 1 MB.  A file of more than one block is parsed on two
     threads with at most two blocks outstanding, and the table is checked
-    on the calling thread; reading and checking H(5,31,2) peaks at about
-    71 MiB, its 57 MiB table included.  Any other text goes through
-    ``json.loads``, and both meet the same checks below, so which files
-    load and every error message are the same either way.
+    on the calling thread; reading and checking H(5,31,2) takes about
+    0.4 s (0.53 s on one thread) and peaks at about 71 MiB, its 57 MiB
+    table included.  Any other text goes through ``json.loads``, and both
+    meet the same checks below, so which files load and every error
+    message are the same either way.
 
     A group file's "label" must be a string or null, its "order" (when
     present) the table's size, and its table free of JSON booleans, which

@@ -5,12 +5,14 @@ numpy and no shortcuts shared with the library code, except the dense
 references at the end: whole-table numpy formulas, O(n^2) in time and
 memory, fast enough to check the generator-based library code on groups
 of order in the thousands, the whole-table validation gate and the
-json-only group-file loader.
+json-only group-file loader.  The last, ``canonical_rows``, reads one
+chunk of the writer's table layout by regular expression and split.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations, product
 from pathlib import Path
 
@@ -548,3 +550,21 @@ def read_group_file_json(path, order_cap: int | None = None) -> Group:
         return from_permutation_generators(gens, label=label or "",
                                            order_cap=order_cap)
     raise BadParameters(f"{path}: neither a group nor a permutation file")
+
+
+# One chunk of the canonical table layout by regular expression and split:
+# the group-file fast path's chunk parse must agree with it on every chunk.
+
+_CANONICAL_TOKEN = re.compile(rb"0|[1-9][0-9]{0,8}")
+
+
+def canonical_rows(chunk: bytes) -> list[list[int]] | None:
+    """The rows of ``chunk`` as lists of ints if it is k >= 1 rows of the
+    same number n >= 1 of tokens ``0|[1-9][0-9]{0,8}``, the tokens of a row
+    joined by ``,`` and the rows by ``],[``; else None."""
+    rows = [row.split(b",") for row in chunk.split(b"],[")]
+    if any(len(row) != len(rows[0]) for row in rows) or not all(
+            _CANONICAL_TOKEN.fullmatch(token)
+            for row in rows for token in row):
+        return None
+    return [[int(token) for token in row] for row in rows]

@@ -8,7 +8,10 @@ group, or the same exception type and message.  Byte-level mutations of
 the writer's compact layout check that its fast path takes exactly that
 layout and leaves every other text to ``json.loads``, also when the fast
 path reads the file a few bytes at a time, so that every row and the
-header span several blocks.
+header span several blocks.  The fast path's chunk parse agrees with the
+regular-expression reference ``oracles.canonical_rows`` on generated
+chunks, also when ``np.fromstring`` returns the values before an empty
+token, as numpy before 2 did, instead of raising.
 """
 
 import contextlib
@@ -20,12 +23,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cent_atlas import report
 from cent_atlas.catalog import cyclic, symmetric
 from cent_atlas.cli import main
+from cent_atlas.errors import BadGroupFile
 from cent_atlas.report import read_group_file, write_group_file
 
 import oracles
@@ -268,6 +272,120 @@ def test_bad_token_in_one_block_of_several(token, row, tmp_path):
         assert report._read_canonical(io.BytesIO(data), None) is None
         assert_same_as_json_loader(tmp_path, data)
         assert_same_as_json_loader(tmp_path, data, order_cap=2)
+
+
+def test_ragged_rows_of_full_length_in_one_chunk_of_several(tmp_path):
+    """Rows r and r + 1, one token short and one long, lie in one chunk of
+    a file read in blocks of 4 KB, so that chunk still holds whole rows'
+    worth of tokens and is parsed on a thread beside another: only the
+    place of its row break tells it from a canonical chunk."""
+    def row_start(r):  # the offset of row r in the file
+        return len(layout(C100_ROWS[:r], order=b"100")) - len(b"]]}\n") + 3
+
+    # the "],[" after row r + 1 is read in the block where row r starts
+    r = next(r for r in range(20, 90)
+             if row_start(r) // 4096 == (row_start(r + 2) - 1) // 4096)
+    rows = copy.deepcopy(C100_ROWS)
+    rows[r + 1].insert(0, rows[r].pop())
+    data = layout(rows, order=b"100")
+    with read_blocks_of(4096):
+        assert report._read_canonical(io.BytesIO(data), None) is None
+        assert_same_as_json_loader(tmp_path, data)
+        with pytest.raises(BadGroupFile, match=r"field 'table' is ragged"):
+            read_group_file(tmp_path / "g.json")
+
+
+CANONICAL_TOKENS = st.integers(0, 10 ** 9 - 1).map(b"%d".__mod__)
+BAD_TOKENS = st.sampled_from([b"", b"00", b"01", b"-1", b"1000000000",
+                              b"2147483648", b"4294967301", b"6442450943",
+                              b"9" * 20])
+CHUNK_PIECES = st.sampled_from([b"],[", b"]", b"[", b",", b" ", b"0", b"x"])
+
+
+@st.composite
+def table_chunks(draw):
+    """k rows of n canonical tokens joined as the writer joins them, then
+    at most one token made non-canonical, one row break moved (keeping
+    k * n tokens, rows possibly empty) and two pieces inserted or slices
+    deleted."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    tokens = draw(st.lists(CANONICAL_TOKENS, min_size=k * n,
+                           max_size=k * n))
+    if draw(st.booleans()):
+        tokens[draw(st.integers(0, k * n - 1))] = draw(BAD_TOKENS)
+    cuts = list(range(0, k * n + 1, n))
+    if k > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, k - 1))
+        cuts[i] = draw(st.integers(cuts[i - 1], cuts[i + 1]))
+    chunk = bytearray(b"],[".join(b",".join(tokens[a:b])
+                                  for a, b in zip(cuts, cuts[1:])))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(chunk)))
+        if draw(st.booleans()):
+            chunk[i:i] = draw(CHUNK_PIECES)
+        else:
+            del chunk[i:i + draw(st.integers(1, 3))]
+    return bytes(chunk)
+
+
+def values_before_an_empty_token(text, dtype, sep, fromstring=np.fromstring):
+    """``np.fromstring`` as numpy before 2 had it, less the warning: the
+    values before an empty token, where numpy 2 raises ``ValueError``."""
+    try:
+        return fromstring(text, dtype=dtype, sep=sep)
+    except ValueError:
+        if b",," not in text:
+            raise
+        return fromstring(text[:text.index(b",,")], dtype=dtype, sep=sep)
+
+
+@pytest.mark.parametrize("fromstring", [
+    np.fromstring, values_before_an_empty_token], ids=["numpy", "older"])
+@settings(max_examples=400, deadline=None)
+@given(table_chunks())
+@example(b"")
+@example(b"1,2,3],[4")  # two rows of two tokens by count, ragged by place
+@example(b"1],[2,3,4")
+@example(b"1,2],[3],[4,5,6")
+@example(b"],[1")  # row breaks at the chunk's edge
+@example(b"1],[")
+@example(b"1[,]2")
+@example(b"1,],[2")  # a comma next to a row break
+@example(b"1],[,2")
+@example(b"1,2],3,[4")  # a "]" and a "[" that make no row break
+@example(b"1],x2")  # "]," and a byte other than "[", blanked as "[" is
+@example(b"1], 2")
+@example(b"01,],[1,2")  # a blank token read as 0 offsets a leading zero
+@example(b"1,,2")  # empty tokens
+@example(b"1,2],[3,,4")
+@example(b"1,2],[3,4,,5,6")
+@example(b"1,2,")
+@example(b",1")
+@example(b"1],[],[2")
+@example(b"01,2")  # leading zeros
+@example(b"00")
+@example(b"1000000000")  # ten digits, wrapping in int32 or not
+@example(b"4294967301")
+@example(b"6442450943")
+@example(b"1[2")  # stray brackets and blanks
+@example(b"1]2")
+@example(b"1,[2")
+@example(b"1, 2")
+@example(b"1, ,2")  # a blank or junk token, which numpy reads as 0
+@example(b"1,x,2")
+@example(b"1 ],[2")
+@example(b"0")  # canonical
+@example(b"10,2],[3,999999999")
+@example(b"1],[2],[3")
+def test_chunk_parse_agrees_with_the_reference(fromstring, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "fromstring", fromstring)
+        rows = report._parse_rows(chunk)
+    expected = oracles.canonical_rows(chunk)
+    if expected is None:
+        assert rows is None
+    else:
+        assert rows.dtype == np.int32 and rows.tolist() == expected
 
 
 BYTES = st.sampled_from(list(b'0123456789,[]{}":- \n\r\t.e+lnrtu\\') + [0xff])
