@@ -533,11 +533,9 @@ def witness_exponents(p: int, q: int) -> list[int]:
 def covered_orders(max_order: int) -> dict[int, tuple[str, tuple[int, ...]]]:
     """Orders up to max_order that the classification lists cover, each
     with its :func:`~cent_atlas.numbers.order_shape`, in ascending order.
-    Every catalog view and order sweep reads its orders here, so this is
-    where a bool or non-integer ``max_order`` is refused."""
-    max_order = _integer(max_order, "an order sweep", "max_order")
-    shapes = ((n, order_shape(n)) for n in range(2, max_order + 1))
-    return {n: shape for n, shape in shapes if shape is not None}
+    Every catalog view and order sweep reads its orders from
+    :func:`_shapes`, which refuses a bool or non-integer ``max_order``."""
+    return {n: shape for n, shape in _shapes(max_order) if shape is not None}
 
 
 def _c2_times(g: Group, order_cap: int | None) -> Group:
@@ -564,11 +562,14 @@ _NAMED_EXTRAS: dict[int, Callable[[int | None], list[Group]]] = {
 }
 
 
-def _orders(max_order: int) -> list[int]:
-    """The catalog's orders up to max_order, ascending: the covered orders
-    and the orders of the named extras."""
-    return sorted(covered_orders(max_order).keys()
-                  | {n for n in _NAMED_EXTRAS if n <= max_order})
+def _shapes(max_order: int) -> Iterator[tuple[int, tuple[str, tuple[int, ...]] | None]]:
+    """The catalog's orders up to max_order, ascending, each with its
+    order shape and each found only when it is reached: the covered
+    orders and the orders of the named extras, whose shape is None.
+    ``max_order`` is checked at the call."""
+    max_order = _integer(max_order, "an order sweep", "max_order")
+    return ((n, shape) for n in range(2, max_order + 1)
+            if (shape := order_shape(n)) is not None or n in _NAMED_EXTRAS)
 
 
 def catalog_orders(max_order: int, order_cap: int | None = None
@@ -580,11 +581,13 @@ def catalog_orders(max_order: int, order_cap: int | None = None
     that does not keep the lists holds about one order's groups at a time,
     where ``catalog_by_order`` holds them all.  Every order is checked
     against the cap before the first is built, so a catalog that reaches
-    past the cap is refused whole.
+    past the cap is refused whole, and the orders are listed only up to
+    the first one above the cap.
     """
-    orders = _orders(max_order)
-    for n in orders:
+    orders = []
+    for n, _ in _shapes(max_order):
         _check_order_cap(n, order_cap)
+        orders.append(n)
     for n in orders:
         yield n, list(_order_groups(n, order_cap))
 

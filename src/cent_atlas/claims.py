@@ -31,7 +31,7 @@ from .catalog import (
     _cp_x_cq_cp,
     _nonabelian_classes,
     _order_groups,
-    _orders,
+    _shapes,
     alternating,
     central_quotient_examples,
     covered_orders,
@@ -429,7 +429,7 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "four-group, and exactly 5 precisely when its central quotient is S3 "
         "or C3 x C3.",
         "every catalog group of order at most 100",
-        {"max_order": 100}, lambda ps: [(n,) for n in _orders(ps["max_order"])],
+        {"max_order": 100}, lambda ps: [(n,) for n, _ in _shapes(ps["max_order"])],
         _order_groups, _check_c0),
     _Claim(
         "C1",
@@ -488,7 +488,7 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "whose central quotient is abelian has an elementary abelian central "
         "quotient.",
         "every catalog group of order at most 100",
-        {"max_order": 100}, lambda ps: [(n,) for n in _orders(ps["max_order"])],
+        {"max_order": 100}, lambda ps: [(n,) for n, _ in _shapes(ps["max_order"])],
         lambda n: (g for g in _order_groups(n) if cent_structure(g).is_ca),
         _check_c8),
     _Claim(
@@ -669,7 +669,7 @@ def verify_claim(claim_id: str, jobs: int | None = None,
         raise BadParameters(
             f"claim {claim_id} takes {sorted(spec.defaults)}, not {unknown!r}")
     merged = {**spec.defaults, **params}
-    # max_order is checked where every sweep reads it, in covered_orders
+    # max_order is checked where every sweep reads it, in catalog._shapes
     if "q_max" in merged:
         _integer(merged["q_max"], f"claim {claim_id}", "q_max")
     for p in merged.get("p_list", ()):

@@ -24,6 +24,7 @@ import argparse
 import io
 import json
 import sys
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -66,32 +67,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct finite groups, compute centralizer "
                     "structure, and verify claims over group catalogs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--order-cap", type=int)
+    add = partial(sub.add_parser, parents=[capped])  # all five take the cap
 
-    p_con = sub.add_parser("construct", help="build a named group")
+    p_con = add("construct", help="build a named group")
     p_con.add_argument("--family", required=True,
                        choices=tuple(_catalog.FAMILIES))
     for flag in _FAMILY_PARAMS:
         p_con.add_argument(f"--{flag}", type=int)
-    p_con.add_argument("--order-cap", type=int)
     p_con.add_argument("--out", help="output group file (default: stdout)")
     p_con.set_defaults(func=_cmd_construct)
 
-    p_ana = sub.add_parser("analyze", help="report invariants of a group file")
+    p_ana = add("analyze", help="report invariants of a group file")
     p_ana.add_argument("--in", dest="infile", required=True,
                        help="group or permutation-generator JSON file")
     p_ana.add_argument("--format", choices=("json", "md", "csv"),
                        default="json")
-    p_ana.add_argument("--order-cap", type=int)
     p_ana.add_argument("--out", help="output file (default: stdout)")
     p_ana.set_defaults(func=_cmd_analyze)
 
-    p_cat = sub.add_parser("catalog", help="emit classification lists")
+    p_cat = add("catalog", help="emit classification lists")
     p_cat.add_argument("--max-order", type=int, required=True)
     p_cat.add_argument("--out-dir", required=True)
-    p_cat.add_argument("--order-cap", type=int)
     p_cat.set_defaults(func=_cmd_catalog)
 
-    p_ver = sub.add_parser("verify", help="run a claim sweep")
+    p_ver = add("verify", help="run a claim sweep")
     p_ver.add_argument("--claim")
     p_ver.add_argument("--list", action="store_true",
                        help="list claims and exit")
@@ -100,15 +101,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-order", type=int)
     p_ver.add_argument("--p-max", type=int)
     p_ver.add_argument("--q-max", type=int)
-    p_ver.add_argument("--order-cap", type=int)
     p_ver.add_argument("--out", help="write the JSON report here")
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_wit = sub.add_parser(
-        "witness", help="check that cover/Z(cover) matches a target group")
+    p_wit = add("witness",
+                help="check that cover/Z(cover) matches a target group")
     p_wit.add_argument("cover", help="group file for the covering group H")
     p_wit.add_argument("target", help="group file for the target G")
-    p_wit.add_argument("--order-cap", type=int)
     p_wit.set_defaults(func=_cmd_witness)
     return parser
 

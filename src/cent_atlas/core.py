@@ -19,7 +19,11 @@ produced it, by one of two paths:
   checks it in row blocks on the calling thread, so its working memory
   beyond that copy is O(n).  A group file's freshly parsed table is
   handed over without the copy.  A table that passes is wrapped by
-  ``_trusted``, the one constructor of every ``Group``.
+  ``_trusted``, the one constructor of every ``Group``.  Permutation
+  generators fill their table in the one breadth-first search that
+  numbers the elements: each column is an earlier column gathered
+  through one generator's right-multiplication map, so the table costs
+  n gathers and n times |generators| compositions, not n^2.
 - Tables the library builds from groups it already holds, or from checked
   parameters, are groups by construction and skip the gate through the
   private ``_trusted``: direct products of two groups; semidirect products,
@@ -696,6 +700,13 @@ def from_permutation_generators(generators: Sequence[Sequence[int]],
     Permutations map positions 0..degree-1; elements are numbered in
     breadth-first discovery order from the identity, so index 0 is the
     identity.  Raises OrderCapExceeded if the closure grows past the cap.
+
+    The search composes each element x with each generator g_k once,
+    giving ``right[k][x]``, the index of x*g_k, and records the (x, k)
+    that first reached each new element j (a Schreier vector).  That is
+    the whole table: y*j = (y*x)*g_k, so column j is column x gathered
+    through ``right[k]``, one O(n) gather per element in discovery
+    order.  The table then goes through :func:`from_cayley_table`.
     """
     if not generators:
         raise BadParameters("at least one generator permutation is required")
@@ -708,27 +719,27 @@ def from_permutation_generators(generators: Sequence[Sequence[int]],
             raise BadParameters(f"generator {g!r} is not a permutation of 0..{degree - 1}")
         gens.append(tuple(arr.tolist()))
     cap = resolve_order_cap(order_cap)
-    ident = tuple(range(degree))
-    elems: list[tuple[int, ...]] = [ident]
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    head = 0
-    while head < len(elems):
-        cur = elems[head]
-        head += 1
-        for g in gens:
+    elems: list[tuple[int, ...]] = [tuple(range(degree))]
+    index: dict[tuple[int, ...], int] = {elems[0]: 0}
+    right: list[list[int]] = [[] for _ in gens]
+    reached: list[tuple[int, int]] = []  # (x, k) for elements 1, 2, ...
+    for x, cur in enumerate(elems):  # elems grows as the search runs
+        for k, g in enumerate(gens):
             nxt = _compose(cur, g)
             if nxt not in index:
                 if len(elems) >= cap:
                     raise OrderCapExceeded(
-                        f"closure of permutation generators exceeds cap {cap}"
-                    )
+                        f"closure of permutation generators exceeds cap {cap}")
                 index[nxt] = len(elems)
                 elems.append(nxt)
+                reached.append((x, k))
+            right[k].append(index[nxt])
     n = len(elems)
+    rights = np.array(right, dtype=np.int32)
     table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elems):
-        row = [index[_compose(p, q)] for q in elems]
-        table[i] = row
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    for j, (x, k) in enumerate(reached, start=1):
+        table[:, j] = rights[k][table[:, x]]
     return from_cayley_table(table, label=label, order_cap=cap)
 
 

@@ -312,6 +312,23 @@ def relabelled(table: list[list[int]], perm: list[int]) -> list[list[int]]:
     return out
 
 
+def permutation_table(generators) -> list[list[int]]:
+    """The Cayley table of the group the permutations generate, with
+    (p*q)(x) = p(q(x)) and the elements numbered in breadth-first order
+    of right multiplication by the generators from the identity, filled
+    by composing every pair of elements."""
+    gens = [tuple(g) for g in generators]
+    elems = [tuple(range(len(gens[0])))]
+    index = {elems[0]: 0}
+    for cur in elems:
+        for g in gens:
+            nxt = tuple(cur[v] for v in g)
+            if nxt not in index:
+                index[nxt] = len(elems)
+                elems.append(nxt)
+    return [[index[tuple(p[v] for v in q)] for q in elems] for p in elems]
+
+
 def semidirect_table(n_table: list[list[int]], h_table: list[list[int]],
                      theta: list[list[int]] | None = None) -> list[list[int]]:
     """N x| H cell by cell: (a, h1)(b, h2) = (a theta_h1(b), h1 h2), with

@@ -1,6 +1,7 @@
 """Named families, order classifications, and the catalog sweep."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from cent_atlas.enumeration import enumerate_groups
 from cent_atlas.errors import BadParameters, NoInstanceAvailable, OrderCapExceeded
 from cent_atlas.invariants import center, is_isomorphic
 from cent_atlas.numbers import order_shape, primes_up_to
+from cent_atlas.report import read_group_file
 
 from oracles import p2q_split_extensions, squarefree_class_count
 
@@ -488,6 +490,21 @@ class TestCatalog:
                            match="^order 12 exceeds cap 10$"):
             sweep(20, order_cap=10)
 
+    def test_cap_stops_listing_orders(self, monkeypatch):
+        # order 2054 = 2 * 13 * 79 is the first catalog order over the
+        # cap; no order past it is looked at
+        shapes = []
+
+        def counted(n):
+            shapes.append(n)
+            return order_shape(n)
+
+        monkeypatch.setattr(catalog, "order_shape", counted)
+        with pytest.raises(OrderCapExceeded,
+                           match="^order 2054 exceeds cap 2048$"):
+            next(catalog.catalog_orders(100_000, order_cap=2048))
+        assert max(shapes) == 2054
+
 
 # The groups whose construction tables are pinned: the catalog to 500, the
 # central-quotient instances of every default C1, C5, C10 and C12 shape,
@@ -567,3 +584,31 @@ ACTION_DIGESTS = {
 def test_action_tables_pinned(name):
     groups = _ACTION_PINNED_GROUPS[name]()
     assert _construction_digest(groups) == ACTION_DIGESTS[name]
+
+
+# Permutation-built groups, pinned the same way while their tables were
+# still filled by composing every pair of elements: the symmetric and
+# alternating families, and S3 wr C2 read from a permutation file with
+# three generators and a label.
+PERMUTATION_DIGESTS = {
+    "alternating-4-6": "e08b78b729fbc3d68e98372d4069c0139be5afe961a91826a4c2287b3bdf48c7",
+    "permutation-file": "559f8b0019effd2c3439c37344487d622685cacf0d0f712158de9d9b2608a23a",
+    "symmetric-3-6": "8fefa7337223475e090eaf13214ba803d117934c3d1141b1cf99ab627c376f48",
+}
+
+
+def test_permutation_tables_pinned(tmp_path):
+    path = tmp_path / "wreath.json"
+    path.write_text(json.dumps({
+        "degree": 6, "label": "S3wrC2",
+        "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 0, 3, 4, 5],
+                       [3, 4, 5, 0, 1, 2]]}))
+    wreath = read_group_file(path)
+    assert wreath.order == 72
+    assert {
+        "alternating-4-6": _construction_digest(
+            [alternating(n) for n in range(4, 7)]),
+        "permutation-file": _construction_digest([wreath]),
+        "symmetric-3-6": _construction_digest(
+            [symmetric(n) for n in range(3, 7)]),
+    } == PERMUTATION_DIGESTS

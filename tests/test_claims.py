@@ -5,11 +5,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,7 @@ from cent_atlas.errors import (
     OrderCapExceeded,
     UnknownClaim,
 )
+from cent_atlas.numbers import order_shape
 
 
 def test_claim_ids_stable():
@@ -452,3 +455,71 @@ def test_catalog_sweeps_at_300_pinned(claim_id, jobs):
     report = verify_claim(claim_id, jobs=jobs, max_order=300)
     text = json.dumps(report_to_jsonable(report), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_300_DIGESTS[claim_id]
+
+
+# Which alternatives of their statements the default sweeps reach, by row.
+# Each unreached alternative names the open ROADMAP item that would supply
+# an instance or show that none exists: the complete lists of the groups
+# of order at most 100 (item 3), or the sweep up to isoclinism (item 6).
+def _alternatives_met(claim_id, alternatives):
+    """The default sweep's rows per (unit, alternative met), and every
+    (unit, alternative) of the units it met, where ``alternatives(row)``
+    gives the row's unit and its map from centralizer count to
+    alternative."""
+    met, every = Counter(), set()
+    for row in verify_claim(claim_id, jobs=1).rows:
+        unit, names = alternatives(row)
+        met[unit, names[row["cent_count"]]] += 1
+        every |= {(unit, name) for name in names.values()}
+    return met, every
+
+
+def test_default_c2_reaches_every_alternative():
+    def alternatives(row):
+        _, (_, q, r) = order_shape(row["order"])
+        return "pqr", {q + 2: "q+2", r + 2: "r+2", q * r + 2: "qr+2"}
+
+    met, every = _alternatives_met("C2", alternatives)
+    assert met == {("pqr", "q+2"): 50, ("pqr", "r+2"): 84, ("pqr", "qr+2"): 49}
+    assert set(met) == every
+
+
+def test_default_c8_is_vacuous_on_65_of_70_rows():
+    rows = verify_claim("C8", jobs=1).rows
+    assert len(rows) == 70
+    assert [r["label"] for r in rows if "vacuous" not in r["note"]] == [
+        "D8", "Q8", "M16", "Heis(3)", "M27"]
+
+
+def test_default_c10_unreached_alternatives():
+    def alternatives(row):
+        kind, p, q = re.match(r"shape=(\w+)\((\d+), (\d+)\)", row["note"]).groups()
+        p, q = int(p), int(q)
+        if kind == "pq2":
+            names = {q * q + 2: "q^2+2", q * q + q + 2: "q^2+q+2"}
+        elif (p, q) == (2, 3):
+            names = {6: "6", 8: "8"}
+        else:
+            names = {p * q + 2: "pq+2", q + 2: "q+2"}
+        return f"{kind}({p}, {q})", names
+
+    met, every = _alternatives_met("C10", alternatives)
+    assert every - set(met) == {
+        ("pq2(2, 3)", "q^2+q+2"),  # complete lists: one of order 54
+        ("pq2(2, 5)", "q^2+q+2"),  # isoclinism: none of order <= 100
+        ("pq2(3, 5)", "q^2+q+2"),  # isoclinism: none of order <= 100
+        ("p2q(2, 7)", "q+2"),  # isoclinism, which also decides whether
+        ("p2q(3, 7)", "q+2"),  # any group reaches these two
+    }
+
+
+def test_default_c12_never_reaches_p2_plus_p_plus_2():
+    def alternatives(row):
+        p = 2 if row["order"] % 2 == 0 else 3
+        if row["order"] == p ** 3:
+            return p, {p + 2: "p+2"}
+        return p, {p * p + 2: "p^2+2", p * p + p + 2: "p^2+p+2"}
+
+    met, every = _alternatives_met("C12", alternatives)
+    # isoclinism: p^2+p+2 needs G/Z = C_p^3, first at order 64 for p = 2
+    assert every - set(met) == {(2, "p^2+p+2"), (3, "p^2+p+2")}

@@ -631,6 +631,38 @@ class TestPermutationGenerators:
         with pytest.raises(OrderCapExceeded):
             from_permutation_generators([big], order_cap=8)
 
+    @pytest.mark.parametrize("gens", [
+        [(1, 2, 3, 4, 5, 6, 0), (0, 6, 5, 4, 3, 2, 1)],  # D14
+        [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)],  # C7 : C3
+        [(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (3, 4, 5, 0, 1, 2)],
+    ], ids=["D14", "F21", "S3wrC2"])
+    def test_table_matches_pairwise_compositions(self, gens):
+        table = from_permutation_generators(gens).table
+        assert table.tolist() == oracles.permutation_table(gens)
+
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+        st.permutations(range(d)), min_size=1, max_size=3)))
+    @settings(max_examples=40, deadline=None)
+    def test_random_table_matches_pairwise_compositions(self, gens):
+        table = from_permutation_generators(gens).table
+        assert table.tolist() == oracles.permutation_table(gens)
+
+    def test_one_composition_per_element_and_generator(self, monkeypatch):
+        # the search composes each element with each generator once, and
+        # the table is read off that search, not recomposed pairwise
+        calls = []
+
+        def counted(p, q):
+            calls.append(None)
+            return compose(p, q)
+
+        compose = core._compose
+        monkeypatch.setattr(core, "_compose", counted)
+        gens = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+        g = from_permutation_generators(gens)
+        assert g.order == 120
+        assert len(calls) <= g.order * len(gens)
+
 
 class TestProducts:
     def test_direct_product_orders(self):

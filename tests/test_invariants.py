@@ -23,7 +23,6 @@ from cent_atlas.catalog import (
     elementary,
     heisenberg,
     metacyclic,
-    modular_p3,
     sl23,
     symmetric,
     witness_h,

@@ -1,8 +1,9 @@
-"""Repository tooling: no unused imports or orphaned private names in the
-package, one owner of the per-group memo, the line counter in
-``tools/src_lines.py``, the summary and durations parsers of
-``tools/tier1_time.py``, the line tracer of ``tools/unrun_lines.py`` and
-the pair runner of ``tools/bench_pairs.py`` (standard library only)."""
+"""Repository tooling: no unused imports in the package, the tests or the
+tools, no orphaned private names in the package, one owner of the
+per-group memo, the line counter in ``tools/src_lines.py``, the summary
+and durations parsers of ``tools/tier1_time.py``, the line tracer of
+``tools/unrun_lines.py`` and the pair runner of ``tools/bench_pairs.py``
+(standard library only)."""
 
 import ast
 import importlib.util
@@ -43,6 +44,13 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda path: path.name)
 def test_package_module_has_no_unused_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_test_and_tool_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
