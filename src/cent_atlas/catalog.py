@@ -24,14 +24,19 @@ order n, which lie outside the covered shapes.  The classification
 lists, ``catalog_orders`` and the claims' catalog and classification
 sweeps all read it, so a sweep holds one group at a time; a sweep over
 nonabelian groups reads only the second generator, so it builds no
-abelian class.  Tests confirm the classification lists are pairwise
+abelian class; ``_nonabelian_makers`` lists those classes without
+building them.  The sweeps list their orders first, through
+``_capped_orders``, which checks the orders each one builds against the
+cap as it reaches it, so a sweep past the cap is refused before a group
+is built.  Tests confirm the classification lists are pairwise
 non-isomorphic for every covered order up to 500 and, at small orders,
 match an independent exhaustive enumerator."""
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -389,13 +394,20 @@ def _abelian_classes(n: int, order_cap: int | None = None) -> Iterator[Group]:
 
 def _nonabelian_classes(n: int, order_cap: int | None = None) -> Iterator[Group]:
     """The nonabelian classes of the covered order n, built one at a time."""
+    return (make(order_cap=order_cap) for make in _nonabelian_makers(n))
+
+
+def _nonabelian_makers(n: int) -> Iterator[Callable[..., Group]]:
+    """One builder call per nonabelian class of the covered order n, in
+    catalog order, each waiting for its ``order_cap``; listing them builds
+    nothing."""
     kind, primes = order_shape(n)
     if kind == "pqr":
         p, q, r = primes
         # C_m : C_(n/m), the generator acting by a unit of order d mod m
         for d, m in ((p, q), (p, r), (q, r), (p * q, r)):
             if m % d == 1:
-                yield metacyclic(m, n // m, unit_of_order(d, m), order_cap=order_cap)
+                yield partial(metacyclic, m, n // m, unit_of_order(d, m))
         if q % p == 1 and r % p == 1:
             u = unit_of_order(p, q)
             v = unit_of_order(p, r)
@@ -403,31 +415,31 @@ def _nonabelian_classes(n: int, order_cap: int | None = None) -> Iterator[Group]
             # to u leaves no further identification
             for j in range(1, p):
                 c = crt(u, q, pow(v, j, r), r)
-                yield metacyclic(q * r, p, c, order_cap=order_cap)
+                yield partial(metacyclic, q * r, p, c)
     elif kind == "p2q":
         p, q = primes
         if q % p == 1:
-            yield metacyclic(q, p * p, unit_of_order(p, q), order_cap=order_cap)
-            yield _cp_x_cq_cp(p, q, order_cap=order_cap)
+            yield partial(metacyclic, q, p * p, unit_of_order(p, q))
+            yield partial(_cp_x_cq_cp, p, q)
         if q % (p * p) == 1:
-            yield metacyclic(q, p * p, unit_of_order(p * p, q), order_cap=order_cap)
+            yield partial(metacyclic, q, p * p, unit_of_order(p * p, q))
         if p % q == 1:
-            yield metacyclic(p * p, q, unit_of_order(q, p * p), order_cap=order_cap)
+            yield partial(metacyclic, p * p, q, unit_of_order(q, p * p))
             lam = unit_of_order(q, p)
             # diagonal actions diag(lam, lam^b); swapping coordinates identifies
             # exponent b with its inverse mod q
             reps = sorted({0, 1} | {min(b, pow(b, -1, q)) for b in range(2, q)})
             for b in reps:
-                yield _diagonal_p2q(p, q, lam, b, order_cap=order_cap)
+                yield partial(_diagonal_p2q, p, q, lam, b)
         if q % 2 == 1 and (p + 1) % q == 0 and (p - 1) % q != 0:
-            yield _irreducible_p2q(p, q, order_cap=order_cap)
+            yield partial(_irreducible_p2q, p, q)
     elif primes == (2,):  # order 8
-        yield dihedral(8, order_cap=order_cap)
-        yield dicyclic(8, order_cap=order_cap)
+        yield partial(dihedral, 8)
+        yield partial(dicyclic, 8)
     else:  # order p^3, p odd
         (p,) = primes
-        yield heisenberg(p, order_cap=order_cap)
-        yield modular_p3(p, order_cap=order_cap)
+        yield partial(heisenberg, p)
+        yield partial(modular_p3, p)
 
 
 def _cp_x_cq_cp(p: int, q: int, order_cap: int | None = None) -> Group:
@@ -562,14 +574,33 @@ _NAMED_EXTRAS: dict[int, Callable[[int | None], list[Group]]] = {
 }
 
 
-def _shapes(max_order: int) -> Iterator[tuple[int, tuple[str, tuple[int, ...]] | None]]:
+def _shapes(max_order: int, kind: str | None = None
+            ) -> Iterator[tuple[int, tuple[str, tuple[int, ...]] | None]]:
     """The catalog's orders up to max_order, ascending, each with its
     order shape and each found only when it is reached: the covered
-    orders and the orders of the named extras, whose shape is None.
+    orders and the orders of the named extras, whose shape is None, or
+    with ``kind`` only the covered orders of that shape kind.
     ``max_order`` is checked at the call."""
     max_order = _integer(max_order, "an order sweep", "max_order")
     return ((n, shape) for n in range(2, max_order + 1)
-            if (shape := order_shape(n)) is not None or n in _NAMED_EXTRAS)
+            if (shape := order_shape(n)) and kind in (None, shape[0])
+            or kind is None and n in _NAMED_EXTRAS)
+
+
+def _capped_orders(max_order: int, order_cap: int | None, kind: str | None = None,
+                   built: Callable[[int], Iterable[int]] = lambda n: (n,)
+                   ) -> list[int]:
+    """The orders of ``_shapes(max_order, kind)``, listed under the cap:
+    ``built(n)``, the orders of the groups a sweep builds for order n, are
+    checked against it as n is reached, so OrderCapExceeded names the
+    first of them above the cap and no order past it is listed.  A sweep
+    that lists its orders here first is refused before it builds."""
+    orders = []
+    for n, _ in _shapes(max_order, kind):
+        for m in built(n):
+            _check_order_cap(m, order_cap)
+        orders.append(n)
+    return orders
 
 
 def catalog_orders(max_order: int, order_cap: int | None = None
@@ -579,16 +610,12 @@ def catalog_orders(max_order: int, order_cap: int | None = None
 
     Each order's groups are built only when it is reached, so a caller
     that does not keep the lists holds about one order's groups at a time,
-    where ``catalog_by_order`` holds them all.  Every order is checked
-    against the cap before the first is built, so a catalog that reaches
-    past the cap is refused whole, and the orders are listed only up to
-    the first one above the cap.
+    where ``catalog_by_order`` holds them all.  The orders are listed
+    first, under the cap (:func:`_capped_orders`), so a catalog that
+    reaches past the cap is refused whole, before a group is built, and
+    the orders are listed only up to the first one above the cap.
     """
-    orders = []
-    for n, _ in _shapes(max_order):
-        _check_order_cap(n, order_cap)
-        orders.append(n)
-    for n in orders:
+    for n in _capped_orders(max_order, order_cap):
         yield n, list(_order_groups(n, order_cap))
 
 

@@ -28,13 +28,13 @@ from itertools import chain
 from typing import Any, Callable, Iterable
 
 from .catalog import (
+    _capped_orders,
     _cp_x_cq_cp,
     _nonabelian_classes,
+    _nonabelian_makers,
     _order_groups,
-    _shapes,
     alternating,
     central_quotient_examples,
-    covered_orders,
     dihedral,
     elementary,
     heisenberg,
@@ -45,6 +45,7 @@ from .catalog import (
 from .core import (
     ORDER_CAP_ENV,
     Group,
+    _check_order_cap,
     quotient,
     quotient_with_cosets,
     subgroup_as_group,
@@ -59,7 +60,7 @@ from .invariants import (
     omega,
     sylow,
 )
-from .numbers import _integer, order_shape, primes_up_to, unit_of_order
+from .numbers import _integer, is_prime, order_shape, unit_of_order
 
 __all__ = [
     "CapabilityVerdict",
@@ -311,6 +312,14 @@ def _check_c9(g: Group, n: int, cap: int) -> _Check:
                           lambda: witness_h(p, q, unit_of_order(p, q), order_cap=cap))
 
 
+def _c9_built(n: int) -> tuple[int, ...]:
+    """The orders a unit of C9 builds: n and, where p < q and q = 1
+    (mod p), p n, the witness cover ``_check_c9`` builds for the capable
+    C_p x (C_q : C_p)."""
+    _, (p, q) = order_shape(n)
+    return (n, p * n) if p < q and q % p == 1 else (n,)
+
+
 def _check_c9w(h: Group, p: int, q: int, *_: Any) -> _Check:
     wr = witness_check(h, _special_p2q(p, q))
     return (wr.ok and h.order == p ** 3 * q,
@@ -376,6 +385,14 @@ def _tail_c13(n: int) -> list[_Row]:
     }]
 
 
+def _c13_built(n: int) -> tuple[int, ...]:
+    """The orders a unit of C13 builds under the cap: n, if p < q and n
+    has a nonabelian class.  ``_tail_c13`` builds nothing for p > q, and
+    its C_p x (C_q : C_p) under a cap of its own order."""
+    _, (p, q) = order_shape(n)
+    return _nonabelian_built(n) if p < q else ()
+
+
 # ---------------------------------------------------------------- registry
 
 @dataclass(frozen=True)
@@ -400,10 +417,36 @@ class _Claim:
     tail: Callable[..., list[_Row]] | None = None
 
 
-def _covered(kind: str, max_order: int, *rest: Any) -> list[tuple]:
-    """Units ``(n, *rest)``, one per covered order n <= max_order of shape
-    ``kind``, in ascending order."""
-    return [(n, *rest) for n, (k, _) in covered_orders(max_order).items() if k == kind]
+def _orders(ps: dict[str, Any], kind: str | None = None, *rest: Any,
+            built: Callable[[int], Iterable[int]] = lambda n: (n,)) -> list[tuple]:
+    """Units ``(n, *rest)``, one per catalog order n <= ``max_order`` (of
+    shape ``kind``, if given), in ascending order.  They are listed under
+    the cap the units build under, C9's ``order_cap`` or else the
+    library's: ``built(n)`` are the orders of the groups unit n builds, so
+    the first unit that would build past the cap is refused here, before a
+    unit runs, and a unit that builds nothing is never refused."""
+    return [(n, *rest) for n in _capped_orders(
+        ps["max_order"], ps.get("order_cap"), kind, built)]
+
+
+def _nonabelian_built(n: int) -> tuple[int, ...]:
+    """The orders a unit of C2, C3 or C7 builds: n, if it has a nonabelian
+    class."""
+    return (n,) if next(_nonabelian_makers(n), None) else ()
+
+
+def _witness_units(ps: dict[str, Any]) -> list[tuple]:
+    """C9w's units ``(p, q, order_cap, i)``, p-major, q ascending.  The
+    primes q are walked one at a time, and each order p^3 q of a prime p
+    is checked against the cap before its exponents i are listed."""
+    units = []
+    for p in ps["p_list"]:
+        for q in range(2, ps["q_max"] + 1):
+            if q % p == 1 and is_prime(q):
+                if is_prime(p):  # witness_h refuses another p before the cap
+                    _check_order_cap(p ** 3 * q, ps["order_cap"])
+                units += [(p, q, ps["order_cap"], i) for i in witness_exponents(p, q)]
+    return units
 
 
 def _shape_units(ps: dict[str, Any]) -> list[tuple]:
@@ -429,7 +472,7 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "four-group, and exactly 5 precisely when its central quotient is S3 "
         "or C3 x C3.",
         "every catalog group of order at most 100",
-        {"max_order": 100}, lambda ps: [(n,) for n, _ in _shapes(ps["max_order"])],
+        {"max_order": 100}, _orders,
         _order_groups, _check_c0),
     _Claim(
         "C1",
@@ -444,21 +487,21 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "A nonabelian group of order pqr with p < q < r has exactly q+2, r+2, "
         "or qr+2 distinct centralizers.",
         "all nonabelian groups of order pqr up to 500",
-        {"max_order": 500}, lambda ps: _covered("pqr", ps["max_order"]),
+        {"max_order": 500}, lambda ps: _orders(ps, "pqr", built=_nonabelian_built),
         _nonabelian_classes, _check_c2),
     _Claim(
         "C3",
         "A nonabelian group of order pqr has centralizer count equal to the "
         "order of its derived subgroup plus 2.",
         "all nonabelian groups of order pqr up to 500",
-        {"max_order": 500}, lambda ps: _covered("pqr", ps["max_order"]),
+        {"max_order": 500}, lambda ps: _orders(ps, "pqr", built=_nonabelian_built),
         _nonabelian_classes, _check_c3),
     _Claim(
         "C4",
         "A group of order pqr with p < q < r is a central quotient exactly "
         "when its center is trivial.",
         "all groups of order pqr up to 500, with a self-witness where capable",
-        {"max_order": 500}, lambda ps: _covered("pqr", ps["max_order"]),
+        {"max_order": 500}, lambda ps: _orders(ps, "pqr"),
         _order_groups, lambda g, n: _capable_check(g, "C4")),
     _Claim(
         "C5",
@@ -480,7 +523,7 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "q+2, except A4 which has 6; a nonabelian group of order p q^2 with "
         "p < q has centralizer count q+2 or q^2+2.",
         "all nonabelian groups of orders p^2 q and p q^2 up to 300",
-        {"max_order": 300}, lambda ps: _covered("p2q", ps["max_order"]),
+        {"max_order": 300}, lambda ps: _orders(ps, "p2q", built=_nonabelian_built),
         _nonabelian_classes, _check_c7),
     _Claim(
         "C8",
@@ -488,7 +531,7 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "whose central quotient is abelian has an elementary abelian central "
         "quotient.",
         "every catalog group of order at most 100",
-        {"max_order": 100}, lambda ps: [(n,) for n, _ in _shapes(ps["max_order"])],
+        {"max_order": 100}, _orders,
         lambda n: (g for g in _order_groups(n) if cent_structure(g).is_ca),
         _check_c8),
     _Claim(
@@ -501,7 +544,7 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         # the swept groups and the witness covers, of order p^3 q, are
         # built under order_cap
         {"max_order": 300, "order_cap": 4096},
-        lambda ps: _covered("p2q", ps["max_order"], ps["order_cap"]),
+        lambda ps: _orders(ps, "p2q", ps["order_cap"], built=_c9_built),
         _order_groups, _check_c9),
     _Claim(
         "C9w",
@@ -510,9 +553,7 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "central quotient C_p x (C_q : C_p).",
         "p in {2, 3, 5}, prime q at most 31 with q = 1 (mod p), every valid i",
         {"p_list": (2, 3, 5), "q_max": 31, "order_cap": 4096},
-        lambda ps: [(p, q, ps["order_cap"], i) for p in ps["p_list"]
-                    for q in primes_up_to(ps["q_max"]) if q % p == 1
-                    for i in witness_exponents(p, q)],
+        _witness_units,
         lambda p, q, cap, i: [witness_h(p, q, i, order_cap=cap)], _check_c9w),
     _Claim(
         "C10",
@@ -550,7 +591,7 @@ _CLAIMS: dict[str, _Claim] = {claim.claim_id: claim for claim in (
         "q = 1 (mod p) and none otherwise, except that A4 also qualifies for "
         "(p, q) = (2, 3).",
         "all prime pairs p < q with p^2 q up to 300",
-        {"max_order": 300}, lambda ps: _covered("p2q", ps["max_order"]),
+        {"max_order": 300}, lambda ps: _orders(ps, "p2q", built=_c13_built),
         tail=_tail_c13),
 )}
 
@@ -657,6 +698,13 @@ def verify_claim(claim_id: str, jobs: int | None = None,
     as it was when the pool started, plus that key: code patched into
     this process later is not seen by them.  The rows, the report and
     any error raised are those of jobs=1.
+
+    A sweep over an order range (C0, C2-C4, C7-C9, C13) and C9w list
+    their units under the cap their groups are built under, so the first
+    unit that would build a group past the cap raises OrderCapExceeded
+    in this process, before a group is built or the pool is used, and a
+    unit that builds none is not refused; a curated sweep raises it from
+    the unit that builds the group.
     """
     spec = _CLAIMS.get(claim_id)
     if spec is None:

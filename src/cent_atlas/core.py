@@ -369,16 +369,14 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray,
     to ``fresh`` and to every member added later, a ``_row_blocks`` run of
     them at a time, and never to the members closed at the call (so a
     centralizer closure that starts with the identity closed never takes
-    its centralizer, all of G).  A round over a set F found so far with |F|^2
-    at most ``_CLOSE_BLOCK`` forms all of F x F in one gather and one
-    scatter, so it costs a fixed handful of numpy calls and at most 2^18
-    products; a larger round multiplies only the previous round's new
-    elements by F, on both sides, a ``_row_blocks`` run of rows at a time,
-    so no product is formed more than twice: O(n^2) in all.  Either round
-    adds every product the current set lacks, so both reach the same set.
-    A closed set of a group is a subgroup, and by Lagrange a proper one
-    has at most half the elements, so the closure of more than n/2
-    elements is everything.
+    its centralizer, all of G).  Each round multiplies the previous
+    round's new elements by the set F found so far, on both sides, a
+    ``_row_blocks`` run of rows at a time, so no product is formed more
+    than twice: O(n^2) in all.  The products of two older members were
+    formed in an earlier round, so a round adds every product the
+    current set lacks.  A closed set of a group is a subgroup, and by
+    Lagrange a proper one has at most half the elements, so the closure
+    of more than n/2 elements is everything.
     """
     while fresh.size:
         found = np.flatnonzero(member)
@@ -386,13 +384,10 @@ def _close(table: np.ndarray, member: np.ndarray, fresh: np.ndarray,
             member[:] = True
             return
         hit = np.zeros_like(member)
-        if found.size ** 2 <= _CLOSE_BLOCK:
-            hit[table[found[:, None], found]] = True
-        else:
-            for rows in _row_blocks(fresh.size, member.size):
-                hit[np.take(table[fresh[rows]], found, axis=1)] = True
-            for rows in _row_blocks(found.size, member.size):
-                hit[np.take(table[found[rows]], fresh, axis=1)] = True
+        for rows in _row_blocks(fresh.size, member.size):
+            hit[np.take(table[fresh[rows]], found, axis=1)] = True
+        for rows in _row_blocks(found.size, member.size):
+            hit[np.take(table[found[rows]], fresh, axis=1)] = True
         if also is not None:
             for rows in _row_blocks(fresh.size, member.size):
                 hit[also(fresh[rows])] = True
@@ -815,8 +810,10 @@ class ActionSpec:
 
     @classmethod
     def trivial(cls, h: Group, n: Group) -> "ActionSpec":
+        """H acting trivially: each element of H's generating set
+        (:func:`_spanning`, at most log2|H|) acts as the identity."""
         ident = tuple(range(n.order))
-        gens = tuple(range(1, h.order))
+        gens = _spanning(h)
         return cls(gens, tuple(ident for _ in gens))
 
 

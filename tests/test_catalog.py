@@ -478,7 +478,10 @@ class TestCatalog:
         catalog_up_to(30)
         assert built == ["C2xA4", "H(2,3,2)"]
 
-    @pytest.mark.parametrize("sweep", [catalog_by_order, catalog_up_to])
+    @pytest.mark.parametrize("sweep", [
+        catalog_by_order, catalog_up_to,
+        lambda max_order, order_cap: next(catalog.catalog_orders(
+            max_order, order_cap=order_cap))])
     def test_cap_refuses_before_building(self, monkeypatch, sweep):
         # order 12 is the first catalog order over the cap; order 8 must
         # not be built first
@@ -504,6 +507,55 @@ class TestCatalog:
                            match="^order 2054 exceeds cap 2048$"):
             next(catalog.catalog_orders(100_000, order_cap=2048))
         assert max(shapes) == 2054
+
+    @pytest.mark.parametrize("kind, order", [(None, 102), ("pqr", 102),
+                                             ("p2q", 116), ("p3", 125)])
+    def test_listing_of_one_kind_stops_at_its_first_order_over_the_cap(
+            self, monkeypatch, kind, order):
+        # the claims list their units by kind; a kind's refusal names its
+        # own first order over the cap, as its first over-cap unit would
+        shapes = []
+
+        def counted(n):
+            shapes.append(n)
+            return order_shape(n)
+
+        monkeypatch.setattr(catalog, "order_shape", counted)
+        with pytest.raises(OrderCapExceeded,
+                           match=f"^order {order} exceeds cap 100$"):
+            catalog._capped_orders(10_000, 100, kind)
+        assert max(shapes) == order
+
+    def test_capped_listing_checks_only_the_orders_built(self):
+        # 255 = 3 * 5 * 17 has no nonabelian class, so a sweep over those
+        # classes builds nothing there and is not refused
+        built = lambda n: (n,) if next(catalog._nonabelian_makers(n), None) else ()
+        assert catalog._capped_orders(255, 250, "pqr", built)[-1] == 255
+        # a built order past the cap is refused at its own order n = 27
+        with pytest.raises(OrderCapExceeded, match="^order 108 exceeds cap 100$"):
+            catalog._capped_orders(100, 100, "p3", lambda n: (n, 4 * n))
+
+    def test_kind_listing_and_uncapped_covered_orders(self):
+        assert list(catalog._shapes(30, kind="p3")) == [(8, ("p3", (2,))),
+                                                        (27, ("p3", (3,)))]
+        assert max(covered_orders(3000)) > 2048  # past the default cap
+        assert covered_orders(0) == {} == covered_orders(-5)
+
+    def test_listing_nonabelian_makers_builds_nothing(self, monkeypatch):
+        # every maker checks the cap before it builds, so a cap check
+        # that always fails shows that listing them builds nothing; the
+        # makers list the classes in catalog order
+        want = {n: [g.label for g in _nonabelian_classes(n)]
+                for n in covered_orders(100)}
+
+        def refuse(n, order_cap=None):
+            raise AssertionError(f"built order {n}")
+
+        monkeypatch.setattr(catalog, "_check_order_cap", refuse)
+        makers = {n: list(catalog._nonabelian_makers(n)) for n in covered_orders(500)}
+        assert not makers[255] and all(makers[n] for n in (30, 105, 116, 125))
+        monkeypatch.undo()
+        assert {n: [make().label for make in makers[n]] for n in want} == want
 
 
 # The groups whose construction tables are pinned: the catalog to 500, the

@@ -46,7 +46,7 @@ from cent_atlas.errors import (
     OrderCapExceeded,
     UnknownClaim,
 )
-from cent_atlas.numbers import order_shape
+from cent_atlas.numbers import is_prime, order_shape
 
 
 def test_claim_ids_stable():
@@ -319,15 +319,103 @@ def test_pool_is_kept_between_calls():
 def test_pool_under_another_order_cap_raises_the_first_error(monkeypatch):
     # workers read the cap at call time, so a new value starts new workers;
     # the units are submitted largest first, and the error raised is still
-    # the first in unit order, as at jobs=1
+    # the first in unit order, as at jobs=1.  C11 is a curated sweep, so it
+    # is refused inside its units: order 81 is the cover of Heis(3), in the
+    # second of its three units (an order sweep is refused before the pool)
     verify_claim("C4", jobs=2, max_order=60)
     before = _workers()
     monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "20")
     for jobs in (1, 2):
-        with pytest.raises(OrderCapExceeded, match="^order 24 exceeds cap 20$"):
-            verify_claim("C0", jobs=jobs, max_order=50)
+        with pytest.raises(OrderCapExceeded, match="^order 81 exceeds cap 20$"):
+            verify_claim("C11", jobs=jobs)
     assert len(_workers()) == 2 and not _workers() & before
     assert verify_claim("C0", jobs=2, max_order=20).passed
+
+
+@pytest.mark.parametrize("claim_id, params, cap, message", [
+    ("C0", {"max_order": 300}, "100", "order 102 exceeds cap 100"),
+    ("C2", {}, "100", "order 102 exceeds cap 100"),
+    ("C9w", {"order_cap": 100}, None, "order 104 exceeds cap 100"),
+    ("C9w", {"q_max": 3000}, None, "order 4168 exceeds cap 4096"),
+])
+def test_order_sweep_past_the_cap_is_refused_before_a_unit_runs(
+        monkeypatch, claim_id, params, cap, message):
+    # the units are listed under the cap their groups are built under, so
+    # no unit's source (_order_groups, _nonabelian_classes, witness_h) is
+    # called at either job count, and the pool is neither started nor
+    # replaced, though the cap variable differs from the pool's
+    verify_claim("C4", jobs=2, max_order=60)
+    workers = _workers()
+    built = []
+    spec = claims._CLAIMS[claim_id]
+    monkeypatch.setitem(claims._CLAIMS, claim_id, dataclasses.replace(
+        spec, groups=lambda *unit: built.append(unit) or spec.groups(*unit)))
+    if cap is not None:
+        monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", cap)
+    for jobs in (1, 2):
+        with pytest.raises(OrderCapExceeded, match=f"^{message}$"):
+            verify_claim(claim_id, jobs=jobs, **params)
+    assert built == []
+    assert len(workers) == 2 and _workers() == workers
+
+
+def test_c9w_walks_its_primes_only_up_to_the_refused_order(monkeypatch):
+    # 8 * 521 = 4168 is the first order over the cap: no q past 521 is
+    # tested for primality, and no exponent past (2, 509) is listed
+    tested, listed = [], []
+    monkeypatch.setattr(claims, "is_prime",
+                        lambda q: tested.append(q) or is_prime(q))
+    monkeypatch.setattr(claims, "witness_exponents", lambda p, q: (
+        listed.append((p, q)) or witness_exponents(p, q)))
+    with pytest.raises(OrderCapExceeded, match="^order 4168 exceeds cap 4096$"):
+        verify_claim("C9w", q_max=300_000)
+    assert max(tested) == 521 and listed[-1] == (2, 509)
+
+
+def test_c9w_refuses_a_composite_p_as_witness_h_does():
+    # witness_h checks p before the cap, so p = 4 is refused as composite
+    # although 4^3 q passes the cap from q = 73
+    with pytest.raises(BadParameters, match="^p = 4 must be prime$"):
+        verify_claim("C9w", jobs=1, p_list=(4,), q_max=200)
+
+
+@pytest.mark.parametrize("claim_id, max_order, cap, refused", [
+    ("C0", 30, 12, 16), ("C8", 30, 12, 16), ("C4", 120, 100, 102),
+    ("C3", 120, 100, 102), ("C2", 255, 250, None), ("C7", 45, 44, None),
+    ("C7", 75, 70, 75), ("C13", 45, 44, None), ("C13", 50, 49, None),
+    ("C13", 75, 70, None), ("C9", 60, 60, 88), ("C9", 60, 100, 104),
+])
+def test_listing_refuses_where_the_first_unit_would(monkeypatch, claim_id,
+                                                    max_order, cap, refused):
+    # the units listed under a cap no order reaches, run in order under
+    # the cap, raise the error the listing raises, or none where it passes:
+    # an order sweep's last orders may build no group past the cap (255
+    # has no nonabelian class, 45 = 3^2 * 5 none, C13 skips p > q at 50
+    # and 75), and a C9 unit may build a cover past it (88 at unit 44)
+    params = {"max_order": max_order}
+    if claim_id == "C9":
+        params["order_cap"] = None  # the library's cap, read at call time
+    spec = claims._CLAIMS[claim_id]
+    monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "100000")
+    units = spec.units({**spec.defaults, **params})
+    monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", str(cap))
+
+    def error(run):
+        try:
+            run()
+        except OrderCapExceeded as exc:
+            return str(exc)
+
+    want = None if refused is None else f"order {refused} exceeds cap {cap}"
+    assert error(lambda: [claims._run_unit((claim_id, u)) for u in units]) == want
+    ran = []
+    run_unit = claims._run_unit
+    monkeypatch.setattr(claims, "_run_unit",
+                        lambda arg: ran.append(arg) or run_unit(arg))
+    assert error(lambda: verify_claim(claim_id, jobs=1, **params)) == want
+    assert (ran == []) == (refused is not None)  # refused before a unit runs
+    if refused is None:
+        assert verify_claim(claim_id, jobs=2, **params).passed
 
 
 def test_pool_with_killed_workers_is_replaced():

@@ -694,6 +694,26 @@ class TestProducts:
         assert g.is_abelian()
         assert g.exponent() == 6
 
+    @pytest.mark.parametrize("h", [cyclic(1024), dihedral(512), elementary(2, 10)],
+                             ids=lambda h: h.label)
+    def test_trivial_action_names_a_generating_set(self, monkeypatch, h):
+        # each acting generator's image is checked as an automorphism; the
+        # action named every non-identity element, 1,023 checks here
+        checked = []
+        check = core._check_automorphism
+        monkeypatch.setattr(core, "_check_automorphism",
+                            lambda n_grp, img: checked.append(1) or check(n_grp, img))
+        c2 = cyclic(2)
+        g = semidirect_product(c2, h, ActionSpec.trivial(h, c2))
+        assert 1 <= len(checked) <= 10  # log2 |H|
+        assert g.table.tobytes() == direct_product(c2, h).table.tobytes()
+
+    def test_trivial_action_of_the_trivial_group_is_refused(self):
+        c1 = cyclic(1)
+        with pytest.raises(BadParameters,
+                           match="^action must name at least one acting generator$"):
+            semidirect_product(cyclic(2), c1, ActionSpec.trivial(c1, cyclic(2)))
+
 
 def assert_matches_product_oracle(g, n_grp, h_grp, theta=None):
     """g's table, inverses and element orders against the cell-by-cell

@@ -1,9 +1,9 @@
 """Repository tooling: no unused imports in the package, the tests or the
 tools, no orphaned private names in the package, one owner of the
-per-group memo, the line counter in ``tools/src_lines.py``, the summary
-and durations parsers of ``tools/tier1_time.py``, the line tracer of
-``tools/unrun_lines.py`` and the pair runner of ``tools/bench_pairs.py``
-(standard library only)."""
+per-group memo, the line counter in ``tools/src_lines.py`` (also against
+a git ref), the summary and durations parsers of ``tools/tier1_time.py``,
+the line tracer of ``tools/unrun_lines.py`` and the pair runner of
+``tools/bench_pairs.py`` (standard library only)."""
 
 import ast
 import importlib.util
@@ -194,6 +194,40 @@ def test_src_lines_main_sums_the_tree(tmp_path):
                          check=True).stdout.splitlines()
     assert out[-1].split()[:2] == ["5", "4"]
     assert [line.split()[:2] for line in out[:-1]] == [["2", "1"], ["3", "3"]]
+
+
+def test_src_lines_base_compares_a_ref_with_the_tree(tmp_path):
+    # the first commit has a.py and b.py; the second adds a line to a.py
+    # and a docstring line to b.py; the tree then drops b.py and adds c.py
+    src = tmp_path / "src"
+    src.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (src / "a.py").write_text("x = 1\n", encoding="utf-8")
+    (src / "b.py").write_text("y = 2\n", encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (src / "a.py").write_text("x = 1\nz = 3\n", encoding="utf-8")
+    (src / "b.py").write_text('"""Doc."""\ny = 2\n', encoding="utf-8")
+    git("commit", "-q", "-am", "two")
+    (src / "b.py").unlink()
+    (src / "c.py").write_text("w = 4\n", encoding="utf-8")
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py"),
+                          "--base", "HEAD~1", "src"], cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert rows == [
+        ["1", "1", "2", "2", "+1", "+1", "src/a.py"],
+        ["1", "1", "0", "0", "-1", "-1", "src/b.py"],
+        ["0", "0", "1", "1", "+1", "+1", "src/c.py"],
+        ["2", "2", "3", "3", "+1", "+1", "total"],
+    ]
+    src_lines = _load_tool("src_lines")
+    assert src_lines.base_counts(src, "HEAD") == {"a.py": (2, 2), "b.py": (2, 1)}
 
 
 @pytest.mark.parametrize("output, want", [
