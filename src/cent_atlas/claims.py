@@ -22,10 +22,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Collection, Iterable
 
 from .catalog import (
     _capped_orders,
@@ -33,6 +33,7 @@ from .catalog import (
     _nonabelian_classes,
     _nonabelian_makers,
     _order_groups,
+    _require_prime,
     alternating,
     central_quotient_examples,
     dihedral,
@@ -110,24 +111,30 @@ class ClaimReport:
     rows: tuple[_Row, ...]
 
 
+# ClaimReport fields left out of its JSON, so reruns compare byte-equal
+_NOT_CANONICAL = frozenset({"elapsed"})
+
+
+def _field_values(obj: Any, leave_out: Collection[str] = ()) -> dict[str, Any]:
+    """A dataclass instance's fields by name, in field order, but those in
+    ``leave_out``."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in leave_out}
+
+
 def report_to_jsonable(report: ClaimReport) -> dict[str, Any]:
-    """Stable JSON form; timing is dropped so reruns compare byte-equal."""
-    return {
-        "claim_id": report.claim_id,
-        "instances_checked": report.instances_checked,
-        "passed": report.passed,
-        "counterexample": report.counterexample,
-        "rows": list(report.rows),
-    }
+    """Stable JSON form: the fields but ``_NOT_CANONICAL``, rows as a list."""
+    return {**_field_values(report, _NOT_CANONICAL), "rows": list(report.rows)}
 
 
 @lru_cache(maxsize=None)
 def _named(name: str) -> Group:
-    """A named group the checks compare against, built once per process on
-    first use and then shared."""
-    return {"V4": lambda: elementary(2, 2), "S3": lambda: dihedral(6),
-            "C3xC3": lambda: elementary(3, 2), "A4": lambda: alternating(4),
-            "D8": lambda: dihedral(8)}[name]()
+    """A named group the checks compare against, built under its own order
+    as the cap, so it is the same whatever cap is in force; built once per
+    process on first use and then shared."""
+    order, make, *args = {"V4": (4, elementary, 2, 2), "S3": (6, dihedral, 6),
+                          "C3xC3": (9, elementary, 3, 2), "D8": (8, dihedral, 8),
+                          "A4": (12, alternating, 4)}[name]
+    return make(*args, order_cap=order)
 
 
 def _isomorphic(g: Group, name: str) -> bool:
@@ -199,13 +206,6 @@ def witness_check(h: Group, target: Group) -> WitnessResult:
     return WitnessResult(iso is not None, quot,
                          tuple(tuple(c) for c in cosets),
                          None if iso is None else tuple(int(v) for v in iso))
-
-
-def _row(g: Group, ok: bool, note: str, **extra: Any) -> _Row:
-    row: _Row = {"order": g.order, "label": g.label, "ok": bool(ok),
-                 "note": note}
-    row.update(extra)
-    return row
 
 
 # ---------------------------------------------------------------- checks
@@ -443,8 +443,7 @@ def _witness_units(ps: dict[str, Any]) -> list[tuple]:
     for p in ps["p_list"]:
         for q in range(2, ps["q_max"] + 1):
             if q % p == 1 and is_prime(q):
-                if is_prime(p):  # witness_h refuses another p before the cap
-                    _check_order_cap(p ** 3 * q, ps["order_cap"])
+                _check_order_cap(p ** 3 * q, ps["order_cap"])
                 units += [(p, q, ps["order_cap"], i) for i in witness_exponents(p, q)]
     return units
 
@@ -619,7 +618,8 @@ def _run_unit(arg: tuple[str, tuple]) -> list[_Row]:
     rows = []
     for g in spec.groups(*unit):
         ok, note, extra = spec.check(g, *unit)
-        rows.append(_row(g, ok, note, **extra))
+        rows.append({"order": g.order, "label": g.label, "ok": bool(ok),
+                     "note": note, **extra})
         del g
     if spec.tail is not None:
         rows += spec.tail(*unit)
@@ -686,8 +686,9 @@ def verify_claim(claim_id: str, jobs: int | None = None,
     """Run one claim's sweep and aggregate a deterministic report.
 
     jobs=None uses all available processors; jobs=1 stays in-process;
-    jobs below 1 raise BadParameters.  Unknown claim ids raise
-    UnknownClaim; parameter sets that produce no instances raise
+    jobs below 1 raise BadParameters, and so does a ``p_list`` entry that
+    is not a prime integer, before a unit is listed.  Unknown claim ids
+    raise UnknownClaim; parameter sets that produce no instances raise
     EmptySweep.
 
     With jobs above 1 and more than one unit, the sweep runs on the
@@ -721,7 +722,7 @@ def verify_claim(claim_id: str, jobs: int | None = None,
     if "q_max" in merged:
         _integer(merged["q_max"], f"claim {claim_id}", "q_max")
     for p in merged.get("p_list", ()):
-        _integer(p, f"claim {claim_id}", "p_list entry")
+        _require_prime(_integer(p, f"claim {claim_id}", "p_list entry"), "p")
     units = spec.units(merged)
     if not units:
         raise EmptySweep(f"claim {claim_id}: no instances under {merged}")

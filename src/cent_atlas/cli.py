@@ -56,6 +56,8 @@ from .report import (
 
 __all__ = ["main"]
 
+# analyze's renderers by --format value
+_RENDERERS = {"json": render_json, "md": render_markdown, "csv": render_csv}
 # the construct flags: every FAMILIES parameter, in first-seen order
 _FAMILY_PARAMS = tuple(dict.fromkeys(
     name for _, names in _catalog.FAMILIES.values() for name in names))
@@ -82,8 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ana = add("analyze", help="report invariants of a group file")
     p_ana.add_argument("--in", dest="infile", required=True,
                        help="group or permutation-generator JSON file")
-    p_ana.add_argument("--format", choices=("json", "md", "csv"),
-                       default="json")
+    p_ana.add_argument("--format", choices=tuple(_RENDERERS), default="json")
     p_ana.add_argument("--out", help="output file (default: stdout)")
     p_ana.set_defaults(func=_cmd_analyze)
 
@@ -127,8 +128,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = read_group_file(args.infile, order_cap=args.order_cap)
     report = analyze(g)
-    rendered = {"json": render_json, "md": render_markdown,
-                "csv": render_csv}[args.format](report)
+    rendered = _RENDERERS[args.format](report)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:

@@ -142,7 +142,8 @@ class SubsetMask:
     the order of the owning group, so masks from different groups never
     compare equal by accident.  ``from_bool`` and ``as_bool`` convert
     from and to one flag per element through numpy's little-endian bit
-    packing, with no Python loop over the elements.
+    packing, with no Python loop over the elements; ``elements`` reads
+    the members off ``as_bool``.
     """
 
     bits: int
@@ -169,7 +170,7 @@ class SubsetMask:
         return cls(int.from_bytes(packed.tobytes(), "little"), len(flags))
 
     def elements(self) -> list[int]:
-        return [i for i in range(self.order) if self.bits >> i & 1]
+        return np.flatnonzero(self.as_bool()).tolist()
 
     def as_bool(self) -> np.ndarray:
         raw = self.bits.to_bytes((self.order + 7) // 8, "little")

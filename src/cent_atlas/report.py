@@ -26,7 +26,7 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .claims import CapabilityVerdict, capable
+from .claims import CapabilityVerdict, _field_values, capable
 from .core import (
     Group,
     _check_order_cap,
@@ -42,6 +42,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .invariants import (
+    AbelianProfile,
     abelian_profile,
     cent_structure,
     derived_subgroup,
@@ -66,7 +67,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """All computed quantities for one group, in a fixed field order."""
+    """All computed quantities for one group; its fields, in order, are
+    the keys of its JSON form."""
 
     label: str
     order: int
@@ -75,40 +77,23 @@ class AnalysisReport:
     cent_count: int
     omega: int
     is_ca: bool
-    abelian_kind: str
-    invariant_factors: tuple[int, ...] | None
+    abelian_profile: AbelianProfile
     sylow_counts: tuple[tuple[int, int], ...]
-    frobenius: tuple[int, int, bool] | None
+    frobenius: tuple[int, int, bool] | None  # kernel, complement, cyclic
     capability: CapabilityVerdict
 
     def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "center_order": self.center_order,
-            "derived_order": self.derived_order,
-            "cent_count": self.cent_count,
-            "omega": self.omega,
-            "is_ca": self.is_ca,
-            "abelian_profile": {
-                "kind": self.abelian_kind,
-                "invariant_factors": (
-                    list(self.invariant_factors)
-                    if self.invariant_factors is not None else None),
-            },
-            "sylow_counts": [list(pair) for pair in self.sylow_counts],
-            "frobenius": (
-                None if self.frobenius is None else {
-                    "kernel_order": self.frobenius[0],
-                    "complement_order": self.frobenius[1],
-                    "complement_is_cyclic": self.frobenius[2],
-                }),
-            "capability": {
-                "status": self.capability.status,
-                "rule": self.capability.rule,
-                "detail": self.capability.detail,
-            },
-        }
+        """The fields as JSON values, made fresh on every call: the
+        profile without its prime, each Sylow pair as a list, and the
+        Frobenius triple and the verdict as objects."""
+        prof, fro = self.abelian_profile, self.frobenius
+        return {**_field_values(self),
+                "abelian_profile": {"kind": prof.kind,
+                                    "invariant_factors": list(prof.invariant_factors)},
+                "sylow_counts": [list(pair) for pair in self.sylow_counts],
+                "frobenius": None if fro is None else dict(zip(
+                    ("kernel_order", "complement_order", "complement_is_cyclic"), fro)),
+                "capability": _field_values(self.capability)}
 
 
 def analyze(g: Group) -> AnalysisReport:
@@ -120,13 +105,7 @@ def analyze(g: Group) -> AnalysisReport:
         raise InconsistentInvariants(
             f"{g.label or 'group'} of order {g.order}: CA with "
             f"cent_count={cs.count} but omega={w}")
-    prof = abelian_profile(g)
-    syl = tuple((p, sylow(g, p).count) for p in sorted(factor(g.order)))
     fro = frobenius_structure(g)
-    fro_summary = None
-    if fro is not None:
-        fro_summary = (len(fro.kernel), len(fro.complement),
-                       fro.complement_is_cyclic)
     return AnalysisReport(
         label=g.label,
         order=g.order,
@@ -135,10 +114,11 @@ def analyze(g: Group) -> AnalysisReport:
         cent_count=cs.count,
         omega=w,
         is_ca=cs.is_ca,
-        abelian_kind=prof.kind,
-        invariant_factors=prof.invariant_factors,
-        sylow_counts=syl,
-        frobenius=fro_summary,
+        abelian_profile=abelian_profile(g),
+        sylow_counts=tuple((p, sylow(g, p).count)
+                           for p in sorted(factor(g.order))),
+        frobenius=None if fro is None else (
+            len(fro.kernel), len(fro.complement), fro.complement_is_cyclic),
         capability=capable(g),
     )
 
@@ -235,21 +215,25 @@ _BLANK_ALL_BUT_CELLS = bytes(b if b in b"0123456789," else ord(" ")
                              for b in range(256))
 
 
-def _row_chunks(fh: BinaryIO, buf: bytearray) -> Iterator[bytes]:
+def _row_chunks(fh: BinaryIO, rest: bytes) -> Iterator[bytes]:
     """The table of a canonical file as chunks of whole rows joined by
-    ``],[``: ``buf`` (the start of the table, after its ``[[``, which is
-    consumed) and then the rest of ``fh`` in blocks of ``_READ_BLOCK``
-    bytes, each chunk cut at the last row break read so far.  The last
-    chunk runs up to the closing ``]]}`` and newline; it is empty if the
-    file ends otherwise."""
+    ``],[``: ``rest`` (the start of the table, after its ``[[``) and then
+    the rest of ``fh`` in blocks of ``_READ_BLOCK`` bytes, each chunk cut
+    at the last row break of its newest block, so a break that straddles
+    two blocks stays inside a chunk.  One join copies each byte once.
+    The last chunk runs up to the closing ``]]}`` and newline; it is
+    empty if the file ends otherwise."""
+    parts = [rest]
     while block := fh.read(_READ_BLOCK):
-        buf += block
-        cut = buf.rfind(b"],[", max(0, len(buf) - len(block) - 2))
-        if cut >= 0:
-            yield bytes(memoryview(buf)[:cut])
-            del buf[:cut + 3]
-    yield bytes(buf[:-len(_CANONICAL_END)]) \
-        if buf.endswith(_CANONICAL_END) else b""
+        cut = block.rfind(b"],[")
+        if cut < 0:
+            parts.append(block)
+            continue
+        view = memoryview(block)
+        yield b"".join((*parts, view[:cut]))
+        parts = [view[cut + 3:]]
+    tail = b"".join(parts)
+    yield tail[:-len(_CANONICAL_END)] if tail.endswith(_CANONICAL_END) else b""
 
 
 def _parse_rows(chunk: bytes) -> np.ndarray | None:
@@ -377,9 +361,8 @@ def _read_canonical(fh: BinaryIO,
     start += len(_CANONICAL_TABLE)
     size = fh.seek(0, os.SEEK_END)
     fh.seek(len(head))
-    del head[:start]
     table, n, done = None, 0, 0
-    for rows in _in_order(_parse_rows, _row_chunks(fh, head)):
+    for rows in _in_order(_parse_rows, _row_chunks(fh, bytes(head[start:]))):
         if rows is None:
             return None
         if not n:

@@ -379,6 +379,57 @@ def test_c9w_refuses_a_composite_p_as_witness_h_does():
         verify_claim("C9w", jobs=1, p_list=(4,), q_max=200)
 
 
+@pytest.mark.parametrize("claim_id, p_list", [
+    ("C9w", (0,)), ("C11", (2, 4)), ("C12", (1,))])
+def test_p_list_entry_that_is_not_prime_is_refused_before_listing(
+        monkeypatch, claim_id, p_list):
+    # at both job counts: no unit is listed or run, and the pool is kept;
+    # C9w's p = 0 once raised ZeroDivisionError, and p = 1 EmptySweep
+    verify_claim("C4", jobs=2, max_order=60)
+    workers = _workers()
+    listed, ran = [], []
+    spec = claims._CLAIMS[claim_id]
+    monkeypatch.setitem(claims._CLAIMS, claim_id, dataclasses.replace(
+        spec, units=lambda ps: listed.append(ps) or spec.units(ps)))
+    run_unit = claims._run_unit
+    monkeypatch.setattr(claims, "_run_unit",
+                        lambda arg: ran.append(arg) or run_unit(arg))
+    bad = next(p for p in p_list if not is_prime(p))
+    for jobs in (1, 2):
+        with pytest.raises(BadParameters, match=f"^p = {bad} must be prime$"):
+            verify_claim(claim_id, jobs=jobs, p_list=p_list)
+    assert listed == [] and ran == []
+    assert len(workers) == 2 and _workers() == workers
+
+
+def test_named_groups_are_built_whatever_the_cap_in_force(monkeypatch):
+    # C0 compares each central quotient with C3 x C3 (order 9), which
+    # _named builds under its own order: at a cap of 8 the sweep passes
+    # in a fresh process as in one whose earlier sweeps built it
+    script = ("import json\n"
+              "from cent_atlas.claims import report_to_jsonable, verify_claim\n"
+              "print(json.dumps(report_to_jsonable("
+              "verify_claim('C0', jobs=1, max_order=8))))\n")
+    src = Path(claims.__file__).resolve().parents[1]
+    env = {**os.environ, "CENT_ATLAS_ORDER_CAP": "8",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    assert fresh["passed"]
+    verify_claim("C0", jobs=1, max_order=12)  # builds C3 x C3 if not yet
+    monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "8")
+    assert report_to_jsonable(verify_claim("C0", jobs=1, max_order=8)) == fresh
+
+
+def test_report_json_is_the_fields_but_elapsed():
+    report = verify_claim("C0", jobs=1, max_order=12)
+    assert list(report_to_jsonable(report)) == [
+        f.name for f in dataclasses.fields(ClaimReport) if f.name != "elapsed"]
+
+
 @pytest.mark.parametrize("claim_id, max_order, cap, refused", [
     ("C0", 30, 12, 16), ("C8", 30, 12, 16), ("C4", 120, 100, 102),
     ("C3", 120, 100, 102), ("C2", 255, 250, None), ("C7", 45, 44, None),

@@ -1,5 +1,6 @@
 """Analysis reports, renderers, and group file round-trips."""
 
+import dataclasses
 import io
 import json
 import os
@@ -51,7 +52,7 @@ class TestAnalyze:
         assert r.cent_count == 6
         assert r.omega == 5
         assert r.is_ca
-        assert r.abelian_kind == "nonabelian"
+        assert r.abelian_profile.kind == "nonabelian"
         assert dict(r.sylow_counts) == {2: 1, 3: 4}
         assert r.frobenius == (4, 3, True)
         assert r.capability.status == "capable"
@@ -62,8 +63,8 @@ class TestAnalyze:
         assert r.omega == 1
         assert r.center_order == 6
         assert r.derived_order == 1
-        assert r.abelian_kind == "cyclic"
-        assert r.invariant_factors == (6,)
+        assert r.abelian_profile.kind == "cyclic"
+        assert r.abelian_profile.invariant_factors == (6,)
         assert r.frobenius is None
 
     def test_d16(self):
@@ -77,6 +78,18 @@ class TestAnalyze:
         assert list(d)[:4] == ["label", "order", "center_order", "derived_order"]
         assert d["cent_count"] == 5
         assert d["capability"]["status"] in ("capable", "not_capable", "unsupported")
+
+    def test_fields_are_the_json_keys(self):
+        r = analyze(alternating(4))
+        d = r.to_jsonable()
+        assert list(d) == [f.name for f in dataclasses.fields(r)]
+        want = json.loads(render_json(r))
+        d["abelian_profile"]["invariant_factors"].append(2)
+        d["sylow_counts"][0][1] = 9
+        d["frobenius"]["kernel_order"] = 9
+        d["capability"]["status"] = "unsupported"
+        d["label"] = "B4"
+        assert r.to_jsonable() == want
 
 
 class TestRenderers:
@@ -233,6 +246,25 @@ class TestCompactLayout:
         lambda: witness_h(5, 31, 2, order_cap=3875)], ids=["D2048", "H(5,31,2)"])
     def test_large(self, build, tmp_path):
         self.check(build(), tmp_path / "g.json")
+
+
+def test_row_break_across_two_reads(tmp_path, monkeypatch):
+    # a label of the right length puts a "],[" across the boundary of the
+    # second and third 4 KB reads, both made by _row_chunks
+    g, edge = dihedral(60), 2 * 4096
+    path = tmp_path / "g.json"
+    for width in range(400):
+        write_group_file(g.relabeled("x" * width), path)
+        data = path.read_bytes()
+        if data.find(b"],[", edge - 2, edge + 2) >= 0:
+            break
+    else:
+        pytest.fail("no label length puts a row break across the reads")
+    one_block = read_group_file(path).table
+    monkeypatch.setattr(report, "_READ_BLOCK", 4096)
+    assert report._read_canonical(io.BytesIO(data), None) is not None
+    assert np.array_equal(read_group_file(path).table, one_block)
+    assert np.array_equal(one_block, g.table)
 
 
 def test_group_file_io_builds_no_table_list(tmp_path):
