@@ -43,6 +43,7 @@ import numpy as np
 from .core import (
     ActionSpec,
     Group,
+    _CELL,
     _check_order_cap,
     _row_blocks,
     _trusted,
@@ -86,14 +87,21 @@ def _require_prime(value: int, name: str) -> None:
         raise BadParameters(f"{name} = {value} must be prime")
 
 
+def _windows(cells: np.ndarray) -> np.ndarray:
+    """The n x n view, for 2n - 1 contiguous ``cells``, whose row i is
+    cells[i:i + n]: no copy, and no arithmetic per cell."""
+    n = (len(cells) + 1) // 2
+    return np.ndarray((n, n), cells.dtype, cells, 0, cells.strides * 2)
+
+
 def cyclic(n: int, order_cap: int | None = None) -> Group:
     n = _integer(n, "cyclic", "n")
     if n < 1:
         raise BadParameters(f"cyclic order must be positive, got {n}")
     _check_order_cap(n, order_cap)
     x = np.arange(n, dtype=np.int32)
-    table = x[:, None] + x
-    table %= n
+    # row x is x, x + 1, ..., n - 1, 0, ..., x - 1, which _trusted copies
+    table = _windows(np.concatenate([x, x[:-1]]).astype(_CELL))
     # -x, the order n / gcd(x, n), and the generator 1 (none for n = 1)
     return _trusted(table, f"C{n}", (-x) % n, n // np.gcd(x, n), x[1:2])
 
@@ -168,11 +176,13 @@ def _presented(m: int, n: int, k: int, s: int, label: str,
     """Group <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^k> on a^x b^y at
     index x + m y; the caller checks k^n = 1 and a^s central (mod m).
 
-    The int32 table is written in place, for a ``_row_blocks`` run of
-    values of y at a time, each value taking m x m cells of working
-    memory, so the working memory beyond the table is one block or one
-    value's m x m cells, whichever is larger.  Inverses and element
-    orders come in closed form, in O(n) and with no pass over the table.
+    The table is written in place, a ``_row_blocks`` run of its rows at a
+    time, each cell the sum of its a and b parts, formed in int32 and
+    narrowed once each is below m n.  The b parts of row y, and the a^s
+    of the products that wrap past b^n, are row y of ``_windows`` over
+    2n - 1 values, so the working memory beyond the table is one block
+    and O(n).  Inverses and element orders come in closed form, in O(n)
+    and with no pass over the table.
     With t = k^-1 (mod m), b a b^-1 = a^t, and a^s is central, so
     s t = s (mod m), and t^n = 1:
 
@@ -187,28 +197,30 @@ def _presented(m: int, n: int, k: int, s: int, label: str,
     _check_order_cap(m * n, order_cap)
     # a^x b^y * a^u b^v = a^(x + u t^y) b^(y+v)
     t = pow(k, -1, m)
-    table = np.empty((m * n, m * n), dtype=np.int32)
-    blocks = table.reshape(n, m, n, m)  # (y, x, v, u)
+    table = np.empty((m * n, m * n), dtype=_CELL)
+    by_col = table.reshape(m * n, n, m)  # row x + m y, column (v, u)
     x = np.arange(m, dtype=np.int32)
     y = np.arange(n, dtype=np.int32)
-    wraps = y[:, None] + y >= n  # b^(y+v) = a^s b^(y+v-n)
-    b_part = m * ((y[:, None] + y) % n)[:, None, :, None]
     t_y = np.array([pow(t, e, m) for e in range(n)], dtype=np.int64)[:, None]
     x64, g = x.astype(np.int64), np.gcd(y, n)[:, None]
     inverse = -(x64 * t_y[-y] + s * (y > 0)[:, None]) % m + m * (-y[:, None] % n)
     s_g = np.array([t_y[::e].sum() for e in g.ravel().tolist()])[:, None]
     orders = n // g * m // np.gcd(x64 * s_g + s * (y[:, None] // g), m)
-    for rows in _row_blocks(n, m * m):  # the rows of a run of values of y
-        out = blocks[rows]
-        ut = (x * t_y[rows] % m).astype(np.int32)  # u t^y, formed in int64
-        a_exp = x[:, None] + ut[:, None, :]
+    row_y, row_x = np.divmod(np.arange(m * n, dtype=np.int32), m)
+    t_row = t_y[row_y].astype(np.int32)  # t^y of each row, below m
+    # b^(y+v) = a^s b^(y+v-n) where y + v wraps past n; each part, and
+    # the cell they add up to, is below m n, so they add in _CELL
+    b_part = _windows((m * np.concatenate([y, y[:-1]])).astype(_CELL))
+    a_s = _windows(np.repeat(np.int32([0, s]), [n, n - 1]))
+    for rows in _row_blocks(m * n, m * n):
+        a_exp = x * t_row[rows]  # u t^y < m^2 <= 2^30, then x + u t^y
+        a_exp += row_x[rows, None]
         a_exp %= m
+        a_exp = a_exp[:, None, :]
         if s:
-            np.add(a_exp[:, :, None], s * wraps[rows, None, :, None], out=out)
-            np.remainder(out, m, out=out)
-            out += b_part[rows]
-        else:
-            np.add(a_exp[:, :, None], b_part[rows], out=out)
+            a_exp = (a_exp + a_s[row_y[rows], :, None]) % m
+        np.add(a_exp.astype(_CELL), b_part[row_y[rows], :, None],
+               out=by_col[rows])
     # a at 1 and b at m: the indices in {1, m} below the order generate,
     # also when m = 1 or n = 1 makes a or b trivial
     return _trusted(table, label, inverse.ravel(), orders.ravel(),
@@ -234,7 +246,7 @@ def heisenberg(p: int, order_cap: int | None = None) -> Group:
     _require_prime(p, "p")
     n = p ** 3
     _check_order_cap(n, order_cap)
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=_CELL)
     d = np.arange(p, dtype=np.int32)
     a1, b1, c1, a2, b2, c2 = [d.reshape([p if i == j else 1 for i in range(6)])
                               for j in range(6)]
@@ -265,7 +277,7 @@ def sl23(order_cap: int | None = None) -> Group:
     a, b, c, d = entries
     codes = np.flatnonzero((a * d - b * c) % 3 == 1)
     codes = codes[np.argsort(codes != 28, kind="stable")]
-    index = np.empty(81, dtype=np.int32)
+    index = np.empty(81, dtype=_CELL)
     index[codes] = np.arange(codes.size)
     mats = entries.T[codes].reshape(-1, 2, 2)
     prods = np.einsum("iab,jbc->ijac", mats, mats) % 3

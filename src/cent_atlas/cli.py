@@ -35,6 +35,7 @@ from .claims import (
     verify_claim,
     witness_check,
 )
+from .core import _cap_text
 from .errors import (
     BadParameters,
     CentAtlasError,
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "structure, and verify claims over group catalogs.")
     sub = parser.add_subparsers(dest="command", required=True)
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--order-cap", type=int)
+    capped.add_argument("--order-cap")  # ASCII digits: see main
     add = partial(sub.add_parser, parents=[capped])  # all five take the cap
 
     p_con = add("construct", help="build a named group")
@@ -203,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(sys.stdout, io.TextIOWrapper):
         sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     try:
+        if args.order_cap is not None:
+            args.order_cap = _cap_text(args.order_cap, "--order-cap")
         return args.func(args)
     except (UnknownClaim, EmptySweep, BadParameters, OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ produced it, by one of two paths:
   two-sided inverses checked and Light's test rerun over the same S, in
   that order, to name its first fault; ``_validated``'s docstring gives
   the proof and ``from_cayley_table``'s the cost of each check.  The
-  gate keeps one int32 copy of the table, which becomes the Group's, and
+  gate keeps one two-byte copy of the table (``_CELL``, the one cell
+  type of every table), which becomes the Group's, and
   checks it in row blocks on the calling thread, so its working memory
   beyond that copy is O(n).  A group file's freshly parsed table is
   handed over without the copy.  A table that passes is wrapped by
@@ -108,6 +109,15 @@ __all__ = [
 DEFAULT_ORDER_CAP = 2048
 ORDER_CAP_ENV = "CENT_ATLAS_ORDER_CAP"
 
+# The one cell type of every Cayley table: an element index below n, so
+# two bytes serve every order up to _MAX_ORDER, a 2 GiB table.  Arrays of
+# one value per element (inverses, element orders, class representatives)
+# are int32.  Arithmetic on cell values is formed in int32 or wider, and
+# narrowed only to values known to be below n: the table's own cells, or
+# parts that add up to them.
+_CELL = np.int16
+_MAX_ORDER = int(np.iinfo(_CELL).max) + 1
+
 
 def resolve_order_cap(explicit: int | None = None) -> int:
     """Return the effective order cap: explicit arg, else env var, else default."""
@@ -118,20 +128,31 @@ def resolve_order_cap(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get(ORDER_CAP_ENV)
     if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise BadParameters(f"{ORDER_CAP_ENV} must be an integer, got {env!r}") from exc
+        cap = _cap_text(env, ORDER_CAP_ENV)
         if cap < 1:
             raise BadParameters(f"{ORDER_CAP_ENV} must be positive, got {cap}")
         return cap
     return DEFAULT_ORDER_CAP
 
 
+def _cap_text(text: str, name: str) -> int:
+    """An order cap written as ASCII digits, as an int; BadParameters
+    naming ``text`` for anything else, such as ``1_000``, `` 64 ``,
+    ``+64`` or other scripts' digits, all of which ``int`` accepts."""
+    if not (text.isascii() and text.isdigit()):
+        raise BadParameters(f"{name} must be an integer, got {text!r}")
+    return int(text)
+
+
 def _check_order_cap(n: int, order_cap: int | None) -> None:
+    """Refuse order n past the cap, or past ``_MAX_ORDER`` whatever the
+    cap, before anything of order n is allocated."""
     cap = resolve_order_cap(order_cap)
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
+    if n > _MAX_ORDER:
+        raise OrderCapExceeded(
+            f"order {n} exceeds {_MAX_ORDER}, the largest order a table holds")
 
 
 @dataclass(frozen=True)
@@ -346,8 +367,9 @@ def _centralizer_sizes(g: Group) -> np.ndarray:
 
 
 # Cells one numpy pass over a run of table rows touches at most (1 MB of
-# int32), so the working memory of every blocked pass stays O(n): see
-# ``_row_blocks``, the one place a block size is computed.
+# int32 values formed from them), so the working memory of every blocked
+# pass stays O(n): see ``_row_blocks``, the one place a block size is
+# computed.
 _CLOSE_BLOCK = 1 << 18
 
 
@@ -523,11 +545,11 @@ def _trusted(table: np.ndarray, label: str | None,
     the group's :func:`_spanning` set, which class data and G' read; any
     generating set serves them, so the group never pays a closure for
     one.  The result equals what :func:`from_cayley_table` returns for the
-    same table.  A table that is not int32 and C-contiguous costs a copy;
-    without element orders they cost O(n log n) gathers per prime, and
-    without inverses one pass over ``_row_blocks``.
+    same table.  A table that is not ``_CELL`` and C-contiguous costs a
+    copy; without element orders they cost O(n log n) gathers per prime,
+    and without inverses one pass over ``_row_blocks``.
     """
-    arr = np.ascontiguousarray(table, dtype=np.int32)
+    arr = np.ascontiguousarray(table, dtype=_CELL)
     arr.setflags(write=False)
     if orders is None:
         orders = _element_orders(arr)
@@ -547,9 +569,11 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
 
     Checks, in order, for a table of order n:
 
-    - a nonempty square shape, and n within the order cap;
+    - a nonempty square shape, and n within the order cap and at most
+      ``_MAX_ORDER``, before anything of order n is allocated;
     - integer entries: bool, float and object tables are refused, not cast;
-    - every entry in 0..n-1, before narrowing to int32, so none can wrap;
+    - every entry in 0..n-1, before narrowing to ``_CELL``, so none can
+      wrap;
     - row 0 and column 0 are the identity;
     - the accept path: a greedy generating set S, |S| <= log2(n), whose
       rows are permutations and whose right-multiplication orbit of 0 is
@@ -569,12 +593,12 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     per prime dividing n.  The whole gate costs O(|S| n^2) on either
     path; no check is skipped for any table, and an invalid table pays
     the failed proof on top of the scans.  The Group holds a copy of the
-    table, never the caller's array.  Besides that int32 copy (and, for a
-    wider input, the copy it is narrowed from), the checks work over
-    ``_row_blocks``, one block at a time in order on the calling thread,
-    so their working memory is O(n) at every order and the first faulty
-    block is the one named.  At order 3875 the gate peaks at about 60 MiB
-    of Python allocations (60.3 MiB), the 57 MiB copy included.
+    table, never the caller's array.  Besides that two-byte copy (and the
+    array it is made from), the checks work over ``_row_blocks``, one
+    block at a time in order on the calling thread, so their working
+    memory is O(n) at every order and the first faulty block is the one
+    named.  At order 3875 the gate peaks at about 31.6 MB of Python
+    allocations, the 30 MB copy included.
     """
     try:
         arr = np.array(table)
@@ -599,7 +623,7 @@ def _first_non_permutation(rows: np.ndarray) -> int | None:
     not a permutation of 0..n-1, or None: one scatter into k x n flags."""
     k, n = rows.shape
     seen = np.zeros(k * n, dtype=bool)
-    seen[rows + np.arange(0, k * n, n, dtype=np.int32)[:, None]] = True
+    seen[rows + np.arange(0, k * n, n, dtype=np.int32)[:, None]] = True  # int32 sums
     bad = ~seen.reshape(k, n).all(axis=1)
     return int(np.argmax(bad)) if bad.any() else None
 
@@ -608,12 +632,12 @@ def _validated(arr: np.ndarray, label: str | None,
                order_cap: int | None) -> Group:
     """The gate of :func:`from_cayley_table`, on an array it owns.
 
-    The array is narrowed to int32 in place of a copy where it already is
-    int32 and C-contiguous, and is frozen into the Group, so no caller may
-    keep it: ``from_cayley_table`` hands over a copy of its input, and
-    ``report.read_group_file`` the table it has just parsed.  A table
-    that passes is wrapped by :func:`_trusted` with the set S, so the
-    gate is a check in front of the one constructor.
+    The array is narrowed to ``_CELL`` in place of a copy where it already
+    is ``_CELL`` and C-contiguous, and is frozen into the Group, so no
+    caller may keep it: ``from_cayley_table`` hands over a copy of its
+    input, and ``report.read_group_file`` the table it has just parsed.
+    A table that passes is wrapped by :func:`_trusted` with the set S, so
+    the gate is a check in front of the one constructor.
 
     After the shape, cap, dtype, range and identity checks, the accept
     path proves the table a group.  Let A be the set of a with
@@ -655,7 +679,7 @@ def _validated(arr: np.ndarray, label: str | None,
     if arr.min() < 0 or arr.max() >= n:
         i, j = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
         raise NotLatinSquare(f"entry at ({i}, {j}) is {arr[i, j]}, outside 0..{n - 1}")
-    arr = np.ascontiguousarray(arr, dtype=np.int32)
+    arr = np.ascontiguousarray(arr, dtype=_CELL)  # every entry is below n
     idx = np.arange(n, dtype=np.int32)
     if not np.array_equal(arr[0], idx):
         j = int(np.flatnonzero(arr[0] != idx)[0])
@@ -726,14 +750,16 @@ def from_permutation_generators(generators: Sequence[Sequence[int]],
                 if len(elems) >= cap:
                     raise OrderCapExceeded(
                         f"closure of permutation generators exceeds cap {cap}")
+                if len(elems) == _MAX_ORDER:  # past it whatever the cap
+                    _check_order_cap(_MAX_ORDER + 1, cap)
                 index[nxt] = len(elems)
                 elems.append(nxt)
                 reached.append((x, k))
             right[k].append(index[nxt])
     n = len(elems)
-    rights = np.array(right, dtype=np.int32)
-    table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n, dtype=np.int32)
+    rights = np.array(right, dtype=_CELL)
+    table = np.empty((n, n), dtype=_CELL)
+    table[:, 0] = np.arange(n)
     for j, (x, k) in enumerate(reached, start=1):
         table[:, j] = rights[k][table[:, x]]
     return from_cayley_table(table, label=label, order_cap=cap)
@@ -745,7 +771,7 @@ def direct_product(g: Group, h: Group, label: str | None = None,
 
     The trivial-action case of :func:`semidirect_product`'s writer, with
     inverses and element orders taken pairwise from the factors.  Working
-    memory beyond the table is one |G| x |G| block and O(n).
+    memory beyond the table is one ``_row_blocks`` run and O(n).
     """
     if label is None and g.label and h.label:
         label = f"{g.label}x{h.label}"
@@ -757,9 +783,9 @@ def _product(n_grp: Group, h_grp: Group, theta: np.ndarray | None,
     """N x| H on pairs (a, h) at a*|H| + h, for the action ``theta``, an
     (|H|, |N|) array of permutations, or None for the direct product.
 
-    The direct product is written in one broadcast add through the
-    table's (a, h1, b, h2) view, with one |N| x |N| block of working
-    memory.  A semidirect product is written a whole row at a time: row
+    The direct product is written through the table's (a, h1, b, h2)
+    view, one broadcast add for a ``_row_blocks`` run of values of a at a
+    time.  A semidirect product is written a whole row at a time: row
     (a, h1) is row a of N's table, times |H|, gathered at theta(h1)
     repeated |H| times, plus row h1 of H's table tiled |N| times, for a
     ``_row_blocks`` run of values of a at a time, so the working memory is
@@ -767,13 +793,18 @@ def _product(n_grp: Group, h_grp: Group, theta: np.ndarray | None,
     """
     nn, nh = n_grp.order, h_grp.order
     _check_order_cap(nn * nh, order_cap)
-    table = np.empty((nn * nh, nn * nh), dtype=np.int32)
+    table = np.empty((nn * nh, nn * nh), dtype=_CELL)
     h_inv = h_grp.inverse[None, :]
     # (a, 0) for a in N's set and (0, h) for h in H's generate N x| H
     gens = [a * nh for a in _spanning(n_grp)] + list(_spanning(h_grp))
+    def times_nh(cells):  # a*|H| < n; |H| alone may not fit in _CELL
+        return np.multiply(cells, nh, dtype=np.int32).astype(_CELL)
+
     if theta is None:  # (a, h1)(b, h2) = (ab, h1h2) for every h1 at once
-        np.add((n_grp.table * nh)[:, None, :, None], h_grp.table[:, None, :],
-               out=table.reshape(nn, nh, nn, nh))
+        by_a = table.reshape(nn, nh, nn, nh)
+        for a in _row_blocks(nn, nh * nn * nh):
+            np.add(times_nh(n_grp.table[a])[:, None, :, None],
+                   h_grp.table[:, None, :], out=by_a[a])
         inverse = n_grp.inverse[:, None] * nh + h_inv
         return _trusted(table, label, inverse.ravel(), np.lcm(
             n_grp.element_orders[:, None], h_grp.element_orders).ravel(), gens)
@@ -781,7 +812,7 @@ def _product(n_grp: Group, h_grp: Group, theta: np.ndarray | None,
     for h1 in range(nh):  # rows (a, h1): (a, h1)(b, h2) = (a theta(h1)(b), h1h2)
         cols, h_part = np.repeat(theta[h1], nh), np.tile(h_grp.table[h1], nn)
         for a in blocks:
-            run = np.take(n_grp.table[a] * nh, cols, axis=1)
+            run = np.take(times_nh(n_grp.table[a]), cols, axis=1)
             np.add(run, h_part, out=by_a[a, h1])
     # (a, h)^-1 = (theta(h^-1)(a^-1), h^-1)
     inverse = theta[h_inv, n_grp.inverse[:, None]] * nh + h_inv
@@ -944,8 +975,8 @@ def subgroup_as_group(g: Group, subgroup: SubsetMask | Iterable[int],
     """
     mask = check_subgroup(g, subgroup)
     idx = np.array(mask.elements(), dtype=np.int32)
-    pos = np.full(g.order, -1, dtype=np.int32)
-    pos[idx] = np.arange(len(idx), dtype=np.int32)
+    pos = np.full(g.order, -1, dtype=_CELL)
+    pos[idx] = np.arange(len(idx))
     return _trusted(pos[g.table[np.ix_(idx, idx)]], label,
                     pos[g.inverse[idx]], g.element_orders[idx])
 
@@ -977,7 +1008,7 @@ def quotient_with_cosets(g: Group, normal: SubsetMask | Iterable[int],
         )
     reps, coset_id = np.unique(g.table[:, members].min(axis=1),
                                return_inverse=True)
-    coset_id = coset_id.astype(np.int32)
+    coset_id = coset_id.astype(_CELL)
     q_table = coset_id[g.table[np.ix_(reps, reps)]]
     cosets = np.argsort(coset_id, kind="stable").reshape(len(reps), -1).tolist()
     # g's set maps onto one of G/N, but is not worth a closure on g

@@ -7,7 +7,8 @@ compact one-line JSON without building a Python list of the table;
 ``read_group_file`` reads that layout by a fast path, in blocks of about
 1 MB parsed on two threads, each chunk with one GIL-held
 ``bytes.translate`` and numpy passes that free the GIL, straight into
-one int32 table that the validation gate takes over without a copy,
+one table of two-byte cells (``core._CELL``) that the validation gate
+takes over without a copy,
 accepts any other valid JSON for either kind through ``json.loads``, and
 always revalidates the group axioms.
 """
@@ -29,6 +30,7 @@ import numpy as np
 from .claims import CapabilityVerdict, _field_values, capable
 from .core import (
     Group,
+    _CELL,
     _check_order_cap,
     _ragged,
     _row_blocks,
@@ -322,26 +324,29 @@ def _in_order(fn: Callable, blocks: Iterable) -> Iterator:
 def _read_canonical(fh: BinaryIO,
                     order_cap: int | None) -> dict[str, Any] | None:
     """A file in exactly ``write_group_file``'s layout as the dict
-    ``json.loads`` makes of it, with the table as an int32 array; None for
-    any other text.
+    ``json.loads`` makes of it, with the table as a ``_CELL`` array; None
+    for any other text.
 
     The layout is ``{"order":N,"label":L,"table":[[...],...,[...]]}`` and a
     newline, with no whitespace: L must be null or load as one JSON string,
     and the table must be n rows of n tokens, each ``0|[1-9][0-9]{0,8}``,
-    so none can wrap in int32.  Any text accepted here parses under JSON
-    to the same object.
+    so none can wrap in the int32 rows ``_parse_rows`` makes.  Any text
+    accepted here parses under JSON to the same object.
 
     The file is read in blocks of ``_READ_BLOCK`` bytes.  The first row
     gives n; the n x n table is allocated once, only if n is within the
     order cap and the file is long enough to hold n such rows, and each
-    block is parsed straight into its rows.  Past the cap the rest is
-    still parsed, block by block into nothing, and a file in the layout
+    block is parsed straight into its rows.  A cell of n or more, which
+    the gate refuses, would wrap in ``_CELL``, so the first rows that hold
+    one widen the table to int32, and the gate names the cell's own
+    value.  Past the cap, or past ``core._MAX_ORDER`` whatever the cap,
+    the rest is still parsed, block by block into nothing, and a file in the layout
     raises OrderCapExceeded as ``from_cayley_table`` would; one that
     leaves the layout anywhere returns None, for ``json.loads`` to judge.
     A file of more than one block is parsed on two threads with at most
     two chunks outstanding while this thread reads on (``_in_order``);
     one block is parsed inline, by the same ``_parse_rows``.  Refusing
-    H(5,31,2) (order 3875) at a cap of 2048 peaks at about 14 MiB of
+    H(5,31,2) (order 3875) at a cap of 2048 peaks at about 16 MiB of
     Python allocations.
     """
     head = bytearray()
@@ -372,12 +377,14 @@ def _read_canonical(fh: BinaryIO,
                 return None
             try:  # raised again below if the whole file is in the layout
                 _check_order_cap(n, order_cap)
-                table = np.empty((n, n), dtype=np.int32)
+                table = np.empty((n, n), dtype=_CELL)
             except (BadParameters, OrderCapExceeded):
                 pass
         if rows.shape[1] != n or done + len(rows) > n:
             return None
         if table is not None:
+            if table.dtype == _CELL and rows.max() >= n:
+                table = table.astype(np.int32)
             table[done:done + len(rows)] = rows
         done += len(rows)
     if done != n:
@@ -392,13 +399,13 @@ def read_group_file(path: str | Path,
     """Load and revalidate a group or permutation-generator file.
 
     The file is read as UTF-8.  A file in exactly ``write_group_file``'s
-    layout is parsed by a fast path straight to an int32 table, which the
-    gate of ``from_cayley_table`` then checks in place of a copy: at order
-    n that path holds the 4 n^2 byte table and O(n) more besides blocks
-    of about 1 MB.  A file of more than one block is parsed on two
+    layout is parsed by a fast path straight to a ``_CELL`` table, which
+    the gate of ``from_cayley_table`` then checks in place of a copy: at
+    order n that path holds the 2 n^2 byte table and O(n) more besides
+    blocks of about 1 MB.  A file of more than one block is parsed on two
     threads with at most two blocks outstanding, and the table is checked
     on the calling thread; reading and checking H(5,31,2) takes about
-    0.4 s (0.53 s on one thread) and peaks at about 71 MiB, its 57 MiB
+    0.4 s (0.53 s on one thread) and peaks at about 44.5 MiB, its 28.6 MiB
     table included.  Any other text goes through ``json.loads``, and both
     meet the same checks below, so which files load and every error
     message are the same either way.

@@ -492,6 +492,26 @@ class TestVerify:
         assert err == ("error: CENT_ATLAS_ORDER_CAP must be an integer, "
                        "got 'abc'\n")
 
+    # int() reads each of these as a number (``1_0`` as 10); the cap takes
+    # ASCII digits only, from the flag and from the variable alike
+    @pytest.mark.parametrize("text", ["1_0", "1_000", " 64 ", "+64", "-64",
+                                      "\u0664\u0660\u0669\u0666"],
+                             ids=["underscore-10", "underscore", "spaces",
+                                  "plus", "minus", "arabic-indic"])
+    def test_order_cap_text_other_than_ascii_digits_exits_2(
+            self, text, monkeypatch, capsys):
+        monkeypatch.delenv("CENT_ATLAS_ORDER_CAP", raising=False)
+        code, out, err = run(["construct", "--family", "cyclic", "--n", "4",
+                              "--order-cap", text], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --order-cap must be an integer, got {text!r}\n"
+        monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", text)
+        code, out, err = run(["construct", "--family", "cyclic", "--n", "4"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: CENT_ATLAS_ORDER_CAP must be an integer, "
+                       f"got {text!r}\n")
+
     def test_out_deterministic_across_jobs(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["verify", "--claim", "C7", "--max-order", "100",

@@ -22,6 +22,7 @@ from cent_atlas.catalog import (
     dicyclic,
     dihedral,
     elementary,
+    metacyclic,
     symmetric,
     witness_h,
 )
@@ -103,6 +104,22 @@ class TestFromCayleyTable:
             from_cayley_table(cyclic_table(9), order_cap=8)
         assert from_cayley_table(cyclic_table(9), order_cap=9).order == 9
 
+    # Each value would wrap in a two-byte cell: 32768 and 65535 to a
+    # negative, 65541 to 5, the entry of a cyclic table of order 6 at
+    # (2, 3), so a table narrowed before its range check would pass.
+    @pytest.mark.parametrize("dtype, value", [
+        (np.int64, 32768), (np.int64, 65536 + 5), (np.int64, 2 ** 32 + 5),
+        (np.int64, -1), (np.uint16, 32768), (np.uint16, 65535),
+    ])
+    def test_entry_past_a_cell_is_named_as_given(self, dtype, value):
+        table = cyclic_table(6).astype(dtype)
+        table[2, 3] = value
+        with pytest.raises(NotLatinSquare) as info:
+            from_cayley_table(table)
+        assert str(info.value) == f"entry at (2, 3) is {value}, outside 0..5"
+        table[2, 3] = 5
+        assert from_cayley_table(table).table.dtype == core._CELL
+
     @pytest.mark.parametrize("table, message", [
         ([[0, 1], [1]], "row 1 has 1 entries but row 0 has 2"),
         ([[0], [1, 0]], "row 1 has 2 entries but row 0 has 1"),
@@ -116,6 +133,8 @@ class TestFromCayleyTable:
         assert str(info.value) == f"table is ragged: {message}"
 
     def test_env_cap(self, monkeypatch):
+        monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "0064")
+        assert resolve_order_cap() == 64
         monkeypatch.setenv("CENT_ATLAS_ORDER_CAP", "7")
         assert resolve_order_cap() == 7
         with pytest.raises(OrderCapExceeded):
@@ -245,8 +264,8 @@ def gate_outcome(validate, table):
         g = validate(table)
     except CentAtlasError as exc:
         return type(exc), str(exc)
-    return [(a.dtype, a.tobytes()) for a in (g.table, g.inverse,
-                                              g.element_orders)]
+    return [(np.dtype("<i4"), a.astype("<i4").tobytes())  # digests of int32
+            for a in (g.table, g.inverse, g.element_orders)]
 
 
 def to_top(table: np.ndarray, elems: list[int]) -> np.ndarray:
@@ -787,32 +806,84 @@ def traced_peak(build):
 
 
 def test_products_are_written_in_place():
-    # the table plus row blocks of at most _CLOSE_BLOCK cells: 61.9 MiB
-    # for H(5,31,2), whose table is 57 MiB; the table plus one |N| x |N|
-    # block: 80 MiB for D2048 x C2, whose table is 64 MiB (87 and 128 MiB
-    # with a temporary per coset and a reshape or transpose copy of the
-    # table)
-    table = 3875 ** 2 * 4
-    assert traced_peak(lambda: witness_h(5, 31, 2, order_cap=4096)) < table + 16 * 2 ** 20
+    # the table plus row blocks of at most _CLOSE_BLOCK cells: 31.0 MiB
+    # for H(5,31,2), whose table is 28.6 MiB, and 32.4 MiB for D2048 x C2,
+    # whose table is 32 MiB (with int32 tables and one |N| x |N| block,
+    # 61.9 and 80 MiB; 87 and 128 MiB with a temporary per coset and a
+    # reshape or transpose copy of the table)
+    table = 3875 ** 2 * 2
+    assert traced_peak(lambda: witness_h(5, 31, 2, order_cap=4096)) < table + 8 * 2 ** 20
     d, c2 = dihedral(2048), cyclic(2)
-    table = 4096 ** 2 * 4
-    assert traced_peak(lambda: direct_product(d, c2, order_cap=4096)) < 1.3 * table
+    table = 4096 ** 2 * 2
+    assert traced_peak(lambda: direct_product(d, c2, order_cap=4096)) < 1.1 * table
+
+
+def test_largest_witness_is_built_and_checked_in_40_mb():
+    # H(5,31,2), the largest group the default sweeps build: 32.5 MB to
+    # build and 31.6 MB for the gate's copy and checks, with its 30 MB
+    # table of two-byte cells (64.9 and 63.2 MB with int32 cells)
+    g = witness_h(5, 31, 2, order_cap=3875)
+    assert traced_peak(lambda: witness_h(5, 31, 2, order_cap=3875)) < 40e6
+    assert traced_peak(lambda: from_cayley_table(g.table, order_cap=3875)) < 40e6
+
+
+class TestLargestOrder:
+    """No table past order 2^15, whose indices a two-byte cell cannot
+    hold, is allocated, whatever the cap: each is refused first."""
+
+    @staticmethod
+    def refused(build):
+        """The tracemalloc peak of ``build()``, which must refuse order
+        32769 past the largest order a table holds."""
+        def refusal():
+            with pytest.raises(OrderCapExceeded, match=(
+                    "^order 32769 exceeds 32768, the largest order a table "
+                    "holds$")):
+                build()
+        return traced_peak(refusal)
+
+    def test_gate_refuses_before_it_copies(self):
+        # a broadcast view of 32769^2 zeros holds one cell
+        view = np.broadcast_to(np.int16(0), (32769, 32769))
+        assert self.refused(lambda: core._validated(view, None, 10 ** 6)) < 2 ** 20
+
+    def test_cyclic_refuses_before_it_builds(self):
+        assert self.refused(lambda: cyclic(32769, order_cap=10 ** 6)) < 2 ** 20
+
+    def test_cap_message_comes_first(self):
+        with pytest.raises(OrderCapExceeded,
+                           match="^order 32769 exceeds cap 2048$"):
+            cyclic(32769)
+
+    def test_permutation_closure_stops_at_the_largest_order(self):
+        # cycles of lengths 2, 3, ..., 17 generate a cyclic group of order
+        # 510510; the search stops at element 32769
+        cycles, start = [], 0
+        for length in (2, 3, 5, 7, 11, 13, 17):
+            cycles += list(range(start + 1, start + length)) + [start]
+            start += length
+        # its 32768 elements of degree 58 are Python tuples
+        assert self.refused(lambda: from_permutation_generators(
+            [cycles], order_cap=10 ** 6)) < 32 * 2 ** 20
 
 
 def test_semidirect_products_are_written_in_row_blocks():
-    # the 7.2 MiB table of H(5,11,3) plus blocks of at most _CLOSE_BLOCK
-    # cells and O(n) index arrays
-    table = 1375 ** 2 * 4
+    # the 3.6 MiB table of H(5,11,3) plus blocks of at most _CLOSE_BLOCK
+    # cells and O(n) index arrays: 4.6 MiB
+    table = 1375 ** 2 * 2
     assert traced_peak(lambda: witness_h(5, 11, 3, order_cap=4096)) < 1.6 * table
 
 
-def test_closed_form_families_write_int32_tables_in_place():
-    # the 16 MiB table plus at most two m x m int32 blocks: 16.1, 24.1,
-    # 24.1 and 16.3 MiB (64, 68, 96 and 96 MiB with int64 temporaries and
-    # an n x n search for the inverses)
-    table = 2048 ** 2 * 4
+def test_closed_form_families_write_their_tables_in_place():
+    # the 8 MiB table of two-byte cells plus blocks of at most _CLOSE_BLOCK
+    # cells: 8.0, 9.1, 10.6, 10.4 and 8.4 MiB (16.1, 24.1, 24.1, 16.3 and
+    # 25.0 MiB with int32 tables, m x m blocks and n x n b parts, 64, 68,
+    # 96 and 96 MiB with int64 temporaries and an n x n search for the
+    # inverses)
+    table = 2048 ** 2 * 2
     for build in (lambda: cyclic(2048), lambda: dihedral(2048),
-                  lambda: dicyclic(2048), lambda: elementary(2, 11)):
+                  lambda: dicyclic(2048), lambda: elementary(2, 11),
+                  lambda: metacyclic(2, 1024, 1)):
         assert traced_peak(build) < 1.6 * table
 
 
@@ -1054,6 +1125,9 @@ class TestRefusals:
     @pytest.mark.parametrize("value,message", [
         ("abc", "CENT_ATLAS_ORDER_CAP must be an integer, got 'abc'"),
         ("0", "CENT_ATLAS_ORDER_CAP must be positive, got 0"),
+        # int() reads each of these as a number; the cap takes ASCII digits
+        *((text, f"CENT_ATLAS_ORDER_CAP must be an integer, got {text!r}")
+          for text in ("1_000", " 64 ", "+64", "\u0664\u0660\u0669\u0666")),
     ])
     def test_bad_order_cap_variable_is_refused(self, monkeypatch, value,
                                                message):

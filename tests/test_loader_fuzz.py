@@ -177,6 +177,8 @@ CASES = {
     "leading-zero-00": (with_cell(0, 0, "00"), False),
     "leading-zero-01": (with_cell(1, 0, "01"), False),
     "nine-digits-out-of-range": (with_cell(2, 3, "999999999"), True),
+    # 65541 is 5, S3_TABLE's entry at (2, 3), wrapped to two bytes
+    "five-digits-wrapping-to-the-entry": (with_cell(2, 3, "65541"), True),
     "ten-digits": (with_cell(2, 3, "1000000000"), False),
     "ten-digits-wrapping-to-5": (with_cell(2, 3, "4294967301"), False),
     "ten-digits-wrapping-to-int32-max": (with_cell(2, 3, "6442450943"), False),

@@ -22,12 +22,13 @@ from cent_atlas.catalog import (
     symmetric,
     witness_h,
 )
-from cent_atlas.core import from_cayley_table, quotient
+from cent_atlas.core import _CELL, from_cayley_table, quotient
 from cent_atlas.cli import main
 from cent_atlas.errors import (
     BadGroupFile,
     BadParameters,
     NoIdentityAtZero,
+    NotLatinSquare,
     OrderCapExceeded,
 )
 from cent_atlas.invariants import center, is_isomorphic
@@ -214,7 +215,7 @@ class TestCompactLayout:
         raw = report._read_canonical(io.BytesIO(data), order_cap=g.order)
         assert raw is not None, (g.order, g.label)
         assert (raw["order"], raw["label"]) == (g.order, g.label or None)
-        assert raw["table"].dtype == np.int32
+        assert raw["table"].dtype == _CELL
         assert np.array_equal(raw["table"], g.table)
 
     def test_catalog_up_to_300_as_built_and_relabelled(self, tmp_path):
@@ -270,8 +271,9 @@ def test_row_break_across_two_reads(tmp_path, monkeypatch):
 def test_group_file_io_builds_no_table_list(tmp_path):
     # at order 3875, json.dumps and json.loads over table lists peak near
     # 680 and 740 MB; the writer streams ``_CLOSE_BLOCK`` runs of 2 MB
-    # gathers (7.4 MiB peak), and the reader holds the 57 MB int32 table,
-    # which the gate checks without a copy, and blocks of about 1 MB
+    # gathers (7.4 MiB peak), and the reader holds the 28.6 MiB table of
+    # two-byte cells, which the gate checks without a copy, and blocks of
+    # about 1 MB: 44.5 MiB in all (73.2 MiB with int32 cells)
     g = witness_h(5, 31, 2, order_cap=3875).relabeled(None)
     path = tmp_path / "h.json"
     tracemalloc.start()
@@ -285,7 +287,52 @@ def test_group_file_io_builds_no_table_list(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.table, g.table)
     assert write_peak < 16 * 2 ** 20, write_peak
-    assert read_peak < 128 * 2 ** 20, read_peak
+    assert read_peak < g.table.nbytes + 20 * 2 ** 20, read_peak
+
+
+@pytest.mark.parametrize("token", ["65537", "65541", "32768"])
+def test_cell_past_a_two_byte_cell_is_named_as_written(token, tmp_path):
+    # in a two-byte table 65537 would wrap to 1, S3's entry at (2, 3), so
+    # the file would load, and 65541 and 32768 to other values; the fast
+    # path widens its table to int32 instead
+    rows = [[str(v) for v in row] for row in symmetric(3).table.tolist()]
+    rows[2][3] = token
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"order":6,"label":"S3","table":[['
+                     + "],[".join(map(",".join, rows)).encode() + b"]]}\n")
+    assert report._read_canonical(io.BytesIO(path.read_bytes()), None) is not None
+    with pytest.raises(NotLatinSquare,
+                       match=rf"^entry at \(2, 3\) is {token}, outside 0\.\.5$"):
+        read_group_file(path)
+
+
+def test_file_past_the_largest_order_allocates_no_table(monkeypatch):
+    # A canonical file of order 32769 needs at least 2 GB, so this one
+    # claims that length and stands for its rows by one-digit rows that
+    # the chunk parse reads as rows of 32769 zeros: the reader refuses the
+    # order once the whole file is in the layout, and never allocates the
+    # 2 GiB table, whatever the cap.
+    n = 32769
+
+    class Long(io.BytesIO):
+        def seek(self, pos, whence=os.SEEK_SET):
+            if whence == os.SEEK_END:
+                return 2 * n * n + 4 * n
+            return super().seek(pos, whence)
+
+    data = (b'{"order":32769,"label":null,"table":[['
+            + b"],[".join([b"0"] * n) + b"]]}\n")
+    monkeypatch.setattr(report, "_parse_rows", lambda chunk: np.broadcast_to(
+        np.int32(0), (chunk.count(b"],[") + 1, n)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapExceeded, match=(
+                "^order 32769 exceeds 32768, the largest order a table holds$")):
+            report._read_canonical(Long(data), 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_over_cap_file_is_refused_without_its_table(tmp_path):

@@ -9,6 +9,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,57 @@ def test_unused_import_check_sees_one():
               "def f(a: Any) -> int:\n"
               "    return np.int32(os.sep)\n")
     assert _unused_imports(source) == ["Iterator (line 3)"]
+
+
+_TWO_BYTE_NAMES = {"int16", "uint16", "short", "ushort"}
+_TWO_BYTE_STRING = re.compile(r"[<>=|]?[iu]2|u?int16")
+
+
+def _cell_dtype_statements(sources: dict[str, str]) -> list[str]:
+    """``file:name`` for each top-level statement of ``sources`` (file name
+    -> source) that names a two-byte integer dtype, the cell type of every
+    table: as a name or attribute (``np.int16``) or as a dtype string
+    (``"<i2"``); ``name`` is the function or class, the assigned name, or
+    ``<module>`` for any other statement."""
+    def names_one(sub: ast.AST) -> bool:
+        name = getattr(sub, "id", None) or getattr(sub, "attr", None) or (
+            sub.name if isinstance(sub, ast.alias) else None)
+        if name is not None:
+            return name in _TWO_BYTE_NAMES
+        return (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                and _TWO_BYTE_STRING.fullmatch(sub.value) is not None)
+
+    found = []
+    for file, source in sources.items():
+        for node in ast.parse(source).body:
+            if any(map(names_one, ast.walk(node))):
+                targets = [t.id for t in getattr(node, "targets", [])
+                           if isinstance(t, ast.Name)]
+                name = getattr(node, "name", None) or (targets + ["<module>"])[0]
+                found.append(f"{file}:{name}")
+    return found
+
+
+def test_only_the_cell_constant_names_the_table_dtype():
+    # every table is allocated as core._CELL, so the cell format is
+    # stated in one statement
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _cell_dtype_statements(sources) == ["core.py:_CELL"]
+
+
+def test_cell_dtype_check_sees_each_spelling():
+    sources = {"a.py": ("import numpy as np\n"
+                        "_CELL = np.int16\n"
+                        "def f(n):\n"
+                        "    return np.empty((n, n), dtype='<i2')\n"
+                        "x = np.zeros(3, np.int32)  # 'int16' in a comment\n"),
+               "b.py": ("from numpy import uint16\n"
+                        "class T:\n"
+                        "    kind = 'int16'\n"
+                        "    doc = 'not int16 on its own'\n")}
+    assert _cell_dtype_statements(sources) == [
+        "a.py:_CELL", "a.py:f", "b.py:<module>", "b.py:T"]
 
 
 def _orphaned_private_names(sources: dict[str, str]) -> list[str]:

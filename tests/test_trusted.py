@@ -59,9 +59,10 @@ SPANNING = core._spanning.__qualname__
 
 def assert_matches_gate(g):
     checked = from_cayley_table(g.table, label=g.label, order_cap=g.order)
-    for name in ("table", "inverse", "element_orders"):
+    for name, dtype in (("table", core._CELL), ("inverse", np.int32),
+                        ("element_orders", np.int32)):
         got, want = getattr(g, name), getattr(checked, name)
-        assert got.dtype == want.dtype == np.int32, (g, name)
+        assert got.dtype == want.dtype == dtype, (g, name)
         assert np.array_equal(got, want), (g, name)
     assert not g.table.flags.writeable and g.table.flags.c_contiguous
     assert (g.order, g.label) == (checked.order, checked.label)
